@@ -1,0 +1,479 @@
+"""Command-line frontend.
+
+Every subcommand reads an input document (see `textio`), works on a named
+object (``--ideal``/``--marked``; the unique one when unnamed), and prints
+a plain-text report or, with ``--json``, a stable JSON document.  ``--output
+FILE`` additionally persists whatever was printed.
+
+Exit codes: 0 on success, 1 for a negative mathematical answer (the
+certificate goes to standard output), 2 for input errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+
+from .family import family_equations, generic_marked_set, specialize
+from .marked import (
+    HeadCoefficientNotOne,
+    HeadMismatch,
+    MarkedElement,
+    MarkedSet,
+    NotABasis,
+    TailTermInU,
+    is_marked_basis,
+    reduce_full,
+)
+from .monom import (
+    MonomialModule,
+    PommaretBasis,
+    StabilityClass,
+    basis_invariants,
+    complement_rank,
+    hilbert_function,
+    is_pommaret_basis,
+    pommaret_completion,
+    quasi_stability_witness,
+    stability_class,
+    truncate_basis,
+)
+from .ring import (
+    HeterogeneousElement,
+    MarkedBasesError,
+    MissingParameter,
+)
+from .syzygy import free_resolution, invariant_bounds, minimize_resolution
+from .textio import (
+    ComponentOutOfRange,
+    InputFormatError,
+    PolySyntaxError,
+    UnknownVariable,
+    format_element,
+    format_exponent,
+    format_marked_element,
+    format_module_term,
+    format_param_poly,
+    parse_document,
+    parse_polynomial,
+    resolution_to_dict,
+)
+
+INPUT_ERRORS = (
+    PolySyntaxError,
+    UnknownVariable,
+    ComponentOutOfRange,
+    InputFormatError,
+    HeterogeneousElement,
+    MissingParameter,
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mbases",
+        description="Marked bases over quasi-stable monomial modules",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text, **extra):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="input document")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.add_argument("--output", metavar="FILE", help="also write the report here")
+        p.add_argument("--ideal", metavar="NAME", help="which ideal to use")
+        p.add_argument("--marked", metavar="NAME", help="which marked set to use")
+        return p
+
+    add("pommaret", "Pommaret completion and invariant readout")
+    add("classify", "stability classification")
+    p = add("truncate", "Pommaret basis of the degree->=m truncation")
+    p.add_argument("--degree", type=int, required=True)
+    p = add("hilbert", "Hilbert function of the monomial module")
+    p.add_argument("--degree", type=int, required=True)
+    p = add("check", "marked-basis test")
+    p.add_argument("--up-to-degree", type=int, dest="up_to_degree")
+    p = add("reduce", "full reduction of a target element")
+    p.add_argument("--target", required=True)
+    p = add("resolve", "syzygy free resolution")
+    p.add_argument("--minimize", action="store_true")
+    add("bounds", "Betti/regularity/projective-dimension bounds")
+    add("family", "equations of the marked family")
+    p = add("specialize", "specialize the generic marked set")
+    p.add_argument("--set", dest="assignment", required=True,
+                   metavar="C_{0,0}=1,...")
+    return parser
+
+
+def _pick(table: dict, requested, kind: str):
+    if requested is not None:
+        if requested not in table:
+            raise InputFormatError(f"no {kind} named {requested!r} in the document")
+        return table[requested]
+    if len(table) == 1:
+        return next(iter(table.values()))
+    if not table:
+        raise InputFormatError(f"the document defines no {kind}")
+    raise InputFormatError(
+        f"several {kind}s defined ({', '.join(table)}); pick one with --{kind}"
+    )
+
+
+def _ideal(doc, args) -> MonomialModule:
+    return _pick(doc.ideals, args.ideal, "ideal")
+
+
+def _marked_set(doc, args) -> MarkedSet:
+    raw = _pick(doc.marked, args.marked, "marked")
+    heads = [head for _, head in raw.elements]
+    if len(set(heads)) != len(heads):
+        raise HeadMismatch("duplicate heads in the marked set")
+    if not is_pommaret_basis(heads, doc.layout):
+        raise HeadMismatch(
+            "the heads do not form a Pommaret basis (disjoint cones fail)"
+        )
+    basis = PommaretBasis(doc.layout, frozenset(heads), certified=True)
+    return MarkedSet(basis, [MarkedElement(body, head) for body, head in raw.elements])
+
+
+def _basis(doc, args) -> PommaretBasis:
+    """Pommaret basis for basis-level commands: marked set's heads if a
+    marked set is selected or is the only object, else ideal completion."""
+    if args.marked is not None or (not doc.ideals and doc.marked):
+        return _marked_set(doc, args).basis
+    return pommaret_completion(_ideal(doc, args))
+
+
+def _term_strings(basis: PommaretBasis):
+    return [format_module_term(t, basis.layout.rank) for t in basis.sorted_terms()]
+
+
+def _ranks_json(table: dict[int, dict[int, int]]):
+    return {str(i): {str(j): c for j, c in row.items()} for i, row in table.items()}
+
+
+def _chain_text(res) -> str:
+    def module_text(counts):
+        return " (+) ".join(
+            f"S(-{j})" + (f"^{c}" if c > 1 else "") for j, c in sorted(counts.items())
+        ) or "0"
+
+    table = res.rank_table()
+    pieces = [module_text(table[i]) for i in range(res.length, -1, -1)]
+    return "0 -> " + " -> ".join(pieces) + " -> M -> 0"
+
+
+def _invariants_json(inv):
+    return {
+        "regularity": inv.regularity,
+        "satiety": inv.satiety,
+        "projective_dimension": inv.projective_dimension,
+        "D": inv.D,
+        "saturated": inv.saturated,
+    }
+
+
+def cmd_pommaret(doc, args):
+    basis = pommaret_completion(_ideal(doc, args))
+    inv = basis_invariants(basis)
+    terms = _term_strings(basis)
+    text = [f"Pommaret basis ({len(terms)} terms): " + ", ".join(terms)]
+    text.append(
+        f"regularity {inv.regularity}, satiety {inv.satiety}, "
+        f"projective dimension {inv.projective_dimension} (D = {inv.D})"
+        + (", saturated" if inv.saturated else "")
+    )
+    return 0, "\n".join(text), {"basis": terms, "invariants": _invariants_json(inv)}
+
+
+def cmd_classify(doc, args):
+    module = _ideal(doc, args)
+    witness = quasi_stability_witness(module)
+    if witness is not None:
+        term, var = witness
+        text = (
+            "not quasi-stable\n"
+            f"witness: generator {format_module_term(term, module.layout.rank)} "
+            f"with non-multiplicative variable x{var}"
+        )
+        payload = {
+            "class": StabilityClass.NOT_QUASI_STABLE.value,
+            "witness": {
+                "generator": format_module_term(term, module.layout.rank),
+                "variable": f"x{var}",
+            },
+        }
+        return 1, text, payload
+    cls = stability_class(module)
+    return 0, cls.value, {"class": cls.value}
+
+
+def cmd_truncate(doc, args):
+    basis = pommaret_completion(_ideal(doc, args))
+    truncated = truncate_basis(basis, args.degree)
+    terms = _term_strings(truncated)
+    text = f"P(J_>={args.degree}) ({len(terms)} terms): " + ", ".join(terms)
+    return 0, text, {"degree": args.degree, "basis": terms}
+
+
+def cmd_hilbert(doc, args):
+    basis = _basis(doc, args)
+    h = hilbert_function(basis, args.degree)
+    c = complement_rank(basis, args.degree)
+    text = f"h_U({args.degree}) = {h}; complement rank = {c}"
+    return 0, text, {"degree": args.degree, "module_rank": h, "complement_rank": c}
+
+
+def _certificate_payload(marked, cert):
+    head, var, remainder = cert
+    return {
+        "head": format_module_term(head, marked.layout.rank),
+        "variable": f"x{var}",
+        "remainder": format_element(remainder),
+    }
+
+
+def cmd_check(doc, args):
+    marked = _marked_set(doc, args)
+    result = is_marked_basis(marked, up_to_degree=args.up_to_degree)
+    reg = marked.basis.max_degree()
+    if not result.is_basis:
+        head, var, remainder = result.certificate
+        text = (
+            "marked basis: no\n"
+            f"certificate: x{var} * element[{format_module_term(head, marked.layout.rank)}] "
+            f"reduces to {format_element(remainder)}"
+        )
+        payload = {
+            "marked_basis": False,
+            "certificate": _certificate_payload(marked, result.certificate),
+        }
+        return 1, text, payload
+    if result.inconclusive_beyond is not None:
+        text = (
+            f"marked basis: undetermined (no failure up to degree "
+            f"{result.inconclusive_beyond}; conclusive bound is {reg + 1})"
+        )
+        payload = {
+            "marked_basis": None,
+            "inconclusive_beyond": result.inconclusive_beyond,
+            "conclusive_bound": reg + 1,
+        }
+        return 0, text, payload
+    return 0, "marked basis: yes", {"marked_basis": True}
+
+
+def cmd_reduce(doc, args):
+    marked = _marked_set(doc, args)
+    target = parse_polynomial(args.target, doc.layout)
+    rep = reduce_full(target, marked)
+    lines = []
+    summands_json = []
+    for coeff, mult, head in rep.summands:
+        piece = {
+            "coefficient": str(coeff),
+            "multiplier": format_exponent(mult),
+            "head": format_module_term(head, marked.layout.rank),
+        }
+        summands_json.append(piece)
+        lines.append(
+            f"  {piece['coefficient']} * {piece['multiplier']} * "
+            f"[{piece['head']}]"
+        )
+    text = "summands:\n" + ("\n".join(lines) if lines else "  (none)")
+    text += f"\nremainder: {format_element(rep.remainder)}"
+    payload = {
+        "summands": summands_json,
+        "remainder": format_element(rep.remainder),
+    }
+    return 0, text, payload
+
+
+def cmd_resolve(doc, args):
+    marked = _marked_set(doc, args)
+    result = is_marked_basis(marked)
+    if not result.is_basis:
+        head, var, remainder = result.certificate
+        text = (
+            "marked basis: no (cannot resolve)\n"
+            f"certificate: x{var} * element[{format_module_term(head, marked.layout.rank)}] "
+            f"reduces to {format_element(remainder)}"
+        )
+        return 1, text, {
+            "marked_basis": False,
+            "certificate": _certificate_payload(marked, result.certificate),
+        }
+    res = free_resolution(marked)
+    payload = {
+        "ranks": _ranks_json(res.rank_table()),
+        "resolution": resolution_to_dict(res),
+    }
+    text = [f"length {res.length}", _chain_text(res)]
+    if args.minimize:
+        minimal = minimize_resolution(res)
+        payload["minimal"] = {
+            "ranks": _ranks_json(minimal.rank_table()),
+            "resolution": resolution_to_dict(minimal),
+        }
+        text.append("minimal: " + _chain_text(minimal))
+    return 0, "\n".join(text), payload
+
+
+def cmd_bounds(doc, args):
+    basis = _basis(doc, args)
+    report = invariant_bounds(basis)
+    table: dict[int, dict[int, int]] = {}
+    for (i, j), r in sorted(report.betti_bound_table.items()):
+        table.setdefault(i, {})[j] = r
+    lines = [
+        f"betti bounds r[{i},{j}] = {r}"
+        for (i, j), r in sorted(report.betti_bound_table.items())
+    ]
+    lines.append(f"regularity bound {report.regularity_bound}")
+    lines.append(f"projective dimension bound {report.pdim_bound}")
+    payload = {
+        "betti_bounds": _ranks_json(table),
+        "regularity_bound": report.regularity_bound,
+        "pdim_bound": report.pdim_bound,
+    }
+    return 0, "\n".join(lines), payload
+
+
+def cmd_family(doc, args):
+    basis = _basis(doc, args)
+    generic = generic_marked_set(basis)
+    fam = family_equations(generic)
+    eq_strings = [format_param_poly(g, fam.param_names) for g in fam.generators]
+    lines = [f"parameters ({generic.nparams}): " + ", ".join(generic.param_names)]
+    lines.append("generic elements:")
+    for el in generic.marked.ordered():
+        lines.append("  " + format_marked_element(el.body, el.head, generic.param_names))
+    if eq_strings:
+        lines.append(f"equations ({len(eq_strings)}):")
+        lines.extend(f"  {s}" for s in eq_strings)
+    else:
+        lines.append("equations: none (the family is the whole affine space)")
+    payload = {
+        "parameters": list(generic.param_names),
+        "equations": eq_strings,
+    }
+    return 0, "\n".join(lines), payload
+
+
+def _parse_assignment(raw: str) -> dict[str, Fraction]:
+    out: dict[str, Fraction] = {}
+    depth = 0
+    piece = ""
+    pieces = []
+    for ch in raw:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            pieces.append(piece)
+            piece = ""
+        else:
+            piece += ch
+    if piece.strip():
+        pieces.append(piece)
+    for item in pieces:
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        value = value.strip()
+        if not eq or not name or not value:
+            raise InputFormatError(f"bad assignment {item!r}; expected name=value")
+        try:
+            out[name] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputFormatError(f"bad rational value {value!r}") from None
+    return out
+
+
+def cmd_specialize(doc, args):
+    basis = _basis(doc, args)
+    generic = generic_marked_set(basis)
+    fam = family_equations(generic)
+    try:
+        assignment = _parse_assignment(args.assignment)
+        spec = specialize(generic, assignment, fam)
+    except KeyError as exc:
+        raise InputFormatError(str(exc)) from None
+    result = is_marked_basis(spec.marked)
+    assert spec.family_vanishes == result.is_basis
+    lines = ["specialized elements:"]
+    for el in spec.marked.ordered():
+        lines.append("  " + format_marked_element(el.body, el.head))
+    lines.append(f"family equations vanish: {'yes' if spec.family_vanishes else 'no'}")
+    payload = {
+        "elements": [
+            format_marked_element(el.body, el.head) for el in spec.marked.ordered()
+        ],
+        "family_vanishes": spec.family_vanishes,
+        "marked_basis": result.is_basis,
+    }
+    if result.is_basis:
+        lines.append("marked basis: yes")
+        return 0, "\n".join(lines), payload
+    head, var, remainder = result.certificate
+    lines.append("marked basis: no")
+    lines.append(
+        f"certificate: x{var} * element[{format_module_term(head, spec.marked.layout.rank)}] "
+        f"reduces to {format_element(remainder)}"
+    )
+    payload["certificate"] = _certificate_payload(spec.marked, result.certificate)
+    return 1, "\n".join(lines), payload
+
+
+HANDLERS = {
+    "pommaret": cmd_pommaret,
+    "classify": cmd_classify,
+    "truncate": cmd_truncate,
+    "hilbert": cmd_hilbert,
+    "check": cmd_check,
+    "reduce": cmd_reduce,
+    "resolve": cmd_resolve,
+    "bounds": cmd_bounds,
+    "family": cmd_family,
+    "specialize": cmd_specialize,
+}
+
+
+def _emit(args, code: int, text: str, payload: dict) -> int:
+    if args.json:
+        payload = {"ok": code == 0, **payload}
+        rendered = json.dumps(payload, indent=2)
+    else:
+        rendered = text
+    print(rendered)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(rendered + "\n")
+    return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            doc = parse_document(fh.read())
+        code, text, payload = HANDLERS[args.command](doc, args)
+    except INPUT_ERRORS as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except (HeadMismatch, HeadCoefficientNotOne, TailTermInU, NotABasis) as exc:
+        # Negative mathematical verdicts about a well-formed input.
+        return _emit(args, 1, str(exc), {"error": str(exc)})
+    except MarkedBasesError as exc:
+        return _emit(args, 1, str(exc), {"error": str(exc)})
+    return _emit(args, code, text, payload)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,259 @@
+"""Generic marked sets, equations of the marked family, specialization.
+
+Over a fixed Pommaret basis, the generic marked set replaces every tail
+coefficient by its own parameter: the element with head h gets one parameter
+per complement term of the same degree.  Fully reducing every
+non-multiplicative prolongation of the generic set and collecting the
+complement-term coefficients of the remainders yields a set R of parameter
+polynomials; an assignment of the parameters produces a marked basis exactly
+when it annihilates R, so R cuts out the family of all marked bases over
+these heads inside the affine space of tail coefficients.
+
+Parameters are named C_{h,t} with h the index of the head in the listing
+order of the basis and t the index of the complement term among the tails of
+that head; this naming is part of the output contract.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+from .marked import MarkedElement, MarkedSet, Representation, reduce_full
+from .monom import (
+    PommaretBasis,
+    basis_invariants,
+    complement_terms,
+    nonmultiplicative_variables,
+    rho,
+    truncate_basis,
+)
+from .ring import (
+    MarkedBasesError,
+    MissingParameter,
+    ModuleElement,
+    ModuleTerm,
+    ParamPoly,
+    exp_deg,
+    min_index,
+    var_exp,
+)
+
+
+class HypothesisViolated(MarkedBasesError):
+    """A stated hypothesis of the triangular representation fails."""
+
+
+class StructureViolated(MarkedBasesError):
+    """The verified structural claim failed; indicates an implementation bug."""
+
+
+@dataclass(frozen=True)
+class GenericMarkedSet:
+    """Marked set whose tail coefficients are independent parameters."""
+
+    basis: PommaretBasis
+    marked: MarkedSet
+    param_names: tuple[str, ...]
+    param_pairs: tuple[tuple[ModuleTerm, ModuleTerm], ...]  # (head, tail term)
+
+    @property
+    def nparams(self) -> int:
+        return len(self.param_names)
+
+    def param_index(self, name: str) -> int:
+        try:
+            return self.param_names.index(name)
+        except ValueError:
+            raise KeyError(f"unknown parameter {name!r}") from None
+
+
+def generic_marked_set(basis: PommaretBasis) -> GenericMarkedSet:
+    """One generic element per head; parameters enumerated head-major in the
+    deterministic listing order of heads and tails."""
+    if not basis.certified:
+        raise ValueError("requires a certified basis")
+    heads = basis.sorted_terms()
+    tails_by_head = []
+    pairs: list[tuple[ModuleTerm, ModuleTerm]] = []
+    names: list[str] = []
+    for h_idx, head in enumerate(heads):
+        tails = complement_terms(basis, basis.layout.term_degree(head))
+        tails_by_head.append(tails)
+        for t_idx, tail in enumerate(tails):
+            pairs.append((head, tail))
+            names.append(f"C_{{{h_idx},{t_idx}}}")
+    nparams = len(pairs)
+    elements = []
+    param_at = {pair: i for i, pair in enumerate(pairs)}
+    for head, tails in zip(heads, tails_by_head):
+        terms = {head: ParamPoly.const(nparams, 1)}
+        for tail in tails:
+            terms[tail] = -ParamPoly.variable(nparams, param_at[(head, tail)])
+        elements.append(MarkedElement(ModuleElement(basis.layout, terms), head))
+    marked = MarkedSet(basis, elements)
+    return GenericMarkedSet(basis, marked, tuple(names), tuple(pairs))
+
+
+@dataclass(frozen=True)
+class FamilyIdeal:
+    """Parameter polynomials cutting out the marked family."""
+
+    generators: tuple[ParamPoly, ...]
+    param_names: tuple[str, ...]
+
+    def vanishes_at(self, assignment: Mapping[int, Fraction]) -> bool:
+        return all(g.evaluate(assignment) == 0 for g in self.generators)
+
+
+def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
+    """Collect the complement-term coefficients of all reduced
+    non-multiplicative prolongations, syntactically deduplicated."""
+    basis = generic.basis
+    n = basis.layout.n
+    nvars = basis.layout.nvars
+    seen: set[ParamPoly] = set()
+    out: list[ParamPoly] = []
+    for el in generic.marked.ordered():
+        for j in nonmultiplicative_variables(el.head, n):
+            rep = reduce_full(el.body.mul_term(var_exp(nvars, j)), generic.marked)
+            for _, coeff in rep.remainder.sorted_terms():
+                if coeff not in seen:
+                    seen.add(coeff)
+                    out.append(coeff)
+    return FamilyIdeal(tuple(out), generic.param_names)
+
+
+def _normalize_assignment(generic: GenericMarkedSet, assignment: Mapping) -> dict[int, Fraction]:
+    by_index: dict[int, Fraction] = {}
+    for key, value in assignment.items():
+        idx = generic.param_index(key) if isinstance(key, str) else int(key)
+        if not 0 <= idx < generic.nparams:
+            raise KeyError(f"parameter index {idx} out of range")
+        by_index[idx] = Fraction(value)
+    missing = set(range(generic.nparams)) - set(by_index)
+    if missing:
+        names = [generic.param_names[i] for i in sorted(missing)]
+        raise MissingParameter(f"unassigned parameters: {', '.join(names)}")
+    return by_index
+
+
+@dataclass(frozen=True)
+class Specialization:
+    marked: MarkedSet
+    assignment: dict
+    family_vanishes: bool | None
+
+
+def specialize(
+    generic: GenericMarkedSet,
+    assignment: Mapping,
+    family: FamilyIdeal | None = None,
+) -> Specialization:
+    """Evaluate every parameter; reports whether the supplied family
+    equations vanish at the assignment (they do iff the specialized set is a
+    marked basis)."""
+    values = _normalize_assignment(generic, assignment)
+    elements = []
+    for el in generic.marked.ordered():
+        terms = {}
+        for t, coeff in el.body.terms.items():
+            terms[t] = coeff.evaluate(values) if isinstance(coeff, ParamPoly) else coeff
+        elements.append(MarkedElement(ModuleElement(generic.basis.layout, terms), el.head))
+    marked = MarkedSet(generic.basis, elements)
+    vanishes = family.vanishes_at(values) if family is not None else None
+    return Specialization(marked, dict(values), vanishes)
+
+
+@dataclass(frozen=True)
+class TriangularReport:
+    """A structurally verified representation of x_i * F_head: all
+    multipliers are single variables below x_i and the remainder is
+    supported outside the untruncated ideal."""
+
+    head: ModuleTerm
+    variable: int
+    representation: Representation
+    verified: bool
+
+
+def triangular_representation(
+    generic: GenericMarkedSet,
+    head: ModuleTerm,
+    i: int,
+    *,
+    base: PommaretBasis,
+    truncation_degree: int,
+) -> TriangularReport:
+    """Reduce x_i * F_head over a generic set on a truncated saturated ideal
+    and verify the triangular shape of the outcome.
+
+    Hypotheses checked: `base` is the certified basis of a saturated ideal,
+    `generic` lives over its degree-`truncation_degree` truncation,
+    truncation_degree >= max(rho_1..rho_i), and min(head) < x_i.  Under
+    them, every multiplier in the representation must be one variable x_j
+    with j < i, multiplicative for its own head; a violation raises
+    StructureViolated and indicates a bug, never bad input.
+    """
+    layout = generic.basis.layout
+    if layout.rank != 1 or base.layout != layout:
+        raise HypothesisViolated("triangular representations live over a single ideal")
+    if not base.certified:
+        raise HypothesisViolated("base basis must be certified")
+    if not basis_invariants(base).saturated:
+        raise HypothesisViolated("base ideal is not saturated")
+    if not 1 <= i <= layout.n:
+        raise HypothesisViolated(f"variable index {i} out of range 1..{layout.n}")
+    if generic.basis.terms != truncate_basis(base, truncation_degree).terms:
+        raise HypothesisViolated(
+            "generic set does not live over the stated truncation"
+        )
+    rho_bound = max(rho(base, t) for t in range(1, i + 1))
+    if truncation_degree < rho_bound:
+        raise HypothesisViolated(
+            f"truncation degree {truncation_degree} below max rho = {rho_bound}"
+        )
+    if head not in generic.basis.terms:
+        raise HypothesisViolated(f"{head} is not a head of the generic set")
+    mi = min_index(head.exp)
+    if mi is None or mi > i - 1:
+        raise HypothesisViolated(f"min variable of {head} is not below x{i}")
+    assert layout.term_degree(head) == truncation_degree
+
+    el = generic.marked.elements[head]
+    rep = reduce_full(el.body.mul_term(var_exp(layout.nvars, i)), generic.marked)
+    for _, mult, tau in rep.summands:
+        if exp_deg(mult) != 1:
+            raise StructureViolated(f"multiplier x^{mult} is not a single variable")
+        j = min_index(mult)
+        if j >= i:
+            raise StructureViolated(f"multiplier x{j} not below x{i}")
+        assert j <= (min_index(tau.exp) if min_index(tau.exp) is not None else layout.n)
+    for t in rep.remainder.terms:
+        if base.contains_term(t):
+            raise StructureViolated(f"remainder term {t} lies inside the base ideal")
+    return TriangularReport(head, i, rep, True)
+
+
+def tails_respect_min_variable(marked: MarkedSet) -> bool:
+    """Every tail term's minimal variable stays at or below the head's."""
+    for el in marked.ordered():
+        hmin = min_index(el.head.exp)
+        if hmin is None:
+            continue
+        for t in el.tail_terms():
+            tmin = min_index(t.exp)
+            if tmin is None or tmin > hmin:
+                return False
+    return True
+
+
+def x0_heads_are_divisible(marked: MarkedSet) -> bool:
+    """Elements whose head involves x0 have x0 dividing every tail term."""
+    for el in marked.ordered():
+        if min_index(el.head.exp) == 0:
+            for t in el.tail_terms():
+                if t.exp[0] == 0:
+                    return False
+    return True

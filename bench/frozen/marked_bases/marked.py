@@ -1,0 +1,303 @@
+"""Marked sets over a Pommaret basis and the marked reduction relation.
+
+A marked set carries one homogeneous element per basis term: the head term
+has coefficient one and every other support term lies outside the monomial
+module.  Reduction rewrites a term of U by subtracting the unique
+multiplicative multiple of the element whose head cone contains it; no term
+order is involved, which is the whole point.  The relation is confluent and
+terminating, so normal forms do not depend on which reducible term is
+attacked first; the engine still fixes a deterministic strategy (always the
+lex-greatest reducible term) and asserts, at every step, the certificate
+that makes termination obvious: each freshly created term of U has a cone
+multiplier strictly lex-below the multiplier just used.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Optional
+
+from .monom import PommaretBasis, nonmultiplicative_variables
+from .parallel import parallel_map
+from .ring import (
+    Coeff,
+    Exponent,
+    MarkedBasesError,
+    ModuleElement,
+    ModuleTerm,
+    ParamPoly,
+    exp_add,
+    exp_sub,
+    lex_key,
+    reduction_key,
+    term_mul,
+    var_exp,
+)
+
+
+class HeadMismatch(MarkedBasesError):
+    """Heads of the given elements are not exactly the basis terms."""
+
+
+class HeadCoefficientNotOne(MarkedBasesError):
+    pass
+
+
+class TailTermInU(MarkedBasesError):
+    def __init__(self, term: ModuleTerm):
+        self.term = term
+        super().__init__(f"tail term {term} lies inside the monomial module")
+
+
+class NotABasis(MarkedBasesError):
+    """Operation requires a previously certified marked basis."""
+
+
+class InternalNonTermination(MarkedBasesError):
+    """The per-step lex certificate failed; indicates an implementation bug."""
+
+
+@dataclass(frozen=True)
+class MarkedElement:
+    """Homogeneous element with a distinguished head term of coefficient one."""
+
+    body: ModuleElement
+    head: ModuleTerm
+
+    def __post_init__(self):
+        if self.head not in self.body.terms:
+            raise HeadMismatch(f"head {self.head} not in the support")
+        if not self.body.terms[self.head] == 1:
+            raise HeadCoefficientNotOne(f"head {self.head} has coefficient != 1")
+
+    def tail_terms(self):
+        return [t for t in self.body.terms if t != self.head]
+
+
+class MarkedSet:
+    """One marked element per Pommaret-basis term, tails outside the module.
+
+    Element order is the construction order (it fixes the numbering used by
+    syzygies and printed matrices).  The marked-basis verdict is cached once
+    established; instances are immutable so the cache is sound.
+    """
+
+    __slots__ = ("basis", "elements", "_certified")
+
+    def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
+        if not basis.certified:
+            raise ValueError("marked sets require a certified Pommaret basis")
+        by_head: dict[ModuleTerm, MarkedElement] = {}
+        for el in elements:
+            if el.body.layout != basis.layout:
+                raise ValueError("element layout differs from the basis layout")
+            if el.head in by_head:
+                raise HeadMismatch(f"duplicate head {el.head}")
+            by_head[el.head] = el
+        missing = basis.terms - set(by_head)
+        extra = set(by_head) - basis.terms
+        if missing or extra:
+            raise HeadMismatch(
+                f"heads do not match the basis (missing {sorted(missing)}, "
+                f"extra {sorted(extra)})"
+            )
+        for el in by_head.values():
+            for t in el.tail_terms():
+                if basis.cone_divisor(t) is not None:
+                    raise TailTermInU(t)
+        self.basis = basis
+        self.elements = by_head
+        self._certified: Optional[bool] = None
+
+    @property
+    def layout(self):
+        return self.basis.layout
+
+    def __len__(self):
+        return len(self.elements)
+
+    def ordered(self) -> list[MarkedElement]:
+        return list(self.elements.values())
+
+    def head_index(self, head: ModuleTerm) -> int:
+        for i, h in enumerate(self.elements):
+            if h == head:
+                return i
+        raise KeyError(head)
+
+    def coefficient_sample(self) -> Coeff:
+        for el in self.elements.values():
+            return el.body.terms[el.head]
+        return Fraction(1)
+
+    def one_like(self) -> Coeff:
+        c = self.coefficient_sample()
+        if isinstance(c, ParamPoly):
+            return ParamPoly.const(c.nparams, 1)
+        return Fraction(1)
+
+
+@dataclass(frozen=True)
+class Representation:
+    """Result of a full reduction: h = sum(c * x^mult * element(head)) + remainder.
+
+    Each multiplier is multiplicative for its head, (multiplier, head) pairs
+    are distinct, and summands are listed with multipliers lex-descending
+    (per head the descent is strict).  The remainder is supported outside
+    the monomial module.
+    """
+
+    summands: tuple[tuple[Coeff, Exponent, ModuleTerm], ...]
+    remainder: ModuleElement
+
+    def evaluate(self, marked: MarkedSet) -> ModuleElement:
+        total = dict(self.remainder.terms)
+        for coeff, mult, head in self.summands:
+            body = marked.elements[head].body
+            for t, c in body.terms.items():
+                shifted = term_mul(t, mult)
+                s = total.get(shifted)
+                s = coeff * c if s is None else s + coeff * c
+                if s:
+                    total[shifted] = s
+                else:
+                    total.pop(shifted, None)
+        return ModuleElement(self.remainder.layout, total)
+
+
+Chooser = Callable[[list[ModuleTerm]], ModuleTerm]
+
+
+def _default_chooser(candidates: list[ModuleTerm]) -> ModuleTerm:
+    return max(candidates, key=reduction_key)
+
+
+def reduce_full(
+    h: ModuleElement,
+    marked: MarkedSet,
+    chooser: Chooser | None = None,
+) -> Representation:
+    """Reduce h to its normal form modulo the marked set.
+
+    The reducer for a term of U is forced (the unique element whose head
+    cone contains it, scaled by the multiplicative multiplier), so only the
+    order of attack is a choice; `chooser` overrides the default
+    lex-greatest-term strategy and cannot change the outcome.
+    """
+    basis = marked.basis
+    if h.layout != basis.layout:
+        raise ValueError("element layout differs from the marked set layout")
+    pick = chooser or _default_chooser
+    work: dict[ModuleTerm, Coeff] = dict(h.terms)
+    summands: dict[tuple[Exponent, ModuleTerm], Coeff] = {}
+    while True:
+        candidates = [t for t in work if basis.cone_divisor(t) is not None]
+        if not candidates:
+            break
+        target = pick(candidates)
+        head = basis.cone_divisor(target)
+        mult = exp_sub(target.exp, head.exp)
+        coeff = work.pop(target)
+        key = (mult, head)
+        prev = summands.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            summands[key] = total
+        else:
+            summands.pop(key, None)
+        body = marked.elements[head].body
+        for t, c in body.terms.items():
+            if t == head:
+                continue
+            shifted = term_mul(t, mult)
+            divisor = basis.cone_divisor(shifted)
+            if divisor is not None:
+                new_mult = exp_sub(shifted.exp, divisor.exp)
+                if not lex_key(new_mult) < lex_key(mult):
+                    raise InternalNonTermination(
+                        f"created multiplier {new_mult} not lex-below {mult}"
+                    )
+            s = work.get(shifted)
+            s = -(coeff * c) if s is None else s - coeff * c
+            if s:
+                work[shifted] = s
+            else:
+                work.pop(shifted, None)
+    order = {head: i for i, head in enumerate(marked.elements)}
+    flat = sorted(
+        ((c, mult, head) for (mult, head), c in summands.items()),
+        key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
+    )
+    remainder = ModuleElement(basis.layout, work)
+    return Representation(tuple(flat), remainder)
+
+
+@dataclass(frozen=True)
+class BasisCheck:
+    """Outcome of the marked-basis test.
+
+    `certificate`, present on failure, is (head, variable, remainder): the
+    prolongation of that element by that non-multiplicative variable left
+    the non-zero remainder.  `inconclusive_beyond` is set when a degree cap
+    below reg(U)+1 silenced some prolongations.
+    """
+
+    is_basis: bool
+    certificate: tuple[ModuleTerm, int, ModuleElement] | None = None
+    inconclusive_beyond: int | None = None
+
+
+def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> BasisCheck:
+    """Test whether every non-multiplicative prolongation reduces to zero.
+
+    With `up_to_degree=s` only prolongations of degree <= s are checked;
+    since prolongation degrees never exceed reg(U)+1, any cap at or above
+    that threshold is equivalent to the full test and conclusive.
+    """
+    basis = marked.basis
+    n = basis.layout.n
+    reg = basis.max_degree()
+    conclusive = up_to_degree is None or up_to_degree >= reg + 1
+    if marked._certified is not None and conclusive:
+        return BasisCheck(marked._certified)
+
+    jobs = []
+    for el in marked.ordered():
+        for j in nonmultiplicative_variables(el.head, n):
+            degree = basis.layout.term_degree(el.head) + 1
+            if up_to_degree is not None and degree > up_to_degree:
+                continue
+            jobs.append((el, j))
+
+    def check(job):
+        el, j = job
+        prolonged = el.body.mul_term(var_exp(basis.layout.nvars, j))
+        rep = reduce_full(prolonged, marked)
+        return el.head, j, rep.remainder
+
+    for head, j, remainder in parallel_map(check, jobs):
+        if not remainder.is_zero():
+            if conclusive:
+                marked._certified = False
+            return BasisCheck(False, certificate=(head, j, remainder))
+    if conclusive:
+        marked._certified = True
+        return BasisCheck(True)
+    return BasisCheck(True, inconclusive_beyond=up_to_degree)
+
+
+def contains(marked: MarkedSet, f: ModuleElement) -> bool:
+    """Module membership via zero normal form; requires a certified basis."""
+    if marked._certified is not True:
+        raise NotABasis("membership test requires a set certified as a basis")
+    return reduce_full(f, marked).remainder.is_zero()
+
+
+def monomial_marked_set(basis: PommaretBasis) -> MarkedSet:
+    """The marked set with zero tails: U as a marked basis over itself."""
+    elements = [
+        MarkedElement(ModuleElement.from_term(basis.layout, t), t)
+        for t in basis.sorted_terms()
+    ]
+    return MarkedSet(basis, elements)

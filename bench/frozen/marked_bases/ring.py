@@ -1,0 +1,484 @@
+"""Exact coefficient arithmetic and sparse module-element arithmetic.
+
+Two coefficient domains are supported:
+
+* ``fractions.Fraction`` -- exact rationals, the computation mode;
+* ``ParamPoly`` -- polynomials with rational coefficients in a declared
+  finite list of parameters, the family mode.
+
+Elements of the weighted free module live in ``FreeModuleLayout(n, weights)``:
+the ambient ring has variables x0..xn and the free generators e1..em carry
+integer weights, so a module term x^a*ek has degree |a| + weights[k-1].
+
+A module term is a pair ``ModuleTerm(exp, comp)`` with ``exp`` an exponent
+tuple of length n+1 and ``comp`` the 1-based generator index.  A
+``ModuleElement`` is a sparse map from module terms to non-zero coefficients;
+all stored terms must share one degree (homogeneity is enforced), and the
+zero element carries no degree.
+
+Variables are ordered x0 < x1 < ... < xn.  The lex comparison used by the
+reduction machinery gives the highest-index variable the most significance,
+so it is plain tuple comparison on reversed exponent tuples.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Mapping, NamedTuple, Union
+
+
+class MarkedBasesError(Exception):
+    """Base class for all domain errors raised by this package."""
+
+
+class HeterogeneousElement(MarkedBasesError):
+    """A module element mixes terms of two different degrees."""
+
+
+class MissingParameter(MarkedBasesError):
+    """A parameter occurring in a ParamPoly was left unassigned."""
+
+
+Exponent = tuple[int, ...]
+
+
+def exp_add(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def exp_sub(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def exp_deg(a: Exponent) -> int:
+    return sum(a)
+
+
+def exp_divides(a: Exponent, b: Exponent) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def unit_exp(nvars: int) -> Exponent:
+    return (0,) * nvars
+
+
+def var_exp(nvars: int, i: int) -> Exponent:
+    e = [0] * nvars
+    e[i] = 1
+    return tuple(e)
+
+
+def lex_key(a: Exponent) -> Exponent:
+    # xn is the most significant variable.
+    return a[::-1]
+
+
+def min_index(a: Exponent):
+    """Index of the smallest variable dividing x^a, or None for a = 0."""
+    for i, x in enumerate(a):
+        if x:
+            return i
+    return None
+
+
+def max_index(a: Exponent):
+    for i in range(len(a) - 1, -1, -1):
+        if a[i]:
+            return i
+    return None
+
+
+class ModuleTerm(NamedTuple):
+    exp: Exponent
+    comp: int  # 1-based free-generator index
+
+
+def term_mul(t: ModuleTerm, e: Exponent) -> ModuleTerm:
+    return ModuleTerm(exp_add(t.exp, e), t.comp)
+
+
+def term_divides(s: ModuleTerm, t: ModuleTerm) -> bool:
+    return s.comp == t.comp and exp_divides(s.exp, t.exp)
+
+
+def reduction_key(t: ModuleTerm):
+    """Sort key whose maximum is the lex-greatest term (component breaks ties)."""
+    return (lex_key(t.exp), -t.comp)
+
+
+def canonical_term_key(t: ModuleTerm):
+    """Print/iteration order: component ascending, degrevlex descending inside.
+
+    For exponent tuples of equal degree, ascending plain-tuple order is
+    exactly descending degrevlex (the term with less of the smallest
+    variable comes first).
+    """
+    return (t.comp, t.exp)
+
+
+@dataclass(frozen=True)
+class FreeModuleLayout:
+    """Ambient weighted free module: variables x0..xn, generators e1..em."""
+
+    n: int
+    weights: tuple[int, ...] = (0,)
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("need at least one variable")
+        if not self.weights:
+            raise ValueError("rank must be at least 1")
+
+    @property
+    def nvars(self) -> int:
+        return self.n + 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.weights)
+
+    def weight(self, comp: int) -> int:
+        return self.weights[comp - 1]
+
+    def term_degree(self, t: ModuleTerm) -> int:
+        return exp_deg(t.exp) + self.weights[t.comp - 1]
+
+    def check_term(self, t: ModuleTerm):
+        if len(t.exp) != self.nvars:
+            raise ValueError(f"exponent length {len(t.exp)} != {self.nvars}")
+        if not 1 <= t.comp <= self.rank:
+            raise ValueError(f"component {t.comp} out of range 1..{self.rank}")
+
+
+def listing_key(layout: FreeModuleLayout, t: ModuleTerm):
+    """Deterministic listing order for term sets: degree ascending, then
+    degrevlex descending, then component ascending."""
+    return (layout.term_degree(t), t.exp, t.comp)
+
+
+class ParamPoly:
+    """Polynomial in a declared list of parameters, rational coefficients.
+
+    ``terms`` maps an exponent tuple over the parameters to a non-zero
+    Fraction.  Instances are treated as immutable; arithmetic returns fresh
+    objects.  Plain numbers coerce to constants, so Fractions and ParamPolys
+    mix freely in module-element coefficients.
+    """
+
+    __slots__ = ("nparams", "terms")
+
+    def __init__(self, nparams: int, terms: Mapping[Exponent, Fraction] | None = None):
+        self.nparams = nparams
+        clean: dict[Exponent, Fraction] = {}
+        if terms:
+            for e, c in terms.items():
+                if len(e) != nparams:
+                    raise ValueError("parameter exponent of wrong length")
+                c = Fraction(c)
+                if c:
+                    clean[e] = c
+        self.terms = clean
+
+    @classmethod
+    def const(cls, nparams: int, value) -> "ParamPoly":
+        v = Fraction(value)
+        return cls(nparams, {unit_exp(nparams): v} if v else {})
+
+    @classmethod
+    def variable(cls, nparams: int, i: int) -> "ParamPoly":
+        if not 0 <= i < nparams:
+            raise ValueError(f"parameter index {i} out of range")
+        return cls(nparams, {var_exp(nparams, i): Fraction(1)})
+
+    def _coerce(self, other) -> "ParamPoly":
+        if isinstance(other, ParamPoly):
+            if other.nparams != self.nparams:
+                raise ValueError("mixing ParamPolys over different parameter lists")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly.const(self.nparams, other)
+        return NotImplemented  # type: ignore[return-value]
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = ParamPoly.const(self.nparams, other)
+        if not isinstance(other, ParamPoly):
+            return NotImplemented
+        return self.nparams == other.nparams and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nparams, frozenset(self.terms.items())))
+
+    def __neg__(self) -> "ParamPoly":
+        return ParamPoly(self.nparams, {e: -c for e, c in self.terms.items()})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return ParamPoly(self.nparams, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out: dict[Exponent, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = exp_add(e1, e2)
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return ParamPoly(self.nparams, out)
+
+    __rmul__ = __mul__
+
+    def occurring(self) -> set[int]:
+        """Indices of parameters actually present."""
+        seen: set[int] = set()
+        for e in self.terms:
+            seen.update(i for i, x in enumerate(e) if x)
+        return seen
+
+    def is_constant(self) -> bool:
+        return all(not any(e) for e in self.terms)
+
+    def constant_value(self) -> Fraction:
+        if not self.terms:
+            return Fraction(0)
+        [(e, c)] = self.terms.items()
+        if any(e):
+            raise ValueError("not a constant")
+        return c
+
+    def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
+        missing = self.occurring() - set(assignment)
+        if missing:
+            raise MissingParameter(f"parameters {sorted(missing)} unassigned")
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            v = c
+            for i, x in enumerate(e):
+                if x:
+                    v *= Fraction(assignment[i]) ** x
+            total += v
+        return total
+
+    def sorted_terms(self):
+        """Degree ascending, then ascending exponent tuple."""
+        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+
+    def __repr__(self):
+        return f"ParamPoly({self.nparams}, {self.terms!r})"
+
+
+def param_evaluate(p: ParamPoly, assignment: Mapping[int, Fraction]) -> Fraction:
+    """Exact value of p at a full assignment of its occurring parameters."""
+    return p.evaluate(assignment)
+
+
+Coeff = Union[Fraction, ParamPoly]
+
+
+class ModuleElement:
+    """Homogeneous sparse element of a weighted free module.
+
+    ``terms`` never stores zero coefficients.  ``degree`` is None exactly for
+    the zero element, which is compatible with every degree.
+    """
+
+    __slots__ = ("layout", "terms", "degree")
+
+    def __init__(self, layout: FreeModuleLayout, terms: Mapping[ModuleTerm, Coeff]):
+        clean: dict[ModuleTerm, Coeff] = {}
+        degree = None
+        for t, c in terms.items():
+            if not c:
+                continue
+            layout.check_term(t)
+            d = layout.term_degree(t)
+            if degree is None:
+                degree = d
+            elif d != degree:
+                raise HeterogeneousElement(
+                    f"degrees {degree} and {d} in one element"
+                )
+            clean[t] = c
+        self.layout = layout
+        self.terms = clean
+        self.degree = degree
+
+    @classmethod
+    def zero(cls, layout: FreeModuleLayout) -> "ModuleElement":
+        return cls(layout, {})
+
+    @classmethod
+    def from_term(cls, layout: FreeModuleLayout, t: ModuleTerm, coeff: Coeff = Fraction(1)):
+        return cls(layout, {t: coeff})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def support(self):
+        return set(self.terms)
+
+    def coefficient(self, t: ModuleTerm) -> Coeff:
+        return self.terms.get(t, Fraction(0))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: canonical_term_key(item[0]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModuleElement):
+            return NotImplemented
+        return self.layout == other.layout and self.terms == other.terms
+
+    def __add__(self, other: "ModuleElement") -> "ModuleElement":
+        if self.layout != other.layout:
+            raise ValueError("layout mismatch")
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            s = out.get(t)
+            s = c if s is None else s + c
+            if s:
+                out[t] = s
+            else:
+                out.pop(t, None)
+        return ModuleElement(self.layout, out)
+
+    def __neg__(self) -> "ModuleElement":
+        return ModuleElement(self.layout, {t: -c for t, c in self.terms.items()})
+
+    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
+        return self + (-other)
+
+    def scale(self, c: Coeff) -> "ModuleElement":
+        if not c:
+            return ModuleElement.zero(self.layout)
+        return ModuleElement(self.layout, {t: c * v for t, v in self.terms.items()})
+
+    def mul_term(self, e: Exponent) -> "ModuleElement":
+        return ModuleElement(
+            self.layout, {term_mul(t, e): c for t, c in self.terms.items()}
+        )
+
+    def __repr__(self):
+        return f"ModuleElement({self.terms!r})"
+
+
+def canonicalize(e: ModuleElement) -> ModuleElement:
+    """Re-normalise an element: drop zero coefficients, verify homogeneity.
+
+    Construction already enforces the canonical form, so this is idempotent.
+    """
+    return ModuleElement(e.layout, e.terms)
+
+
+def mul_term(e: Exponent, f: ModuleElement) -> ModuleElement:
+    """Multiply every term of f by x^e; raises the degree by |e|."""
+    return f.mul_term(e)
+
+
+def combine(layout: FreeModuleLayout, parts: Iterable[tuple[Coeff, ModuleElement]]) -> ModuleElement:
+    """Exact linear combination sum(c * f for c, f in parts)."""
+    out: dict[ModuleTerm, Coeff] = {}
+    for c, f in parts:
+        if not c:
+            continue
+        for t, v in f.terms.items():
+            s = out.get(t)
+            s = c * v if s is None else s + c * v
+            if s:
+                out[t] = s
+            else:
+                out.pop(t, None)
+    return ModuleElement(layout, out)
+
+
+# ---------- scalar polynomials (differential entries, coordinate changes) ----
+
+# A scalar polynomial in x0..xn is a sparse dict {exponent tuple: coefficient};
+# the empty dict is zero.  These are the entries of differential matrices.
+Poly = dict[Exponent, Coeff]
+
+
+def poly_add_scaled(target: Poly, source: Poly, factor: Coeff) -> None:
+    """In-place target += factor * source, keeping the dict canonical."""
+    if not factor:
+        return
+    for e, c in source.items():
+        s = target.get(e)
+        s = factor * c if s is None else s + factor * c
+        if s:
+            target[e] = s
+        else:
+            target.pop(e, None)
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    out: Poly = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = exp_add(e1, e2)
+            s = out.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def poly_constant(p: Poly):
+    """The value of a non-zero constant polynomial, else None."""
+    if len(p) != 1:
+        return None
+    [(e, c)] = p.items()
+    if any(e):
+        return None
+    return c
+
+
+def element_times_poly(elem: ModuleElement, p: Poly) -> ModuleElement:
+    out: dict[ModuleTerm, Coeff] = {}
+    for e, c in p.items():
+        for t, v in elem.terms.items():
+            shifted = term_mul(t, e)
+            s = out.get(shifted)
+            s = c * v if s is None else s + c * v
+            if s:
+                out[shifted] = s
+            else:
+                out.pop(shifted, None)
+    return ModuleElement(elem.layout, out)

@@ -1,0 +1,546 @@
+"""Text grammar, pretty printing, input documents, resolution JSON.
+
+Polynomial grammar: optional rational coefficients ``p/q``, variables
+``x0..xN``, powers with ``^``, free-generator markers ``e<k>``, ``+``/``-``,
+and an optional ``*`` between factors.  In marked-set context the head term
+of an element is wrapped in square brackets: ``[x1*x0] + x2^2``.  A term
+without a component marker lives in component 1.
+
+Input documents are line oriented (``#`` starts a comment, indented lines
+continue the previous logical line)::
+
+    ring 3                      # variables x0, x1, x2
+    module 1 0                  # optional: rank and weights (default "1 0")
+    ideal J = x2^3, x2*x1, x1^2
+    marked G = [x2^3], [x1*x0] + x2^2
+
+Resolutions serialize to a stable JSON schema: ``{"length": L, "ring": ...,
+"levels": [{"ranks": {...}, "degrees": [...], "generators": [...],
+"differential": [[entry strings]]}]}`` where level i's differential maps
+level i into level i-1 (level 0's single row holds the generator images).
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .monom import MonomialModule
+from .ring import (
+    Coeff,
+    Exponent,
+    FreeModuleLayout,
+    MarkedBasesError,
+    ModuleElement,
+    ModuleTerm,
+    ParamPoly,
+    Poly,
+)
+from .syzygy import FreeResolution
+
+
+class PolySyntaxError(MarkedBasesError):
+    def __init__(self, message: str, line: int, col: int):
+        self.line = line
+        self.col = col
+        super().__init__(f"line {line}, column {col}: {message}")
+
+
+class UnknownVariable(MarkedBasesError):
+    def __init__(self, name: str, line: int, col: int):
+        self.line = line
+        self.col = col
+        super().__init__(f"line {line}, column {col}: unknown variable {name}")
+
+
+class ComponentOutOfRange(MarkedBasesError):
+    def __init__(self, comp: int, rank: int, line: int, col: int):
+        self.line = line
+        self.col = col
+        super().__init__(
+            f"line {line}, column {col}: component e{comp} outside 1..{rank}"
+        )
+
+
+class InputFormatError(MarkedBasesError):
+    pass
+
+
+# ---------- tokenizer ----------
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<num>\d+(?:/\d+)?)
+  | (?P<var>x\d+)
+  | (?P<comp>e\d+)
+  | (?P<op>[\^*+\-\[\]])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str, line: int):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise PolySyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
+        pos = m.end()
+        if m.lastgroup == "ws":
+            continue
+        tokens.append((m.lastgroup, m.group(), m.start() + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, layout: FreeModuleLayout, line: int, allow_head: bool):
+        self.tokens = _tokenize(text, line)
+        self.layout = layout
+        self.line = line
+        self.allow_head = allow_head
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, "", 0)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def error(self, message, col=None):
+        if col is None:
+            col = self.peek()[2] or len(self.tokens) and self.tokens[-1][2] or 1
+        raise PolySyntaxError(message, self.line, col)
+
+    def parse(self):
+        terms: dict[ModuleTerm, Fraction] = {}
+        head = None
+        sign = 1
+        kind, value, col = self.peek()
+        if kind == "op" and value == "-":
+            self.take()
+            sign = -1
+        elif kind == "op" and value == "+":
+            self.take()
+        while True:
+            term, coeff, is_head = self._summand()
+            if is_head:
+                if head is not None:
+                    self.error("more than one bracketed head")
+                head = term
+            total = terms.get(term, Fraction(0)) + sign * coeff
+            if total:
+                terms[term] = total
+            else:
+                terms.pop(term, None)
+            kind, value, col = self.peek()
+            if kind is None:
+                break
+            if kind == "op" and value in "+-":
+                self.take()
+                sign = 1 if value == "+" else -1
+                continue
+            self.error(f"expected '+' or '-', found {value!r}", col)
+        return terms, head
+
+    def _summand(self):
+        kind, value, col = self.peek()
+        is_head = False
+        if kind == "op" and value == "[":
+            if not self.allow_head:
+                self.error("bracketed heads are only allowed in marked sets", col)
+            self.take()
+            is_head = True
+        coeff = Fraction(1)
+        exp = [0] * self.layout.nvars
+        comp = None
+        factors = 0
+        while True:
+            kind, value, col = self.peek()
+            if kind == "num":
+                self.take()
+                coeff *= Fraction(value)
+                factors += 1
+            elif kind == "var":
+                self.take()
+                idx = int(value[1:])
+                if idx >= self.layout.nvars:
+                    raise UnknownVariable(value, self.line, col)
+                power = 1
+                k2, v2, c2 = self.peek()
+                if k2 == "op" and v2 == "^":
+                    self.take()
+                    k3, v3, c3 = self.peek()
+                    if k3 != "num" or "/" in v3:
+                        self.error("'^' needs an integer exponent", c3 or c2)
+                    self.take()
+                    power = int(v3)
+                exp[idx] += power
+                factors += 1
+            elif kind == "comp":
+                self.take()
+                k = int(value[1:])
+                if not 1 <= k <= self.layout.rank:
+                    raise ComponentOutOfRange(k, self.layout.rank, self.line, col)
+                if comp is not None:
+                    self.error("more than one component marker in a term", col)
+                comp = k
+                factors += 1
+            elif kind == "op" and value == "*":
+                self.take()
+                continue
+            else:
+                break
+        if factors == 0:
+            self.error("expected a term")
+        if is_head:
+            kind, value, col = self.peek()
+            if not (kind == "op" and value == "]"):
+                self.error("unterminated '[' head", col)
+            self.take()
+        return ModuleTerm(tuple(exp), comp or 1), coeff, is_head
+
+
+def parse_polynomial(text: str, layout: FreeModuleLayout, line: int = 1) -> ModuleElement:
+    """Parse a homogeneous element; "0" gives the zero element."""
+    terms, head = _Parser(text, layout, line, allow_head=False).parse()
+    return ModuleElement(layout, terms)
+
+
+def parse_marked_polynomial(
+    text: str, layout: FreeModuleLayout, line: int = 1
+) -> tuple[ModuleElement, ModuleTerm | None]:
+    """Parse an element with an optional bracketed head term."""
+    terms, head = _Parser(text, layout, line, allow_head=True).parse()
+    return ModuleElement(layout, terms), head
+
+
+# ---------- printing ----------
+
+
+def format_exponent(exp: Exponent) -> str:
+    parts = []
+    for i in range(len(exp) - 1, -1, -1):
+        if exp[i] == 1:
+            parts.append(f"x{i}")
+        elif exp[i] > 1:
+            parts.append(f"x{i}^{exp[i]}")
+    return "*".join(parts) if parts else "1"
+
+
+def format_module_term(t: ModuleTerm, rank: int) -> str:
+    base = format_exponent(t.exp)
+    if rank == 1:
+        return base
+    marker = f"e{t.comp}"
+    return marker if base == "1" else f"{base}*{marker}"
+
+
+def format_param_poly(p: ParamPoly, names) -> str:
+    if not p:
+        return "0"
+    pieces = []
+    for e, c in p.sorted_terms():
+        factors = []
+        for i, power in enumerate(e):
+            if power == 1:
+                factors.append(names[i])
+            elif power > 1:
+                factors.append(f"{names[i]}^{power}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        pieces.append(("-" if c < 0 else "+", body))
+    sign, body = pieces[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _coeff_pieces(c: Coeff, term_str: str, names) -> tuple[str, str]:
+    """(sign, body) for one printed summand."""
+    if isinstance(c, ParamPoly):
+        if c.is_constant():
+            c = c.constant_value()
+        elif len(c.terms) == 1:
+            [(e, v)] = c.terms.items()
+            inner = format_param_poly(
+                ParamPoly(c.nparams, {e: abs(v)}), names or _default_names(c.nparams)
+            )
+            body = inner if term_str == "1" else f"{inner}*{term_str}"
+            return ("-" if v < 0 else "+"), body
+        else:
+            inner = format_param_poly(c, names or _default_names(c.nparams))
+            body = f"({inner})" if term_str == "1" else f"({inner})*{term_str}"
+            return "+", body
+    sign = "-" if c < 0 else "+"
+    mag = abs(c)
+    if term_str == "1":
+        return sign, str(mag)
+    if mag == 1:
+        return sign, term_str
+    return sign, f"{mag}*{term_str}"
+
+
+def _default_names(nparams: int):
+    return [f"C{i}" for i in range(nparams)]
+
+
+def format_element(elem: ModuleElement, names=None) -> str:
+    if elem.is_zero():
+        return "0"
+    rank = elem.layout.rank
+    pieces = [
+        _coeff_pieces(c, format_module_term(t, rank), names)
+        for t, c in elem.sorted_terms()
+    ]
+    sign, body = pieces[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> str:
+    rank = body.layout.rank
+    out = f"[{format_module_term(head, rank)}]"
+    for t, c in body.sorted_terms():
+        if t == head:
+            continue
+        sign, piece = _coeff_pieces(c, format_module_term(t, rank), names)
+        out += f" {sign} {piece}"
+    return out
+
+
+def format_poly(p: Poly, layout: FreeModuleLayout, names=None) -> str:
+    """Scalar polynomial (differential entry) in the same grammar."""
+    scalar = FreeModuleLayout(layout.n, (0,))
+    try:
+        elem = ModuleElement(scalar, {ModuleTerm(e, 1): c for e, c in p.items()})
+        return format_element(elem, names)
+    except MarkedBasesError:
+        # Entries of ill-formed matrices (tests) may be inhomogeneous.
+        pieces = []
+        for e in sorted(p):
+            sign, body = _coeff_pieces(p[e], format_exponent(e), names)
+            pieces.append((sign, body))
+        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+        for sign, body in pieces[1:]:
+            out += f" {sign} {body}"
+        return out
+
+
+# ---------- input documents ----------
+
+
+@dataclass
+class RawMarkedSet:
+    name: str
+    elements: list[tuple[ModuleElement, ModuleTerm]]
+
+
+@dataclass
+class InputDocument:
+    layout: FreeModuleLayout
+    ideals: dict[str, MonomialModule] = field(default_factory=dict)
+    marked: dict[str, RawMarkedSet] = field(default_factory=dict)
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _logical_lines(text: str):
+    current: list[str] = []
+    start = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        if line[0] in " \t" and current:
+            current.append(line.strip())
+            continue
+        if current:
+            yield start, " ".join(current)
+        current = [line.strip()]
+        start = lineno
+    if current:
+        yield start, " ".join(current)
+
+
+def parse_document(text: str) -> InputDocument:
+    layout = None
+    weights = None
+    doc_ideals: dict[str, MonomialModule] = {}
+    doc_marked: dict[str, RawMarkedSet] = {}
+
+    def ensure_layout(lineno):
+        nonlocal layout
+        if layout is None:
+            raise InputFormatError(f"line {lineno}: 'ring <nvars>' must come first")
+        return layout
+
+    for lineno, line in _logical_lines(text):
+        keyword, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if keyword == "ring":
+            if layout is not None:
+                raise InputFormatError(f"line {lineno}: duplicate ring declaration")
+            if not rest.isdigit() or int(rest) < 1:
+                raise InputFormatError(
+                    f"line {lineno}: expected 'ring <number of variables>'"
+                )
+            layout = FreeModuleLayout(int(rest) - 1, weights or (0,))
+        elif keyword == "module":
+            if layout is None:
+                raise InputFormatError(f"line {lineno}: 'module' after 'ring'")
+            if doc_ideals or doc_marked:
+                raise InputFormatError(
+                    f"line {lineno}: 'module' must precede object definitions"
+                )
+            parts = rest.split()
+            try:
+                m = int(parts[0])
+                ws = tuple(int(x) for x in parts[1:])
+            except (ValueError, IndexError):
+                raise InputFormatError(
+                    f"line {lineno}: expected 'module <rank> <weights...>'"
+                ) from None
+            if m < 1 or len(ws) != m:
+                raise InputFormatError(f"line {lineno}: need exactly {m} weights")
+            layout = FreeModuleLayout(layout.n, ws)
+        elif keyword in ("ideal", "marked"):
+            lay = ensure_layout(lineno)
+            name, eq, body = rest.partition("=")
+            name = name.strip()
+            if not eq or not _NAME_RE.match(name):
+                raise InputFormatError(
+                    f"line {lineno}: expected '{keyword} <name> = ...'"
+                )
+            if name in doc_ideals or name in doc_marked:
+                raise InputFormatError(f"line {lineno}: duplicate name {name!r}")
+            chunks = [c.strip() for c in body.split(",")]
+            if keyword == "ideal":
+                gens = []
+                for chunk in chunks:
+                    elem = parse_polynomial(chunk, lay, line=lineno)
+                    if len(elem.terms) != 1:
+                        raise InputFormatError(
+                            f"line {lineno}: ideal generators must be single terms"
+                        )
+                    [(t, c)] = elem.terms.items()
+                    if c != 1:
+                        raise InputFormatError(
+                            f"line {lineno}: ideal generators must be monic"
+                        )
+                    gens.append(t)
+                doc_ideals[name] = MonomialModule(lay, gens)
+            else:
+                elems = []
+                for chunk in chunks:
+                    body_elem, head = parse_marked_polynomial(chunk, lay, line=lineno)
+                    if head is None:
+                        raise InputFormatError(
+                            f"line {lineno}: every marked element needs a [head]"
+                        )
+                    elems.append((body_elem, head))
+                doc_marked[name] = RawMarkedSet(name, elems)
+        else:
+            raise InputFormatError(f"line {lineno}: unknown directive {keyword!r}")
+
+    if layout is None:
+        raise InputFormatError("document declares no ring")
+    return InputDocument(layout, doc_ideals, doc_marked)
+
+
+# ---------- resolution serialization ----------
+
+
+def _ranks_of(degrees: list[int]) -> dict[str, int]:
+    counts: dict[int, int] = {}
+    for d in degrees:
+        counts[d] = counts.get(d, 0) + 1
+    return {str(j): c for j, c in sorted(counts.items())}
+
+
+def resolution_to_dict(res: FreeResolution) -> dict:
+    levels = []
+    for i, degs in enumerate(res.degrees):
+        entry: dict = {"ranks": _ranks_of(degs), "degrees": list(degs)}
+        if i == 0:
+            entry["generators"] = (
+                [
+                    format_marked_element(el.body, el.head)
+                    for el in res.levels[0].ordered()
+                ]
+                if res.levels
+                else [format_element(b) for b in res.bodies]
+            )
+            entry["differential"] = [[format_element(b) for b in res.bodies]]
+        else:
+            entry["generators"] = (
+                [
+                    format_marked_element(el.body, el.head)
+                    for el in res.levels[i].ordered()
+                ]
+                if res.levels
+                else []
+            )
+            mat = res.matrices[i - 1]
+            entry["differential"] = [
+                [format_poly(e, res.layout) for e in row] for row in mat
+            ]
+        levels.append(entry)
+    return {
+        "length": res.length,
+        "ring": {"variables": res.layout.nvars, "weights": list(res.layout.weights)},
+        "levels": levels,
+    }
+
+
+def serialize_resolution(res: FreeResolution) -> str:
+    return json.dumps(resolution_to_dict(res), indent=2)
+
+
+def parse_resolution(text: str) -> FreeResolution:
+    """Rebuild a resolution from its JSON form (levels come back abstract)."""
+    data = json.loads(text)
+    ring = data["ring"]
+    layout = FreeModuleLayout(int(ring["variables"]) - 1, tuple(ring["weights"]))
+    scalar = FreeModuleLayout(layout.n, (0,))
+    degrees = [list(level["degrees"]) for level in data["levels"]]
+    bodies = [
+        parse_polynomial(s, layout) for s in data["levels"][0]["differential"][0]
+    ]
+    matrices = []
+    for level in data["levels"][1:]:
+        mat = []
+        for row in level["differential"]:
+            out_row = []
+            for entry in row:
+                elem = parse_polynomial(entry, scalar)
+                out_row.append({t.exp: c for t, c in elem.terms.items()})
+            mat.append(out_row)
+        matrices.append(mat)
+    return FreeResolution(
+        layout=layout, bodies=bodies, degrees=degrees, matrices=matrices, levels=None
+    )
+
+
+def resolutions_equal(a: FreeResolution, b: FreeResolution) -> bool:
+    """Entrywise equality of layout, degrees, generator images, matrices."""
+    return (
+        a.layout == b.layout
+        and a.degrees == b.degrees
+        and a.bodies == b.bodies
+        and a.matrices == b.matrices
+    )
