@@ -10,6 +10,12 @@ attacked first; the engine still fixes a deterministic strategy (always the
 lex-greatest reducible term) and asserts, at every step, the certificate
 that makes termination obvious: each freshly created term of U has a cone
 multiplier strictly lex-below the multiplier just used.
+
+The reductions of the non-multiplicative prolongations x_j*f are the data
+every later construction reads: the basis test needs their remainders, the
+syzygies their summands.  `prolongation_rep` reduces each of them once per
+marked set and memoises the representation on the set, so the basis test
+and the syzygy step of the same set share one reduction per prolongation.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .monom import PommaretBasis, nonmultiplicative_variables
-from .parallel import parallel_map
 from .ring import (
     Coeff,
     Exponent,
@@ -80,10 +85,12 @@ class MarkedSet:
 
     Element order is the construction order (it fixes the numbering used by
     syzygies and printed matrices).  The marked-basis verdict is cached once
-    established; instances are immutable so the cache is sound.
+    established, and so is the representation of every prolongation reduced
+    through `prolongation_rep`; instances are immutable so both caches are
+    sound.
     """
 
-    __slots__ = ("basis", "elements", "_certified")
+    __slots__ = ("basis", "elements", "_certified", "_prolongations")
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
         if not basis.certified:
@@ -109,6 +116,7 @@ class MarkedSet:
         self.basis = basis
         self.elements = by_head
         self._certified: Optional[bool] = None
+        self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
 
     @property
     def layout(self):
@@ -119,12 +127,6 @@ class MarkedSet:
 
     def ordered(self) -> list[MarkedElement]:
         return list(self.elements.values())
-
-    def head_index(self, head: ModuleTerm) -> int:
-        for i, h in enumerate(self.elements):
-            if h == head:
-                return i
-        raise KeyError(head)
 
     def coefficient_sample(self) -> Coeff:
         for el in self.elements.values():
@@ -248,12 +250,30 @@ class BasisCheck:
     inconclusive_beyond: int | None = None
 
 
+def prolongation_rep(marked: MarkedSet, el: MarkedElement, j: int) -> Representation:
+    """Representation of x_j * el, reduced on first request and then memoised.
+
+    `el` must be an element of `marked` and `j` a non-multiplicative
+    variable of its head.  The reduction is `reduce_full`, so the
+    lex-descent certificate is checked on every step of the one reduction.
+    """
+    key = (el.head, j)
+    rep = marked._prolongations.get(key)
+    if rep is None:
+        prolonged = el.body.mul_term(var_exp(marked.layout.nvars, j))
+        rep = marked._prolongations[key] = reduce_full(prolonged, marked)
+    return rep
+
+
 def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> BasisCheck:
     """Test whether every non-multiplicative prolongation reduces to zero.
 
     With `up_to_degree=s` only prolongations of degree <= s are checked;
     since prolongation degrees never exceed reg(U)+1, any cap at or above
     that threshold is equivalent to the full test and conclusive.
+    Prolongations are visited in element order, then variable index, and
+    the test stops at the first non-zero remainder, which is the
+    certificate.
     """
     basis = marked.basis
     n = basis.layout.n
@@ -262,25 +282,16 @@ def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> Basis
     if marked._certified is not None and conclusive:
         return BasisCheck(marked._certified)
 
-    jobs = []
     for el in marked.ordered():
+        degree = basis.layout.term_degree(el.head) + 1
+        if up_to_degree is not None and degree > up_to_degree:
+            continue
         for j in nonmultiplicative_variables(el.head, n):
-            degree = basis.layout.term_degree(el.head) + 1
-            if up_to_degree is not None and degree > up_to_degree:
-                continue
-            jobs.append((el, j))
-
-    def check(job):
-        el, j = job
-        prolonged = el.body.mul_term(var_exp(basis.layout.nvars, j))
-        rep = reduce_full(prolonged, marked)
-        return el.head, j, rep.remainder
-
-    for head, j, remainder in parallel_map(check, jobs):
-        if not remainder.is_zero():
-            if conclusive:
-                marked._certified = False
-            return BasisCheck(False, certificate=(head, j, remainder))
+            remainder = prolongation_rep(marked, el, j).remainder
+            if not remainder.is_zero():
+                if conclusive:
+                    marked._certified = False
+                return BasisCheck(False, certificate=(el.head, j, remainder))
     if conclusive:
         marked._certified = True
         return BasisCheck(True)

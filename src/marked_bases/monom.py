@@ -217,10 +217,6 @@ def is_pommaret_basis(terms, layout: FreeModuleLayout) -> bool:
     return True
 
 
-def _in_span(terms_by_comp: dict[int, list[Exponent]], t: ModuleTerm) -> bool:
-    return any(in_cone(v, t.exp) for v in terms_by_comp.get(t.comp, ()))
-
-
 def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
     """Append non-multiplicative prolongations until the cone span closes.
 

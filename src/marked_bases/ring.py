@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 
 class MarkedBasesError(Exception):
@@ -86,13 +86,6 @@ def min_index(a: Exponent):
     return None
 
 
-def max_index(a: Exponent):
-    for i in range(len(a) - 1, -1, -1):
-        if a[i]:
-            return i
-    return None
-
-
 class ModuleTerm(NamedTuple):
     exp: Exponent
     comp: int  # 1-based free-generator index
@@ -100,10 +93,6 @@ class ModuleTerm(NamedTuple):
 
 def term_mul(t: ModuleTerm, e: Exponent) -> ModuleTerm:
     return ModuleTerm(exp_add(t.exp, e), t.comp)
-
-
-def term_divides(s: ModuleTerm, t: ModuleTerm) -> bool:
-    return s.comp == t.comp and exp_divides(s.exp, t.exp)
 
 
 def reduction_key(t: ModuleTerm):
@@ -408,22 +397,6 @@ def canonicalize(e: ModuleElement) -> ModuleElement:
 def mul_term(e: Exponent, f: ModuleElement) -> ModuleElement:
     """Multiply every term of f by x^e; raises the degree by |e|."""
     return f.mul_term(e)
-
-
-def combine(layout: FreeModuleLayout, parts: Iterable[tuple[Coeff, ModuleElement]]) -> ModuleElement:
-    """Exact linear combination sum(c * f for c, f in parts)."""
-    out: dict[ModuleTerm, Coeff] = {}
-    for c, f in parts:
-        if not c:
-            continue
-        for t, v in f.terms.items():
-            s = out.get(t)
-            s = c * v if s is None else s + c * v
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-    return ModuleElement(layout, out)
 
 
 # ---------- scalar polynomials (differential entries, coordinate changes) ----

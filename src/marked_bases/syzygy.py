@@ -14,6 +14,13 @@ Differential matrices store polynomial entries as sparse dicts
 level i: rows are indexed by the level-i generators, columns by the
 level-(i+1) generators, and each column is the syzygy written out in the
 lower level's generators.
+
+The syzygies are read off the memoised prolongation representations of the
+marked set (`prolongation_rep`), so the basis test and the syzygy step
+share one reduction per prolongation.  The self-checks cost time in
+proportion to the nonzero entries they touch: the syzygy check and
+`verify_complex` both compose sparse columns with `_compose_column`, which
+multiplies nonzero entries only (the matrices are about 95% empty).
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
-from .marked import MarkedElement, MarkedSet, NotABasis, is_marked_basis, reduce_full
+from .marked import MarkedElement, MarkedSet, NotABasis, is_marked_basis, prolongation_rep
 from .monom import (
     PommaretBasis,
     basis_invariants,
@@ -31,6 +39,7 @@ from .monom import (
 )
 from .ring import (
     Coeff,
+    Exponent,
     FreeModuleLayout,
     MarkedBasesError,
     ModuleElement,
@@ -56,21 +65,15 @@ def _require_basis(marked: MarkedSet):
         raise NotABasis("input marked set is not a marked basis")
 
 
-def _apply_to_level(body: ModuleElement, lower: MarkedSet) -> ModuleElement:
-    """Evaluate a syzygy against the level below: sum(coeff x^e f_comp)."""
-    elems = lower.ordered()
-    out = ModuleElement.zero(lower.layout)
-    for t, c in body.terms.items():
-        out = out + elems[t.comp - 1].body.mul_term(t.exp).scale(c)
-    return out
-
-
 def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
     """Marked basis of the syzygy module of a certified marked basis.
 
     One syzygy per (element, non-multiplicative variable) pair, ordered by
-    element position then variable index.  Every produced syzygy is checked
-    to annihilate the level below, and the resulting set is re-certified.
+    element position then variable index, read off the memoised reduction
+    of that prolongation.  Every produced syzygy is checked to annihilate
+    the level below, and the resulting set is re-certified; the
+    re-certification reduces every prolongation of the new set, which
+    fills the memo the next level's syzygy step reads.
     """
     _require_basis(marked)
     elems = marked.ordered()
@@ -90,10 +93,10 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
 
     position = {el.head: pos for pos, el in enumerate(elems, start=1)}
     one = marked.one_like()
+    lower = _elements_by_column([el.body for el in elems])
     syz_elements = []
     for pos, j in pairs:
-        el = elems[pos - 1]
-        rep = reduce_full(el.body.mul_term(var_exp(nvars, j)), marked)
+        rep = prolongation_rep(marked, elems[pos - 1], j)
         assert rep.remainder.is_zero(), "prolongation of a certified basis must vanish"
         head = ModuleTerm(var_exp(nvars, j), pos)
         body_terms: dict[ModuleTerm, Coeff] = {head: one}
@@ -106,7 +109,8 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
             else:
                 body_terms.pop(t, None)
         body = ModuleElement(syz_layout, body_terms)
-        assert _apply_to_level(body, marked).is_zero(), "produced element is not a syzygy"
+        [column] = _elements_by_column([body])
+        assert not _compose_column(lower, column), "produced element is not a syzygy"
         syz_elements.append(MarkedElement(body, head))
 
     syz_set = MarkedSet(syz_basis, syz_elements)
@@ -204,33 +208,66 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     return res
 
 
+def _nonzero_by_column(mat: list[list[Poly]], ncols: int) -> list[list[tuple[int, Poly]]]:
+    """The nonzero entries of a matrix as (row, entry) lists, one per column."""
+    cols: list[list[tuple[int, Poly]]] = [[] for _ in range(ncols)]
+    for r, row in enumerate(mat):
+        for c, entry in enumerate(row):
+            if entry:
+                cols[c].append((r, entry))
+    return cols
+
+
+def _elements_by_column(elements: list[ModuleElement]) -> list[list[tuple[int, Poly]]]:
+    """The matrix whose column r is elements[r], indexed by column like
+    `_nonzero_by_column`: (component - 1, scalar polynomial) pairs, one per
+    component the element touches."""
+    cols = []
+    for elem in elements:
+        by_comp: dict[int, Poly] = {}
+        for t, c in elem.terms.items():
+            by_comp.setdefault(t.comp - 1, {})[t.exp] = c
+        cols.append(list(by_comp.items()))
+    return cols
+
+
+def _compose_column(
+    lower: list[list[tuple[int, Poly]]], column: list[tuple[int, Poly]]
+) -> dict[tuple[int, Exponent], Coeff]:
+    """One column of lower * upper, from the nonzero entries of the upper
+    column and of the lower matrix indexed by column: the products of
+    nonzero entries only, added into one accumulator keyed by (row, exponent).
+    The result is empty exactly when the column composes to zero."""
+    acc: dict[tuple[int, Exponent], Coeff] = {}
+    for k, q in column:
+        for r, p in lower[k]:
+            for e1, c1 in p.items():
+                for e2, c2 in q.items():
+                    key = (r, tuple(map(add, e1, e2)))
+                    prev = acc.get(key)
+                    total = c1 * c2 if prev is None else prev + c1 * c2
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+    return acc
+
+
 def verify_complex(res: FreeResolution) -> bool:
     """Exactness of the chain property: consecutive differentials compose to
-    zero, including the level-0 map given by the generator bodies."""
-    if res.matrices:
-        rows = len(res.bodies)
-        for col in range(len(res.degrees[1])):
-            image = ModuleElement.zero(res.layout)
-            for r in range(rows):
-                entry = res.matrices[0][r][col]
-                if entry:
-                    image = image + element_times_poly(res.bodies[r], entry)
-            if not image.is_zero():
-                return False
-    for i in range(len(res.matrices) - 1):
-        upper = res.matrices[i + 1]
-        lower = res.matrices[i]
-        if not upper:
-            continue
-        mid = len(res.degrees[i + 1])
-        for r in range(len(res.degrees[i])):
-            for c in range(len(res.degrees[i + 2])):
-                acc: Poly = {}
-                for k in range(mid):
-                    if lower[r][k] and upper[k][c]:
-                        poly_add_scaled(acc, poly_mul(lower[r][k], upper[k][c]), Fraction(1))
-                if acc:
-                    return False
+    zero, including the level-0 map given by the generator bodies.
+
+    Each matrix, the level-0 map included, is indexed by column once and
+    composed column by column with `_compose_column`, so the cost follows
+    the nonzero entries, not rows x columns x middle.
+    """
+    cols = [_elements_by_column(res.bodies)] + [
+        _nonzero_by_column(mat, len(res.degrees[i + 1]))
+        for i, mat in enumerate(res.matrices)
+    ]
+    for lower, upper in zip(cols, cols[1:]):
+        if any(_compose_column(lower, column) for column in upper):
+            return False
     return True
 
 

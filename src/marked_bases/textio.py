@@ -164,7 +164,10 @@ class _Parser:
             kind, value, col = self.peek()
             if kind == "num":
                 self.take()
-                coeff *= Fraction(value)
+                try:
+                    coeff *= Fraction(value)
+                except ZeroDivisionError:
+                    self.error(f"zero denominator in {value!r}", col)
                 factors += 1
             elif kind == "var":
                 self.take()
@@ -324,6 +327,8 @@ def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> 
 
 def format_poly(p: Poly, layout: FreeModuleLayout, names=None) -> str:
     """Scalar polynomial (differential entry) in the same grammar."""
+    if not p:
+        return "0"
     scalar = FreeModuleLayout(layout.n, (0,))
     try:
         elem = ModuleElement(scalar, {ModuleTerm(e, 1): c for e, c in p.items()})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -281,6 +282,21 @@ class TestExitCodes:
         code, out = run(capsys, "pommaret", str(path))
         assert code == 2
 
+    def test_zero_denominator_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.mb"
+        path.write_text("ring 3\nideal J = 1/0*x2\n")
+        code, out = run(capsys, "pommaret", str(path))
+        assert code == 2
+        assert "input error: line 2, column 1: zero denominator in '1/0'" in out.err
+
+    def test_zero_denominator_in_marked_set(self, capsys, tmp_path):
+        path = tmp_path / "bad.mb"
+        path.write_text("ring 3\nmarked G = [x2^3], [x1*x0] + 3/0*x2^2\n")
+        code, out = run(capsys, "check", str(path))
+        assert code == 2
+        # Columns count within the comma-separated element.
+        assert "line 2, column 11: zero denominator in '3/0'" in out.err
+
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "pommaret", str(tmp_path / "absent.mb"))
         assert code == 2
@@ -303,3 +319,21 @@ class TestExitCodes:
         path.write_text("ring 2\nideal J = x1^2, x1*x0\n")
         code, out = run(capsys, "specialize", str(path), "--set", "C_{0,0}=x")
         assert code == 2
+
+
+# SHA-256 of `mbases resolve --minimize --json` standard output on the two
+# examples of the paper, recorded before the syzygy step read its reductions
+# from the shared prolongation memo and before verify_complex went sparse.
+GOLDEN_RESOLVE_SHA256 = {
+    "twisted": "a391243036afe9557e04a8ca9670d370923e7125bc9082dfb529a8108abca21a",
+    "non_groebner": "726563db1d3ba04dfabb700e89b4336fef2e6b40e02e1efccb1a92cb982e3d05",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RESOLVE_SHA256))
+def test_resolve_json_is_byte_identical(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.mb"
+    path.write_text({"twisted": TWISTED_DOC, "non_groebner": NON_GROEBNER_DOC}[name])
+    code, out = run(capsys, "resolve", str(path), "--minimize", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_RESOLVE_SHA256[name]

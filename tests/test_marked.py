@@ -16,9 +16,10 @@ from marked_bases import (
     contains,
     is_marked_basis,
     monomial_marked_set,
+    nonmultiplicative_variables,
     reduce_full,
 )
-from marked_bases.ring import lex_key
+from marked_bases.ring import lex_key, var_exp
 from marked_bases.randgen import (
     random_homogeneous_element,
     random_marked_basis,
@@ -226,13 +227,36 @@ def test_random_marked_basis_certifies(rng):
         assert is_marked_basis(marked).is_basis
 
 
-def test_thread_cap_env_var(monkeypatch, twisted):
-    from marked_bases.parallel import parallel_map, thread_cap
+def _first_failing_prolongation(marked):
+    """(head, variable, remainder) of the first prolongation, in element
+    order then variable index, that a direct full reduction leaves non-zero."""
+    nvars = marked.layout.nvars
+    for el in marked.ordered():
+        for j in nonmultiplicative_variables(el.head, marked.layout.n):
+            rep = reduce_full(el.body.mul_term(var_exp(nvars, j)), marked)
+            if not rep.remainder.is_zero():
+                return el.head, j, rep.remainder
+    return None
 
-    monkeypatch.setenv("MARKED_BASES_THREADS", "2")
-    assert thread_cap() == 2
-    fresh = build_twisted_example().marked
-    assert is_marked_basis(fresh).is_basis
-    assert parallel_map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
-    monkeypatch.setenv("MARKED_BASES_THREADS", "nonsense")
-    assert thread_cap() == 1
+
+class TestCertificate:
+    def test_broken_tail_matches_direct_reduction(self, twisted):
+        bodies = {h: E(LAY3, {h: 1}) for h in twisted.heads}
+        bodies[T((1, 1, 0))] = E(LAY3, {T((1, 1, 0)): 1, T((2, 0, 0)): 1})
+        elements = [MarkedElement(bodies[h], h) for h in twisted.heads]
+        expected = _first_failing_prolongation(MarkedSet(twisted.basis, elements))
+        result = is_marked_basis(MarkedSet(twisted.basis, elements))
+        assert expected is not None
+        assert result.certificate == expected
+
+    def test_random_non_bases_match_direct_reduction(self, rng):
+        failures = 0
+        for _ in range(12):
+            basis = random_quasi_stable_basis(rng, 2, max_deg=3)
+            elements = random_marked_set(rng, basis).ordered()
+            expected = _first_failing_prolongation(MarkedSet(basis, elements))
+            result = is_marked_basis(MarkedSet(basis, elements))
+            assert result.is_basis == (expected is None)
+            assert result.certificate == expected
+            failures += expected is not None
+        assert failures >= 3

@@ -1,10 +1,16 @@
 import copy
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import marked_bases.marked as marked_module
 from marked_bases import (
     FreeModuleLayout,
+    MarkedSet,
+    ModuleElement,
+    ModuleTerm,
     MonomialModule,
     NotABasis,
     ParametricCoefficients,
@@ -15,6 +21,7 @@ from marked_bases import (
     pommaret_completion,
     predicted_ranks,
     syzygy_marked_basis,
+    truncate_basis,
     verify_complex,
 )
 from marked_bases.randgen import (
@@ -22,7 +29,7 @@ from marked_bases.randgen import (
     random_marked_set,
     random_quasi_stable_basis,
 )
-from conftest import E, LAY3, T, build_twisted_example
+from conftest import E, LAY3, T, build_non_groebner_example, build_twisted_example
 
 
 def poly(**entries):
@@ -192,6 +199,49 @@ class TestPredictedRanks:
                 assert res.rank_pairs() == predicted
 
 
+def c4_basis():
+    """P^5, (x5, x4, x3, x2^2) truncated in degree 3."""
+    layout = FreeModuleLayout(5)
+    gens = [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0)]
+    module = MonomialModule(layout, [ModuleTerm(e, 1) for e in gens])
+    return truncate_basis(pommaret_completion(module), 3)
+
+
+class TestSharedReductions:
+    """Each prolongation is reduced once: the basis test of a level and the
+    syzygy step of the same level share the reduction."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """Counts every reduce_full call, under any name a module bound it to."""
+        calls = []
+        original = marked_module.reduce_full
+
+        def counting(h, marked, chooser=None):
+            calls.append(marked)
+            return original(h, marked, chooser)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("marked_bases"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def test_non_groebner(self, reductions):
+        res = free_resolution(build_non_groebner_example().marked)
+        assert len(reductions) == sum(len(lvl) for lvl in res.levels[1:])
+
+    def test_c4_sized_truncation(self, reductions):
+        drawn = random_marked_basis(random.Random(1), c4_basis())
+        fresh = MarkedSet(drawn.basis, drawn.ordered())
+        reductions.clear()
+        res = free_resolution(fresh)
+        ranks = [len(lvl) for lvl in res.levels]
+        assert ranks == [49, 177, 274, 222, 93, 16]
+        assert len(reductions) == sum(ranks[1:]) == 782
+
+
 class TestVerifyComplex:
     def test_sign_flip_detected(self, twisted):
         res = free_resolution(twisted.marked)
@@ -200,6 +250,30 @@ class TestVerifyComplex:
         broken.matrices[1][2][0] = {e: -c for e, c in entry.items()}
         assert verify_complex(res)
         assert not verify_complex(broken)
+
+    @pytest.mark.parametrize("build", [build_twisted_example, build_non_groebner_example])
+    def test_body_sign_flip_detected(self, build):
+        res = free_resolution(build().marked)
+        r = next(r for r, row in enumerate(res.matrices[0]) if any(row))
+        broken = copy.deepcopy(res)
+        terms = dict(broken.bodies[r].terms)
+        t = next(iter(terms))
+        terms[t] = -terms[t]
+        broken.bodies[r] = ModuleElement(res.layout, terms)
+        assert verify_complex(res)
+        assert not verify_complex(broken)
+
+    @pytest.mark.parametrize("build", [build_twisted_example, build_non_groebner_example])
+    def test_entry_sign_flip_detected_in_every_matrix(self, build):
+        res = free_resolution(build().marked)
+        assert verify_complex(res)
+        for i, mat in enumerate(res.matrices):
+            r, c = next(
+                (r, c) for r, row in enumerate(mat) for c, entry in enumerate(row) if entry
+            )
+            broken = copy.deepcopy(res)
+            broken.matrices[i][r][c] = {e: -v for e, v in mat[r][c].items()}
+            assert not verify_complex(broken), f"flip in matrices[{i}] missed"
 
     def test_length_zero_vacuous(self):
         basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 2))]))
