@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .family import family_equations, generic_marked_set, specialize
+from .family import StructureViolated, family_equations, generic_marked_set, specialize
 from .marked import (
     HeadCoefficientNotOne,
     HeadMismatch,
@@ -402,7 +402,12 @@ def cmd_specialize(doc, args):
     except KeyError as exc:
         raise InputFormatError(str(exc)) from None
     result = is_marked_basis(spec.marked)
-    assert spec.family_vanishes == result.is_basis
+    if spec.family_vanishes != result.is_basis:
+        # The equations vanish exactly at marked bases; anything else is a bug.
+        raise StructureViolated(
+            f"family equations {'vanish' if spec.family_vanishes else 'do not vanish'} "
+            f"but the basis test says {'yes' if result.is_basis else 'no'}"
+        )
     lines = ["specialized elements:"]
     for el in spec.marked.ordered():
         lines.append("  " + format_marked_element(el.body, el.head))

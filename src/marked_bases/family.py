@@ -78,8 +78,12 @@ def generic_marked_set(basis: PommaretBasis) -> GenericMarkedSet:
     tails_by_head = []
     pairs: list[tuple[ModuleTerm, ModuleTerm]] = []
     names: list[str] = []
+    tails_at: dict[int, list[ModuleTerm]] = {}
     for h_idx, head in enumerate(heads):
-        tails = complement_terms(basis, basis.layout.term_degree(head))
+        d = basis.layout.term_degree(head)
+        tails = tails_at.get(d)
+        if tails is None:
+            tails = tails_at[d] = complement_terms(basis, d)
         tails_by_head.append(tails)
         for t_idx, tail in enumerate(tails):
             pairs.append((head, tail))

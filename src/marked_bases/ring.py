@@ -4,7 +4,11 @@ Two coefficient domains are supported:
 
 * ``fractions.Fraction`` -- exact rationals, the computation mode;
 * ``ParamPoly`` -- polynomials with rational coefficients in a declared
-  finite list of parameters, the family mode.
+  finite list of parameters, the family mode.  Each monomial is stored
+  sparsely, as sorted ``(parameter index, power)`` pairs, because a family
+  has hundreds of parameters and each monomial involves only a few; the
+  dense exponent tuples of the public constructor and of ``terms`` exist
+  only at that boundary.
 
 Elements of the weighted free module live in ``FreeModuleLayout(n, weights)``:
 the ambient ring has variables x0..xn and the free generators e1..em carry
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
 
@@ -150,39 +155,83 @@ def listing_key(layout: FreeModuleLayout, t: ModuleTerm):
     return (layout.term_degree(t), t.exp, t.comp)
 
 
+# Sparse parameter monomial: sorted tuple of (parameter index, power) pairs
+# with positive powers; () is the constant monomial.
+ParamMonomial = tuple[tuple[int, int], ...]
+
+
+def _mono_mul(a: ParamMonomial, b: ParamMonomial) -> ParamMonomial:
+    if not a:
+        return b
+    if not b:
+        return a
+    powers = dict(a)
+    for i, p in b:
+        powers[i] = powers.get(i, 0) + p
+    return tuple(sorted(powers.items()))
+
+
+def _mono_order_key(m: ParamMonomial):
+    """Degree ascending, then ascending dense exponent tuple."""
+    return (sum(p for _, p in m), tuple((-i, p) for i, p in m))
+
+
 class ParamPoly:
     """Polynomial in a declared list of parameters, rational coefficients.
 
-    ``terms`` maps an exponent tuple over the parameters to a non-zero
-    Fraction.  Instances are treated as immutable; arithmetic returns fresh
+    Storage is sparse: each monomial is a sorted tuple of ``(index, power)``
+    pairs (``()`` is the constant), mapped to a non-zero Fraction, so the
+    cost of arithmetic does not grow with the number of parameters.  The
+    public constructor takes dense exponent tuples of length ``nparams`` and
+    validates them; ``terms`` is a read-only view with dense keys, built on
+    request.  Instances are treated as immutable; arithmetic returns fresh
     objects.  Plain numbers coerce to constants, so Fractions and ParamPolys
     mix freely in module-element coefficients.
     """
 
-    __slots__ = ("nparams", "terms")
+    __slots__ = ("nparams", "_terms")
 
     def __init__(self, nparams: int, terms: Mapping[Exponent, Fraction] | None = None):
         self.nparams = nparams
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[ParamMonomial, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nparams:
                     raise ValueError("parameter exponent of wrong length")
                 c = Fraction(c)
                 if c:
-                    clean[e] = c
-        self.terms = clean
+                    clean[tuple((i, x) for i, x in enumerate(e) if x)] = c
+        self._terms = clean
+
+    @classmethod
+    def _trusted(cls, nparams: int, terms: dict[ParamMonomial, Fraction]) -> "ParamPoly":
+        """Wrap sparse terms that already have non-zero Fraction values."""
+        p = object.__new__(cls)
+        p.nparams = nparams
+        p._terms = terms
+        return p
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only view keyed by dense exponent tuples over all parameters."""
+        dense = {}
+        for m, c in self._terms.items():
+            e = [0] * self.nparams
+            for i, p in m:
+                e[i] = p
+            dense[tuple(e)] = c
+        return MappingProxyType(dense)
 
     @classmethod
     def const(cls, nparams: int, value) -> "ParamPoly":
         v = Fraction(value)
-        return cls(nparams, {unit_exp(nparams): v} if v else {})
+        return cls._trusted(nparams, {(): v} if v else {})
 
     @classmethod
     def variable(cls, nparams: int, i: int) -> "ParamPoly":
         if not 0 <= i < nparams:
             raise ValueError(f"parameter index {i} out of range")
-        return cls(nparams, {var_exp(nparams, i): Fraction(1)})
+        return cls._trusted(nparams, {((i, 1),): Fraction(1)})
 
     def _coerce(self, other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
@@ -194,33 +243,40 @@ class ParamPoly:
         return NotImplemented  # type: ignore[return-value]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(self.nparams, other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.nparams == other.nparams and self.terms == other.terms
+        return self.nparams == other.nparams and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.nparams, frozenset(self.terms.items())))
+        return hash((self.nparams, frozenset(self._terms.items())))
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.nparams, {e: -c for e, c in self.terms.items()})
+        return ParamPoly._trusted(self.nparams, {m: -c for m, c in self._terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+                continue
+            s += c
             if s:
-                out[e] = s
+                out[m] = s
             else:
-                out.pop(e, None)
-        return ParamPoly(self.nparams, out)
+                del out[m]
+        return ParamPoly._trusted(self.nparams, out)
 
     __radd__ = __add__
 
@@ -228,68 +284,85 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = -c
+                continue
+            s -= c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return ParamPoly._trusted(self.nparams, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                s = out.get(e, 0) + c1 * c2
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # Times one term: monomials stay distinct, nothing cancels.
+            [(m2, c2)] = b.items()
+            out = {_mono_mul(m1, m2): c1 * c2 for m1, c1 in a.items()}
+            return ParamPoly._trusted(self.nparams, out)
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = _mono_mul(m1, m2)
+                s = out.get(m)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
-                    out[e] = s
+                    out[m] = s
                 else:
-                    out.pop(e, None)
-        return ParamPoly(self.nparams, out)
+                    del out[m]
+        return ParamPoly._trusted(self.nparams, out)
 
     __rmul__ = __mul__
 
     def occurring(self) -> set[int]:
         """Indices of parameters actually present."""
-        seen: set[int] = set()
-        for e in self.terms:
-            seen.update(i for i, x in enumerate(e) if x)
-        return seen
+        return {i for m in self._terms for i, _ in m}
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not m for m in self._terms)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
-        [(e, c)] = self.terms.items()
-        if any(e):
+        [(m, c)] = self._terms.items()
+        if m:
             raise ValueError("not a constant")
         return c
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        missing = self.occurring() - set(assignment)
+        missing = {i for i in self.occurring() if i not in assignment}
         if missing:
             raise MissingParameter(f"parameters {sorted(missing)} unassigned")
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for m, c in self._terms.items():
             v = c
-            for i, x in enumerate(e):
-                if x:
-                    v *= Fraction(assignment[i]) ** x
+            for i, p in m:
+                v *= assignment[i] if p == 1 else assignment[i] ** p
             total += v
         return total
 
-    def sorted_terms(self):
-        """Degree ascending, then ascending exponent tuple."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+    def sorted_terms(self) -> list[tuple[ParamMonomial, Fraction]]:
+        """(sparse monomial, coefficient) pairs, degree ascending, then
+        ascending dense exponent tuple."""
+        return sorted(self._terms.items(), key=lambda item: _mono_order_key(item[0]))
 
     def __repr__(self):
-        return f"ParamPoly({self.nparams}, {self.terms!r})"
+        return f"ParamPoly({self.nparams}, {dict(self.terms)!r})"
 
 
 def param_evaluate(p: ParamPoly, assignment: Mapping[int, Fraction]) -> Fraction:

@@ -82,13 +82,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, line: int):
+def _tokenize(text: str, where):
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise PolySyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            raise PolySyntaxError(f"unexpected character {text[pos]!r}", *where(pos + 1))
         pos = m.end()
         if m.lastgroup == "ws":
             continue
@@ -97,10 +97,13 @@ def _tokenize(text: str, line: int):
 
 
 class _Parser:
-    def __init__(self, text: str, layout: FreeModuleLayout, line: int, allow_head: bool):
-        self.tokens = _tokenize(text, line)
+    """`where(col)` maps a 1-based column of `text` to the (line, column)
+    that error messages report."""
+
+    def __init__(self, text: str, layout: FreeModuleLayout, where, allow_head: bool):
+        self.tokens = _tokenize(text, where)
         self.layout = layout
-        self.line = line
+        self.where = where
         self.allow_head = allow_head
         self.pos = 0
 
@@ -115,7 +118,7 @@ class _Parser:
     def error(self, message, col=None):
         if col is None:
             col = self.peek()[2] or len(self.tokens) and self.tokens[-1][2] or 1
-        raise PolySyntaxError(message, self.line, col)
+        raise PolySyntaxError(message, *self.where(col))
 
     def parse(self):
         terms: dict[ModuleTerm, Fraction] = {}
@@ -173,7 +176,7 @@ class _Parser:
                 self.take()
                 idx = int(value[1:])
                 if idx >= self.layout.nvars:
-                    raise UnknownVariable(value, self.line, col)
+                    raise UnknownVariable(value, *self.where(col))
                 power = 1
                 k2, v2, c2 = self.peek()
                 if k2 == "op" and v2 == "^":
@@ -189,7 +192,7 @@ class _Parser:
                 self.take()
                 k = int(value[1:])
                 if not 1 <= k <= self.layout.rank:
-                    raise ComponentOutOfRange(k, self.layout.rank, self.line, col)
+                    raise ComponentOutOfRange(k, self.layout.rank, *self.where(col))
                 if comp is not None:
                     self.error("more than one component marker in a term", col)
                 comp = k
@@ -211,7 +214,7 @@ class _Parser:
 
 def parse_polynomial(text: str, layout: FreeModuleLayout, line: int = 1) -> ModuleElement:
     """Parse a homogeneous element; "0" gives the zero element."""
-    terms, head = _Parser(text, layout, line, allow_head=False).parse()
+    terms, head = _Parser(text, layout, lambda col: (line, col), allow_head=False).parse()
     return ModuleElement(layout, terms)
 
 
@@ -219,7 +222,7 @@ def parse_marked_polynomial(
     text: str, layout: FreeModuleLayout, line: int = 1
 ) -> tuple[ModuleElement, ModuleTerm | None]:
     """Parse an element with an optional bracketed head term."""
-    terms, head = _Parser(text, layout, line, allow_head=True).parse()
+    terms, head = _Parser(text, layout, lambda col: (line, col), allow_head=True).parse()
     return ModuleElement(layout, terms), head
 
 
@@ -244,29 +247,30 @@ def format_module_term(t: ModuleTerm, rank: int) -> str:
     return marker if base == "1" else f"{base}*{marker}"
 
 
+def _param_term(m, mag: Fraction, names) -> str:
+    """One term of a parameter polynomial: magnitude times the monomial m,
+    given as sorted (index, power) pairs; default names are C0, C1, ..."""
+    factors = []
+    for i, power in m:
+        name = names[i] if names else f"C{i}"
+        factors.append(name if power == 1 else f"{name}^{power}")
+    if not factors:
+        return str(mag)
+    if mag == 1:
+        return "*".join(factors)
+    return "*".join([str(mag)] + factors)
+
+
 def format_param_poly(p: ParamPoly, names) -> str:
     if not p:
         return "0"
-    pieces = []
-    for e, c in p.sorted_terms():
-        factors = []
-        for i, power in enumerate(e):
-            if power == 1:
-                factors.append(names[i])
-            elif power > 1:
-                factors.append(f"{names[i]}^{power}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
+    out = ""
+    for m, c in p.sorted_terms():
+        body = _param_term(m, abs(c), names)
+        if not out:
+            out = ("-" if c < 0 else "") + body
         else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
+            out += f" {'-' if c < 0 else '+'} {body}"
     return out
 
 
@@ -275,15 +279,13 @@ def _coeff_pieces(c: Coeff, term_str: str, names) -> tuple[str, str]:
     if isinstance(c, ParamPoly):
         if c.is_constant():
             c = c.constant_value()
-        elif len(c.terms) == 1:
-            [(e, v)] = c.terms.items()
-            inner = format_param_poly(
-                ParamPoly(c.nparams, {e: abs(v)}), names or _default_names(c.nparams)
-            )
+        elif len(c) == 1:
+            [(m, v)] = c.sorted_terms()
+            inner = _param_term(m, abs(v), names)
             body = inner if term_str == "1" else f"{inner}*{term_str}"
             return ("-" if v < 0 else "+"), body
         else:
-            inner = format_param_poly(c, names or _default_names(c.nparams))
+            inner = format_param_poly(c, names)
             body = f"({inner})" if term_str == "1" else f"({inner})*{term_str}"
             return "+", body
     sign = "-" if c < 0 else "+"
@@ -293,10 +295,6 @@ def _coeff_pieces(c: Coeff, term_str: str, names) -> tuple[str, str]:
     if mag == 1:
         return sign, term_str
     return sign, f"{mag}*{term_str}"
-
-
-def _default_names(nparams: int):
-    return [f"C{i}" for i in range(nparams)]
 
 
 def format_element(elem: ModuleElement, names=None) -> str:
@@ -365,21 +363,43 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _logical_lines(text: str):
+    """Yield (first line number, text, pieces) per logical line; pieces
+    holds (offset in the text, line number, indent) per physical line."""
     current: list[str] = []
-    start = 0
+    pieces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        if line[0] in " \t" and current:
-            current.append(line.strip())
-            continue
-        if current:
-            yield start, " ".join(current)
-        current = [line.strip()]
-        start = lineno
+        if not (line[0] in " \t" and current):
+            if current:
+                yield pieces[0][1], " ".join(current), pieces
+            current, pieces = [], []
+        pieces.append((sum(len(c) + 1 for c in current), lineno, len(line) - len(line.lstrip())))
+        current.append(line.strip())
     if current:
-        yield start, " ".join(current)
+        yield pieces[0][1], " ".join(current), pieces
+
+
+def _chunk_where(pieces, offset: int):
+    """Map a column of a chunk that starts at `offset` in its logical line
+    to the physical (line, column) it came from."""
+
+    def where(col: int) -> tuple[int, int]:
+        at = offset + col - 1
+        start, lineno, indent = next(p for p in reversed(pieces) if p[0] <= at)
+        return lineno, indent + at - start + 1
+
+    return where
+
+
+def _chunks(line: str):
+    """The comma-separated pieces after the first '=', stripped, each with
+    its offset in the line."""
+    pos = line.index("=") + 1
+    for raw in line[pos:].split(","):
+        yield raw.strip(), pos + len(raw) - len(raw.lstrip())
+        pos += len(raw) + 1
 
 
 def parse_document(text: str) -> InputDocument:
@@ -394,7 +414,7 @@ def parse_document(text: str) -> InputDocument:
             raise InputFormatError(f"line {lineno}: 'ring <nvars>' must come first")
         return layout
 
-    for lineno, line in _logical_lines(text):
+    for lineno, line, pieces in _logical_lines(text):
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "ring":
@@ -425,7 +445,7 @@ def parse_document(text: str) -> InputDocument:
             layout = FreeModuleLayout(layout.n, ws)
         elif keyword in ("ideal", "marked"):
             lay = ensure_layout(lineno)
-            name, eq, body = rest.partition("=")
+            name, eq, _ = rest.partition("=")
             name = name.strip()
             if not eq or not _NAME_RE.match(name):
                 raise InputFormatError(
@@ -433,11 +453,11 @@ def parse_document(text: str) -> InputDocument:
                 )
             if name in doc_ideals or name in doc_marked:
                 raise InputFormatError(f"line {lineno}: duplicate name {name!r}")
-            chunks = [c.strip() for c in body.split(",")]
             if keyword == "ideal":
                 gens = []
-                for chunk in chunks:
-                    elem = parse_polynomial(chunk, lay, line=lineno)
+                for chunk, offset in _chunks(line):
+                    terms, _ = _Parser(chunk, lay, _chunk_where(pieces, offset), False).parse()
+                    elem = ModuleElement(lay, terms)
                     if len(elem.terms) != 1:
                         raise InputFormatError(
                             f"line {lineno}: ideal generators must be single terms"
@@ -451,8 +471,9 @@ def parse_document(text: str) -> InputDocument:
                 doc_ideals[name] = MonomialModule(lay, gens)
             else:
                 elems = []
-                for chunk in chunks:
-                    body_elem, head = parse_marked_polynomial(chunk, lay, line=lineno)
+                for chunk, offset in _chunks(line):
+                    terms, head = _Parser(chunk, lay, _chunk_where(pieces, offset), True).parse()
+                    body_elem = ModuleElement(lay, terms)
                     if head is None:
                         raise InputFormatError(
                             f"line {lineno}: every marked element needs a [head]"

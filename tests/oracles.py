@@ -177,3 +177,70 @@ def all_module_terms(layout: FreeModuleLayout, s: int):
             continue
         out.extend(ModuleTerm(e, k) for e in terms_of_degree(layout.nvars, d))
     return out
+
+
+# ---------- dense parameter polynomials ----------
+# The reference for ParamPoly: a dict {dense exponent tuple over all
+# parameters: non-zero Fraction}, with the arithmetic written out directly.
+
+
+def dense_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def dense_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def dense_sub(p, q):
+    return dense_add(p, dense_neg(q))
+
+
+def dense_mul(p, q):
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dense_occurring(p) -> set[int]:
+    return {i for e in p for i, x in enumerate(e) if x}
+
+
+def dense_evaluate(p, point) -> Fraction:
+    total = Fraction(0)
+    for e, c in p.items():
+        v = c
+        for i, x in enumerate(e):
+            v *= Fraction(point[i]) ** x
+        total += v
+    return total
+
+
+def dense_sorted_terms(p):
+    """Degree ascending, then ascending exponent tuple."""
+    return sorted(p.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def dense_format(p, names) -> str:
+    """The printed form: signed terms in sorted order, the magnitude before
+    the parameters, which appear in index order."""
+    if not p:
+        return "0"
+    out = ""
+    for e, c in dense_sorted_terms(p):
+        factors = [
+            names[i] if x == 1 else f"{names[i]}^{x}" for i, x in enumerate(e) if x
+        ]
+        mag = abs(c)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+        if not out:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += f" {'-' if c < 0 else '+'} {body}"
+    return out

@@ -15,7 +15,10 @@ from marked_bases import (
     resolutions_equal,
     serialize_resolution,
 )
+from marked_bases import cli as cli_module
 from marked_bases.cli import main
+from marked_bases.family import FamilyIdeal
+from marked_bases.ring import ParamPoly
 from marked_bases.textio import (
     PolySyntaxError,
     UnknownVariable,
@@ -287,15 +290,22 @@ class TestExitCodes:
         path.write_text("ring 3\nideal J = 1/0*x2\n")
         code, out = run(capsys, "pommaret", str(path))
         assert code == 2
-        assert "input error: line 2, column 1: zero denominator in '1/0'" in out.err
+        assert "input error: line 2, column 11: zero denominator in '1/0'" in out.err
 
     def test_zero_denominator_in_marked_set(self, capsys, tmp_path):
         path = tmp_path / "bad.mb"
         path.write_text("ring 3\nmarked G = [x2^3], [x1*x0] + 3/0*x2^2\n")
         code, out = run(capsys, "check", str(path))
         assert code == 2
-        # Columns count within the comma-separated element.
-        assert "line 2, column 11: zero denominator in '3/0'" in out.err
+        # Columns count from the start of the physical line.
+        assert "line 2, column 30: zero denominator in '3/0'" in out.err
+
+    def test_error_position_on_a_continuation_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.mb"
+        path.write_text("ring 3\nmarked G = [x2^3],\n    [x1*x0] + 3/0*x2^2\n")
+        code, out = run(capsys, "check", str(path))
+        assert code == 2
+        assert "line 3, column 15: zero denominator in '3/0'" in out.err
 
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "pommaret", str(tmp_path / "absent.mb"))
@@ -337,3 +347,79 @@ def test_resolve_json_is_byte_identical(capsys, tmp_path, name):
     code, out = run(capsys, "resolve", str(path), "--minimize", "--json")
     assert code == 0
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_RESOLVE_SHA256[name]
+
+
+# SHA-256 of `mbases family` and `mbases specialize` standard output on the
+# two examples of the paper, recorded before ParamPoly stored its monomials
+# sparsely.  The specialize points set the listed parameters and every other
+# one to 0: "on" is the example's own marked set, "off" moves one parameter
+# off the family.
+GOLDEN_FAMILY_SHA256 = {
+    ("twisted", "family"): "bc1cb734e5b9b2ee49e82fa130b629871cda6aae2059dfa3dfa95b207e473475",
+    ("twisted", "family --json"): "752edd2ae34d775c380c66ea90609aadfbbdc119b373d32b64934c4ed7a33220",
+    ("twisted", "on"): "ed0ed1290ed926f69578fe723e95a7fe68010e1c5ee0bd311180553975d88d4a",
+    ("twisted", "off"): "cb592edf781cf67a98d99a2f4a3d7d1966457be536b7dd8a229c3afcb82398ee",
+    ("non_groebner", "family"): "768f0241d03222117e24f0107d864378d9e8e5dd7f7881ec7e75afe8a9957572",
+    ("non_groebner", "family --json"): "26924d7d0af64d753ab1c9f5c0ef2053a1b45aa4f8791f15457906778e82dbb1",
+    ("non_groebner", "on"): "e830043ad25a3b82411e868d8cdc4a93f85c9443ad08cbfe330f66a008db7884",
+    ("non_groebner", "off"): "7e05a71ebb33a6322065b00ecd8bc77acbb95e129e872286aeae822b29a91b9c",
+}
+SPECIALIZE_POINTS = {
+    ("twisted", "on"): ({"C_{2,0}": -1}, 0),
+    ("twisted", "off"): ({"C_{0,0}": 1, "C_{2,0}": -1}, 1),
+    ("non_groebner", "on"): ({"C_{0,0}": 1, "C_{0,1}": 1}, 0),
+    ("non_groebner", "off"): ({"C_{0,0}": 1, "C_{0,1}": 1, "C_{0,2}": 1}, 1),
+}
+
+
+def _paper_file(tmp_path, name):
+    path = tmp_path / f"{name}.mb"
+    path.write_text({"twisted": TWISTED_DOC, "non_groebner": NON_GROEBNER_DOC}[name])
+    return str(path)
+
+
+def _full_assignment(capsys, path, values) -> str:
+    """Every parameter of the family of `path`, 0 unless given in `values`."""
+    code, out = run(capsys, "family", path, "--json")
+    names = json.loads(out.out)["parameters"]
+    return ",".join(f"{name}={values.get(name, 0)}" for name in names)
+
+
+@pytest.mark.parametrize("name, what", sorted(GOLDEN_FAMILY_SHA256))
+def test_family_and_specialize_text_is_byte_identical(capsys, tmp_path, name, what):
+    path = _paper_file(tmp_path, name)
+    if what.startswith("family"):
+        code, out = run(capsys, "family", path, *what.split()[1:])
+        expected_code = 0
+    else:
+        values, expected_code = SPECIALIZE_POINTS[(name, what)]
+        assignment = _full_assignment(capsys, path, values)
+        code, out = run(capsys, "specialize", path, "--set", assignment)
+    assert code == expected_code
+    digest = hashlib.sha256(out.out.encode()).hexdigest()
+    assert digest == GOLDEN_FAMILY_SHA256[(name, what)]
+
+
+class TestSpecializeCrossCheck:
+    """`specialize` compares the family equations with the basis test and
+    reports a disagreement as an error, also under `python -O`."""
+
+    @pytest.mark.parametrize("point, generators, verdicts", [
+        # A non-zero constant equation never vanishes, at a marked basis too.
+        ("on", (ParamPoly.const(15, 1),), "do not vanish but the basis test says yes"),
+        # No equations vanish everywhere, also off the family.
+        ("off", (), "vanish but the basis test says no"),
+    ])
+    def test_disagreement_is_an_error(self, capsys, tmp_path, monkeypatch,
+                                      point, generators, verdicts):
+        path = _paper_file(tmp_path, "twisted")
+        values, _ = SPECIALIZE_POINTS[("twisted", point)]
+        assignment = _full_assignment(capsys, path, values)
+
+        def forged(generic):
+            return FamilyIdeal(generators, generic.param_names)
+
+        monkeypatch.setattr(cli_module, "family_equations", forged)
+        code, out = run(capsys, "specialize", path, "--set", assignment)
+        assert code == 1
+        assert f"family equations {verdicts}" in out.out

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from marked_bases import (
     truncate_basis,
     x0_heads_are_divisible,
 )
+from marked_bases import monom as monom_module
 from marked_bases.monom import nonmultiplicative_variables
 from marked_bases.randgen import random_marked_basis, random_saturated_basis
 from marked_bases.ring import min_index, var_exp
@@ -230,3 +232,41 @@ class TestTailStructure:
             assert is_marked_basis(marked).is_basis
             assert tails_respect_min_variable(marked)
             assert x0_heads_are_divisible(marked)
+
+
+class TestComplementEnumeration:
+    """The generic marked set enumerates the complement once per degree,
+    whatever the number of heads of that degree."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        """Degrees of complement_terms calls, under any name a module bound it to."""
+        calls = []
+        original = monom_module.complement_terms
+
+        def counting(basis, s):
+            calls.append(s)
+            return original(basis, s)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("marked_bases"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        lambda twisted: twisted.basis,
+        lambda twisted: truncate_basis(twisted.basis, 4),
+        lambda twisted: truncate_basis(pommaret_completion(MonomialModule(
+            FreeModuleLayout(2, (0, 0)),
+            [T((0, 0, 1), 1), T((0, 3, 0), 1), T((0, 0, 2), 2), T((0, 2, 0), 2)],
+        )), 4),
+    ])
+    def test_once_per_head_degree(self, enumerations, twisted, build):
+        basis = build(twisted)
+        generic = generic_marked_set(basis)
+        degrees = {basis.layout.term_degree(h) for h in basis.terms}
+        assert len(basis.terms) > len(degrees)
+        assert sorted(enumerations) == sorted(degrees)
+        assert generic.nparams

@@ -1,0 +1,86 @@
+"""ParamPoly (sparse monomials) against the dense reference in oracles.py."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from marked_bases.ring import ParamPoly
+from marked_bases.textio import format_param_poly
+from oracles import (
+    dense_add,
+    dense_evaluate,
+    dense_format,
+    dense_mul,
+    dense_neg,
+    dense_occurring,
+    dense_sorted_terms,
+    dense_sub,
+)
+
+NPARAMS = 5
+NAMES = [f"C_{{{i // 2},{i % 2}}}" for i in range(NPARAMS)]
+
+exponents = st.tuples(*[st.integers(0, 2)] * NPARAMS)
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+dense_polys = st.dictionaries(exponents, coefficients, max_size=5).map(
+    lambda p: {e: c for e, c in p.items() if c}
+)
+points = st.lists(coefficients, min_size=NPARAMS, max_size=NPARAMS)
+
+
+def pp(p) -> ParamPoly:
+    return ParamPoly(NPARAMS, p)
+
+
+def dense_of(monomial) -> tuple[int, ...]:
+    e = [0] * NPARAMS
+    for i, power in monomial:
+        e[i] = power
+    return tuple(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_polys, dense_polys)
+def test_arithmetic_matches_dense(p, q):
+    assert dict(pp(p).terms) == p
+    assert dict((pp(p) + pp(q)).terms) == dense_add(p, q)
+    assert dict((pp(p) - pp(q)).terms) == dense_sub(p, q)
+    assert dict((pp(p) * pp(q)).terms) == dense_mul(p, q)
+    assert dict((-pp(p)).terms) == dense_neg(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_polys, dense_polys, coefficients)
+def test_mixing_with_numbers_matches_dense(p, q, c):
+    const = {(0,) * NPARAMS: c} if c else {}
+    assert dict((c * pp(p)).terms) == dense_mul(const, p)
+    assert dict((pp(p) + c).terms) == dense_add(p, const)
+    assert dict((c - pp(p)).terms) == dense_sub(const, p)
+    assert dict((pp(p) - c).terms) == dense_sub(p, const)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_polys, dense_polys)
+def test_equality_and_hash_follow_the_dense_value(p, q):
+    a, b = pp(p) * pp(q) + pp(p), pp(q) * pp(p) + pp(p)
+    assert a == b and hash(a) == hash(b)
+    c = pp(dense_add(dense_mul(p, q), p))
+    assert a == c and hash(a) == hash(c)
+    assert (pp(p) == pp(q)) == (p == q)
+    assert (pp(p) - pp(p)) == 0 and not (pp(p) - pp(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_polys, points)
+def test_evaluate_and_occurring_match_dense(p, point):
+    assert pp(p).occurring() == dense_occurring(p)
+    assert pp(p).evaluate(dict(enumerate(point))) == dense_evaluate(p, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_polys, dense_polys)
+def test_print_order_and_text_match_dense(p, q):
+    for dense in (p, dense_mul(p, q)):
+        poly = pp(dense)
+        assert [(dense_of(m), c) for m, c in poly.sorted_terms()] == dense_sorted_terms(dense)
+        assert format_param_poly(poly, NAMES) == dense_format(dense, NAMES)
