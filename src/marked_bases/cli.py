@@ -226,13 +226,15 @@ def cmd_hilbert(doc, args):
     return 0, text, {"degree": args.degree, "module_rank": h, "complement_rank": c}
 
 
-def _certificate_payload(marked, cert):
+def _certificate(marked, cert) -> tuple[str, dict]:
+    """The failed prolongation of a basis test, as a report line and as a
+    JSON payload."""
     head, var, remainder = cert
-    return {
-        "head": format_module_term(head, marked.layout.rank),
-        "variable": f"x{var}",
-        "remainder": format_element(remainder),
-    }
+    head_text = format_module_term(head, marked.layout.rank)
+    remainder_text = format_element(remainder)
+    line = f"certificate: x{var} * element[{head_text}] reduces to {remainder_text}"
+    payload = {"head": head_text, "variable": f"x{var}", "remainder": remainder_text}
+    return line, payload
 
 
 def cmd_check(doc, args):
@@ -240,17 +242,8 @@ def cmd_check(doc, args):
     result = is_marked_basis(marked, up_to_degree=args.up_to_degree)
     reg = marked.basis.max_degree()
     if not result.is_basis:
-        head, var, remainder = result.certificate
-        text = (
-            "marked basis: no\n"
-            f"certificate: x{var} * element[{format_module_term(head, marked.layout.rank)}] "
-            f"reduces to {format_element(remainder)}"
-        )
-        payload = {
-            "marked_basis": False,
-            "certificate": _certificate_payload(marked, result.certificate),
-        }
-        return 1, text, payload
+        line, cert = _certificate(marked, result.certificate)
+        return 1, "marked basis: no\n" + line, {"marked_basis": False, "certificate": cert}
     if result.inconclusive_beyond is not None:
         text = (
             f"marked basis: undetermined (no failure up to degree "
@@ -295,16 +288,9 @@ def cmd_resolve(doc, args):
     marked = _marked_set(doc, args)
     result = is_marked_basis(marked)
     if not result.is_basis:
-        head, var, remainder = result.certificate
-        text = (
-            "marked basis: no (cannot resolve)\n"
-            f"certificate: x{var} * element[{format_module_term(head, marked.layout.rank)}] "
-            f"reduces to {format_element(remainder)}"
-        )
-        return 1, text, {
-            "marked_basis": False,
-            "certificate": _certificate_payload(marked, result.certificate),
-        }
+        line, cert = _certificate(marked, result.certificate)
+        text = "marked basis: no (cannot resolve)\n" + line
+        return 1, text, {"marked_basis": False, "certificate": cert}
     res = free_resolution(marked)
     payload = {
         "ranks": _ranks_json(res.rank_table()),
@@ -422,13 +408,8 @@ def cmd_specialize(doc, args):
     if result.is_basis:
         lines.append("marked basis: yes")
         return 0, "\n".join(lines), payload
-    head, var, remainder = result.certificate
-    lines.append("marked basis: no")
-    lines.append(
-        f"certificate: x{var} * element[{format_module_term(head, spec.marked.layout.rank)}] "
-        f"reduces to {format_element(remainder)}"
-    )
-    payload["certificate"] = _certificate_payload(spec.marked, result.certificate)
+    line, payload["certificate"] = _certificate(spec.marked, result.certificate)
+    lines += ["marked basis: no", line]
     return 1, "\n".join(lines), payload
 
 

@@ -9,6 +9,11 @@ polynomials; an assignment of the parameters produces a marked basis exactly
 when it annihilates R, so R cuts out the family of all marked bases over
 these heads inside the affine space of tail coefficients.
 
+The family equations and the triangular check read the same memoised
+prolongation reductions as the basis test (`marked.prolongations` and
+`marked.prolongation_rep`), so each prolongation of a generic set is
+reduced at most once.
+
 Parameters are named C_{h,t} with h the index of the head in the listing
 order of the basis and t the index of the complement term among the tails of
 that head; this naming is part of the output contract.
@@ -20,15 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .marked import MarkedElement, MarkedSet, Representation, reduce_full
-from .monom import (
-    PommaretBasis,
-    basis_invariants,
-    complement_terms,
-    nonmultiplicative_variables,
-    rho,
-    truncate_basis,
+from .marked import (
+    MarkedElement,
+    MarkedSet,
+    Representation,
+    prolongation_rep,
+    prolongations,
 )
+from .monom import PommaretBasis, basis_invariants, complement_terms, rho, truncate_basis
 from .ring import (
     MarkedBasesError,
     MissingParameter,
@@ -37,7 +41,6 @@ from .ring import (
     ParamPoly,
     exp_deg,
     min_index,
-    var_exp,
 )
 
 
@@ -114,18 +117,14 @@ class FamilyIdeal:
 def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
     """Collect the complement-term coefficients of all reduced
     non-multiplicative prolongations, syntactically deduplicated."""
-    basis = generic.basis
-    n = basis.layout.n
-    nvars = basis.layout.nvars
+    marked = generic.marked
     seen: set[ParamPoly] = set()
     out: list[ParamPoly] = []
-    for el in generic.marked.ordered():
-        for j in nonmultiplicative_variables(el.head, n):
-            rep = reduce_full(el.body.mul_term(var_exp(nvars, j)), generic.marked)
-            for _, coeff in rep.remainder.sorted_terms():
-                if coeff not in seen:
-                    seen.add(coeff)
-                    out.append(coeff)
+    for el, j in prolongations(marked):
+        for _, coeff in prolongation_rep(marked, el, j).remainder.sorted_terms():
+            if coeff not in seen:
+                seen.add(coeff)
+                out.append(coeff)
     return FamilyIdeal(tuple(out), generic.param_names)
 
 
@@ -190,8 +189,8 @@ def triangular_representation(
     base: PommaretBasis,
     truncation_degree: int,
 ) -> TriangularReport:
-    """Reduce x_i * F_head over a generic set on a truncated saturated ideal
-    and verify the triangular shape of the outcome.
+    """Representation of the prolongation x_i * F_head over a generic set on
+    a truncated saturated ideal, with its triangular shape verified.
 
     Hypotheses checked: `base` is the certified basis of a saturated ideal,
     `generic` lives over its degree-`truncation_degree` truncation,
@@ -225,8 +224,9 @@ def triangular_representation(
         raise HypothesisViolated(f"min variable of {head} is not below x{i}")
     assert layout.term_degree(head) == truncation_degree
 
-    el = generic.marked.elements[head]
-    rep = reduce_full(el.body.mul_term(var_exp(layout.nvars, i)), generic.marked)
+    # min(head) < x_i makes x_i non-multiplicative: x_i * F_head is a
+    # prolongation, and its reduction is the memoised one.
+    rep = prolongation_rep(generic.marked, generic.marked.elements[head], i)
     for _, mult, tau in rep.summands:
         if exp_deg(mult) != 1:
             raise StructureViolated(f"multiplier x^{mult} is not a single variable")

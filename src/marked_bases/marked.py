@@ -12,17 +12,19 @@ that makes termination obvious: each freshly created term of U has a cone
 multiplier strictly lex-below the multiplier just used.
 
 The reductions of the non-multiplicative prolongations x_j*f are the data
-every later construction reads: the basis test needs their remainders, the
-syzygies their summands.  `prolongation_rep` reduces each of them once per
-marked set and memoises the representation on the set, so the basis test
-and the syzygy step of the same set share one reduction per prolongation.
+every later construction reads: the basis test and the family equations
+need their remainders, the syzygies and the triangular check their
+summands.  `prolongations` walks them in one fixed order (element order,
+then variable index) and `prolongation_rep` reduces each of them once per
+marked set and memoises the representation on the set, so every consumer
+of the same set shares one reduction per prolongation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .monom import PommaretBasis, nonmultiplicative_variables
 from .ring import (
@@ -32,7 +34,6 @@ from .ring import (
     ModuleElement,
     ModuleTerm,
     ParamPoly,
-    exp_add,
     exp_sub,
     lex_key,
     reduction_key,
@@ -250,6 +251,16 @@ class BasisCheck:
     inconclusive_beyond: int | None = None
 
 
+def prolongations(marked: MarkedSet) -> Iterator[tuple[MarkedElement, int]]:
+    """Every non-multiplicative prolongation (el, j), meaning x_j * el, in
+    element order, then variable index.  Reduces nothing: representations
+    come from `prolongation_rep`."""
+    n = marked.layout.n
+    for el in marked.elements.values():
+        for j in nonmultiplicative_variables(el.head, n):
+            yield el, j
+
+
 def prolongation_rep(marked: MarkedSet, el: MarkedElement, j: int) -> Representation:
     """Representation of x_j * el, reduced on first request and then memoised.
 
@@ -271,27 +282,24 @@ def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> Basis
     With `up_to_degree=s` only prolongations of degree <= s are checked;
     since prolongation degrees never exceed reg(U)+1, any cap at or above
     that threshold is equivalent to the full test and conclusive.
-    Prolongations are visited in element order, then variable index, and
-    the test stops at the first non-zero remainder, which is the
-    certificate.
+    Prolongations are visited in the order of `prolongations`, and the test
+    stops at the first non-zero remainder, which is the certificate.
     """
     basis = marked.basis
-    n = basis.layout.n
     reg = basis.max_degree()
     conclusive = up_to_degree is None or up_to_degree >= reg + 1
     if marked._certified is not None and conclusive:
         return BasisCheck(marked._certified)
 
-    for el in marked.ordered():
+    for el, j in prolongations(marked):
         degree = basis.layout.term_degree(el.head) + 1
         if up_to_degree is not None and degree > up_to_degree:
             continue
-        for j in nonmultiplicative_variables(el.head, n):
-            remainder = prolongation_rep(marked, el, j).remainder
-            if not remainder.is_zero():
-                if conclusive:
-                    marked._certified = False
-                return BasisCheck(False, certificate=(el.head, j, remainder))
+        remainder = prolongation_rep(marked, el, j).remainder
+        if not remainder.is_zero():
+            if conclusive:
+                marked._certified = False
+            return BasisCheck(False, certificate=(el.head, j, remainder))
     if conclusive:
         marked._certified = True
         return BasisCheck(True)

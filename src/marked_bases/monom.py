@@ -28,10 +28,8 @@ from .ring import (
     exp_add,
     exp_deg,
     exp_divides,
-    exp_sub,
     listing_key,
     min_index,
-    unit_exp,
     var_exp,
 )
 

@@ -365,11 +365,6 @@ class ParamPoly:
         return f"ParamPoly({self.nparams}, {dict(self.terms)!r})"
 
 
-def param_evaluate(p: ParamPoly, assignment: Mapping[int, Fraction]) -> Fraction:
-    """Exact value of p at a full assignment of its occurring parameters."""
-    return p.evaluate(assignment)
-
-
 Coeff = Union[Fraction, ParamPoly]
 
 
@@ -445,11 +440,6 @@ class ModuleElement:
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
-    def scale(self, c: Coeff) -> "ModuleElement":
-        if not c:
-            return ModuleElement.zero(self.layout)
-        return ModuleElement(self.layout, {t: c * v for t, v in self.terms.items()})
-
     def mul_term(self, e: Exponent) -> "ModuleElement":
         return ModuleElement(
             self.layout, {term_mul(t, e): c for t, c in self.terms.items()}
@@ -457,19 +447,6 @@ class ModuleElement:
 
     def __repr__(self):
         return f"ModuleElement({self.terms!r})"
-
-
-def canonicalize(e: ModuleElement) -> ModuleElement:
-    """Re-normalise an element: drop zero coefficients, verify homogeneity.
-
-    Construction already enforces the canonical form, so this is idempotent.
-    """
-    return ModuleElement(e.layout, e.terms)
-
-
-def mul_term(e: Exponent, f: ModuleElement) -> ModuleElement:
-    """Multiply every term of f by x^e; raises the degree by |e|."""
-    return f.mul_term(e)
 
 
 # ---------- scalar polynomials (differential entries, coordinate changes) ----

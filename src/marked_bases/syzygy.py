@@ -30,13 +30,15 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .marked import MarkedElement, MarkedSet, NotABasis, is_marked_basis, prolongation_rep
-from .monom import (
-    PommaretBasis,
-    basis_invariants,
-    is_pommaret_basis,
-    nonmultiplicative_variables,
+from .marked import (
+    MarkedElement,
+    MarkedSet,
+    NotABasis,
+    is_marked_basis,
+    prolongation_rep,
+    prolongations,
 )
+from .monom import PommaretBasis, basis_invariants, is_pommaret_basis
 from .ring import (
     Coeff,
     Exponent,
@@ -68,37 +70,26 @@ def _require_basis(marked: MarkedSet):
 def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
     """Marked basis of the syzygy module of a certified marked basis.
 
-    One syzygy per (element, non-multiplicative variable) pair, ordered by
-    element position then variable index, read off the memoised reduction
-    of that prolongation.  Every produced syzygy is checked to annihilate
-    the level below, and the resulting set is re-certified; the
-    re-certification reduces every prolongation of the new set, which
-    fills the memo the next level's syzygy step reads.
+    One syzygy per prolongation, in the order of `prolongations`, read off
+    the memoised reduction of that prolongation.  Every produced syzygy is
+    checked to annihilate the level below, and the resulting set is
+    re-certified; the re-certification reduces every prolongation of the
+    new set, which fills the memo the next level's syzygy step reads.
     """
     _require_basis(marked)
     elems = marked.ordered()
-    n = marked.layout.n
     nvars = marked.layout.nvars
     weights = tuple(marked.layout.term_degree(el.head) for el in elems)
-    syz_layout = FreeModuleLayout(n, weights)
-
-    pairs = [
-        (pos, j)
-        for pos, el in enumerate(elems, start=1)
-        for j in nonmultiplicative_variables(el.head, n)
-    ]
-    syz_terms = frozenset(ModuleTerm(var_exp(nvars, j), pos) for pos, j in pairs)
-    syz_basis = PommaretBasis(syz_layout, syz_terms, certified=True)
-    assert not syz_terms or is_pommaret_basis(syz_terms, syz_layout)
+    syz_layout = FreeModuleLayout(marked.layout.n, weights)
 
     position = {el.head: pos for pos, el in enumerate(elems, start=1)}
     one = marked.one_like()
     lower = _elements_by_column([el.body for el in elems])
     syz_elements = []
-    for pos, j in pairs:
-        rep = prolongation_rep(marked, elems[pos - 1], j)
+    for el, j in prolongations(marked):
+        rep = prolongation_rep(marked, el, j)
         assert rep.remainder.is_zero(), "prolongation of a certified basis must vanish"
-        head = ModuleTerm(var_exp(nvars, j), pos)
+        head = ModuleTerm(var_exp(nvars, j), position[el.head])
         body_terms: dict[ModuleTerm, Coeff] = {head: one}
         for coeff, mult, tau in rep.summands:
             t = ModuleTerm(mult, position[tau])
@@ -113,6 +104,9 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
         assert not _compose_column(lower, column), "produced element is not a syzygy"
         syz_elements.append(MarkedElement(body, head))
 
+    syz_terms = frozenset(el.head for el in syz_elements)
+    syz_basis = PommaretBasis(syz_layout, syz_terms, certified=True)
+    assert not syz_terms or is_pommaret_basis(syz_terms, syz_layout)
     syz_set = MarkedSet(syz_basis, syz_elements)
     if syz_elements:
         recheck = is_marked_basis(syz_set)
@@ -172,17 +166,14 @@ class FreeResolution:
 
 
 def free_resolution(marked: MarkedSet) -> FreeResolution:
-    """Iterate the syzygy construction until no non-multiplicative variable
-    is left; the length comes out as n - D with D the least minimal-variable
+    """Iterate the syzygy construction until a level has no prolongation
+    left; the length comes out as n - D with D the least minimal-variable
     index among the level-0 heads."""
     _require_basis(marked)
-    n = marked.layout.n
     levels = [marked]
     matrices: list[list[list[Poly]]] = []
     current = marked
-    while any(
-        nonmultiplicative_variables(el.head, n) for el in current.ordered()
-    ):
+    while any(prolongations(current)):
         _, syz_set = syzygy_marked_basis(current)
         matrices.append(_differential_matrix(current, syz_set))
         levels.append(syz_set)
@@ -198,12 +189,8 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
         matrices=matrices,
         levels=levels,
     )
-    mins = []
-    for t in marked.basis.terms:
-        m = min_index(t.exp)
-        mins.append(n if m is None else m)
-    if mins:
-        assert res.length == n - min(mins), "resolution length differs from n - D"
+    d = basis_invariants(marked.basis).D
+    assert res.length == marked.layout.n - d, "resolution length differs from n - D"
     assert verify_complex(res), "constructed resolution failed the complex check"
     return res
 

@@ -297,19 +297,23 @@ def _coeff_pieces(c: Coeff, term_str: str, names) -> tuple[str, str]:
     return sign, f"{mag}*{term_str}"
 
 
-def format_element(elem: ModuleElement, names=None) -> str:
-    if elem.is_zero():
+def _join_pieces(pieces: list[tuple[str, str]]) -> str:
+    """Summands given as (sign, body), joined; "0" when there are none."""
+    if not pieces:
         return "0"
-    rank = elem.layout.rank
-    pieces = [
-        _coeff_pieces(c, format_module_term(t, rank), names)
-        for t, c in elem.sorted_terms()
-    ]
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def format_element(elem: ModuleElement, names=None) -> str:
+    rank = elem.layout.rank
+    return _join_pieces([
+        _coeff_pieces(c, format_module_term(t, rank), names)
+        for t, c in elem.sorted_terms()
+    ])
 
 
 def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> str:
@@ -323,24 +327,14 @@ def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> 
     return out
 
 
-def format_poly(p: Poly, layout: FreeModuleLayout, names=None) -> str:
-    """Scalar polynomial (differential entry) in the same grammar."""
-    if not p:
+def format_poly(p: Poly, names=None) -> str:
+    """Scalar polynomial (differential entry) in the same grammar, terms in
+    the order `format_element` prints a rank-one element."""
+    if not p:  # most differential entries are zero
         return "0"
-    scalar = FreeModuleLayout(layout.n, (0,))
-    try:
-        elem = ModuleElement(scalar, {ModuleTerm(e, 1): c for e, c in p.items()})
-        return format_element(elem, names)
-    except MarkedBasesError:
-        # Entries of ill-formed matrices (tests) may be inhomogeneous.
-        pieces = []
-        for e in sorted(p):
-            sign, body = _coeff_pieces(p[e], format_exponent(e), names)
-            pieces.append((sign, body))
-        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+    return _join_pieces([
+        _coeff_pieces(p[e], format_exponent(e), names) for e in sorted(p)
+    ])
 
 
 # ---------- input documents ----------
@@ -523,7 +517,7 @@ def resolution_to_dict(res: FreeResolution) -> dict:
             )
             mat = res.matrices[i - 1]
             entry["differential"] = [
-                [format_poly(e, res.layout) for e in row] for row in mat
+                [format_poly(e) for e in row] for row in mat
             ]
         levels.append(entry)
     return {

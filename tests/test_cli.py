@@ -349,6 +349,31 @@ def test_resolve_json_is_byte_identical(capsys, tmp_path, name):
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_RESOLVE_SHA256[name]
 
 
+# SHA-256 of the standard output of the basis test and of `resolve` on the
+# twisted example with the tail of x1*x0 broken to x0^2, recorded before every
+# consumer walked the prolongations through one shared generator.  They pin
+# the certificate text and which prolongation fails first.
+BROKEN_TAIL_DOC = TWISTED_DOC.replace("[x1*x0] + x2^2", "[x1*x0] + x0^2")
+GOLDEN_CERTIFICATE_SHA256 = {
+    "check": "61439991dc465a94adb34d180473e8e73324e58b27e55dbb3105480baf39266a",
+    "check --json": "8197b82f99eb7bb5eea5facba878c03d5dcf2175ce63e18019bf2b5998e47001",
+    "check --up-to-degree 3": "61439991dc465a94adb34d180473e8e73324e58b27e55dbb3105480baf39266a",
+    "resolve": "c65c5d70329cd6dbdb58569c4d0db6d019fe6cf367f9ba30671eaeffac92199f",
+    "resolve --json": "8197b82f99eb7bb5eea5facba878c03d5dcf2175ce63e18019bf2b5998e47001",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CERTIFICATE_SHA256))
+def test_certificate_text_is_byte_identical(capsys, tmp_path, command):
+    path = tmp_path / "broken.mb"
+    path.write_text(BROKEN_TAIL_DOC)
+    name, *flags = command.split()
+    code, out = run(capsys, name, str(path), *flags)
+    assert code == 1
+    digest = hashlib.sha256(out.out.encode()).hexdigest()
+    assert digest == GOLDEN_CERTIFICATE_SHA256[command]
+
+
 # SHA-256 of `mbases family` and `mbases specialize` standard output on the
 # two examples of the paper, recorded before ParamPoly stored its monomials
 # sparsely.  The specialize points set the listed parameters and every other

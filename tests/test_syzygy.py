@@ -14,13 +14,21 @@ from marked_bases import (
     MonomialModule,
     NotABasis,
     ParametricCoefficients,
+    basis_invariants,
+    family_equations,
     free_resolution,
+    generic_marked_set,
     invariant_bounds,
+    is_marked_basis,
     minimize_resolution,
     monomial_marked_set,
     pommaret_completion,
     predicted_ranks,
+    prolongation_rep,
+    prolongations,
+    saturate,
     syzygy_marked_basis,
+    triangular_representation,
     truncate_basis,
     verify_complex,
 )
@@ -208,17 +216,19 @@ def c4_basis():
 
 
 class TestSharedReductions:
-    """Each prolongation is reduced once: the basis test of a level and the
-    syzygy step of the same level share the reduction."""
+    """Each prolongation is reduced once: the basis test, the syzygy step,
+    the family equations and the triangular check of the same set share
+    the reduction."""
 
     @pytest.fixture
     def reductions(self, monkeypatch):
-        """Counts every reduce_full call, under any name a module bound it to."""
+        """Records (element, marked set) for every reduce_full call, under
+        any name a module bound it to."""
         calls = []
         original = marked_module.reduce_full
 
         def counting(h, marked, chooser=None):
-            calls.append(marked)
+            calls.append((h, marked))
             return original(h, marked, chooser)
 
         for name, module in list(sys.modules.items()):
@@ -240,6 +250,52 @@ class TestSharedReductions:
         ranks = [len(lvl) for lvl in res.levels]
         assert ranks == [49, 177, 274, 222, 93, 16]
         assert len(reductions) == sum(ranks[1:]) == 782
+
+    @pytest.mark.parametrize("build", [build_twisted_example, build_non_groebner_example])
+    def test_capped_basis_test_skips_higher_degrees(self, reductions, build):
+        marked = build().marked
+        cap = marked.basis.max_degree()
+        degree = {
+            (el.head, j): marked.layout.term_degree(el.head) + 1
+            for el, j in prolongations(marked)
+        }
+        assert max(degree.values()) > cap
+        assert is_marked_basis(marked, up_to_degree=cap).inconclusive_beyond == cap
+        assert all(h.degree <= cap for h, _ in reductions)
+        assert len(reductions) == sum(d <= cap for d in degree.values())
+
+    @pytest.fixture
+    def generic_truncation(self):
+        """A generic set over a saturated truncation, with the base and the
+        truncation degree the triangular check needs."""
+        base = saturate(build_twisted_example().basis)
+        m = basis_invariants(base).regularity
+        return generic_marked_set(truncate_basis(base, m)), base, m
+
+    def test_family_equations_reduce_each_prolongation_once(
+        self, reductions, generic_truncation
+    ):
+        generic, _, _ = generic_truncation
+        family_equations(generic)
+        walk = list(prolongations(generic.marked))
+        assert len(reductions) == len(walk) > 0
+        assert all(marked is generic.marked for _, marked in reductions)
+
+    def test_triangular_check_after_family_reduces_nothing(
+        self, reductions, generic_truncation
+    ):
+        generic, base, m = generic_truncation
+        family_equations(generic)
+        reductions.clear()
+        checked = 0
+        for el, i in prolongations(generic.marked):
+            report = triangular_representation(
+                generic, el.head, i, base=base, truncation_degree=m
+            )
+            assert report.representation is prolongation_rep(generic.marked, el, i)
+            checked += 1
+        assert checked > 0
+        assert reductions == []
 
 
 class TestVerifyComplex:
