@@ -39,8 +39,10 @@ from .ring import (
     ModuleElement,
     ModuleTerm,
     ParamPoly,
+    Rational,
     exp_deg,
     min_index,
+    rational,
 )
 
 
@@ -110,7 +112,7 @@ class FamilyIdeal:
     generators: tuple[ParamPoly, ...]
     param_names: tuple[str, ...]
 
-    def vanishes_at(self, assignment: Mapping[int, Fraction]) -> bool:
+    def vanishes_at(self, assignment: Mapping[int, Rational]) -> bool:
         return all(g.evaluate(assignment) == 0 for g in self.generators)
 
 
@@ -128,13 +130,13 @@ def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
     return FamilyIdeal(tuple(out), generic.param_names)
 
 
-def _normalize_assignment(generic: GenericMarkedSet, assignment: Mapping) -> dict[int, Fraction]:
-    by_index: dict[int, Fraction] = {}
+def _normalize_assignment(generic: GenericMarkedSet, assignment: Mapping) -> dict[int, Rational]:
+    by_index: dict[int, Rational] = {}
     for key, value in assignment.items():
         idx = generic.param_index(key) if isinstance(key, str) else int(key)
         if not 0 <= idx < generic.nparams:
             raise KeyError(f"parameter index {idx} out of range")
-        by_index[idx] = Fraction(value)
+        by_index[idx] = rational(Fraction(value))
     missing = set(range(generic.nparams)) - set(by_index)
     if missing:
         names = [generic.param_names[i] for i in sorted(missing)]

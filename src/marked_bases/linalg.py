@@ -1,16 +1,23 @@
 """Dense exact linear algebra over the rationals.
 
-Rows are lists of Fractions.  Everything here is small and exact: the
-matrices that appear (graded slices of modules) have at most a few hundred
-columns, so classical Gaussian elimination is entirely adequate.
+Rows are lists of exact rationals, ints and Fractions mixed.  A pivot row
+is divided as ``rational(Fraction(x) / pivot)``: ``int / int`` would give a
+float, and an integral quotient stays an int, so integer rows with pivots
++-1 are eliminated in int arithmetic.  Entries that elimination turns
+integral may still be Fractions; the ``ModuleElement`` constructor stores
+them as ints.  Everything here is small and exact: the matrices that appear
+(graded slices of modules) have at most a few hundred columns, so classical
+Gaussian elimination is entirely adequate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .ring import Rational, rational
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+
+def rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form.
 
     Returns the non-zero rows and the pivot column indices (ascending; one
@@ -33,7 +40,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
         pv = mat[rank][col]
         if pv != 1:
-            mat[rank] = [x / pv for x in mat[rank]]
+            mat[rank] = [rational(Fraction(x) / pv) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 factor = mat[r][col]
@@ -47,5 +54,5 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:rank], pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
+def rank(rows: list[list[Rational]]) -> int:
     return len(rref(rows)[0])

@@ -23,7 +23,6 @@ of the same set shares one reduction per prolongation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .monom import PommaretBasis, nonmultiplicative_variables
@@ -36,6 +35,7 @@ from .ring import (
     ParamPoly,
     exp_sub,
     lex_key,
+    rational,
     reduction_key,
     term_mul,
     var_exp,
@@ -132,13 +132,13 @@ class MarkedSet:
     def coefficient_sample(self) -> Coeff:
         for el in self.elements.values():
             return el.body.terms[el.head]
-        return Fraction(1)
+        return 1
 
     def one_like(self) -> Coeff:
         c = self.coefficient_sample()
         if isinstance(c, ParamPoly):
             return ParamPoly.const(c.nparams, 1)
-        return Fraction(1)
+        return 1
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def reduce_full(
                 work.pop(shifted, None)
     order = {head: i for i, head in enumerate(marked.elements)}
     flat = sorted(
-        ((c, mult, head) for (mult, head), c in summands.items()),
+        ((rational(c), mult, head) for (mult, head), c in summands.items()),
         key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
     )
     remainder = ModuleElement(basis.layout, work)

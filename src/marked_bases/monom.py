@@ -242,30 +242,30 @@ def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
 def _quasi_stable_witness(gens: frozenset[Exponent], nvars: int):
     """First (generator, variable) violating the quasi-stability condition.
 
-    For each minimal generator t and non-multiplicative xj the powers
-    xj^s * t/min(t) are tested for membership up to s = maxdeg * nvars; the
-    minimal workable s never exceeds the largest generator degree, so a
-    failure at this bound is conclusive.
+    For each minimal generator t and non-multiplicative xj some power
+    xj^s * t/min(t) must lie in the ideal.  With q = t/min(t), a generator
+    g divides xj^s * q for some s >= 0 exactly when g exceeds q in no
+    exponent but the j-th (s = g_j - q_j then works), so each generator is
+    compared with q once and the variables it reaches are read off where it
+    exceeds q.  Pairs are tried with t in (degree, exponent) order, then j
+    ascending, and the first failing pair is the witness.
     """
-    if not gens:
-        return None
     n = nvars - 1
-    bound = max(exp_deg(e) for e in gens) * nvars
     for e in sorted(gens, key=lambda x: (exp_deg(x), x)):
         m = min_index(e)
         if m is None:
             continue
         quotient = list(e)
         quotient[m] -= 1
+        reached: set[int] = set()
+        for g in gens:
+            over = [i for i, (x, y) in enumerate(zip(g, quotient)) if x > y]
+            if not over:  # g divides q: every variable reaches the ideal
+                reached.update(range(nvars))
+            elif len(over) == 1:
+                reached.add(over[0])
         for j in range(m + 1, n + 1):
-            ok = False
-            for s in range(bound + 1):
-                cand = list(quotient)
-                cand[j] += s
-                if any(exp_divides(g, tuple(cand)) for g in gens):
-                    ok = True
-                    break
-            if not ok:
+            if j not in reached:
                 return tuple(e), j
     return None
 

@@ -17,7 +17,6 @@ are detected and resampled.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .linalg import rref
 from .marked import MarkedElement, MarkedSet, is_marked_basis, monomial_marked_set
@@ -184,10 +183,10 @@ def random_marked_set(rng: random.Random, basis: PommaretBasis,
     """Random tails over the complement; rarely a basis."""
     elements = []
     for head in basis.sorted_terms():
-        terms = {head: Fraction(1)}
+        terms = {head: 1}
         for tail in complement_terms(basis, basis.layout.term_degree(head)):
             if rng.random() < density:
-                c = Fraction(rng.randint(-coeff_bound, coeff_bound))
+                c = rng.randint(-coeff_bound, coeff_bound)
                 if c:
                     terms[tail] = c
         elements.append(MarkedElement(ModuleElement(basis.layout, terms), head))
@@ -206,7 +205,7 @@ def random_homogeneous_element(rng: random.Random, layout: FreeModuleLayout,
     terms = {}
     if pool:
         for t in rng.sample(pool, k=min(max_terms, len(pool))):
-            c = Fraction(rng.randint(-coeff_bound, coeff_bound))
+            c = rng.randint(-coeff_bound, coeff_bound)
             if c:
                 terms[t] = c
     return ModuleElement(layout, terms)
@@ -219,10 +218,10 @@ def unipotent_images(rng: random.Random, nvars: int, coeff_bound: int = 2) -> li
     """Images of the variables: x_i plus a random load of smaller variables."""
     images = []
     for i in range(nvars):
-        p: Poly = {var_exp(nvars, i): Fraction(1)}
+        p: Poly = {var_exp(nvars, i): 1}
         for j in range(i):
             if rng.random() < 0.6:
-                c = Fraction(rng.randint(-coeff_bound, coeff_bound))
+                c = rng.randint(-coeff_bound, coeff_bound)
                 if c:
                     p[var_exp(nvars, j)] = c
         images.append(p)
@@ -230,7 +229,7 @@ def unipotent_images(rng: random.Random, nvars: int, coeff_bound: int = 2) -> li
 
 
 def transform_exponent(images: list[Poly], exp: Exponent) -> Poly:
-    out: Poly = {unit_exp(len(exp)): Fraction(1)}
+    out: Poly = {unit_exp(len(exp)): 1}
     for i, power in enumerate(exp):
         for _ in range(power):
             out = poly_mul(out, images[i])
@@ -256,7 +255,7 @@ def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]):
             if free < 0:
                 continue
             for delta in terms_of_degree(layout.nvars, free):
-                row = [Fraction(0)] * len(columns)
+                row = [0] * len(columns)
                 for e, c in transformed[g].items():
                     row[columns[ModuleTerm(exp_add(e, delta), g.comp)]] = c
                 rows.append(row)
@@ -267,7 +266,7 @@ def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]):
             if layout.term_degree(head) != s:
                 continue
             row = reduced[u_terms.index(head)]
-            terms = {head: Fraction(1)}
+            terms = {head: 1}
             for j, tail in enumerate(n_terms):
                 c = row[len(u_terms) + j]
                 if c:

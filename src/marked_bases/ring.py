@@ -2,7 +2,18 @@
 
 Two coefficient domains are supported:
 
-* ``fractions.Fraction`` -- exact rationals, the computation mode;
+* exact rationals, the computation mode.  An integral rational is stored
+  as a plain ``int`` and every other one as a ``fractions.Fraction``.
+  Inputs are almost always integral and a forced reduction only subtracts
+  multiples, so nearly every coefficient is an ``int``, whose arithmetic is
+  exact and several times cheaper than ``Fraction`` arithmetic.  The two
+  mix exactly (``int`` with ``int`` stays ``int``), compare and hash alike,
+  and print alike (``str(3) == str(Fraction(3))``).  `rational` applies the
+  rule where a rational is divided or stored: in the ``ModuleElement``
+  constructor (so for every parsed, generated, reduced or added element),
+  the ``ParamPoly`` constructors and `ParamPoly.evaluate`, reduction
+  summands, every division by a pivot, and the entries a minimization
+  updates;
 * ``ParamPoly`` -- polynomials with rational coefficients in a declared
   finite list of parameters, the family mode.  Each monomial is stored
   sparsely, as sorted ``(parameter index, power)`` pairs, because a family
@@ -46,6 +57,17 @@ class MissingParameter(MarkedBasesError):
 
 
 Exponent = tuple[int, ...]
+
+# An exact rational as stored: an int when integral, else a Fraction.
+Rational = Union[int, Fraction]
+
+
+def rational(q):
+    """q with an integral Fraction replaced by its int value; every other
+    value (an int, a non-integral Fraction) is returned unchanged."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
@@ -180,39 +202,44 @@ class ParamPoly:
     """Polynomial in a declared list of parameters, rational coefficients.
 
     Storage is sparse: each monomial is a sorted tuple of ``(index, power)``
-    pairs (``()`` is the constant), mapped to a non-zero Fraction, so the
+    pairs (``()`` is the constant), mapped to a non-zero rational, so the
     cost of arithmetic does not grow with the number of parameters.  The
     public constructor takes dense exponent tuples of length ``nparams`` and
     validates them; ``terms`` is a read-only view with dense keys, built on
-    request.  Instances are treated as immutable; arithmetic returns fresh
-    objects.  Plain numbers coerce to constants, so Fractions and ParamPolys
-    mix freely in module-element coefficients.
+    request.  The constructors and `evaluate` store integral rationals as
+    ints; arithmetic stores what int and Fraction arithmetic yield, so ints
+    stay ints, and only a result computed from a non-integral Fraction can
+    be an integral Fraction (equal to the int, and printed alike).
+    Instances are treated as immutable; arithmetic returns fresh objects.
+    Plain numbers coerce to constants, so rationals and ParamPolys mix
+    freely in module-element coefficients.
     """
 
     __slots__ = ("nparams", "_terms")
 
-    def __init__(self, nparams: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, nparams: int, terms: Mapping[Exponent, Rational] | None = None):
         self.nparams = nparams
-        clean: dict[ParamMonomial, Fraction] = {}
+        clean: dict[ParamMonomial, Rational] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nparams:
                     raise ValueError("parameter exponent of wrong length")
-                c = Fraction(c)
+                c = rational(Fraction(c))
                 if c:
                     clean[tuple((i, x) for i, x in enumerate(e) if x)] = c
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, nparams: int, terms: dict[ParamMonomial, Fraction]) -> "ParamPoly":
-        """Wrap sparse terms that already have non-zero Fraction values."""
+    def _trusted(cls, nparams: int, terms: dict[ParamMonomial, Rational]) -> "ParamPoly":
+        """Wrap sparse terms whose values are already non-zero rationals;
+        nothing is copied, checked or converted."""
         p = object.__new__(cls)
         p.nparams = nparams
         p._terms = terms
         return p
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
+    def terms(self) -> Mapping[Exponent, Rational]:
         """Read-only view keyed by dense exponent tuples over all parameters."""
         dense = {}
         for m, c in self._terms.items():
@@ -224,14 +251,14 @@ class ParamPoly:
 
     @classmethod
     def const(cls, nparams: int, value) -> "ParamPoly":
-        v = Fraction(value)
+        v = rational(Fraction(value))
         return cls._trusted(nparams, {(): v} if v else {})
 
     @classmethod
     def variable(cls, nparams: int, i: int) -> "ParamPoly":
         if not 0 <= i < nparams:
             raise ValueError(f"parameter index {i} out of range")
-        return cls._trusted(nparams, {((i, 1),): Fraction(1)})
+        return cls._trusted(nparams, {((i, 1),): 1})
 
     def _coerce(self, other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
@@ -336,27 +363,27 @@ class ParamPoly:
     def is_constant(self) -> bool:
         return all(not m for m in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if not self._terms:
-            return Fraction(0)
+            return 0
         [(m, c)] = self._terms.items()
         if m:
             raise ValueError("not a constant")
         return c
 
-    def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
+    def evaluate(self, assignment: Mapping[int, Rational]) -> Rational:
         missing = {i for i in self.occurring() if i not in assignment}
         if missing:
             raise MissingParameter(f"parameters {sorted(missing)} unassigned")
-        total = Fraction(0)
+        total = 0
         for m, c in self._terms.items():
             v = c
             for i, p in m:
                 v *= assignment[i] if p == 1 else assignment[i] ** p
             total += v
-        return total
+        return rational(total)
 
-    def sorted_terms(self) -> list[tuple[ParamMonomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[ParamMonomial, Rational]]:
         """(sparse monomial, coefficient) pairs, degree ascending, then
         ascending dense exponent tuple."""
         return sorted(self._terms.items(), key=lambda item: _mono_order_key(item[0]))
@@ -365,13 +392,14 @@ class ParamPoly:
         return f"ParamPoly({self.nparams}, {dict(self.terms)!r})"
 
 
-Coeff = Union[Fraction, ParamPoly]
+Coeff = Union[int, Fraction, ParamPoly]
 
 
 class ModuleElement:
     """Homogeneous sparse element of a weighted free module.
 
-    ``terms`` never stores zero coefficients.  ``degree`` is None exactly for
+    ``terms`` never stores zero coefficients, and the constructor stores
+    integral rationals as ints (`rational`).  ``degree`` is None exactly for
     the zero element, which is compatible with every degree.
     """
 
@@ -391,7 +419,7 @@ class ModuleElement:
                 raise HeterogeneousElement(
                     f"degrees {degree} and {d} in one element"
                 )
-            clean[t] = c
+            clean[t] = rational(c)
         self.layout = layout
         self.terms = clean
         self.degree = degree
@@ -401,7 +429,7 @@ class ModuleElement:
         return cls(layout, {})
 
     @classmethod
-    def from_term(cls, layout: FreeModuleLayout, t: ModuleTerm, coeff: Coeff = Fraction(1)):
+    def from_term(cls, layout: FreeModuleLayout, t: ModuleTerm, coeff: Coeff = 1):
         return cls(layout, {t: coeff})
 
     def is_zero(self) -> bool:
@@ -411,7 +439,7 @@ class ModuleElement:
         return set(self.terms)
 
     def coefficient(self, t: ModuleTerm) -> Coeff:
-        return self.terms.get(t, Fraction(0))
+        return self.terms.get(t, 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: canonical_term_key(item[0]))
@@ -457,14 +485,15 @@ Poly = dict[Exponent, Coeff]
 
 
 def poly_add_scaled(target: Poly, source: Poly, factor: Coeff) -> None:
-    """In-place target += factor * source, keeping the dict canonical."""
+    """In-place target += factor * source, keeping the dict canonical and
+    its rationals stored by the int-when-integral rule."""
     if not factor:
         return
     for e, c in source.items():
         s = target.get(e)
         s = factor * c if s is None else s + factor * c
         if s:
-            target[e] = s
+            target[e] = rational(s)
         else:
             target.pop(e, None)
 

@@ -53,6 +53,7 @@ from .ring import (
     poly_add_scaled,
     poly_constant,
     poly_mul,
+    rational,
     var_exp,
 )
 
@@ -259,24 +260,29 @@ def verify_complex(res: FreeResolution) -> bool:
 
 
 def _has_parametric(res: FreeResolution) -> bool:
+    """Whether any coefficient is a ParamPoly; empty entries (most of the
+    matrices) are skipped before anything else is looked at."""
     for body in res.bodies:
         if any(isinstance(c, ParamPoly) for c in body.terms.values()):
             return True
     for mat in res.matrices:
         for row in mat:
             for entry in row:
-                if any(isinstance(c, ParamPoly) for c in entry.values()):
+                if entry and any(isinstance(c, ParamPoly) for c in entry.values()):
                     return True
     return False
 
 
 def _find_pivot(matrices):
+    """The first non-zero constant entry: lowest differential, then row,
+    then column; empty entries are skipped unexamined."""
     for i, mat in enumerate(matrices):
         for r, row in enumerate(mat):
             for c, entry in enumerate(row):
-                v = poly_constant(entry)
-                if v is not None:
-                    return i, r, c, v
+                if entry:
+                    v = poly_constant(entry)
+                    if v is not None:
+                        return i, r, c, v
     return None
 
 
@@ -309,34 +315,34 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
         factors = {}
         for c2, entry in enumerate(mat[r]):
             if c2 != c and entry:
-                factors[c2] = {e: v / pivot for e, v in entry.items()}
+                factors[c2] = {e: rational(Fraction(v) / pivot) for e, v in entry.items()}
         for c2, factor in factors.items():
             for row in mat:
                 if row[c]:
-                    poly_add_scaled(row[c2], poly_mul(factor, row[c]), Fraction(-1))
+                    poly_add_scaled(row[c2], poly_mul(factor, row[c]), -1)
         if i + 1 < len(matrices):
             upper = matrices[i + 1]
             for c2, factor in factors.items():
                 for col in range(len(upper[c2])):
                     if upper[c2][col]:
-                        poly_add_scaled(upper[c][col], poly_mul(factor, upper[c2][col]), Fraction(1))
+                        poly_add_scaled(upper[c][col], poly_mul(factor, upper[c2][col]), 1)
 
         # Row elimination: new gen_r = gen_r + sum(mu_r2 * gen_r2) at level i.
         mus = {}
         for r2 in range(len(mat)):
             if r2 != r and mat[r2][c]:
-                mus[r2] = {e: v / pivot for e, v in mat[r2][c].items()}
+                mus[r2] = {e: rational(Fraction(v) / pivot) for e, v in mat[r2][c].items()}
         for r2, mu in mus.items():
             scaled = [poly_mul(mu, entry) if entry else {} for entry in mat[r]]
             for c2 in range(len(mat[r2])):
                 if scaled[c2]:
-                    poly_add_scaled(mat[r2][c2], scaled[c2], Fraction(-1))
+                    poly_add_scaled(mat[r2][c2], scaled[c2], -1)
         if i >= 1:
             lower = matrices[i - 1]
             for r2, mu in mus.items():
                 for row in lower:
                     if row[r2]:
-                        poly_add_scaled(row[r], poly_mul(mu, row[r2]), Fraction(1))
+                        poly_add_scaled(row[r], poly_mul(mu, row[r2]), 1)
         else:
             for r2, mu in mus.items():
                 bodies[r] = bodies[r] + element_times_poly(bodies[r2], mu)

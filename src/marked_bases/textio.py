@@ -37,6 +37,7 @@ from .ring import (
     ModuleTerm,
     ParamPoly,
     Poly,
+    Rational,
 )
 from .syzygy import FreeResolution
 
@@ -121,7 +122,7 @@ class _Parser:
         raise PolySyntaxError(message, *self.where(col))
 
     def parse(self):
-        terms: dict[ModuleTerm, Fraction] = {}
+        terms: dict[ModuleTerm, Rational] = {}
         head = None
         sign = 1
         kind, value, col = self.peek()
@@ -136,7 +137,7 @@ class _Parser:
                 if head is not None:
                     self.error("more than one bracketed head")
                 head = term
-            total = terms.get(term, Fraction(0)) + sign * coeff
+            total = terms.get(term, 0) + sign * coeff
             if total:
                 terms[term] = total
             else:
@@ -247,7 +248,7 @@ def format_module_term(t: ModuleTerm, rank: int) -> str:
     return marker if base == "1" else f"{base}*{marker}"
 
 
-def _param_term(m, mag: Fraction, names) -> str:
+def _param_term(m, mag: Rational, names) -> str:
     """One term of a parameter polynomial: magnitude times the monomial m,
     given as sorted (index, power) pairs; default names are C0, C1, ..."""
     factors = []

@@ -125,6 +125,33 @@ def regularity_oracle(gens, nvars: int) -> int:
         assert s < 60, "regularity scan runaway"
 
 
+def quasi_stable_witness_scan(gens, nvars: int):
+    """The quasi-stability witness by a plain scan: for each generator t
+    (degree, then exponent order) and non-multiplicative x_j, the terms
+    x_j^s * t/min(t) for s = 0..maxdeg*nvars are tested one by one against
+    every generator; the first pair with no member is the witness."""
+    if not gens:
+        return None
+    bound = max(exp_deg(e) for e in gens) * nvars
+    for e in sorted(gens, key=lambda x: (exp_deg(x), x)):
+        m = min_index(e)
+        if m is None:
+            continue
+        quotient = list(e)
+        quotient[m] -= 1
+        for j in range(m + 1, nvars):
+            ok = False
+            for s in range(bound + 1):
+                cand = list(quotient)
+                cand[j] += s
+                if ideal_contains(gens, tuple(cand)):
+                    ok = True
+                    break
+            if not ok:
+                return tuple(e), j
+    return None
+
+
 def elements_matrix(elems, columns):
     index = {t: i for i, t in enumerate(columns)}
     rows = []

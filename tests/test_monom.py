@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marked_bases import (
     FreeModuleLayout,
@@ -23,10 +24,14 @@ from marked_bases import (
     stability_class,
     truncate_basis,
 )
-from marked_bases.monom import minimalize, module_terms_of_degree
-from marked_bases.randgen import random_quasi_stable_basis, random_quasi_stable_module
+from marked_bases.monom import _quasi_stable_witness, minimalize, module_terms_of_degree
+from marked_bases.randgen import (
+    random_quasi_stable_basis,
+    random_quasi_stable_exponents,
+    random_quasi_stable_module,
+)
 from conftest import LAY3, T
-from oracles import brute_hilbert, ideal_slice
+from oracles import brute_hilbert, ideal_slice, quasi_stable_witness_scan
 
 LAY2 = FreeModuleLayout(1)
 
@@ -139,6 +144,42 @@ class TestStabilityClass:
             cls = stability_class(module)
             added = basis.terms != frozenset(T(g) for g in gens)
             assert (cls == StabilityClass.STABLE) == (not added)
+
+
+exponent_sets = st.integers(2, 4).flatmap(
+    lambda nvars: st.tuples(
+        st.just(nvars),
+        st.frozensets(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=5),
+    )
+)
+
+
+class TestQuasiStableWitness:
+    """The per-generator witness test against the plain scan in oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_sets, st.booleans())
+    def test_matches_scan(self, case, minimal):
+        nvars, gens = case
+        if minimal:
+            gens = minimalize(gens)
+        assert _quasi_stable_witness(gens, nvars) == quasi_stable_witness_scan(gens, nvars)
+
+    def test_both_verdicts_occur_and_agree(self, rng):
+        verdicts = []
+        for _ in range(60):
+            nvars = rng.randint(2, 4)
+            if rng.random() < 0.5:
+                gens = random_quasi_stable_exponents(rng, nvars, 3)
+            else:
+                gens = minimalize(
+                    tuple(rng.randint(0, 3) for _ in range(nvars))
+                    for _ in range(rng.randint(1, 4))
+                )
+            witness = _quasi_stable_witness(gens, nvars)
+            assert witness == quasi_stable_witness_scan(gens, nvars)
+            verdicts.append(witness is None)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestInvariants:
