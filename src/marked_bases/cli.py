@@ -6,7 +6,9 @@ a plain-text report or, with ``--json``, a stable JSON document.  ``--output
 FILE`` additionally persists whatever was printed.
 
 Exit codes: 0 on success, 1 for a negative mathematical answer (the
-certificate goes to standard output), 2 for input errors.
+certificate goes to standard output), 2 for input errors.  A failed
+self-check of the kernel (`ring.InternalError`) also exits 1, with its
+message on standard output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .family import StructureViolated, family_equations, generic_marked_set, specialize
+from .family import family_equations, generic_marked_set, specialize
 from .marked import (
     HeadCoefficientNotOne,
     HeadMismatch,
@@ -379,30 +381,34 @@ def _parse_assignment(raw: str) -> dict[str, Fraction]:
 
 
 def cmd_specialize(doc, args):
+    """Specialize the generic tails and run the basis test on the result.
+
+    The family equations are not built.  Marked reduction is forced: each
+    step's target depends only on the heads and the coefficients enter
+    linearly, so reducing commutes with specializing.  The family equations
+    evaluated at the point are therefore the remainder coefficients of the
+    specialized set's prolongations, and they all vanish exactly when the
+    basis test says yes.  "family equations vanish" is read from that
+    verdict; the test suite checks it against `FamilyIdeal.vanishes_at`.
+    """
     basis = _basis(doc, args)
     generic = generic_marked_set(basis)
-    fam = family_equations(generic)
     try:
         assignment = _parse_assignment(args.assignment)
-        spec = specialize(generic, assignment, fam)
+        spec = specialize(generic, assignment)
     except KeyError as exc:
         raise InputFormatError(str(exc)) from None
     result = is_marked_basis(spec.marked)
-    if spec.family_vanishes != result.is_basis:
-        # The equations vanish exactly at marked bases; anything else is a bug.
-        raise StructureViolated(
-            f"family equations {'vanish' if spec.family_vanishes else 'do not vanish'} "
-            f"but the basis test says {'yes' if result.is_basis else 'no'}"
-        )
+    vanishes = result.is_basis
     lines = ["specialized elements:"]
     for el in spec.marked.ordered():
         lines.append("  " + format_marked_element(el.body, el.head))
-    lines.append(f"family equations vanish: {'yes' if spec.family_vanishes else 'no'}")
+    lines.append(f"family equations vanish: {'yes' if vanishes else 'no'}")
     payload = {
         "elements": [
             format_marked_element(el.body, el.head) for el in spec.marked.ordered()
         ],
-        "family_vanishes": spec.family_vanishes,
+        "family_vanishes": vanishes,
         "marked_basis": result.is_basis,
     }
     if result.is_basis:

@@ -7,7 +7,10 @@ non-multiplicative prolongation of the generic set and collecting the
 complement-term coefficients of the remainders yields a set R of parameter
 polynomials; an assignment of the parameters produces a marked basis exactly
 when it annihilates R, so R cuts out the family of all marked bases over
-these heads inside the affine space of tail coefficients.
+these heads inside the affine space of tail coefficients.  Since reduction
+is forced, it commutes with evaluating the parameters: whether R vanishes at
+a point is exactly the basis test of the specialized set, which is how
+`mbases specialize` reads it without building R.
 
 The family equations and the triangular check read the same memoised
 prolongation reductions as the basis test (`marked.prolongations` and
@@ -34,6 +37,7 @@ from .marked import (
 )
 from .monom import PommaretBasis, basis_invariants, complement_terms, rho, truncate_basis
 from .ring import (
+    InternalError,
     MarkedBasesError,
     MissingParameter,
     ModuleElement,
@@ -50,7 +54,7 @@ class HypothesisViolated(MarkedBasesError):
     """A stated hypothesis of the triangular representation fails."""
 
 
-class StructureViolated(MarkedBasesError):
+class StructureViolated(InternalError):
     """The verified structural claim failed; indicates an implementation bug."""
 
 
@@ -158,7 +162,14 @@ def specialize(
 ) -> Specialization:
     """Evaluate every parameter; reports whether the supplied family
     equations vanish at the assignment (they do iff the specialized set is a
-    marked basis)."""
+    marked basis).
+
+    Marked reduction is forced, so it commutes with specialization: the
+    family equations at a point are the remainder coefficients of the
+    specialized set's prolongations.  A caller that only needs the verdict
+    can therefore run `is_marked_basis` on ``marked`` and skip ``family``;
+    `mbases specialize` does so.
+    """
     values = _normalize_assignment(generic, assignment)
     elements = []
     for el in generic.marked.ordered():

@@ -29,6 +29,7 @@ from .monom import PommaretBasis, nonmultiplicative_variables
 from .ring import (
     Coeff,
     Exponent,
+    InternalError,
     MarkedBasesError,
     ModuleElement,
     ModuleTerm,
@@ -60,7 +61,7 @@ class NotABasis(MarkedBasesError):
     """Operation requires a previously certified marked basis."""
 
 
-class InternalNonTermination(MarkedBasesError):
+class InternalNonTermination(InternalError):
     """The per-step lex certificate failed; indicates an implementation bug."""
 
 

@@ -11,18 +11,32 @@ be read off from it.
 
 The constant exponent (the unit term) is treated as having every variable
 multiplicative, so the unit ideal has Pommaret basis {1}.
+
+Cone lookups never scan the vertices.  Write cls(s) = m for the index of
+the smallest variable dividing x^s (m = n for the unit term).  The cone of a
+vertex s of class m holds t exactly when t lies in the same component,
+t[m+1:] == s[m+1:] and t[m] >= s[m], since s vanishes below m.  So a cone is
+fixed by the key (component, m, s[m+1:]) plus the lower bound s[m], and
+`ConeIndex` files every vertex under that key, the way Janet and Pommaret
+trees do (Gerdt, Blinkov and Yanovich, "Construction of Janet bases I",
+CASC 2001; Seiler, *Involution*, 2010).  The vertices whose cones contain a
+term are then found with at most n + 1 dict probes, one per candidate class.
+`PommaretBasis.cone_divisor`, the structural test `is_pommaret_basis`, the
+completion and `complement_terms` all go through it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 from math import comb
 
 from .ring import (
     Exponent,
     FreeModuleLayout,
+    InternalError,
     MarkedBasesError,
     ModuleTerm,
     exp_add,
@@ -52,6 +66,12 @@ class StabilityClass(enum.Enum):
     STABLE = "stable"
 
 
+def pommaret_class(e: Exponent, n: int) -> int:
+    """cls(x^e): the index of the smallest variable dividing x^e, n for 1."""
+    m = min_index(e)
+    return n if m is None else m
+
+
 def multiplicative_variables(t, n: int) -> frozenset[int]:
     """Indices of the Pommaret-multiplicative variables {x0, ..., min(t)}.
 
@@ -59,28 +79,60 @@ def multiplicative_variables(t, n: int) -> frozenset[int]:
     exponent every variable is multiplicative.
     """
     exp = t.exp if isinstance(t, ModuleTerm) else t
-    m = min_index(exp)
-    if m is None:
-        m = n
-    return frozenset(range(m + 1))
+    return frozenset(range(pommaret_class(exp, n) + 1))
 
 
 def nonmultiplicative_variables(t, n: int) -> tuple[int, ...]:
     exp = t.exp if isinstance(t, ModuleTerm) else t
-    m = min_index(exp)
-    if m is None:
-        m = n
-    return tuple(range(m + 1, n + 1))
+    return tuple(range(pommaret_class(exp, n) + 1, n + 1))
 
 
-def in_cone(vertex: Exponent, e: Exponent) -> bool:
-    """Whether x^e lies in the Pommaret cone of x^vertex."""
-    if not exp_divides(vertex, e):
-        return False
-    m = min_index(vertex)
-    if m is None:
-        return True
-    return all(e[i] == vertex[i] for i in range(m + 1, len(e)))
+class ConeIndex:
+    """Pommaret cones filed under (component, class, exponents above it).
+
+    A vertex s of class m is stored as the pair (s[m], item) in the bucket
+    (comp, m, s[m+1:]); its cone holds x^e in component comp exactly when
+    the bucket (comp, m, e[m+1:]) has it and e[m] >= s[m].  A lookup probes
+    one bucket per class m <= n, and skips a class m < n with e[m] = 0, which
+    no vertex of that class can reach.
+    """
+
+    __slots__ = ("n", "buckets")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.buckets: dict[tuple, list] = {}
+
+    def add(self, comp: int, e: Exponent, item) -> None:
+        m = pommaret_class(e, self.n)
+        self.buckets.setdefault((comp, m, e[m + 1:]), []).append((e[m], item))
+
+    def find(self, comp: int, e: Exponent):
+        """The item of a vertex whose cone holds x^e, or None."""
+        get = self.buckets.get
+        n = self.n
+        for m in range(n + 1):
+            x = e[m]
+            if x or m == n:
+                bucket = get((comp, m, e[m + 1:]))
+                if bucket is not None:
+                    for low, item in bucket:
+                        if x >= low:
+                            return item
+        return None
+
+    def covering(self, comp: int, e: Exponent) -> list:
+        """The items of every vertex whose cone holds x^e."""
+        get = self.buckets.get
+        n = self.n
+        out = []
+        for m in range(n + 1):
+            x = e[m]
+            if x or m == n:
+                for low, item in get((comp, m, e[m + 1:]), ()):
+                    if x >= low:
+                        out.append(item)
+        return out
 
 
 def terms_of_degree(nvars: int, d: int):
@@ -147,13 +199,19 @@ class PommaretBasis:
     """Finite term set with the disjoint-cone certificate.
 
     ``certified`` is set by the completion algorithm or by the structural
-    test; cone lookups are memoised (sound: the value is immutable).
+    test.  Cone lookups go through a `ConeIndex` of the terms, keyed by
+    (component, class, exponents above the class) and built on the first
+    lookup; their answers are memoised in ``_cone_cache`` (sound: the value
+    is immutable).
     """
 
     layout: FreeModuleLayout
     terms: frozenset[ModuleTerm]
     certified: bool = False
     _cone_cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    _cone_index: ConeIndex | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def sorted_terms(self) -> list[ModuleTerm]:
         return sorted(self.terms, key=lambda t: listing_key(self.layout, t))
@@ -175,13 +233,19 @@ class PommaretBasis:
         hit = self._cone_cache.get(t, False)
         if hit is not False:
             return hit
-        found = None
-        for g in self.terms:
-            if g.comp == t.comp and in_cone(g.exp, t.exp):
-                found = g
-                break
+        found = self.cone_index().find(t.comp, t.exp)
         self._cone_cache[t] = found
         return found
+
+    def cone_index(self) -> ConeIndex:
+        """The `ConeIndex` of the terms, built on first use."""
+        index = self._cone_index
+        if index is None:
+            index = ConeIndex(self.layout.n)
+            for g in self.terms:
+                index.add(g.comp, g.exp, g)
+            object.__setattr__(self, "_cone_index", index)
+        return index
 
 
 def cone_divisor(basis: PommaretBasis, t: ModuleTerm):
@@ -197,20 +261,21 @@ def is_pommaret_basis(terms, layout: FreeModuleLayout) -> bool:
     non-multiplicative prolongation of a term lies in exactly one cone.
     Two Pommaret cones can only intersect when one vertex lies in the other
     cone, so these local conditions certify the global disjoint cover.
+    Both are read from a `ConeIndex` of the terms.
     """
     terms = set(terms)
     n = layout.n
+    index = ConeIndex(n)
     for t in terms:
-        for s in terms:
-            if s != t and s.comp == t.comp and in_cone(s.exp, t.exp):
-                return False
+        index.add(t.comp, t.exp, t)
+    # Every term lies in its own cone, so one covering vertex means no other.
+    for t in terms:
+        if len(index.covering(t.comp, t.exp)) != 1:
+            return False
     for t in terms:
         for j in nonmultiplicative_variables(t, n):
             prol = exp_add(t.exp, var_exp(layout.nvars, j))
-            hits = sum(
-                1 for s in terms if s.comp == t.comp and in_cone(s.exp, prol)
-            )
-            if hits != 1:
+            if len(index.covering(t.comp, prol)) != 1:
                 return False
     return True
 
@@ -222,21 +287,36 @@ def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
     ascending exponent-tuple order; the resulting set does not depend on
     this choice.  Terminates exactly on quasi-stable input, which callers
     check first.
+
+    The prolongations wait in a heap in that order.  Cones only grow, so a
+    prolongation covered when it is produced, or when it is popped, stays
+    covered and is dropped; the first uncovered one popped is the least
+    uncovered prolongation of the current set, and joins it and the index.
     """
     basis = set(exps)
     n = nvars - 1
-    while True:
-        pending = set()
-        for e in basis:
-            m = min_index(e)
-            top = n if m is None else m
-            for j in range(top + 1, n + 1):
-                prol = exp_add(e, var_exp(nvars, j))
-                if not any(in_cone(v, prol) for v in basis):
-                    pending.add(prol)
-        if not pending:
-            return basis
-        basis.add(min(pending, key=lambda e: (exp_deg(e), e)))
+    index = ConeIndex(n)
+    for e in basis:
+        index.add(0, e, e)
+    queue: list[tuple[int, Exponent]] = []
+    queued: set[Exponent] = set()
+
+    def enqueue(e: Exponent) -> None:
+        for j in range(pommaret_class(e, n) + 1, n + 1):
+            prol = exp_add(e, var_exp(nvars, j))
+            if prol not in queued and index.find(0, prol) is None:
+                queued.add(prol)
+                heappush(queue, (exp_deg(prol), prol))
+
+    for e in exps:
+        enqueue(e)
+    while queue:
+        _, e = heappop(queue)
+        if index.find(0, e) is None:
+            basis.add(e)
+            index.add(0, e, e)
+            enqueue(e)
+    return basis
 
 
 def _quasi_stable_witness(gens: frozenset[Exponent], nvars: int):
@@ -312,7 +392,8 @@ def stability_class(module: MonomialModule) -> StabilityClass:
             return StabilityClass.NOT_QUASI_STABLE
         stable = _is_stable_component(gens, layout.nvars)
         completed = _complete_component(set(gens), layout.nvars)
-        assert (completed == set(gens)) == stable, "stability criteria disagree"
+        if (completed == set(gens)) != stable:
+            raise InternalError("stability criteria disagree")
         all_stable = all_stable and stable
     return StabilityClass.STABLE if all_stable else StabilityClass.QUASI_STABLE
 
@@ -335,7 +416,8 @@ def pommaret_completion(module: MonomialModule) -> PommaretBasis:
         for e in _complete_component(set(gens), layout.nvars):
             terms.add(ModuleTerm(e, k))
     basis = PommaretBasis(layout, frozenset(terms), certified=True)
-    assert is_pommaret_basis(basis.terms, layout)
+    if not is_pommaret_basis(basis.terms, layout):
+        raise InternalError("the completion is not a Pommaret basis (disjoint cones fail)")
     return basis
 
 
@@ -361,11 +443,7 @@ def basis_invariants(basis: PommaretBasis) -> InvariantReport:
         layout.term_degree(t) for t in basis.terms if t.exp[0] > 0
     ]
     satiety = max(x0_degrees) if x0_degrees else 0
-    mins = []
-    for t in basis.terms:
-        m = min_index(t.exp)
-        mins.append(layout.n if m is None else m)
-    d = min(mins)
+    d = min(pommaret_class(t.exp, layout.n) for t in basis.terms)
     return InvariantReport(
         regularity=reg,
         satiety=satiety,
@@ -421,15 +499,14 @@ def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
         if d >= m + 1:
             out.add(t)
             continue
-        mi = min_index(t.exp)
-        top = layout.n if mi is None else mi
-        for extra in terms_of_degree(top + 1, m - d):
+        for extra in terms_of_degree(pommaret_class(t.exp, layout.n) + 1, m - d):
             e = list(t.exp)
             for i, x in enumerate(extra):
                 e[i] += x
             out.add(ModuleTerm(tuple(e), t.comp))
     result = PommaretBasis(layout, frozenset(out), certified=True)
-    assert is_pommaret_basis(result.terms, layout), "truncation lost the cone cover"
+    if not is_pommaret_basis(result.terms, layout):
+        raise InternalError("truncation lost the cone cover")
     return result
 
 
@@ -455,8 +532,7 @@ def hilbert_function(basis: PommaretBasis, s: int) -> int:
         free = s - layout.term_degree(t)
         if free < 0:
             continue
-        mi = min_index(t.exp)
-        i = layout.n if mi is None else mi
+        i = pommaret_class(t.exp, layout.n)
         total += comb(free + i, i)
     return total
 
@@ -471,19 +547,23 @@ def complement_rank(basis: PommaretBasis, s: int) -> int:
 
 
 def complement_terms(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
-    """The degree-s terms of the free module outside U, in listing order."""
+    """The degree-s terms of the free module outside U, in listing order.
+
+    The cones of a certified basis cover U exactly, so a term is outside U
+    when no cone holds it.
+    """
     if not basis.certified:
         raise ValueError("requires a certified basis")
     layout = basis.layout
+    find = basis.cone_index().find
     out = []
     for k in range(1, layout.rank + 1):
         d = s - layout.weight(k)
         if d < 0:
             continue
         for e in terms_of_degree(layout.nvars, d):
-            t = ModuleTerm(e, k)
-            if not basis.contains_term(t):
-                out.append(t)
+            if find(k, e) is None:
+                out.append(ModuleTerm(e, k))
     out.sort(key=lambda t: listing_key(layout, t))
     return out
 

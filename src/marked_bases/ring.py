@@ -48,6 +48,14 @@ class MarkedBasesError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InternalError(MarkedBasesError):
+    """A self-check of the kernel failed; indicates a bug, never bad input.
+
+    Raised explicitly rather than by ``assert`` so that the check also runs
+    under ``python -O``.
+    """
+
+
 class HeterogeneousElement(MarkedBasesError):
     """A module element mixes terms of two different degrees."""
 

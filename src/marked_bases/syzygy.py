@@ -393,12 +393,12 @@ def predicted_ranks(basis: PommaretBasis) -> dict[tuple[int, int], int]:
 
     with beta[k][j0] the number of basis terms of degree j0 and minimal
     variable x_k.  The count is independent of the tails: every marked basis
-    over the same head terms produces these exact level sizes.
+    over the same head terms produces these exact level sizes.  For a module
+    the degree of a term x^a e_k is |a| plus the weight of e_k, and the
+    formula is the same.
     """
     if not basis.certified:
         raise ValueError("requires a certified basis")
-    if basis.layout.rank != 1:
-        raise ValueError("rank formula is exposed for the ideal case")
     n = basis.layout.n
     beta: dict[int, dict[int, int]] = {}
     d_min = n

@@ -18,6 +18,7 @@ from marked_bases.ring import (
     FreeModuleLayout,
     ModuleElement,
     ModuleTerm,
+    exp_add,
     exp_deg,
     exp_divides,
     exp_lcm,
@@ -150,6 +151,73 @@ def quasi_stable_witness_scan(gens, nvars: int):
             if not ok:
                 return tuple(e), j
     return None
+
+
+# ---------- Pommaret cones by scanning ----------
+# The cone machinery as it was before `monom.ConeIndex`: every lookup tests
+# every vertex with `in_cone`.
+
+
+def in_cone(vertex, e) -> bool:
+    """Whether x^e lies in the Pommaret cone of x^vertex."""
+    if not exp_divides(vertex, e):
+        return False
+    m = min_index(vertex)
+    if m is None:
+        return True
+    return all(e[i] == vertex[i] for i in range(m + 1, len(e)))
+
+
+def covering_scan(terms, t) -> set:
+    """Every vertex whose cone contains t."""
+    return {s for s in terms if s.comp == t.comp and in_cone(s.exp, t.exp)}
+
+
+def cone_divisor_scan(terms, t):
+    for g in terms:
+        if g.comp == t.comp and in_cone(g.exp, t.exp):
+            return g
+    return None
+
+
+def _nonmultiplicative(e, n: int):
+    m = min_index(e)
+    return range((n if m is None else m) + 1, n + 1)
+
+
+def is_pommaret_basis_scan(terms, layout: FreeModuleLayout) -> bool:
+    terms = set(terms)
+    n = layout.n
+    for t in terms:
+        for s in terms:
+            if s != t and s.comp == t.comp and in_cone(s.exp, t.exp):
+                return False
+    for t in terms:
+        for j in _nonmultiplicative(t.exp, n):
+            prol = exp_add(t.exp, var_exp(layout.nvars, j))
+            hits = sum(
+                1 for s in terms if s.comp == t.comp and in_cone(s.exp, prol)
+            )
+            if hits != 1:
+                return False
+    return True
+
+
+def complete_component_scan(exps, nvars: int):
+    """Add the least uncovered prolongation, in (degree, exponent) order,
+    recomputing every uncovered prolongation by a scan after each step."""
+    basis = set(exps)
+    n = nvars - 1
+    while True:
+        pending = set()
+        for e in basis:
+            for j in _nonmultiplicative(e, n):
+                prol = exp_add(e, var_exp(nvars, j))
+                if not any(in_cone(v, prol) for v in basis):
+                    pending.add(prol)
+        if not pending:
+            return basis
+        basis.add(min(pending, key=lambda e: (exp_deg(e), e)))
 
 
 def elements_matrix(elems, columns):

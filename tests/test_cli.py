@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,9 @@ from marked_bases import (
     serialize_resolution,
 )
 from marked_bases import cli as cli_module
+from marked_bases import family as family_module
 from marked_bases.cli import main
-from marked_bases.family import FamilyIdeal
-from marked_bases.ring import ParamPoly
+from marked_bases.marked import BasisCheck
 from marked_bases.textio import (
     PolySyntaxError,
     UnknownVariable,
@@ -425,26 +426,96 @@ def test_family_and_specialize_text_is_byte_identical(capsys, tmp_path, name, wh
     assert digest == GOLDEN_FAMILY_SHA256[(name, what)]
 
 
-class TestSpecializeCrossCheck:
-    """`specialize` compares the family equations with the basis test and
-    reports a disagreement as an error, also under `python -O`."""
+class TestSpecializeReadsTheBasisTest:
+    """`specialize` takes "family equations vanish" from the basis test of
+    the specialized set and never builds the family equations; the symbolic
+    cross-check is `tests/test_family.py::TestSpecializeOracle`."""
 
-    @pytest.mark.parametrize("point, generators, verdicts", [
-        # A non-zero constant equation never vanishes, at a marked basis too.
-        ("on", (ParamPoly.const(15, 1),), "do not vanish but the basis test says yes"),
-        # No equations vanish everywhere, also off the family.
-        ("off", (), "vanish but the basis test says no"),
-    ])
-    def test_disagreement_is_an_error(self, capsys, tmp_path, monkeypatch,
-                                      point, generators, verdicts):
-        path = _paper_file(tmp_path, "twisted")
-        values, _ = SPECIALIZE_POINTS[("twisted", point)]
+    @pytest.mark.parametrize("name, point", sorted(
+        key for key in GOLDEN_FAMILY_SHA256 if key[1] in ("on", "off")
+    ))
+    def test_golden_text_without_family_equations(self, capsys, tmp_path, monkeypatch,
+                                                  name, point):
+        path = _paper_file(tmp_path, name)
+        values, expected_code = SPECIALIZE_POINTS[(name, point)]
         assignment = _full_assignment(capsys, path, values)
 
-        def forged(generic):
-            return FamilyIdeal(generators, generic.param_names)
+        def refuse(generic):
+            raise AssertionError("specialize built the family equations")
 
-        monkeypatch.setattr(cli_module, "family_equations", forged)
+        for module in (cli_module, family_module):
+            monkeypatch.setattr(module, "family_equations", refuse)
         code, out = run(capsys, "specialize", path, "--set", assignment)
-        assert code == 1
-        assert f"family equations {verdicts}" in out.out
+        assert code == expected_code
+        assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_FAMILY_SHA256[(name, point)]
+
+    @pytest.mark.parametrize("point", ["on", "off"])
+    def test_verdict_follows_the_basis_test(self, capsys, tmp_path, monkeypatch, point):
+        path = _paper_file(tmp_path, "twisted")
+        values, expected_code = SPECIALIZE_POINTS[("twisted", point)]
+        assignment = _full_assignment(capsys, path, values)
+        real = cli_module.is_marked_basis
+
+        def flipped(marked, **kwargs):
+            if real(marked, **kwargs).is_basis:
+                el = marked.ordered()[0]  # any certificate will do
+                return BasisCheck(False, (el.head, 1, el.body))
+            return BasisCheck(True)
+
+        monkeypatch.setattr(cli_module, "is_marked_basis", flipped)
+        code, out = run(capsys, "specialize", path, "--set", assignment, "--json")
+        payload = json.loads(out.out)
+        assert payload["family_vanishes"] == payload["marked_basis"] == (point == "off")
+
+
+def _module_doc(weights: str) -> str:
+    return (
+        "ring 3\n"
+        f"module 2 {weights}\n"
+        "ideal J = x2*e1, x1^2*e1, x2*e2\n"
+        "marked G = [x2*e1], [x1^2*e1] + x1*x0*e1, [x2*e2]\n"
+    )
+
+
+MATRIX_DOCS = {
+    "ideal": TWISTED_DOC,
+    "rank 2, weights (0, 0)": _module_doc("0 0"),
+    "rank 2, weights (0, 1)": _module_doc("0 1"),
+}
+
+
+class TestModuleDocuments:
+    @pytest.mark.parametrize("weights, table", [
+        ("0 0", {"0": {"1": 2, "2": 1}, "1": {"3": 1}}),
+        ("0 1", {"0": {"1": 1, "2": 2}, "1": {"3": 1}}),
+    ])
+    def test_bounds_on_a_module(self, capsys, tmp_path, weights, table):
+        path = tmp_path / "module.mb"
+        path.write_text(_module_doc(weights))
+        code, out = run(capsys, "bounds", str(path), "--ideal", "J")
+        assert code == 0
+        assert "betti bounds r[0,1] = " in out.out
+        code, out = run(capsys, "bounds", str(path), "--ideal", "J", "--json")
+        payload = json.loads(out.out)
+        assert payload["betti_bounds"] == table
+        assert payload["pdim_bound"] == 1
+
+    @pytest.mark.parametrize("doc", sorted(MATRIX_DOCS))
+    @pytest.mark.parametrize("command", [
+        "pommaret", "classify", "truncate", "hilbert", "check", "reduce",
+        "resolve", "bounds", "family", "specialize",
+    ])
+    def test_every_command_on_ideals_and_modules(self, capsys, tmp_path, doc, command):
+        """Each subcommand succeeds on the ideal and on both modules."""
+        path = str(tmp_path / "doc.mb")
+        Path(path).write_text(MATRIX_DOCS[doc])
+        extra = {
+            "truncate": ["--degree", "3"],
+            "hilbert": ["--degree", "3"],
+            "reduce": ["--target", "x2^2*x1" + ("" if doc == "ideal" else "*e1")],
+            "resolve": ["--minimize"],
+            "specialize": ["--set", _full_assignment(capsys, path, {})],
+        }.get(command, [])
+        pick = ["--marked", "G"] if command in ("check", "reduce", "resolve") else ["--ideal", "J"]
+        code, out = run(capsys, command, path, *extra, *pick)
+        assert code == 0, out.out

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marked_bases import (
     FreeModuleLayout,
@@ -22,7 +25,9 @@ from marked_bases import (
     truncate_basis,
     x0_heads_are_divisible,
 )
+from marked_bases import marked as marked_module
 from marked_bases import monom as monom_module
+from marked_bases.family import FamilyIdeal
 from marked_bases.monom import nonmultiplicative_variables
 from marked_bases.randgen import random_marked_basis, random_saturated_basis
 from marked_bases.ring import min_index, var_exp
@@ -270,3 +275,98 @@ class TestComplementEnumeration:
         assert len(basis.terms) > len(degrees)
         assert sorted(enumerations) == sorted(degrees)
         assert generic.nparams
+
+
+# The shapes of the C1-C5 family corpus: (n, weights, generators as
+# (exponent, component), truncation degree).
+FAMILY_CORPUS = {
+    "C1": (2, (0,), [((0, 0, 1), 1), ((0, 6, 0), 1)], 6),
+    "C2": (3, (0,), [((0, 0, 0, 1), 1), ((0, 0, 1, 0), 1), ((0, 6, 0, 0), 1)], 6),
+    "C3": (3, (0,), [((0, 0, 0, 1), 1), ((0, 0, 2, 0), 1), ((0, 2, 1, 0), 1),
+                     ((0, 4, 0, 0), 1)], 5),
+    "C4": (5, (0,), [((0, 0, 0, 0, 0, 1), 1), ((0, 0, 0, 0, 1, 0), 1),
+                     ((0, 0, 0, 1, 0, 0), 1), ((0, 0, 2, 0, 0, 0), 1)], 3),
+    "C5": (2, (0, 0), [((0, 0, 1), 1), ((0, 3, 0), 1), ((0, 0, 2), 2),
+                       ((0, 2, 0), 2)], 4),
+}
+
+
+@functools.cache
+def corpus_family(name):
+    """The corpus basis, its generic marked set and its family equations."""
+    n, weights, gens, degree = FAMILY_CORPUS[name]
+    module = MonomialModule(FreeModuleLayout(n, weights), [T(e, k) for e, k in gens])
+    basis = truncate_basis(pommaret_completion(module), degree)
+    generic = generic_marked_set(basis)
+    return basis, generic, family_equations(generic)
+
+
+def family_point(name, seed: int, kind: str) -> list:
+    """A point of the parameter space: "on" the family (the tails of a random
+    marked basis; generic tails carry -C), "moved" off it in one coordinate
+    (usually), or a "random" one (almost never on it)."""
+    basis, generic, _ = corpus_family(name)
+    rng = random.Random(seed)
+    if kind == "random":
+        return [Fraction(rng.randint(-3, 3)) for _ in range(generic.nparams)]
+    marked = random_marked_basis(rng, basis)
+    values = [-marked.elements[head].body.coefficient(tail)
+              for head, tail in generic.param_pairs]
+    if kind == "moved":
+        values[rng.randrange(len(values))] += rng.choice((-2, -1, 1, 2))
+    return values
+
+
+def cross_check(name, values) -> bool:
+    """The family equations vanish at the point exactly when the specialized
+    set passes the basis test; returns the common verdict."""
+    _, generic, fam = corpus_family(name)
+    spec = specialize(generic, dict(enumerate(values)))
+    vanishes = fam.vanishes_at(spec.assignment)
+    is_basis = marked_module.is_marked_basis(spec.marked).is_basis
+    if vanishes != is_basis:
+        raise AssertionError(f"family equations vanish: {vanishes}, basis test: {is_basis}")
+    return is_basis
+
+
+class TestSpecializeOracle:
+    """`mbases specialize` reads "family equations vanish" from the basis
+    test of the specialized set; the symbolic family is the oracle here."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(FAMILY_CORPUS)), st.integers(0, 2**32 - 1),
+           st.sampled_from(["on", "moved", "random"]))
+    def test_family_vanishes_iff_basis(self, name, seed, kind):
+        verdict = cross_check(name, family_point(name, seed, kind))
+        if kind == "on":
+            assert verdict
+
+    def test_both_verdicts_occur(self):
+        verdicts = {
+            cross_check(name, family_point(name, seed, kind))
+            for name in FAMILY_CORPUS for seed in (1, 2) for kind in ("on", "moved")
+        }
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kind", ["on", "moved"])
+    def test_corrupted_family_verdict_fails(self, monkeypatch, kind):
+        values = family_point("C1", 1, kind)
+        cross_check("C1", values)
+        real = FamilyIdeal.vanishes_at
+        monkeypatch.setattr(FamilyIdeal, "vanishes_at", lambda self, a: not real(self, a))
+        with pytest.raises(AssertionError, match="family equations vanish"):
+            cross_check("C1", values)
+
+    @pytest.mark.parametrize("kind", ["on", "moved"])
+    def test_corrupted_basis_verdict_fails(self, monkeypatch, kind):
+        values = family_point("C1", 1, kind)
+        cross_check("C1", values)
+        real = marked_module.is_marked_basis
+
+        def flipped(marked, **kwargs):
+            result = real(marked, **kwargs)
+            return dataclasses.replace(result, is_basis=not result.is_basis)
+
+        monkeypatch.setattr(marked_module, "is_marked_basis", flipped)
+        with pytest.raises(AssertionError, match="family equations vanish"):
+            cross_check("C1", values)

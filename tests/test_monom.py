@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,16 +28,36 @@ from marked_bases import (
     stability_class,
     truncate_basis,
 )
-from marked_bases.monom import _quasi_stable_witness, minimalize, module_terms_of_degree
+from marked_bases import monom as monom_module
+from marked_bases.cli import main
+from marked_bases.monom import (
+    ConeIndex,
+    _complete_component,
+    _quasi_stable_witness,
+    minimalize,
+    module_terms_of_degree,
+)
+from marked_bases.ring import InternalError
 from marked_bases.randgen import (
     random_quasi_stable_basis,
     random_quasi_stable_exponents,
     random_quasi_stable_module,
 )
-from conftest import LAY3, T
-from oracles import brute_hilbert, ideal_slice, quasi_stable_witness_scan
+from conftest import LAY3, T, TWISTED_DOC
+from oracles import (
+    all_module_terms,
+    brute_hilbert,
+    complete_component_scan,
+    cone_divisor_scan,
+    covering_scan,
+    ideal_slice,
+    is_pommaret_basis_scan,
+    module_slice,
+    quasi_stable_witness_scan,
+)
 
 LAY2 = FreeModuleLayout(1)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestMultiplicativeVariables:
@@ -311,3 +335,213 @@ def test_disjoint_cover_on_random_inputs(rng):
                 assert cone_divisor(basis, t) is not None
             for t in complement_terms(basis, s):
                 assert cone_divisor(basis, t) is None
+            outside = set(all_module_terms(basis.layout, s)) - module_slice(
+                basis.terms, basis.layout, s
+            )
+            assert set(complement_terms(basis, s)) == outside
+
+
+# ---------- the cone index against the scans it replaced ----------
+
+
+@st.composite
+def term_sets(draw):
+    """A layout with 2-5 variables and 1-3 components, and a term set on it:
+    a few exponents (the zero exponent among them half the time), each put
+    in one or more components, so equal exponents in different components
+    occur.  Most such sets are not Pommaret bases."""
+    nvars = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        exps.append((0,) * nvars)
+    terms = set()
+    for e in exps:
+        for k in draw(st.sets(st.integers(1, rank), min_size=1)):
+            terms.add(T(e, k))
+    return FreeModuleLayout(nvars - 1, (0,) * rank), frozenset(terms)
+
+
+def probe_terms(layout, terms, extra):
+    """Each term, each of its prolongations by one variable, and `extra`."""
+    out = set(terms) | set(extra)
+    for t in terms:
+        for j in range(layout.nvars):
+            out.add(T(tuple(x + (i == j) for i, x in enumerate(t.exp)), t.comp))
+    return out
+
+
+def random_pommaret_bases(rng, count):
+    """Completions of random quasi-stable ideals and modules."""
+    for i in range(count):
+        if i % 2:
+            yield random_quasi_stable_module(rng, rng.randint(1, 3), rank=rng.randint(1, 3))
+        else:
+            yield random_quasi_stable_basis(rng, rng.randint(1, 4), max_deg=3)
+
+
+class TestConeIndex:
+    """`ConeIndex`, the structural test and the completion against the
+    vertex scans in oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_sets(), st.data())
+    def test_covering_matches_scan(self, case, data):
+        layout, terms = case
+        extra = data.draw(st.lists(
+            st.builds(T, st.tuples(*[st.integers(0, 4)] * layout.nvars),
+                      st.integers(1, layout.rank)),
+            max_size=8,
+        ))
+        index = ConeIndex(layout.n)
+        for t in terms:
+            index.add(t.comp, t.exp, t)
+        for t in probe_terms(layout, terms, extra):
+            covering = index.covering(t.comp, t.exp)
+            assert len(covering) == len(set(covering))
+            assert set(covering) == covering_scan(terms, t)
+            found = index.find(t.comp, t.exp)
+            assert (found is None) == (not covering)
+            assert found is None or found in covering
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_sets())
+    def test_structural_test_matches_scan(self, case):
+        layout, terms = case
+        assert is_pommaret_basis(terms, layout) == is_pommaret_basis_scan(terms, layout)
+
+    def test_structural_test_on_bases_and_broken_bases(self, rng):
+        verdicts = []
+        for basis in random_pommaret_bases(rng, 20):
+            terms = set(basis.terms)
+            assert is_pommaret_basis(terms, basis.layout)
+            assert is_pommaret_basis_scan(terms, basis.layout)
+            # Dropping or adding a term mostly breaks the cover.
+            victim = sorted(terms)[rng.randrange(len(terms))]
+            moved = T(tuple(x + 1 for x in victim.exp), victim.comp)
+            for broken in (terms - {victim}, terms | {moved}):
+                verdict = is_pommaret_basis(broken, basis.layout)
+                assert verdict == is_pommaret_basis_scan(broken, basis.layout)
+                verdicts.append(verdict)
+        assert not all(verdicts)
+
+    def test_cone_divisor_matches_scan(self, rng):
+        lookups = 0
+        for basis in random_pommaret_bases(rng, 20):
+            layout = basis.layout
+            extra = [
+                T(tuple(rng.randint(0, 4) for _ in range(layout.nvars)),
+                  rng.randint(1, layout.rank))
+                for _ in range(30)
+            ]
+            for t in probe_terms(layout, basis.terms, extra):
+                assert cone_divisor(basis, t) == cone_divisor_scan(basis.terms, t)
+                lookups += 1
+        assert lookups > 500
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent_sets, st.integers(0, 2**32 - 1))
+    def test_completion_matches_scan(self, case, seed):
+        """The drawn ideal if it is quasi-stable (else its completion would
+        not end), otherwise a random quasi-stable ideal in as many variables."""
+        nvars, gens = case
+        gens = minimalize(gens)
+        if _quasi_stable_witness(gens, nvars) is not None:
+            gens = random_quasi_stable_exponents(random.Random(seed), nvars, 3)
+        assert _complete_component(set(gens), nvars) == complete_component_scan(gens, nvars)
+
+    def test_completion_of_random_quasi_stable_ideals(self, rng):
+        grew = 0
+        for _ in range(40):
+            nvars = rng.randint(2, 5)
+            gens = random_quasi_stable_exponents(rng, nvars, 3)
+            completed = _complete_component(set(gens), nvars)
+            assert completed == complete_component_scan(gens, nvars)
+            grew += completed != set(gens)
+        assert grew
+
+
+def _drop_last_added(complete):
+    """Wraps `_complete_component` to lose the last term it added."""
+    def broken(exps, nvars):
+        out = complete(exps, nvars)
+        added = out - set(exps)
+        if added:
+            out.discard(max(added, key=lambda e: (sum(e), e)))
+        return out
+    return broken
+
+
+TWISTED_GENERATORS = [T((0, 1, 1)), T((1, 1, 0)), T((0, 2, 0)), T((0, 0, 3))]
+
+
+class TestSelfChecksRaise:
+    """The structural re-checks raise `InternalError`, so `python -O`
+    keeps them (scripts/tier1.sh runs this file under -O as well)."""
+
+    def test_completion_that_loses_a_term(self, monkeypatch):
+        monkeypatch.setattr(
+            monom_module, "_complete_component",
+            _drop_last_added(monom_module._complete_component),
+        )
+        with pytest.raises(InternalError, match="not a Pommaret basis"):
+            pommaret_completion(MonomialModule(LAY3, TWISTED_GENERATORS))
+
+    def test_truncation_that_loses_a_term(self, monkeypatch, twisted):
+        real = monom_module.terms_of_degree
+
+        def short(nvars, d):
+            # Loses x_top^d * t, which the prolongation of x_(top-1) *
+            # x_top^(d-1) * t by x_top needs as its cone.
+            return list(real(nvars, d))[:-1]
+
+        monkeypatch.setattr(monom_module, "terms_of_degree", short)
+        with pytest.raises(InternalError, match="lost the cone cover"):
+            truncate_basis(twisted.basis, 4)
+
+    def test_stability_criteria_that_disagree(self, monkeypatch):
+        monkeypatch.setattr(monom_module, "_is_stable_component", lambda gens, nvars: True)
+        with pytest.raises(InternalError, match="stability criteria disagree"):
+            stability_class(MonomialModule(LAY3, TWISTED_GENERATORS))
+
+    def test_cli_reports_the_failed_check(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(
+            monom_module, "_complete_component",
+            _drop_last_added(monom_module._complete_component),
+        )
+        path = tmp_path / "twisted.mb"
+        path.write_text(TWISTED_DOC)
+        assert main(["pommaret", str(path)]) == 1
+        assert "not a Pommaret basis" in capsys.readouterr().out
+
+    def test_survives_python_O(self):
+        script = (
+            "from marked_bases import monom, MonomialModule, FreeModuleLayout, ModuleTerm\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+        )
+        probe = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert probe.returncode == 0, probe.stderr  # asserts are really off
+        script += (
+            "real = monom._complete_component\n"
+            "def broken(exps, nvars):\n"
+            "    out = real(exps, nvars)\n"
+            "    out.discard(max(out - set(exps), key=lambda e: (sum(e), e)))\n"
+            "    return out\n"
+            "monom._complete_component = broken\n"
+            "gens = [(0, 1, 1), (1, 1, 0), (0, 2, 0), (0, 0, 3)]\n"
+            "module = MonomialModule(FreeModuleLayout(2), [ModuleTerm(g, 1) for g in gens])\n"
+            "try:\n"
+            "    monom.pommaret_completion(module)\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("raised: the completion is not a Pommaret basis")

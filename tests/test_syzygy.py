@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import marked_bases.marked as marked_module
 from marked_bases import (
@@ -164,12 +165,29 @@ class TestModuleInput:
         assert verify_complex(res)
         assert res.length == basis_invariants(basis).projective_dimension
 
-    def test_rank_formula_is_ideal_only(self, rng):
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3))
+    def test_rank_formula_covers_modules(self, seed, n, rank):
+        """The level ranks of the resolution of a random marked basis over a
+        random quasi-stable module (weights 0-2 per component) are the
+        predicted ones, and the minimal ranks lie under them."""
         from marked_bases.randgen import random_quasi_stable_module
 
-        basis = random_quasi_stable_module(rng, 2, rank=2, max_deg=2)
-        with pytest.raises(ValueError):
-            predicted_ranks(basis)
+        rng = random.Random(seed)
+        basis = random_quasi_stable_module(rng, n, rank=rank, max_deg=2, max_terms=14)
+        predicted = predicted_ranks(basis)
+        res = free_resolution(random_marked_basis(rng, basis))
+        assert res.rank_pairs() == predicted
+        assert res.length == invariant_bounds(basis).pdim_bound
+        for key, count in minimize_resolution(res).rank_pairs().items():
+            assert count <= predicted[key]
+
+    def test_mixed_weights_shift_the_degrees(self):
+        layout = FreeModuleLayout(2, (0, 1))
+        basis = pommaret_completion(MonomialModule(
+            layout, [T((0, 0, 1), 1), T((0, 2, 0), 1), T((0, 0, 1), 2)]
+        ))
+        assert predicted_ranks(basis) == {(0, 1): 1, (0, 2): 2, (1, 3): 1}
 
 
 class TestPredictedRanks:
