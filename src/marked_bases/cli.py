@@ -14,6 +14,7 @@ message on standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -73,6 +74,7 @@ INPUT_ERRORS = (
 )
 
 
+@functools.cache  # one parser per process, shared by every `main` call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbases",
@@ -447,8 +449,7 @@ def _emit(args, code: int, text: str, payload: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = parse_document(fh.read())

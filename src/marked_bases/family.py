@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .marked import (
@@ -71,10 +72,14 @@ class GenericMarkedSet:
     def nparams(self) -> int:
         return len(self.param_names)
 
+    @cached_property
+    def _index_of_name(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.param_names)}
+
     def param_index(self, name: str) -> int:
         try:
-            return self.param_names.index(name)
-        except ValueError:
+            return self._index_of_name[name]
+        except KeyError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
 
@@ -235,7 +240,8 @@ def triangular_representation(
     mi = min_index(head.exp)
     if mi is None or mi > i - 1:
         raise HypothesisViolated(f"min variable of {head} is not below x{i}")
-    assert layout.term_degree(head) == truncation_degree
+    if layout.term_degree(head) != truncation_degree:
+        raise InternalError(f"{head} is a head of the truncation off its degree")
 
     # min(head) < x_i makes x_i non-multiplicative: x_i * F_head is a
     # prolongation, and its reduction is the memoised one.
@@ -246,7 +252,9 @@ def triangular_representation(
         j = min_index(mult)
         if j >= i:
             raise StructureViolated(f"multiplier x{j} not below x{i}")
-        assert j <= (min_index(tau.exp) if min_index(tau.exp) is not None else layout.n)
+        tau_min = min_index(tau.exp)
+        if j > (layout.n if tau_min is None else tau_min):
+            raise StructureViolated(f"multiplier x{j} not multiplicative for {tau}")
     for t in rep.remainder.terms:
         if base.contains_term(t):
             raise StructureViolated(f"remainder term {t} lies inside the base ideal")

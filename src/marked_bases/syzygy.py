@@ -9,18 +9,19 @@ form a marked basis again, so the construction iterates into a free
 resolution whose length and level ranks are known in advance from the
 head terms alone.
 
-Differential matrices store polynomial entries as sparse dicts
-{exponent tuple: coefficient}.  matrices[i] is the map from level i+1 to
-level i: rows are indexed by the level-i generators, columns by the
-level-(i+1) generators, and each column is the syzygy written out in the
-lower level's generators.
+Differentials are stored as sparse columns.  matrices[i] is the map from
+level i+1 to level i, one column per level-(i+1) generator; a column is a
+dict {row: entry}, the row a 0-based level-i generator index and the entry
+a non-zero scalar polynomial {exponent tuple: coefficient}.  A column is
+the syzygy exactly as the syzygy step builds it, written out in the lower
+level's generators (`_column`), and no column ever stores an empty entry.
+The level-0 generator images read the same way: `_column` of each body.
 
 The syzygies are read off the memoised prolongation representations of the
 marked set (`prolongation_rep`), so the basis test and the syzygy step
-share one reduction per prolongation.  The self-checks cost time in
-proportion to the nonzero entries they touch: the syzygy check and
-`verify_complex` both compose sparse columns with `_compose_column`, which
-multiplies nonzero entries only (the matrices are about 95% empty).
+share one reduction per prolongation.  The self-checks (`verify_complex`,
+the per-syzygy check, the minimization invariants) touch non-zero entries
+only and raise `InternalError`, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .ring import (
     Coeff,
     Exponent,
     FreeModuleLayout,
+    InternalError,
     MarkedBasesError,
     ModuleElement,
     ModuleTerm,
@@ -58,6 +60,9 @@ from .ring import (
 )
 
 
+Column = dict[int, Poly]  # row index -> non-zero entry
+
+
 class ParametricCoefficients(MarkedBasesError):
     """Minimization over parameter coefficients is not defined."""
 
@@ -66,6 +71,14 @@ def _require_basis(marked: MarkedSet):
     check = is_marked_basis(marked)
     if not check.is_basis:
         raise NotABasis("input marked set is not a marked basis")
+
+
+def _column(elem: ModuleElement) -> Column:
+    """An element as a column: component - 1 -> its scalar polynomial."""
+    col: Column = {}
+    for t, c in elem.terms.items():
+        col.setdefault(t.comp - 1, {})[t.exp] = c
+    return col
 
 
 def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
@@ -85,11 +98,12 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
 
     position = {el.head: pos for pos, el in enumerate(elems, start=1)}
     one = marked.one_like()
-    lower = _elements_by_column([el.body for el in elems])
+    lower = [_column(el.body) for el in elems]
     syz_elements = []
     for el, j in prolongations(marked):
         rep = prolongation_rep(marked, el, j)
-        assert rep.remainder.is_zero(), "prolongation of a certified basis must vanish"
+        if not rep.remainder.is_zero():
+            raise InternalError("prolongation of a certified basis does not vanish")
         head = ModuleTerm(var_exp(nvars, j), position[el.head])
         body_terms: dict[ModuleTerm, Coeff] = {head: one}
         for coeff, mult, tau in rep.summands:
@@ -101,48 +115,36 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
             else:
                 body_terms.pop(t, None)
         body = ModuleElement(syz_layout, body_terms)
-        [column] = _elements_by_column([body])
-        assert not _compose_column(lower, column), "produced element is not a syzygy"
+        if _compose_column(lower, _column(body)):
+            raise InternalError("produced element is not a syzygy")
         syz_elements.append(MarkedElement(body, head))
 
     syz_terms = frozenset(el.head for el in syz_elements)
     syz_basis = PommaretBasis(syz_layout, syz_terms, certified=True)
-    assert not syz_terms or is_pommaret_basis(syz_terms, syz_layout)
+    if syz_terms and not is_pommaret_basis(syz_terms, syz_layout):
+        raise InternalError("syzygy heads do not form a Pommaret basis")
     syz_set = MarkedSet(syz_basis, syz_elements)
-    if syz_elements:
-        recheck = is_marked_basis(syz_set)
-        assert recheck.is_basis, "syzygy set failed the marked-basis re-check"
+    if syz_elements and not is_marked_basis(syz_set).is_basis:
+        raise InternalError("syzygy set failed the marked-basis re-check")
     return syz_basis, syz_set
-
-
-def _differential_matrix(lower: MarkedSet, upper: MarkedSet) -> list[list[Poly]]:
-    rows = len(lower)
-    mat: list[list[Poly]] = [[{} for _ in range(len(upper))] for _ in range(rows)]
-    for c, el in enumerate(upper.ordered()):
-        for t, coeff in el.body.terms.items():
-            entry = mat[t.comp - 1][c]
-            s = entry.get(t.exp)
-            s = coeff if s is None else s + coeff
-            if s:
-                entry[t.exp] = s
-            else:
-                entry.pop(t.exp, None)
-    return mat
 
 
 @dataclass
 class FreeResolution:
     """Graded free resolution with explicit differentials.
 
-    degrees[i] lists the generator degrees of the i-th free module, aligned
-    with the rows/columns of the matrices.  ``levels`` holds the marked sets
-    of the iterated syzygy construction and is dropped by minimization.
+    degrees[i] lists the generator degrees of the i-th free module.
+    matrices[i] maps level i+1 to level i as sparse columns (see the module
+    docstring): column c is the image of the c-th level-(i+1) generator,
+    keyed by the level-i rows it touches, with no empty entry.  bodies are
+    the level-0 generator images.  ``levels`` holds the marked sets of the
+    iterated syzygy construction and is dropped by minimization.
     """
 
     layout: FreeModuleLayout
     bodies: list[ModuleElement]
     degrees: list[list[int]]
-    matrices: list[list[list[Poly]]]
+    matrices: list[list[Column]]
     levels: list[MarkedSet] | None = None
 
     @property
@@ -172,11 +174,11 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     index among the level-0 heads."""
     _require_basis(marked)
     levels = [marked]
-    matrices: list[list[list[Poly]]] = []
+    matrices: list[list[Column]] = []
     current = marked
     while any(prolongations(current)):
         _, syz_set = syzygy_marked_basis(current)
-        matrices.append(_differential_matrix(current, syz_set))
+        matrices.append([_column(el.body) for el in syz_set.ordered()])
         levels.append(syz_set)
         current = syz_set
 
@@ -190,45 +192,20 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
         matrices=matrices,
         levels=levels,
     )
-    d = basis_invariants(marked.basis).D
-    assert res.length == marked.layout.n - d, "resolution length differs from n - D"
-    assert verify_complex(res), "constructed resolution failed the complex check"
+    if res.length != marked.layout.n - basis_invariants(marked.basis).D:
+        raise InternalError("resolution length differs from n - D")
+    if not verify_complex(res):
+        raise InternalError("constructed resolution failed the complex check")
     return res
 
 
-def _nonzero_by_column(mat: list[list[Poly]], ncols: int) -> list[list[tuple[int, Poly]]]:
-    """The nonzero entries of a matrix as (row, entry) lists, one per column."""
-    cols: list[list[tuple[int, Poly]]] = [[] for _ in range(ncols)]
-    for r, row in enumerate(mat):
-        for c, entry in enumerate(row):
-            if entry:
-                cols[c].append((r, entry))
-    return cols
-
-
-def _elements_by_column(elements: list[ModuleElement]) -> list[list[tuple[int, Poly]]]:
-    """The matrix whose column r is elements[r], indexed by column like
-    `_nonzero_by_column`: (component - 1, scalar polynomial) pairs, one per
-    component the element touches."""
-    cols = []
-    for elem in elements:
-        by_comp: dict[int, Poly] = {}
-        for t, c in elem.terms.items():
-            by_comp.setdefault(t.comp - 1, {})[t.exp] = c
-        cols.append(list(by_comp.items()))
-    return cols
-
-
-def _compose_column(
-    lower: list[list[tuple[int, Poly]]], column: list[tuple[int, Poly]]
-) -> dict[tuple[int, Exponent], Coeff]:
-    """One column of lower * upper, from the nonzero entries of the upper
-    column and of the lower matrix indexed by column: the products of
-    nonzero entries only, added into one accumulator keyed by (row, exponent).
-    The result is empty exactly when the column composes to zero."""
+def _compose_column(lower: list[Column], column: Column) -> dict[tuple[int, Exponent], Coeff]:
+    """One column of lower * column: the products of non-zero entries only,
+    added into one accumulator keyed by (row, exponent).  The result is
+    empty exactly when the column composes to zero."""
     acc: dict[tuple[int, Exponent], Coeff] = {}
-    for k, q in column:
-        for r, p in lower[k]:
+    for k, q in column.items():
+        for r, p in lower[k].items():
             for e1, c1 in p.items():
                 for e2, c2 in q.items():
                     key = (r, tuple(map(add, e1, e2)))
@@ -243,47 +220,58 @@ def _compose_column(
 
 def verify_complex(res: FreeResolution) -> bool:
     """Exactness of the chain property: consecutive differentials compose to
-    zero, including the level-0 map given by the generator bodies.
-
-    Each matrix, the level-0 map included, is indexed by column once and
-    composed column by column with `_compose_column`, so the cost follows
-    the nonzero entries, not rows x columns x middle.
-    """
-    cols = [_elements_by_column(res.bodies)] + [
-        _nonzero_by_column(mat, len(res.degrees[i + 1]))
-        for i, mat in enumerate(res.matrices)
-    ]
-    for lower, upper in zip(cols, cols[1:]):
+    zero, including the level-0 map given by the generator bodies (as one
+    more list of columns).  The cost follows the non-zero entries."""
+    maps = [[_column(b) for b in res.bodies]] + res.matrices
+    for lower, upper in zip(maps, maps[1:]):
         if any(_compose_column(lower, column) for column in upper):
             return False
     return True
 
 
 def _has_parametric(res: FreeResolution) -> bool:
-    """Whether any coefficient is a ParamPoly; empty entries (most of the
-    matrices) are skipped before anything else is looked at."""
-    for body in res.bodies:
-        if any(isinstance(c, ParamPoly) for c in body.terms.values()):
-            return True
-    for mat in res.matrices:
-        for row in mat:
-            for entry in row:
-                if entry and any(isinstance(c, ParamPoly) for c in entry.values()):
-                    return True
-    return False
+    """Whether any stored coefficient is a ParamPoly."""
+    entries = [body.terms for body in res.bodies]
+    entries += [entry for mat in res.matrices for col in mat for entry in col.values()]
+    return any(isinstance(c, ParamPoly) for entry in entries for c in entry.values())
 
 
-def _find_pivot(matrices):
-    """The first non-zero constant entry: lowest differential, then row,
-    then column; empty entries are skipped unexamined."""
+def _find_pivot(matrices: list[list[Column]]):
+    """The first non-zero constant entry as (i, row, column, value): lowest
+    differential, then row, then column."""
     for i, mat in enumerate(matrices):
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                if entry:
+        best = None
+        for c, col in enumerate(mat):
+            for r, entry in col.items():
+                # Columns come in increasing order, so a row only improves
+                # on the best pivot when it is strictly smaller.
+                if best is None or r < best[0]:
                     v = poly_constant(entry)
                     if v is not None:
-                        return i, r, c, v
+                        best = (r, c, v)
+        if best is not None:
+            return (i, *best)
     return None
+
+
+def _over(p: Poly, pivot: Coeff) -> Poly:
+    """p / pivot, stored by the int-when-integral rule."""
+    return {e: rational(Fraction(v) / pivot) for e, v in p.items()}
+
+
+def _add_scaled_column(target: Column, source: Column, factor: Poly, sign: int) -> None:
+    """target += sign * factor * source, dropping the entries that cancel."""
+    for r, p in source.items():
+        entry = target.setdefault(r, {})
+        poly_add_scaled(entry, poly_mul(factor, p), sign)
+        if not entry:
+            del target[r]
+
+
+def _drop_row(col: Column, k: int) -> Column:
+    """The column without row k (which it must not touch), the rows above k
+    renumbered down by one."""
+    return {r - (r > k): p for r, p in col.items()}
 
 
 def minimize_resolution(res: FreeResolution) -> FreeResolution:
@@ -292,7 +280,8 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     Betti numbers of the resolved module.
 
     Pivots are processed deterministically (lowest differential first, then
-    smallest row, then smallest column).  The input is left untouched.
+    smallest row, then smallest column).  Every operation walks the stored
+    non-zero entries only.  The input is left untouched.
     """
     if _has_parametric(res):
         raise ParametricCoefficients("cannot minimize with parameter coefficients")
@@ -300,76 +289,67 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     bodies = list(res.bodies)
     degrees = [list(d) for d in res.degrees]
     matrices = [
-        [[dict(entry) for entry in row] for row in mat] for mat in res.matrices
+        [{r: dict(p) for r, p in col.items()} for col in mat] for mat in res.matrices
     ]
 
-    while True:
-        found = _find_pivot(matrices)
-        if found is None:
-            break
+    while (found := _find_pivot(matrices)) is not None:
         i, r, c, pivot = found
         mat = matrices[i]
-        assert degrees[i][r] == degrees[i + 1][c], "constant entry links unequal degrees"
+        if degrees[i][r] != degrees[i + 1][c]:
+            raise InternalError("constant entry links unequal degrees")
 
-        # Column elimination: new gen_c' = gen_c' - factor_c' * gen_c at level i+1.
-        factors = {}
-        for c2, entry in enumerate(mat[r]):
-            if c2 != c and entry:
-                factors[c2] = {e: rational(Fraction(v) / pivot) for e, v in entry.items()}
+        # Column elimination: new gen_c2 = gen_c2 - factor_c2 * gen_c at
+        # level i+1, which adds factor_c2 times row c2 to row c above.
+        factors = {
+            c2: _over(col[r], pivot) for c2, col in enumerate(mat) if c2 != c and r in col
+        }
         for c2, factor in factors.items():
-            for row in mat:
-                if row[c]:
-                    poly_add_scaled(row[c2], poly_mul(factor, row[c]), -1)
+            _add_scaled_column(mat[c2], mat[c], factor, -1)
         if i + 1 < len(matrices):
-            upper = matrices[i + 1]
-            for c2, factor in factors.items():
-                for col in range(len(upper[c2])):
-                    if upper[c2][col]:
-                        poly_add_scaled(upper[c][col], poly_mul(factor, upper[c2][col]), 1)
+            for col in matrices[i + 1]:
+                for c2, factor in factors.items():
+                    if c2 in col:
+                        _add_scaled_column(col, {c: col[c2]}, factor, 1)
 
-        # Row elimination: new gen_r = gen_r + sum(mu_r2 * gen_r2) at level i.
-        mus = {}
-        for r2 in range(len(mat)):
-            if r2 != r and mat[r2][c]:
-                mus[r2] = {e: rational(Fraction(v) / pivot) for e, v in mat[r2][c].items()}
-        for r2, mu in mus.items():
-            scaled = [poly_mul(mu, entry) if entry else {} for entry in mat[r]]
-            for c2 in range(len(mat[r2])):
-                if scaled[c2]:
-                    poly_add_scaled(mat[r2][c2], scaled[c2], -1)
+        # Row elimination: new gen_r = gen_r + sum(mu_r2 * gen_r2) at level
+        # i, which adds mu_r2 times column r2 to column r below.
+        mus = {r2: _over(p, pivot) for r2, p in mat[c].items() if r2 != r}
+        for col in mat:
+            if r in col:
+                for r2, mu in mus.items():
+                    _add_scaled_column(col, {r2: col[r]}, mu, -1)
         if i >= 1:
             lower = matrices[i - 1]
             for r2, mu in mus.items():
-                for row in lower:
-                    if row[r2]:
-                        poly_add_scaled(row[r], poly_mul(mu, row[r2]), 1)
+                _add_scaled_column(lower[r], lower[r2], mu, 1)
         else:
             for r2, mu in mus.items():
                 bodies[r] = bodies[r] + element_times_poly(bodies[r2], mu)
 
         # The pivot row/column are now clean; the paired generators go away.
-        assert all(not e for c2, e in enumerate(mat[r]) if c2 != c)
-        assert all(not row[c] for r2, row in enumerate(mat) if r2 != r)
+        if any(r in col for c2, col in enumerate(mat) if c2 != c) or len(mat[c]) != 1:
+            raise InternalError("pivot row or column not cleared")
         if i + 1 < len(matrices):
-            assert all(not e for e in matrices[i + 1][c]), "dependent row survived"
-            del matrices[i + 1][c]
+            if any(c in col for col in matrices[i + 1]):
+                raise InternalError("dependent row survived")
+            matrices[i + 1] = [_drop_row(col, c) for col in matrices[i + 1]]
         if i >= 1:
-            assert all(not row[r] for row in matrices[i - 1]), "dependent column survived"
-            for row in matrices[i - 1]:
-                del row[r]
+            if matrices[i - 1][r]:
+                raise InternalError("dependent column survived")
+            del matrices[i - 1][r]
         else:
-            assert bodies[r].is_zero(), "eliminated generator had non-zero image"
+            if not bodies[r].is_zero():
+                raise InternalError("eliminated generator had non-zero image")
             del bodies[r]
-        del mat[r]
-        for row in mat:
-            del row[c]
+        del mat[c]
+        matrices[i] = [_drop_row(col, r) for col in mat]
         del degrees[i + 1][c]
         del degrees[i][r]
 
         while degrees and not degrees[-1]:
             del degrees[-1]
-            removed = matrices.pop()
-            assert all(not row for row in removed) or not removed
+            if matrices.pop():
+                raise InternalError("an empty level kept a column")
 
     out = FreeResolution(
         layout=res.layout,
@@ -378,7 +358,8 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
         matrices=matrices,
         levels=None,
     )
-    assert verify_complex(out), "minimized resolution failed the complex check"
+    if not verify_complex(out):
+        raise InternalError("minimized resolution failed the complex check")
     return out
 
 

@@ -18,6 +18,8 @@ Resolutions serialize to a stable JSON schema: ``{"length": L, "ring": ...,
 "levels": [{"ranks": {...}, "degrees": [...], "generators": [...],
 "differential": [[entry strings]]}]}`` where level i's differential maps
 level i into level i-1 (level 0's single row holds the generator images).
+The differential is written out as a full grid of rows, with "0" for every
+entry the sparse columns of `FreeResolution.matrices` do not store.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .ring import (
     Poly,
     Rational,
 )
-from .syzygy import FreeResolution
+from .syzygy import Column, FreeResolution
 
 
 class PolySyntaxError(MarkedBasesError):
@@ -331,8 +333,6 @@ def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> 
 def format_poly(p: Poly, names=None) -> str:
     """Scalar polynomial (differential entry) in the same grammar, terms in
     the order `format_element` prints a rank-one element."""
-    if not p:  # most differential entries are zero
-        return "0"
     return _join_pieces([
         _coeff_pieces(p[e], format_exponent(e), names) for e in sorted(p)
     ])
@@ -516,10 +516,11 @@ def resolution_to_dict(res: FreeResolution) -> dict:
                 if res.levels
                 else []
             )
-            mat = res.matrices[i - 1]
-            entry["differential"] = [
-                [format_poly(e) for e in row] for row in mat
-            ]
+            grid = [["0"] * len(degs) for _ in res.degrees[i - 1]]
+            for c, column in enumerate(res.matrices[i - 1]):
+                for r, p in column.items():
+                    grid[r][c] = format_poly(p)
+            entry["differential"] = grid
         levels.append(entry)
     return {
         "length": res.length,
@@ -543,22 +544,22 @@ def parse_resolution(text: str) -> FreeResolution:
         parse_polynomial(s, layout) for s in data["levels"][0]["differential"][0]
     ]
     matrices = []
-    for level in data["levels"][1:]:
-        mat = []
-        for row in level["differential"]:
-            out_row = []
-            for entry in row:
+    for i, level in enumerate(data["levels"][1:], start=1):
+        columns: list[Column] = [{} for _ in degrees[i]]
+        for r, row in enumerate(level["differential"]):
+            for c, entry in enumerate(row):
                 elem = parse_polynomial(entry, scalar)
-                out_row.append({t.exp: c for t, c in elem.terms.items()})
-            mat.append(out_row)
-        matrices.append(mat)
+                if elem.terms:
+                    columns[c][r] = {t.exp: coeff for t, coeff in elem.terms.items()}
+        matrices.append(columns)
     return FreeResolution(
         layout=layout, bodies=bodies, degrees=degrees, matrices=matrices, levels=None
     )
 
 
 def resolutions_equal(a: FreeResolution, b: FreeResolution) -> bool:
-    """Entrywise equality of layout, degrees, generator images, matrices."""
+    """Entrywise equality of layout, degrees, generator images, and the
+    sparse columns of the differentials."""
     return (
         a.layout == b.layout
         and a.degrees == b.degrees

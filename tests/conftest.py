@@ -14,8 +14,12 @@ from marked_bases import (
     MarkedSet,
     ModuleElement,
     ModuleTerm,
+    MonomialModule,
     PommaretBasis,
+    pommaret_completion,
+    truncate_basis,
 )
+from marked_bases.randgen import random_quasi_stable_exponents
 
 LAY3 = FreeModuleLayout(2)  # x0, x1, x2
 
@@ -73,6 +77,36 @@ ring 3
 ideal J = x2*x1, x2^2*x1, x2^3, x1^3, x2^2*x0, x1^2*x0
 marked G = [x2*x1] - x2^2 - x1^2, [x2^2*x1], [x2^3], [x1^3], [x2^2*x0], [x1^2*x0]
 """
+
+
+def survey_bases(seed: int, count: int):
+    """Small random quasi-stable ideals in 3 and 4 variables, every fifth a
+    rank-2 module, sized like the cases of scripts/random_survey.py."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nvars = 3 + len(out) % 2
+        if len(out) % 5 == 4:
+            layout = FreeModuleLayout(nvars - 1, tuple(rng.randint(0, 1) for _ in range(2)))
+            gens = [ModuleTerm(e, k) for k in (1, 2)
+                    for e in random_quasi_stable_exponents(rng, nvars, 2)]
+            cap = 16
+        else:
+            layout = FreeModuleLayout(nvars - 1)
+            gens = [ModuleTerm(e, 1) for e in random_quasi_stable_exponents(rng, nvars, 3)]
+            cap = 12
+        basis = pommaret_completion(MonomialModule(layout, gens))
+        if 0 < len(basis.terms) <= cap and basis.max_degree() <= {3: 4, 4: 3}[nvars]:
+            out.append(basis)
+    return out
+
+
+def c4_basis():
+    """P^5, (x5, x4, x3, x2^2) truncated in degree 3."""
+    layout = FreeModuleLayout(5)
+    gens = [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0)]
+    module = MonomialModule(layout, [ModuleTerm(e, 1) for e in gens])
+    return truncate_basis(pommaret_completion(module), 3)
 
 
 @pytest.fixture

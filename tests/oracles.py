@@ -5,7 +5,8 @@ exhaustive term enumeration, or from exact dense linear algebra on graded
 slices.  These are the second routes for the dual-route checks: slices for
 Hilbert functions and disjoint covers, generator manipulation for colon
 ideals and satiety, slice stability for regularity, and rank computations
-for the direct-sum decomposition.
+for the direct-sum decomposition.  Minimization of a resolution has a dense
+reference too, eliminating on full grids of entries.
 """
 
 from __future__ import annotations
@@ -18,13 +19,19 @@ from marked_bases.ring import (
     FreeModuleLayout,
     ModuleElement,
     ModuleTerm,
+    element_times_poly,
     exp_add,
     exp_deg,
     exp_divides,
     exp_lcm,
     min_index,
+    poly_add_scaled,
+    poly_constant,
+    poly_mul,
+    rational,
     var_exp,
 )
+from marked_bases.syzygy import FreeResolution
 
 
 def ideal_contains(gens, e) -> bool:
@@ -339,3 +346,103 @@ def dense_format(p, names) -> str:
         else:
             out += f" {'-' if c < 0 else '+'} {body}"
     return out
+
+
+# ---------- dense minimization ----------
+# The reference for `syzygy.minimize_resolution`: the same pivot order and
+# eliminations on a dense grid mat[row][column] with {} for a zero entry,
+# the layout the differentials were stored in before they became sparse
+# columns.
+
+
+def dense_find_pivot(matrices):
+    """The first non-zero constant entry: lowest differential, then row,
+    then column."""
+    for i, mat in enumerate(matrices):
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                if entry:
+                    v = poly_constant(entry)
+                    if v is not None:
+                        return i, r, c, v
+    return None
+
+
+def dense_minimize_resolution(res: FreeResolution):
+    """Minimize `res` on dense grids.  Returns the result in columns and the
+    cancelled pivots as (differential, row, column, value), in order."""
+    pivots = []
+    bodies = list(res.bodies)
+    degrees = [list(d) for d in res.degrees]
+    matrices = [
+        [[dict(col.get(r, {})) for col in mat] for r in range(len(degrees[i]))]
+        for i, mat in enumerate(res.matrices)
+    ]
+
+    while True:
+        found = dense_find_pivot(matrices)
+        if found is None:
+            break
+        pivots.append(found)
+        i, r, c, pivot = found
+        mat = matrices[i]
+        assert degrees[i][r] == degrees[i + 1][c]
+
+        # Column elimination: new gen_c' = gen_c' - factor_c' * gen_c at level i+1.
+        factors = {}
+        for c2, entry in enumerate(mat[r]):
+            if c2 != c and entry:
+                factors[c2] = {e: rational(Fraction(v) / pivot) for e, v in entry.items()}
+        for c2, factor in factors.items():
+            for row in mat:
+                if row[c]:
+                    poly_add_scaled(row[c2], poly_mul(factor, row[c]), -1)
+        if i + 1 < len(matrices):
+            upper = matrices[i + 1]
+            for c2, factor in factors.items():
+                for col in range(len(upper[c2])):
+                    if upper[c2][col]:
+                        poly_add_scaled(upper[c][col], poly_mul(factor, upper[c2][col]), 1)
+
+        # Row elimination: new gen_r = gen_r + sum(mu_r2 * gen_r2) at level i.
+        mus = {}
+        for r2 in range(len(mat)):
+            if r2 != r and mat[r2][c]:
+                mus[r2] = {e: rational(Fraction(v) / pivot) for e, v in mat[r2][c].items()}
+        for r2, mu in mus.items():
+            scaled = [poly_mul(mu, entry) if entry else {} for entry in mat[r]]
+            for c2 in range(len(mat[r2])):
+                if scaled[c2]:
+                    poly_add_scaled(mat[r2][c2], scaled[c2], -1)
+        if i >= 1:
+            lower = matrices[i - 1]
+            for r2, mu in mus.items():
+                for row in lower:
+                    if row[r2]:
+                        poly_add_scaled(row[r], poly_mul(mu, row[r2]), 1)
+        else:
+            for r2, mu in mus.items():
+                bodies[r] = bodies[r] + element_times_poly(bodies[r2], mu)
+
+        if i + 1 < len(matrices):
+            del matrices[i + 1][c]
+        if i >= 1:
+            for row in matrices[i - 1]:
+                del row[r]
+        else:
+            del bodies[r]
+        del mat[r]
+        for row in mat:
+            del row[c]
+        del degrees[i + 1][c]
+        del degrees[i][r]
+
+        while degrees and not degrees[-1]:
+            del degrees[-1]
+            matrices.pop()
+
+    columns = [
+        [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(len(degrees[i + 1]))]
+        for i, mat in enumerate(matrices)
+    ]
+    return FreeResolution(res.layout, bodies, degrees, columns), pivots

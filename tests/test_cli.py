@@ -9,6 +9,7 @@ import pytest
 from marked_bases import (
     FreeModuleLayout,
     free_resolution,
+    minimize_resolution,
     parse_document,
     parse_marked_polynomial,
     parse_polynomial,
@@ -26,8 +27,8 @@ from marked_bases.textio import (
     format_element,
     format_marked_element,
 )
-from marked_bases.randgen import random_homogeneous_element
-from conftest import E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC
+from marked_bases.randgen import random_homogeneous_element, random_marked_basis
+from conftest import E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, c4_basis, survey_bases
 
 
 @pytest.fixture
@@ -166,8 +167,15 @@ class TestResolveCommand:
 
     def test_round_trip(self, twisted):
         res = free_resolution(twisted.marked)
-        again = parse_resolution(serialize_resolution(res))
-        assert resolutions_equal(res, again)
+        for full, minimal in [(res, minimize_resolution(res))] + survey_resolutions():
+            assert resolutions_equal(full, parse_resolution(serialize_resolution(full)))
+            # A minimal resolution carries no marked levels, so its JSON
+            # comes back byte for byte as well.
+            text = serialize_resolution(minimal)
+            again = parse_resolution(text)
+            assert resolutions_equal(minimal, again)
+            assert serialize_resolution(again) == text
+        assert not resolutions_equal(res, minimize_resolution(res))
         schema = json.loads(serialize_resolution(res))
         assert schema["length"] == 2
         assert [lvl["ranks"] for lvl in schema["levels"]] == [
@@ -331,6 +339,32 @@ class TestExitCodes:
         code, out = run(capsys, "specialize", str(path), "--set", "C_{0,0}=x")
         assert code == 2
 
+    def test_unknown_parameter_name(self, capsys, tmp_path):
+        path = tmp_path / "family.mb"
+        path.write_text("ring 2\nideal J = x1^2, x1*x0\n")
+        code, out = run(capsys, "specialize", str(path), "--set", "C_{0,0}=1,C_{9,9}=2")
+        assert code == 2
+        assert "unknown parameter 'C_{9,9}'" in out.err
+
+
+class TestParserReuse:
+    """`main` builds its argument parser once per process; later calls must
+    not see the options of earlier ones."""
+
+    def test_successive_calls_print_what_each_prints_alone(self, capsys, twisted_file):
+        first = ["resolve", twisted_file, "--json"]
+        second = ["check", twisted_file]
+        alone = []
+        for argv in (first, second):
+            cli_module.build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        cli_module.build_parser.cache_clear()
+        together = [run(capsys, *first), run(capsys, *second)]
+        assert together == alone
+        assert alone[1] == (0, ("marked basis: yes\n", ""))
+        assert json.loads(alone[0][1].out)["ok"] is True
+        assert cli_module.build_parser.cache_info().misses == 1
+
 
 # SHA-256 of `mbases resolve --minimize --json` standard output on the two
 # examples of the paper, recorded before the syzygy step read its reductions
@@ -348,6 +382,45 @@ def test_resolve_json_is_byte_identical(capsys, tmp_path, name):
     code, out = run(capsys, "resolve", str(path), "--minimize", "--json")
     assert code == 0
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_RESOLVE_SHA256[name]
+
+
+# SHA-256 of `serialize_resolution` of the full and of the minimal resolution
+# over 30 fixed survey-style cases (joined by newlines), and of `mbases
+# resolve --minimize --json` on a C4-sized document (P^5, (x5, x4, x3, x2^2)
+# truncated in degree 3: 49 generators, length 5), recorded while the
+# differentials were still stored as dense grids of entries.
+GOLDEN_SURVEY_SHA256 = {
+    "full": "1eb3b817bf7f83b7032291bc8a0ff89caacf2f016f0e3253c70f3472973a25b1",
+    "minimal": "60509cceba6a8349f368acf93dbac0f0f57e1a89c953b66e287d87ccd6f608ba",
+}
+GOLDEN_C4_RESOLVE_SHA256 = "30d70b0947cb3470d71e3a547b692a283d094208cc25c2da04b0942adbee171f"
+
+
+def survey_resolutions():
+    """(full, minimal) resolutions of the 30 fixed survey-style cases."""
+    rng = random.Random(3)
+    out = []
+    for basis in survey_bases(3, 30):
+        full = free_resolution(random_marked_basis(rng, basis))
+        out.append((full, minimize_resolution(full)))
+    return out
+
+
+def test_survey_serializations_are_byte_identical():
+    pairs = survey_resolutions()
+    for k, kind in enumerate(("full", "minimal")):
+        joined = "\n".join(serialize_resolution(pair[k]) for pair in pairs)
+        assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_SURVEY_SHA256[kind]
+
+
+def test_c4_resolve_json_is_byte_identical(capsys, tmp_path):
+    marked = random_marked_basis(random.Random(1), c4_basis())
+    elements = ", ".join(format_marked_element(el.body, el.head) for el in marked.ordered())
+    path = tmp_path / "c4.mb"
+    path.write_text(f"ring 6\nmarked G = {elements}\n")
+    code, out = run(capsys, "resolve", str(path), "--minimize", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_C4_RESOLVE_SHA256
 
 
 # SHA-256 of the standard output of the basis test and of `resolve` on the

@@ -6,7 +6,9 @@ The walker below visits every coefficient an object holds: module-element
 terms, differential entries, the representations memoised on marked sets,
 family equations.  It runs over every stage that creates coefficients:
 parsing, random generation, resolution, minimization (which divides by its
-pivots), generic sets with their family equations, and specialization.
+pivots), generic sets with their family equations, and specialization.  It
+also checks that no differential stores an empty entry, and minimization is
+compared with the dense reference of oracles.py.
 """
 
 import random
@@ -16,12 +18,9 @@ import pytest
 
 import marked_bases.syzygy as syzygy_module
 from marked_bases import (
-    FreeModuleLayout,
     MarkedElement,
     MarkedSet,
     ModuleElement,
-    ModuleTerm,
-    MonomialModule,
     ParamPoly,
     family_equations,
     free_resolution,
@@ -33,10 +32,11 @@ from marked_bases import (
     specialize,
 )
 from marked_bases.linalg import rref
-from marked_bases.randgen import random_marked_basis, random_quasi_stable_exponents
+from marked_bases.randgen import random_marked_basis
 from marked_bases.ring import poly_add_scaled, rational
 from marked_bases.textio import parse_document, parse_polynomial, resolution_to_dict
-from conftest import LAY3, NON_GROEBNER_DOC, TWISTED_DOC, T
+from conftest import LAY3, NON_GROEBNER_DOC, TWISTED_DOC, T, survey_bases
+from oracles import dense_minimize_resolution
 
 # The paper examples with non-integral tails: reductions over Fractions.
 HALVES_DOCS = [
@@ -90,8 +90,9 @@ def walk_resolution(res, where):
     for body in res.bodies:
         walk_element(body, f"{where} body")
     for mat in res.matrices:
-        for row in mat:
-            for entry in row:
+        for col in mat:
+            for entry in col.values():
+                assert entry, f"empty differential entry stored at {where}"
                 for c in entry.values():
                     assert_rule(c, f"{where} differential")
     for level in res.levels or []:
@@ -109,38 +110,17 @@ def marked_from_doc(text) -> MarkedSet:
     return marked
 
 
-def survey_bases(seed: int, count: int):
-    """Small random quasi-stable ideals in 3 and 4 variables, every fifth a
-    rank-2 module, sized like the cases of scripts/random_survey.py."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        nvars = 3 + len(out) % 2
-        if len(out) % 5 == 4:
-            layout = FreeModuleLayout(nvars - 1, tuple(rng.randint(0, 1) for _ in range(2)))
-            gens = [ModuleTerm(e, k) for k in (1, 2)
-                    for e in random_quasi_stable_exponents(rng, nvars, 2)]
-            cap = 16
-        else:
-            layout = FreeModuleLayout(nvars - 1)
-            gens = [ModuleTerm(e, 1) for e in random_quasi_stable_exponents(rng, nvars, 3)]
-            cap = 12
-        basis = pommaret_completion(MonomialModule(layout, gens))
-        if 0 < len(basis.terms) <= cap and basis.max_degree() <= {3: 4, 4: 3}[nvars]:
-            out.append(basis)
-    return out
-
-
 @pytest.fixture
 def pivots(monkeypatch):
-    """Records the constant entries minimization cancels."""
+    """Records the pivots minimization cancels, as (differential, row,
+    column, value) in the column layout's indices."""
     seen = []
     find = syzygy_module._find_pivot
 
     def recording(matrices):
         found = find(matrices)
         if found is not None:
-            seen.append(found[3])
+            seen.append(found)
         return found
 
     monkeypatch.setattr(syzygy_module, "_find_pivot", recording)
@@ -223,12 +203,12 @@ class TestPipelines:
             walk_resolution(minimal, "minimize_resolution")
             fractional_entries += sum(
                 type(c) is Fraction
-                for mat in minimal.matrices for row in mat for entry in row
+                for mat in minimal.matrices for col in mat for entry in col.values()
                 for c in entry.values()
             )
         # The cases divide by pivots other than 1 and -1 and keep the
         # non-integral quotients, so the rule is tested on real Fractions.
-        assert {-4, -2} <= set(pivots)
+        assert {-4, -2} <= {v for *_, v in pivots}
         assert fractional_entries > 0
 
     @pytest.mark.parametrize("text", [TWISTED_DOC, NON_GROEBNER_DOC])
@@ -265,7 +245,7 @@ class TestDivision:
     def test_minimization_with_pivot_two(self, pivots):
         full = free_resolution(marked_from_doc(PIVOT_TWO_DOC))
         minimal = minimize_resolution(full)
-        assert pivots == [2]
+        assert [v for *_, v in pivots] == [2]
         walk_resolution(minimal, "minimize_resolution")
         levels = resolution_to_dict(minimal)["levels"]
         assert levels[1]["differential"] == [
@@ -276,3 +256,49 @@ class TestDivision:
             ["0", "0", "x1", "x2", "0", "0"],
             ["0", "0", "0", "0", "x1", "x2"],
         ]
+
+
+def assert_matches_dense(full, pivots):
+    """Sparse minimization of `full` cancels the pivots of the dense
+    reference, in its order, and prints the same JSON."""
+    start = len(pivots)
+    minimal = minimize_resolution(full)
+    reference, reference_pivots = dense_minimize_resolution(full)
+    assert pivots[start:] == reference_pivots
+    assert resolution_to_dict(minimal) == resolution_to_dict(reference)
+    return minimal
+
+
+class TestDenseReference:
+    """Minimization over sparse columns against the dense reference in
+    oracles.py.  The pivot sequence is compared as well as the output.
+    Cancelling a pivot leaves the Schur complement, so the output depends
+    on the set of cancelled pivots only, and a column-then-row search
+    cancels the same set here (the rank profile of the constant entries):
+    on these cases a changed pivot order shows in the sequence alone."""
+
+    @pytest.mark.parametrize("text", [TWISTED_DOC, NON_GROEBNER_DOC, PIVOT_TWO_DOC])
+    def test_documents(self, text, pivots):
+        assert_matches_dense(free_resolution(marked_from_doc(text)), pivots)
+
+    def test_survey_cases(self, pivots):
+        ranks = set()
+        fractional_entries = 0
+        for seed in (0, 2):
+            rng = random.Random(seed)
+            for basis in survey_bases(seed, 60):
+                ranks.add(basis.layout.rank)
+                minimal = assert_matches_dense(
+                    free_resolution(random_marked_basis(rng, basis)), pivots
+                )
+                walk_resolution(minimal, "minimize_resolution")
+                fractional_entries += sum(
+                    type(c) is Fraction
+                    for mat in minimal.matrices for col in mat for entry in col.values()
+                    for c in entry.values()
+                )
+        # Ideals and rank-2 modules, pivots other than 1 and -1, and
+        # non-integral quotients left in the minimal differentials.
+        assert ranks == {1, 2}
+        assert {-4, -2, 2, 4} <= {v for *_, v in pivots}
+        assert fractional_entries > 0

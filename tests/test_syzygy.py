@@ -1,17 +1,20 @@
 import copy
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import marked_bases.marked as marked_module
+import marked_bases.syzygy as syzygy_module
 from marked_bases import (
     FreeModuleLayout,
     MarkedSet,
     ModuleElement,
-    ModuleTerm,
     MonomialModule,
     NotABasis,
     ParametricCoefficients,
@@ -33,18 +36,36 @@ from marked_bases import (
     truncate_basis,
     verify_complex,
 )
+from marked_bases.ring import InternalError
 from marked_bases.randgen import (
     random_marked_basis,
     random_marked_set,
     random_quasi_stable_basis,
 )
-from conftest import E, LAY3, T, build_non_groebner_example, build_twisted_example
+from conftest import (
+    E,
+    LAY3,
+    T,
+    build_non_groebner_example,
+    build_twisted_example,
+    c4_basis,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def poly(**entries):
     """poly(x2=1) -> {(0,0,1): 1}; poly(one=-1) -> constant."""
     table = {"one": (0, 0, 0), "x0": (1, 0, 0), "x1": (0, 1, 0), "x2": (0, 0, 1)}
     return {table[k]: Fraction(v) for k, v in entries.items()}
+
+
+def as_columns(rows):
+    """A dense matrix, written row by row with {} for zero, as the stored
+    sparse columns {row: entry}."""
+    return [
+        {r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(len(rows[0]))
+    ]
 
 
 class TestSyzygyMarkedBasis:
@@ -116,8 +137,8 @@ class TestFreeResolution:
             [{}, {}, poly(x0=-1), {}, poly(x2=1)],
         ]
         delta2 = [[poly(one=1)], [{}], [poly(x2=1)], [poly(x1=-1)], [poly(x0=1)]]
-        assert res.matrices[0] == delta1
-        assert res.matrices[1] == delta2
+        assert res.matrices[0] == as_columns(delta1)
+        assert res.matrices[1] == as_columns(delta2)
         assert verify_complex(res)
 
     def test_non_groebner_ranks(self, non_groebner):
@@ -148,7 +169,7 @@ class TestFreeResolution:
             mat = res.matrices[i - 1]
             for c, el in enumerate(upper.ordered()):
                 row = el.head.comp - 1
-                assert mat[row][c] == {el.head.exp: Fraction(1)}
+                assert mat[c][row] == {el.head.exp: Fraction(1)}
                 assert upper.layout.term_degree(el.head) == (
                     lower.layout.term_degree(lower.ordered()[row].head) + 1
                 )
@@ -223,14 +244,6 @@ class TestPredictedRanks:
             ):
                 res = free_resolution(marked)
                 assert res.rank_pairs() == predicted
-
-
-def c4_basis():
-    """P^5, (x5, x4, x3, x2^2) truncated in degree 3."""
-    layout = FreeModuleLayout(5)
-    gens = [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0)]
-    module = MonomialModule(layout, [ModuleTerm(e, 1) for e in gens])
-    return truncate_basis(pommaret_completion(module), 3)
 
 
 class TestSharedReductions:
@@ -320,15 +333,15 @@ class TestVerifyComplex:
     def test_sign_flip_detected(self, twisted):
         res = free_resolution(twisted.marked)
         broken = copy.deepcopy(res)
-        entry = broken.matrices[1][2][0]
-        broken.matrices[1][2][0] = {e: -c for e, c in entry.items()}
+        entry = broken.matrices[1][0][2]  # row 2 of column 0
+        broken.matrices[1][0][2] = {e: -c for e, c in entry.items()}
         assert verify_complex(res)
         assert not verify_complex(broken)
 
     @pytest.mark.parametrize("build", [build_twisted_example, build_non_groebner_example])
     def test_body_sign_flip_detected(self, build):
         res = free_resolution(build().marked)
-        r = next(r for r, row in enumerate(res.matrices[0]) if any(row))
+        r = min(r for col in res.matrices[0] for r in col)
         broken = copy.deepcopy(res)
         terms = dict(broken.bodies[r].terms)
         t = next(iter(terms))
@@ -342,11 +355,10 @@ class TestVerifyComplex:
         res = free_resolution(build().marked)
         assert verify_complex(res)
         for i, mat in enumerate(res.matrices):
-            r, c = next(
-                (r, c) for r, row in enumerate(mat) for c, entry in enumerate(row) if entry
-            )
+            # The first stored entry in row-major order.
+            r, c = min((r, c) for c, col in enumerate(mat) for r in col)
             broken = copy.deepcopy(res)
-            broken.matrices[i][r][c] = {e: -v for e, v in mat[r][c].items()}
+            broken.matrices[i][c][r] = {e: -v for e, v in mat[c][r].items()}
             assert not verify_complex(broken), f"flip in matrices[{i}] missed"
 
     def test_length_zero_vacuous(self):
@@ -390,6 +402,53 @@ class TestMinimize:
         )
         with pytest.raises(ParametricCoefficients):
             minimize_resolution(res)
+
+
+def _doubled_pivot(find):
+    """A corrupted pivot search: the right entry, at twice its value."""
+
+    def broken(matrices):
+        found = find(matrices)
+        return found and (*found[:3], 2 * found[3])
+
+    return broken
+
+
+class TestSelfChecksRaise:
+    """The minimization invariants raise `InternalError`, so `python -O`
+    keeps them (scripts/tier1.sh runs this file under -O as well)."""
+
+    def test_corrupted_pivot_is_caught(self, monkeypatch, twisted):
+        monkeypatch.setattr(
+            syzygy_module, "_find_pivot", _doubled_pivot(syzygy_module._find_pivot)
+        )
+        with pytest.raises(InternalError, match="pivot row or column not cleared"):
+            minimize_resolution(free_resolution(twisted.marked))
+
+    def test_survives_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_twisted_example\n"
+            "from marked_bases import syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "real = syzygy._find_pivot\n"
+            "def broken(matrices):\n"
+            "    found = real(matrices)\n"
+            "    return found and (*found[:3], 2 * found[3])\n"
+            "syzygy._find_pivot = broken\n"
+            "full = syzygy.free_resolution(build_twisted_example().marked)\n"
+            "try:\n"
+            "    syzygy.minimize_resolution(full)\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "raised: pivot row or column not cleared\n"
 
 
 class TestBounds:
