@@ -6,16 +6,15 @@ a plain-text report or, with ``--json``, a stable JSON document.  ``--output
 FILE`` additionally persists whatever was printed.
 
 Exit codes: 0 on success, 1 for a negative mathematical answer (the
-certificate goes to standard output), 2 for input errors.  A failed
-self-check of the kernel (`ring.InternalError`) also exits 1, with its
-message on standard output.
+certificate goes to standard output), 2 for input errors, 3 for a failed
+self-check of the kernel (`ring.InternalError`: a bug, not an answer about
+the input), with its message on standard output and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -45,6 +44,7 @@ from .monom import (
 )
 from .ring import (
     HeterogeneousElement,
+    InternalError,
     MarkedBasesError,
     MissingParameter,
 )
@@ -54,6 +54,7 @@ from .textio import (
     InputFormatError,
     PolySyntaxError,
     UnknownVariable,
+    dumps_indented,
     format_element,
     format_exponent,
     format_marked_element,
@@ -438,7 +439,7 @@ HANDLERS = {
 def _emit(args, code: int, text: str, payload: dict) -> int:
     if args.json:
         payload = {"ok": code == 0, **payload}
-        rendered = json.dumps(payload, indent=2)
+        rendered = dumps_indented(payload)
     else:
         rendered = text
     print(rendered)
@@ -463,6 +464,8 @@ def main(argv=None) -> int:
     except (HeadMismatch, HeadCoefficientNotOne, TailTermInU, NotABasis) as exc:
         # Negative mathematical verdicts about a well-formed input.
         return _emit(args, 1, str(exc), {"error": str(exc)})
+    except InternalError as exc:
+        return _emit(args, 3, str(exc), {"error": str(exc)})
     except MarkedBasesError as exc:
         return _emit(args, 1, str(exc), {"error": str(exc)})
     return _emit(args, code, text, payload)

@@ -7,9 +7,9 @@ multiplicative multiple of the element whose head cone contains it; no term
 order is involved, which is the whole point.  The relation is confluent and
 terminating, so normal forms do not depend on which reducible term is
 attacked first; the engine still fixes a deterministic strategy (always the
-lex-greatest reducible term) and asserts, at every step, the certificate
-that makes termination obvious: each freshly created term of U has a cone
-multiplier strictly lex-below the multiplier just used.
+lex-greatest reducible term, popped from a heap) and checks, at every step,
+the certificate that makes termination obvious: each freshly created term
+of U has a cone multiplier strictly lex-below the multiplier just used.
 
 The reductions of the non-multiplicative prolongations x_j*f are the data
 every later construction reads: the basis test and the family equations
@@ -23,7 +23,9 @@ of the same set shares one reduction per prolongation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from heapq import heapify, heappop, heappush
+from operator import neg
+from typing import Iterable, Iterator, Optional
 
 from .monom import PommaretBasis, nonmultiplicative_variables
 from .ring import (
@@ -37,7 +39,6 @@ from .ring import (
     exp_sub,
     lex_key,
     rational,
-    reduction_key,
     term_mul,
     var_exp,
 )
@@ -170,39 +171,44 @@ class Representation:
         return ModuleElement(self.remainder.layout, total)
 
 
-Chooser = Callable[[list[ModuleTerm]], ModuleTerm]
+def _heap_entry(t: ModuleTerm, head: ModuleTerm) -> tuple:
+    """Heap entry of a term of U, carrying the head whose cone holds it.
+
+    The key is the negated reversed exponent, then the component, so the
+    least entry is the lex-greatest term (x_n most significant) and the
+    lower component wins a tie."""
+    return tuple(map(neg, reversed(t.exp))), t.comp, t, head
 
 
-def _default_chooser(candidates: list[ModuleTerm]) -> ModuleTerm:
-    return max(candidates, key=reduction_key)
-
-
-def reduce_full(
-    h: ModuleElement,
-    marked: MarkedSet,
-    chooser: Chooser | None = None,
-) -> Representation:
+def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
     """Reduce h to its normal form modulo the marked set.
 
     The reducer for a term of U is forced (the unique element whose head
     cone contains it, scaled by the multiplicative multiplier), so only the
-    order of attack is a choice; `chooser` overrides the default
-    lex-greatest-term strategy and cannot change the outcome.
+    order of attack is a choice, and it cannot change the outcome.  The
+    engine always attacks the lex-greatest term of U left in the work
+    element (lower component first on equal exponents): every term of U is
+    pushed on a heap when it enters the work element, and a popped term
+    that has since cancelled is skipped.  Each cone lookup happens once per
+    created term, where the lex-descent certificate needs it anyway.
     """
     basis = marked.basis
     if h.layout != basis.layout:
         raise ValueError("element layout differs from the marked set layout")
-    pick = chooser or _default_chooser
     work: dict[ModuleTerm, Coeff] = dict(h.terms)
+    heap = []
+    for t in work:
+        head = basis.cone_divisor(t)
+        if head is not None:
+            heap.append(_heap_entry(t, head))
+    heapify(heap)
     summands: dict[tuple[Exponent, ModuleTerm], Coeff] = {}
-    while True:
-        candidates = [t for t in work if basis.cone_divisor(t) is not None]
-        if not candidates:
-            break
-        target = pick(candidates)
-        head = basis.cone_divisor(target)
+    while heap:
+        _, _, target, head = heappop(heap)
+        coeff = work.pop(target, None)
+        if coeff is None:
+            continue
         mult = exp_sub(target.exp, head.exp)
-        coeff = work.pop(target)
         key = (mult, head)
         prev = summands.get(key)
         total = coeff if prev is None else prev + coeff
@@ -216,13 +222,15 @@ def reduce_full(
                 continue
             shifted = term_mul(t, mult)
             divisor = basis.cone_divisor(shifted)
+            s = work.get(shifted)
             if divisor is not None:
                 new_mult = exp_sub(shifted.exp, divisor.exp)
                 if not lex_key(new_mult) < lex_key(mult):
                     raise InternalNonTermination(
                         f"created multiplier {new_mult} not lex-below {mult}"
                     )
-            s = work.get(shifted)
+                if s is None:
+                    heappush(heap, _heap_entry(shifted, divisor))
             s = -(coeff * c) if s is None else s - coeff * c
             if s:
                 work[shifted] = s

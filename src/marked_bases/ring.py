@@ -130,11 +130,6 @@ def term_mul(t: ModuleTerm, e: Exponent) -> ModuleTerm:
     return ModuleTerm(exp_add(t.exp, e), t.comp)
 
 
-def reduction_key(t: ModuleTerm):
-    """Sort key whose maximum is the lex-greatest term (component breaks ties)."""
-    return (lex_key(t.exp), -t.comp)
-
-
 def canonical_term_key(t: ModuleTerm):
     """Print/iteration order: component ascending, degrevlex descending inside.
 

@@ -19,9 +19,16 @@ The level-0 generator images read the same way: `_column` of each body.
 
 The syzygies are read off the memoised prolongation representations of the
 marked set (`prolongation_rep`), so the basis test and the syzygy step
-share one reduction per prolongation.  The self-checks (`verify_complex`,
-the per-syzygy check, the minimization invariants) touch non-zero entries
-only and raise `InternalError`, so they also run under ``python -O``.
+share one reduction per prolongation.
+
+The chain property (consecutive maps compose to zero) is checked where a
+differential is written, not on the finished resolution: the syzygy step
+composes each column with the level below as it builds it (the column
+`free_resolution` stores is the one checked), and minimization re-checks
+only the pairs of consecutive maps its eliminations changed.
+`verify_complex` checks a whole resolution on request.  These self-checks
+and the minimization invariants touch non-zero entries only and raise
+`InternalError`, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -81,13 +88,18 @@ def _column(elem: ModuleElement) -> Column:
     return col
 
 
-def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
-    """Marked basis of the syzygy module of a certified marked basis.
+def syzygy_marked_basis(
+    marked: MarkedSet,
+) -> tuple[PommaretBasis, MarkedSet, list[Column]]:
+    """Marked basis of the syzygy module of a certified marked basis, with
+    the syzygies as columns over the generators of `marked`.
 
     One syzygy per prolongation, in the order of `prolongations`, read off
     the memoised reduction of that prolongation.  Every produced syzygy is
-    checked to annihilate the level below, and the resulting set is
-    re-certified; the re-certification reduces every prolongation of the
+    composed with the level below and must give zero: this is the chain
+    property of the pair, and the returned columns are exactly the ones it
+    composed, in the element order of the returned set.  The resulting set
+    is re-certified; the re-certification reduces every prolongation of the
     new set, which fills the memo the next level's syzygy step reads.
     """
     _require_basis(marked)
@@ -100,6 +112,7 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
     one = marked.one_like()
     lower = [_column(el.body) for el in elems]
     syz_elements = []
+    columns: list[Column] = []
     for el, j in prolongations(marked):
         rep = prolongation_rep(marked, el, j)
         if not rep.remainder.is_zero():
@@ -115,9 +128,11 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
             else:
                 body_terms.pop(t, None)
         body = ModuleElement(syz_layout, body_terms)
-        if _compose_column(lower, _column(body)):
+        column = _column(body)
+        if _compose_column(lower, column):
             raise InternalError("produced element is not a syzygy")
         syz_elements.append(MarkedElement(body, head))
+        columns.append(column)
 
     syz_terms = frozenset(el.head for el in syz_elements)
     syz_basis = PommaretBasis(syz_layout, syz_terms, certified=True)
@@ -126,7 +141,7 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet]:
     syz_set = MarkedSet(syz_basis, syz_elements)
     if syz_elements and not is_marked_basis(syz_set).is_basis:
         raise InternalError("syzygy set failed the marked-basis re-check")
-    return syz_basis, syz_set
+    return syz_basis, syz_set, columns
 
 
 @dataclass
@@ -171,14 +186,20 @@ class FreeResolution:
 def free_resolution(marked: MarkedSet) -> FreeResolution:
     """Iterate the syzygy construction until a level has no prolongation
     left; the length comes out as n - D with D the least minimal-variable
-    index among the level-0 heads."""
+    index among the level-0 heads, which is checked.
+
+    Each differential is the list of columns `syzygy_marked_basis` returns,
+    and that step has composed every one of them with the map below it, so
+    the chain property is checked once per column, as the column is built;
+    the finished resolution is not composed again.
+    """
     _require_basis(marked)
     levels = [marked]
     matrices: list[list[Column]] = []
     current = marked
     while any(prolongations(current)):
-        _, syz_set = syzygy_marked_basis(current)
-        matrices.append([_column(el.body) for el in syz_set.ordered()])
+        _, syz_set, columns = syzygy_marked_basis(current)
+        matrices.append(columns)
         levels.append(syz_set)
         current = syz_set
 
@@ -194,8 +215,6 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     )
     if res.length != marked.layout.n - basis_invariants(marked.basis).D:
         raise InternalError("resolution length differs from n - D")
-    if not verify_complex(res):
-        raise InternalError("constructed resolution failed the complex check")
     return res
 
 
@@ -218,15 +237,22 @@ def _compose_column(lower: list[Column], column: Column) -> dict[tuple[int, Expo
     return acc
 
 
-def verify_complex(res: FreeResolution) -> bool:
-    """Exactness of the chain property: consecutive differentials compose to
-    zero, including the level-0 map given by the generator bodies (as one
-    more list of columns).  The cost follows the non-zero entries."""
-    maps = [[_column(b) for b in res.bodies]] + res.matrices
-    for lower, upper in zip(maps, maps[1:]):
-        if any(_compose_column(lower, column) for column in upper):
+def _pairs_vanish(res: FreeResolution, pairs) -> bool:
+    """Whether matrices[k] composes to zero with the map below it, for every
+    k in `pairs`; below matrices[0] is the level-0 map given by the
+    generator bodies, read as one more list of columns."""
+    for k in pairs:
+        lower = res.matrices[k - 1] if k else [_column(b) for b in res.bodies]
+        if any(_compose_column(lower, column) for column in res.matrices[k]):
             return False
     return True
+
+
+def verify_complex(res: FreeResolution) -> bool:
+    """Exactness of the chain property: consecutive differentials compose to
+    zero, including the level-0 map given by the generator bodies.  The
+    cost follows the non-zero entries."""
+    return _pairs_vanish(res, range(len(res.matrices)))
 
 
 def _has_parametric(res: FreeResolution) -> bool:
@@ -282,6 +308,14 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     Pivots are processed deterministically (lowest differential first, then
     smallest row, then smallest column).  Every operation walks the stored
     non-zero entries only.  The input is left untouched.
+
+    The invariants of every elimination are checked as it runs.  The maps an
+    elimination writes to are recorded (a pivot in matrices[i] changes
+    matrices[i-1], or the bodies when i = 0, matrices[i] and matrices[i+1]),
+    and at the end the chain property is checked again on exactly the pairs
+    of consecutive maps that contain a changed one.  The other pairs are
+    those of the input, which `free_resolution` checked column by column,
+    so a resolution with no cancelled pivot is not composed at all.
     """
     if _has_parametric(res):
         raise ParametricCoefficients("cannot minimize with parameter coefficients")
@@ -292,8 +326,12 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
         [{r: dict(p) for r, p in col.items()} for col in mat] for mat in res.matrices
     ]
 
+    # Maps an elimination wrote to: the bodies are map 0 and matrices[k] is
+    # map k + 1, so matrices[k] pairs with map k below it.
+    changed: set[int] = set()
     while (found := _find_pivot(matrices)) is not None:
         i, r, c, pivot = found
+        changed.update((i, i + 1, i + 2))
         mat = matrices[i]
         if degrees[i][r] != degrees[i + 1][c]:
             raise InternalError("constant entry links unequal degrees")
@@ -358,7 +396,8 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
         matrices=matrices,
         levels=None,
     )
-    if not verify_complex(out):
+    touched = [k for k in range(len(matrices)) if k in changed or k + 1 in changed]
+    if not _pairs_vanish(out, touched):
         raise InternalError("minimized resolution failed the complex check")
     return out
 

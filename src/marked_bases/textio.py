@@ -19,7 +19,9 @@ Resolutions serialize to a stable JSON schema: ``{"length": L, "ring": ...,
 "differential": [[entry strings]]}]}`` where level i's differential maps
 level i into level i-1 (level 0's single row holds the generator images).
 The differential is written out as a full grid of rows, with "0" for every
-entry the sparse columns of `FreeResolution.matrices` do not store.
+entry the sparse columns of `FreeResolution.matrices` do not store.  Every
+JSON document is written by `dumps_indented`, which gives the text of
+``json.dumps(obj, indent=2)`` in one pass.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .monom import MonomialModule
 from .ring import (
@@ -530,7 +533,72 @@ def resolution_to_dict(res: FreeResolution) -> dict:
 
 
 def serialize_resolution(res: FreeResolution) -> str:
-    return json.dumps(resolution_to_dict(res), indent=2)
+    return dumps_indented(resolution_to_dict(res))
+
+
+def dumps_indented(obj) -> str:
+    """Exactly the text of ``json.dumps(obj, indent=2)``, written in one pass.
+
+    With `indent` set, `json.dumps` runs CPython's pure-Python encoder, one
+    generator step per item.  This writer gives the same text (ASCII
+    escapes, ``",\n"`` between items, ``": "`` after keys, ``[]`` and
+    ``{}`` for empty containers) as pieces of one list, and writes a list of
+    strings, such as a row of a differential, with a single join.  It takes
+    only what the CLI emits, dicts with str keys, lists, str, int, bool and
+    None, and raises `TypeError` on anything else.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the pieces of `obj` to `out`; `newline` is the line break plus
+    the indentation of the line `obj` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if isinstance(obj[0], str):
+            try:
+                items = ("," + inner).join(map(encode_basestring_ascii, obj))
+            except TypeError:  # not every item is a string
+                pass
+            else:
+                out.append("[" + inner + items + newline + "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def parse_resolution(text: str) -> FreeResolution:

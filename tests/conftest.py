@@ -101,12 +101,26 @@ def survey_bases(seed: int, count: int):
     return out
 
 
+def _truncated_completion(n: int, gens, degree: int):
+    module = MonomialModule(FreeModuleLayout(n), [ModuleTerm(e, 1) for e in gens])
+    return truncate_basis(pommaret_completion(module), degree)
+
+
+def c2_basis():
+    """P^3, (x3, x2, x1^6) truncated in degree 6."""
+    return _truncated_completion(3, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 6, 0, 0)], 6)
+
+
+def c3_basis():
+    """P^3, (x3, x2^2, x1^2*x2, x1^4) truncated in degree 5."""
+    gens = [(0, 0, 0, 1), (0, 0, 2, 0), (0, 2, 1, 0), (0, 4, 0, 0)]
+    return _truncated_completion(3, gens, 5)
+
+
 def c4_basis():
     """P^5, (x5, x4, x3, x2^2) truncated in degree 3."""
-    layout = FreeModuleLayout(5)
     gens = [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0)]
-    module = MonomialModule(layout, [ModuleTerm(e, 1) for e in gens])
-    return truncate_basis(pommaret_completion(module), 3)
+    return _truncated_completion(5, gens, 3)
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ slices.  These are the second routes for the dual-route checks: slices for
 Hilbert functions and disjoint covers, generator manipulation for colon
 ideals and satiety, slice stability for regularity, and rank computations
 for the direct-sum decomposition.  Minimization of a resolution has a dense
-reference too, eliminating on full grids of entries.
+reference too, eliminating on full grids of entries, and marked reduction
+has a reference that attacks the reducible terms in any given order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from marked_bases.linalg import rref
+from marked_bases.marked import Representation
 from marked_bases.monom import minimalize, terms_of_degree
 from marked_bases.ring import (
     FreeModuleLayout,
@@ -24,11 +26,14 @@ from marked_bases.ring import (
     exp_deg,
     exp_divides,
     exp_lcm,
+    exp_sub,
+    lex_key,
     min_index,
     poly_add_scaled,
     poly_constant,
     poly_mul,
     rational,
+    term_mul,
     var_exp,
 )
 from marked_bases.syzygy import FreeResolution
@@ -446,3 +451,54 @@ def dense_minimize_resolution(res: FreeResolution):
         for i, mat in enumerate(matrices)
     ]
     return FreeResolution(res.layout, bodies, degrees, columns), pivots
+
+
+# ---------- marked reduction in a chosen order ----------
+
+
+def lex_greatest(candidates):
+    """The reducible term the kernel attacks: lex-greatest exponent (x_n
+    most significant), then the lower component."""
+    return max(candidates, key=lambda t: (lex_key(t.exp), -t.comp))
+
+
+def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
+    """Marked reduction of h that scans the work element for its terms of U
+    at every step and attacks `chooser(candidates)`.  The reducer of each
+    term is forced, so every chooser must reach the kernel's remainder, and
+    every created term of U must still have a multiplier lex-below the one
+    just used."""
+    basis = marked.basis
+    work = dict(h.terms)
+    summands: dict = {}
+    while True:
+        candidates = [t for t in work if basis.cone_divisor(t) is not None]
+        if not candidates:
+            break
+        target = chooser(candidates)
+        head = basis.cone_divisor(target)
+        mult = exp_sub(target.exp, head.exp)
+        coeff = work.pop(target)
+        total = summands.get((mult, head), 0) + coeff
+        if total:
+            summands[(mult, head)] = total
+        else:
+            summands.pop((mult, head), None)
+        for t, c in marked.elements[head].body.terms.items():
+            if t == head:
+                continue
+            shifted = term_mul(t, mult)
+            divisor = basis.cone_divisor(shifted)
+            if divisor is not None:
+                assert lex_key(exp_sub(shifted.exp, divisor.exp)) < lex_key(mult)
+            s = work.get(shifted, 0) - coeff * c
+            if s:
+                work[shifted] = s
+            else:
+                work.pop(shifted, None)
+    order = {head: i for i, head in enumerate(marked.elements)}
+    flat = sorted(
+        ((rational(c), mult, head) for (mult, head), c in summands.items()),
+        key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
+    )
+    return Representation(tuple(flat), ModuleElement(basis.layout, work))

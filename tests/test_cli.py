@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marked_bases import (
     FreeModuleLayout,
@@ -19,11 +20,13 @@ from marked_bases import (
 )
 from marked_bases import cli as cli_module
 from marked_bases import family as family_module
+from marked_bases import syzygy as syzygy_module
 from marked_bases.cli import main
 from marked_bases.marked import BasisCheck
 from marked_bases.textio import (
     PolySyntaxError,
     UnknownVariable,
+    dumps_indented,
     format_element,
     format_marked_element,
 )
@@ -346,6 +349,20 @@ class TestExitCodes:
         assert code == 2
         assert "unknown parameter 'C_{9,9}'" in out.err
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch, twisted_file, fmt):
+        # A forged composition that never vanishes: every syzygy fails.
+        monkeypatch.setattr(syzygy_module, "_compose_column", lambda lower, column: {0: 1})
+        code, out = run(capsys, "resolve", twisted_file, *fmt)
+        assert code == 3
+        assert "Traceback" not in out.out + out.err
+        if fmt:
+            assert json.loads(out.out) == {
+                "ok": False, "error": "produced element is not a syzygy"
+            }
+        else:
+            assert out.out == "produced element is not a syzygy\n"
+
 
 class TestParserReuse:
     """`main` builds its argument parser once per process; later calls must
@@ -573,13 +590,15 @@ class TestModuleDocuments:
         assert payload["betti_bounds"] == table
         assert payload["pdim_bound"] == 1
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
     @pytest.mark.parametrize("doc", sorted(MATRIX_DOCS))
     @pytest.mark.parametrize("command", [
         "pommaret", "classify", "truncate", "hilbert", "check", "reduce",
         "resolve", "bounds", "family", "specialize",
     ])
-    def test_every_command_on_ideals_and_modules(self, capsys, tmp_path, doc, command):
-        """Each subcommand succeeds on the ideal and on both modules."""
+    def test_every_command_on_ideals_and_modules(self, capsys, tmp_path, doc, command, fmt):
+        """Each subcommand succeeds on the ideal and on both modules, and its
+        JSON is the text `json.dumps(indent=2)` gives for the same payload."""
         path = str(tmp_path / "doc.mb")
         Path(path).write_text(MATRIX_DOCS[doc])
         extra = {
@@ -590,5 +609,36 @@ class TestModuleDocuments:
             "specialize": ["--set", _full_assignment(capsys, path, {})],
         }.get(command, [])
         pick = ["--marked", "G"] if command in ("check", "reduce", "resolve") else ["--ideal", "J"]
-        code, out = run(capsys, command, path, *extra, *pick)
+        code, out = run(capsys, command, path, *extra, *pick, *fmt)
         assert code == 0, out.out
+        if fmt:
+            assert out.out == json.dumps(json.loads(out.out), indent=2) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral code points.
+JSON_TEXT = st.text() | st.text(
+    st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\u20ac\U0001f600')
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**100), 2**100) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert dumps_indented(value) == json.dumps(value, indent=2)
+
+    @given(st.lists(JSON_TEXT, max_size=6))
+    def test_lists_of_strings(self, row):
+        assert dumps_indented([row, {"row": row}]) == json.dumps([row, {"row": row}], indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1, 2), {1, 2}, Fraction(1, 2), b"x", {1: "a"}, {"a": [None, (1,)]},
+    ])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            dumps_indented(value)

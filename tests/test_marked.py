@@ -27,7 +27,14 @@ from marked_bases.randgen import (
     random_quasi_stable_basis,
 )
 from conftest import E, LAY3, T, build_twisted_example
-from oracles import all_module_terms, all_products, multiplicative_products, span_rank
+from oracles import (
+    all_module_terms,
+    all_products,
+    lex_greatest,
+    multiplicative_products,
+    reduce_in_order,
+    span_rank,
+)
 
 
 class TestNewMarkedSet:
@@ -161,11 +168,44 @@ class TestConfluence:
                 reference = reduce_full(h, marked)
                 for seed in range(5):
                     chaos = random.Random(seed)
-                    rep = reduce_full(
-                        h, marked, chooser=lambda c: chaos.choice(sorted(c))
-                    )
+                    rep = reduce_in_order(h, marked, lambda c: chaos.choice(sorted(c)))
                     assert rep.remainder == reference.remainder
                     assert rep.evaluate(marked) == h
+
+    def test_heap_order_is_the_lex_greatest_scan(self, rng, monkeypatch):
+        """The heap attacks the terms a rescan for the lex-greatest term of U
+        would.  Any order gives the same representation, so the steps are
+        counted too: the kernel looks up one cone per term of h and one per
+        term each step creates, and no other."""
+        lookups = []
+        original = PommaretBasis.cone_divisor
+
+        def counting(basis, t):
+            lookups.append(t)
+            return original(basis, t)
+
+        monkeypatch.setattr(PommaretBasis, "cone_divisor", counting)
+        for _ in range(6):
+            basis = random_quasi_stable_basis(rng, 2, max_deg=3)
+            marked = random_marked_set(rng, basis)
+            for _ in range(4):
+                h = random_homogeneous_element(
+                    rng, basis.layout, rng.randint(1, basis.max_degree() + 2)
+                )
+                targets = []
+
+                def scan(candidates):
+                    targets.append(lex_greatest(candidates))
+                    return targets[-1]
+
+                expected = reduce_in_order(h, marked, scan)
+                created = sum(
+                    len(marked.elements[basis.cone_divisor(t)].body.terms) - 1
+                    for t in targets
+                )
+                lookups.clear()
+                assert reduce_full(h, marked) == expected
+                assert len(lookups) == len(h.terms) + created
 
 
 class TestRepresentationShape:

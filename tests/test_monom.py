@@ -511,8 +511,10 @@ class TestSelfChecksRaise:
         )
         path = tmp_path / "twisted.mb"
         path.write_text(TWISTED_DOC)
-        assert main(["pommaret", str(path)]) == 1
-        assert "not a Pommaret basis" in capsys.readouterr().out
+        assert main(["pommaret", str(path)]) == 3  # exit code of InternalError
+        out = capsys.readouterr()
+        assert "not a Pommaret basis" in out.out
+        assert "Traceback" not in out.out + out.err
 
     def test_survives_python_O(self):
         script = (

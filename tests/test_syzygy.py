@@ -48,6 +48,8 @@ from conftest import (
     T,
     build_non_groebner_example,
     build_twisted_example,
+    c2_basis,
+    c3_basis,
     c4_basis,
 )
 
@@ -70,7 +72,7 @@ def as_columns(rows):
 
 class TestSyzygyMarkedBasis:
     def test_twisted_syzygies_exact(self, twisted):
-        _, syz = syzygy_marked_basis(twisted.marked)
+        _, syz, columns = syzygy_marked_basis(twisted.marked)
         lay5 = syz.layout
         assert lay5.weights == (3, 3, 2, 2, 2)
         expected = [
@@ -82,6 +84,8 @@ class TestSyzygyMarkedBasis:
         ]
         got = [el.body for el in syz.ordered()]
         assert got == [E(lay5, terms) for terms in expected]
+        # The returned columns are the syzygies, in the element order.
+        assert columns == [syzygy_module._column(body) for body in got]
         heads = [el.head for el in syz.ordered()]
         assert heads == [
             T((0, 0, 1), 2),
@@ -92,8 +96,8 @@ class TestSyzygyMarkedBasis:
         ]
 
     def test_second_level_syzygy(self, twisted):
-        _, syz1 = syzygy_marked_basis(twisted.marked)
-        _, syz2 = syzygy_marked_basis(syz1)
+        _, syz1, _ = syzygy_marked_basis(twisted.marked)
+        _, syz2, _ = syzygy_marked_basis(syz1)
         assert len(syz2) == 1
         el = syz2.ordered()[0]
         assert el.head == T((0, 0, 1), 3)
@@ -110,8 +114,8 @@ class TestSyzygyMarkedBasis:
 
     def test_principal_ideal_has_no_syzygies(self):
         basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 4))]))
-        _, syz = syzygy_marked_basis(monomial_marked_set(basis))
-        assert len(syz) == 0
+        _, syz, columns = syzygy_marked_basis(monomial_marked_set(basis))
+        assert len(syz) == 0 and columns == []
 
     def test_requires_a_basis(self, twisted):
         from marked_bases import MarkedElement, MarkedSet, ModuleElement
@@ -258,9 +262,9 @@ class TestSharedReductions:
         calls = []
         original = marked_module.reduce_full
 
-        def counting(h, marked, chooser=None):
+        def counting(h, marked):
             calls.append((h, marked))
-            return original(h, marked, chooser)
+            return original(h, marked)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("marked_bases"):
@@ -327,6 +331,50 @@ class TestSharedReductions:
             checked += 1
         assert checked > 0
         assert reductions == []
+
+
+class TestComposeOnce:
+    """Each column is composed with the map below it once, by the syzygy
+    step that builds it; minimization composes again only the pairs of maps
+    its eliminations changed."""
+
+    @pytest.fixture
+    def compositions(self, monkeypatch):
+        """Records the column of every `_compose_column` call."""
+        calls = []
+        original = syzygy_module._compose_column
+
+        def counting(lower, column):
+            calls.append(column)
+            return original(lower, column)
+
+        monkeypatch.setattr(syzygy_module, "_compose_column", counting)
+        return calls
+
+    def test_non_groebner(self, compositions):
+        res = free_resolution(build_non_groebner_example().marked)
+        assert len(compositions) == sum(len(lvl) for lvl in res.levels[1:]) > 0
+
+    def test_c4_sized_truncation(self, compositions):
+        drawn = random_marked_basis(random.Random(1), c4_basis())
+        compositions.clear()
+        res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
+        assert len(compositions) == sum(len(degs) for degs in res.degrees[1:]) == 782
+
+    @pytest.mark.parametrize("shape", [c2_basis, c3_basis, c4_basis])
+    def test_minimize_without_a_pivot_composes_nothing(self, compositions, shape):
+        res = free_resolution(random_marked_basis(random.Random(1), shape()))
+        compositions.clear()
+        minimal = minimize_resolution(res)
+        assert minimal.degrees == res.degrees  # no pivot was cancelled
+        assert compositions == []
+
+    def test_minimize_composes_the_changed_pairs(self, compositions, twisted):
+        res = free_resolution(twisted.marked)
+        compositions.clear()
+        minimal = minimize_resolution(res)
+        # TWISTED has two differentials; any pivot changes a map of both pairs.
+        assert len(compositions) == sum(len(mat) for mat in minimal.matrices) > 0
 
 
 class TestVerifyComplex:
@@ -414,9 +462,33 @@ def _doubled_pivot(find):
     return broken
 
 
+def _flip_once(drop_row):
+    """A corrupted row deletion: the first non-empty column it returns has
+    the sign of its first entry flipped."""
+    done = []
+
+    def broken(col, k):
+        out = drop_row(col, k)
+        if out and not done:
+            done.append(True)
+            r = next(iter(out))
+            out[r] = {e: -v for e, v in out[r].items()}
+        return out
+
+    return broken
+
+
 class TestSelfChecksRaise:
-    """The minimization invariants raise `InternalError`, so `python -O`
-    keeps them (scripts/tier1.sh runs this file under -O as well)."""
+    """The minimization invariants and its final complex check raise
+    `InternalError`, so `python -O` keeps them (scripts/tier1.sh runs this
+    file under -O as well)."""
+
+    def test_corrupted_elimination_fails_the_final_check(self, monkeypatch, non_groebner):
+        # One pivot is cancelled, so no later elimination sees the flipped
+        # entry and only the check of the changed pairs can catch it.
+        monkeypatch.setattr(syzygy_module, "_drop_row", _flip_once(syzygy_module._drop_row))
+        with pytest.raises(InternalError, match="minimized resolution failed the complex check"):
+            minimize_resolution(free_resolution(non_groebner.marked))
 
     def test_corrupted_pivot_is_caught(self, monkeypatch, twisted):
         monkeypatch.setattr(
@@ -449,6 +521,28 @@ class TestSelfChecksRaise:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == "raised: pivot row or column not cleared\n"
+
+    def test_final_check_survives_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_non_groebner_example\n"
+            "from test_syzygy import _flip_once\n"
+            "from marked_bases import syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "syzygy._drop_row = _flip_once(syzygy._drop_row)\n"
+            "full = syzygy.free_resolution(build_non_groebner_example().marked)\n"
+            "try:\n"
+            "    syzygy.minimize_resolution(full)\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "raised: minimized resolution failed the complex check\n"
 
 
 class TestBounds:
