@@ -20,12 +20,9 @@ from fractions import Fraction
 
 from .family import family_equations, generic_marked_set, specialize
 from .marked import (
-    HeadCoefficientNotOne,
     HeadMismatch,
     MarkedElement,
     MarkedSet,
-    NotABasis,
-    TailTermInU,
     is_marked_basis,
     reduce_full,
 )
@@ -455,18 +452,14 @@ def main(argv=None) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = parse_document(fh.read())
         code, text, payload = HANDLERS[args.command](doc, args)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (HeadMismatch, HeadCoefficientNotOne, TailTermInU, NotABasis) as exc:
-        # Negative mathematical verdicts about a well-formed input.
-        return _emit(args, 1, str(exc), {"error": str(exc)})
     except InternalError as exc:
         return _emit(args, 3, str(exc), {"error": str(exc)})
     except MarkedBasesError as exc:
+        # Negative mathematical verdicts about a well-formed input, such as
+        # heads that do not match the basis or a set that is not a basis.
         return _emit(args, 1, str(exc), {"error": str(exc)})
     return _emit(args, code, text, payload)
 

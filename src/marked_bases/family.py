@@ -36,7 +36,14 @@ from .marked import (
     prolongation_rep,
     prolongations,
 )
-from .monom import PommaretBasis, basis_invariants, complement_terms, rho, truncate_basis
+from .monom import (
+    PommaretBasis,
+    basis_invariants,
+    complement_terms,
+    pommaret_class,
+    rho,
+    truncate_basis,
+)
 from .ring import (
     InternalError,
     MarkedBasesError,
@@ -157,23 +164,16 @@ def _normalize_assignment(generic: GenericMarkedSet, assignment: Mapping) -> dic
 class Specialization:
     marked: MarkedSet
     assignment: dict
-    family_vanishes: bool | None
 
 
-def specialize(
-    generic: GenericMarkedSet,
-    assignment: Mapping,
-    family: FamilyIdeal | None = None,
-) -> Specialization:
-    """Evaluate every parameter; reports whether the supplied family
-    equations vanish at the assignment (they do iff the specialized set is a
-    marked basis).
+def specialize(generic: GenericMarkedSet, assignment: Mapping) -> Specialization:
+    """Evaluate every parameter of the generic set at the assignment.
 
     Marked reduction is forced, so it commutes with specialization: the
     family equations at a point are the remainder coefficients of the
-    specialized set's prolongations.  A caller that only needs the verdict
-    can therefore run `is_marked_basis` on ``marked`` and skip ``family``;
-    `mbases specialize` does so.
+    specialized set's prolongations.  Whether they vanish is therefore the
+    basis test of ``marked``, and `is_marked_basis` answers it without
+    building the equations.
     """
     values = _normalize_assignment(generic, assignment)
     elements = []
@@ -182,9 +182,7 @@ def specialize(
         for t, coeff in el.body.terms.items():
             terms[t] = coeff.evaluate(values) if isinstance(coeff, ParamPoly) else coeff
         elements.append(MarkedElement(ModuleElement(generic.basis.layout, terms), el.head))
-    marked = MarkedSet(generic.basis, elements)
-    vanishes = family.vanishes_at(values) if family is not None else None
-    return Specialization(marked, dict(values), vanishes)
+    return Specialization(MarkedSet(generic.basis, elements), dict(values))
 
 
 @dataclass(frozen=True)
@@ -252,11 +250,10 @@ def triangular_representation(
         j = min_index(mult)
         if j >= i:
             raise StructureViolated(f"multiplier x{j} not below x{i}")
-        tau_min = min_index(tau.exp)
-        if j > (layout.n if tau_min is None else tau_min):
+        if j > pommaret_class(tau.exp, layout.n):
             raise StructureViolated(f"multiplier x{j} not multiplicative for {tau}")
     for t in rep.remainder.terms:
-        if base.contains_term(t):
+        if base.cone_divisor(t) is not None:
             raise StructureViolated(f"remainder term {t} lies inside the base ideal")
     return TriangularReport(head, i, rep, True)
 

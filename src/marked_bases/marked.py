@@ -87,13 +87,14 @@ class MarkedSet:
     """One marked element per Pommaret-basis term, tails outside the module.
 
     Element order is the construction order (it fixes the numbering used by
-    syzygies and printed matrices).  The marked-basis verdict is cached once
+    syzygies and printed matrices); ``position`` maps each head to its
+    0-based place in it.  The marked-basis verdict is cached once
     established, and so is the representation of every prolongation reduced
     through `prolongation_rep`; instances are immutable so both caches are
     sound.
     """
 
-    __slots__ = ("basis", "elements", "_certified", "_prolongations")
+    __slots__ = ("basis", "elements", "position", "_certified", "_prolongations")
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
         if not basis.certified:
@@ -118,6 +119,7 @@ class MarkedSet:
                     raise TailTermInU(t)
         self.basis = basis
         self.elements = by_head
+        self.position = {head: i for i, head in enumerate(by_head)}
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
 
@@ -236,10 +238,10 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
                 work[shifted] = s
             else:
                 work.pop(shifted, None)
-    order = {head: i for i, head in enumerate(marked.elements)}
+    position = marked.position
     flat = sorted(
         ((rational(c), mult, head) for (mult, head), c in summands.items()),
-        key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
+        key=lambda item: (tuple(-x for x in lex_key(item[1])), position[item[2]]),
     )
     remainder = ModuleElement(basis.layout, work)
     return Representation(tuple(flat), remainder)

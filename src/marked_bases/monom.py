@@ -175,14 +175,6 @@ class MonomialModule:
     def component(self, k: int) -> frozenset[Exponent]:
         return frozenset(t.exp for t in self.generators if t.comp == k)
 
-    def contains(self, t: ModuleTerm) -> bool:
-        return any(
-            g.comp == t.comp and exp_divides(g.exp, t.exp) for g in self.generators
-        )
-
-    def sorted_generators(self):
-        return sorted(self.generators, key=lambda t: listing_key(self.layout, t))
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialModule)
@@ -221,12 +213,6 @@ class PommaretBasis:
 
     def max_degree(self) -> int:
         return max((self.layout.term_degree(t) for t in self.terms), default=0)
-
-    def contains_term(self, t: ModuleTerm) -> bool:
-        """Membership of a term in the generated module (plain divisibility)."""
-        return any(
-            g.comp == t.comp and exp_divides(g.exp, t.exp) for g in self.terms
-        )
 
     def cone_divisor(self, t: ModuleTerm):
         """The unique basis term whose cone contains t, or None outside U."""
@@ -546,12 +532,10 @@ def complement_rank(basis: PommaretBasis, s: int) -> int:
     return ambient_rank(basis.layout, s) - hilbert_function(basis, s)
 
 
-def complement_terms(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
-    """The degree-s terms of the free module outside U, in listing order.
-
-    The cones of a certified basis cover U exactly, so a term is outside U
-    when no cone holds it.
-    """
+def _terms_by_cone(basis: PommaretBasis, s: int, inside: bool) -> list[ModuleTerm]:
+    """The degree-s terms of the free module inside U (or outside it), in
+    listing order.  The cones of a certified basis cover U exactly, so a
+    term lies in U when some cone holds it."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
     layout = basis.layout
@@ -562,23 +546,17 @@ def complement_terms(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
         if d < 0:
             continue
         for e in terms_of_degree(layout.nvars, d):
-            if find(k, e) is None:
+            if (find(k, e) is not None) == inside:
                 out.append(ModuleTerm(e, k))
     out.sort(key=lambda t: listing_key(layout, t))
     return out
 
 
+def complement_terms(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
+    """The degree-s terms of the free module outside U, in listing order."""
+    return _terms_by_cone(basis, s, inside=False)
+
+
 def module_terms_of_degree(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
-    """The degree-s terms of U itself, by divisibility enumeration."""
-    layout = basis.layout
-    out = []
-    for k in range(1, layout.rank + 1):
-        d = s - layout.weight(k)
-        if d < 0:
-            continue
-        for e in terms_of_degree(layout.nvars, d):
-            t = ModuleTerm(e, k)
-            if basis.contains_term(t):
-                out.append(t)
-    out.sort(key=lambda t: listing_key(layout, t))
-    return out
+    """The degree-s terms of U itself, in listing order."""
+    return _terms_by_cone(basis, s, inside=True)

@@ -524,16 +524,3 @@ def poly_constant(p: Poly):
         return None
     return c
 
-
-def element_times_poly(elem: ModuleElement, p: Poly) -> ModuleElement:
-    out: dict[ModuleTerm, Coeff] = {}
-    for e, c in p.items():
-        for t, v in elem.terms.items():
-            shifted = term_mul(t, e)
-            s = out.get(shifted)
-            s = c * v if s is None else s + c * v
-            if s:
-                out[shifted] = s
-            else:
-                out.pop(shifted, None)
-    return ModuleElement(elem.layout, out)

@@ -15,7 +15,9 @@ dict {row: entry}, the row a 0-based level-i generator index and the entry
 a non-zero scalar polynomial {exponent tuple: coefficient}.  A column is
 the syzygy exactly as the syzygy step builds it, written out in the lower
 level's generators (`_column`), and no column ever stores an empty entry.
-The level-0 generator images read the same way: `_column` of each body.
+The level-0 map is stored in the same layout: `FreeResolution.bodies` holds
+one column per generator, its image `_column(body)` in the ambient free
+module, with row k-1 for the component e_k.
 
 The syzygies are read off the memoised prolongation representations of the
 marked set (`prolongation_rep`), so the basis test and the syzygy step
@@ -46,7 +48,7 @@ from .marked import (
     prolongation_rep,
     prolongations,
 )
-from .monom import PommaretBasis, basis_invariants, is_pommaret_basis
+from .monom import PommaretBasis, basis_invariants, is_pommaret_basis, pommaret_class
 from .ring import (
     Coeff,
     Exponent,
@@ -57,8 +59,6 @@ from .ring import (
     ModuleTerm,
     ParamPoly,
     Poly,
-    element_times_poly,
-    min_index,
     poly_add_scaled,
     poly_constant,
     poly_mul,
@@ -108,7 +108,7 @@ def syzygy_marked_basis(
     weights = tuple(marked.layout.term_degree(el.head) for el in elems)
     syz_layout = FreeModuleLayout(marked.layout.n, weights)
 
-    position = {el.head: pos for pos, el in enumerate(elems, start=1)}
+    position = marked.position
     one = marked.one_like()
     lower = [_column(el.body) for el in elems]
     syz_elements = []
@@ -117,10 +117,10 @@ def syzygy_marked_basis(
         rep = prolongation_rep(marked, el, j)
         if not rep.remainder.is_zero():
             raise InternalError("prolongation of a certified basis does not vanish")
-        head = ModuleTerm(var_exp(nvars, j), position[el.head])
+        head = ModuleTerm(var_exp(nvars, j), position[el.head] + 1)
         body_terms: dict[ModuleTerm, Coeff] = {head: one}
         for coeff, mult, tau in rep.summands:
-            t = ModuleTerm(mult, position[tau])
+            t = ModuleTerm(mult, position[tau] + 1)
             prev = body_terms.get(t)
             s = -coeff if prev is None else prev - coeff
             if s:
@@ -151,13 +151,15 @@ class FreeResolution:
     degrees[i] lists the generator degrees of the i-th free module.
     matrices[i] maps level i+1 to level i as sparse columns (see the module
     docstring): column c is the image of the c-th level-(i+1) generator,
-    keyed by the level-i rows it touches, with no empty entry.  bodies are
-    the level-0 generator images.  ``levels`` holds the marked sets of the
-    iterated syzygy construction and is dropped by minimization.
+    keyed by the level-i rows it touches, with no empty entry.  bodies is
+    the level-0 map in the same layout: column c is the image of the c-th
+    level-0 generator in the ambient free module, row k-1 holding its e_k
+    component.  ``levels`` holds the marked sets of the iterated syzygy
+    construction and is dropped by minimization.
     """
 
     layout: FreeModuleLayout
-    bodies: list[ModuleElement]
+    bodies: list[Column]
     degrees: list[list[int]]
     matrices: list[list[Column]]
     levels: list[MarkedSet] | None = None
@@ -208,7 +210,7 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     ]
     res = FreeResolution(
         layout=marked.layout,
-        bodies=[el.body for el in marked.ordered()],
+        bodies=[_column(el.body) for el in marked.ordered()],
         degrees=degrees,
         matrices=matrices,
         levels=levels,
@@ -239,10 +241,9 @@ def _compose_column(lower: list[Column], column: Column) -> dict[tuple[int, Expo
 
 def _pairs_vanish(res: FreeResolution, pairs) -> bool:
     """Whether matrices[k] composes to zero with the map below it, for every
-    k in `pairs`; below matrices[0] is the level-0 map given by the
-    generator bodies, read as one more list of columns."""
+    k in `pairs`; below matrices[0] is the level-0 map, the bodies."""
     for k in pairs:
-        lower = res.matrices[k - 1] if k else [_column(b) for b in res.bodies]
+        lower = res.matrices[k - 1] if k else res.bodies
         if any(_compose_column(lower, column) for column in res.matrices[k]):
             return False
     return True
@@ -257,9 +258,13 @@ def verify_complex(res: FreeResolution) -> bool:
 
 def _has_parametric(res: FreeResolution) -> bool:
     """Whether any stored coefficient is a ParamPoly."""
-    entries = [body.terms for body in res.bodies]
-    entries += [entry for mat in res.matrices for col in mat for entry in col.values()]
-    return any(isinstance(c, ParamPoly) for entry in entries for c in entry.values())
+    return any(
+        isinstance(c, ParamPoly)
+        for mat in (res.bodies, *res.matrices)
+        for col in mat
+        for entry in col.values()
+        for c in entry.values()
+    )
 
 
 def _find_pivot(matrices: list[list[Column]]):
@@ -320,11 +325,11 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     if _has_parametric(res):
         raise ParametricCoefficients("cannot minimize with parameter coefficients")
 
-    bodies = list(res.bodies)
-    degrees = [list(d) for d in res.degrees]
-    matrices = [
-        [{r: dict(p) for r, p in col.items()} for col in mat] for mat in res.matrices
+    bodies, *matrices = [
+        [{r: dict(p) for r, p in col.items()} for col in mat]
+        for mat in (res.bodies, *res.matrices)
     ]
+    degrees = [list(d) for d in res.degrees]
 
     # Maps an elimination wrote to: the bodies are map 0 and matrices[k] is
     # map k + 1, so matrices[k] pairs with map k below it.
@@ -356,13 +361,9 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
             if r in col:
                 for r2, mu in mus.items():
                     _add_scaled_column(col, {r2: col[r]}, mu, -1)
-        if i >= 1:
-            lower = matrices[i - 1]
-            for r2, mu in mus.items():
-                _add_scaled_column(lower[r], lower[r2], mu, 1)
-        else:
-            for r2, mu in mus.items():
-                bodies[r] = bodies[r] + element_times_poly(bodies[r2], mu)
+        lower = matrices[i - 1] if i else bodies
+        for r2, mu in mus.items():
+            _add_scaled_column(lower[r], lower[r2], mu, 1)
 
         # The pivot row/column are now clean; the paired generators go away.
         if any(r in col for c2, col in enumerate(mat) if c2 != c) or len(mat[c]) != 1:
@@ -371,14 +372,9 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
             if any(c in col for col in matrices[i + 1]):
                 raise InternalError("dependent row survived")
             matrices[i + 1] = [_drop_row(col, c) for col in matrices[i + 1]]
-        if i >= 1:
-            if matrices[i - 1][r]:
-                raise InternalError("dependent column survived")
-            del matrices[i - 1][r]
-        else:
-            if not bodies[r].is_zero():
-                raise InternalError("eliminated generator had non-zero image")
-            del bodies[r]
+        if lower[r]:
+            raise InternalError("dependent column survived")
+        del lower[r]
         del mat[c]
         matrices[i] = [_drop_row(col, r) for col in mat]
         del degrees[i + 1][c]
@@ -423,9 +419,7 @@ def predicted_ranks(basis: PommaretBasis) -> dict[tuple[int, int], int]:
     beta: dict[int, dict[int, int]] = {}
     d_min = n
     for t in basis.terms:
-        k = min_index(t.exp)
-        if k is None:
-            k = n
+        k = pommaret_class(t.exp, n)
         j = basis.layout.term_degree(t)
         beta.setdefault(k, {})
         beta[k][j] = beta[k].get(j, 0) + 1

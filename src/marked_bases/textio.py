@@ -17,8 +17,9 @@ continue the previous logical line)::
 Resolutions serialize to a stable JSON schema: ``{"length": L, "ring": ...,
 "levels": [{"ranks": {...}, "degrees": [...], "generators": [...],
 "differential": [[entry strings]]}]}`` where level i's differential maps
-level i into level i-1 (level 0's single row holds the generator images).
-The differential is written out as a full grid of rows, with "0" for every
+level i into level i-1 (level 0's single row holds the generator images,
+the columns of `FreeResolution.bodies` printed as elements).  The
+differential is written out as a full grid of rows, with "0" for every
 entry the sparse columns of `FreeResolution.matrices` do not store.  Every
 JSON document is written by `dumps_indented`, which gives the text of
 ``json.dumps(obj, indent=2)`` in one pass.
@@ -44,7 +45,7 @@ from .ring import (
     Poly,
     Rational,
 )
-from .syzygy import Column, FreeResolution
+from .syzygy import Column, FreeResolution, _column
 
 
 class PolySyntaxError(MarkedBasesError):
@@ -489,36 +490,35 @@ def parse_document(text: str) -> InputDocument:
 # ---------- resolution serialization ----------
 
 
-def _ranks_of(degrees: list[int]) -> dict[str, int]:
-    counts: dict[int, int] = {}
-    for d in degrees:
-        counts[d] = counts.get(d, 0) + 1
-    return {str(j): c for j, c in sorted(counts.items())}
+def _format_image(col: Column, rank: int) -> str:
+    """A level-0 column as the element it stores, printed as by
+    `format_element`: component ascending, then the exponents ascending."""
+    return _join_pieces([
+        _coeff_pieces(p[e], format_module_term(ModuleTerm(e, r + 1), rank), None)
+        for r, p in sorted(col.items())
+        for e in sorted(p)
+    ])
 
 
 def resolution_to_dict(res: FreeResolution) -> dict:
+    table = res.rank_table()
     levels = []
     for i, degs in enumerate(res.degrees):
-        entry: dict = {"ranks": _ranks_of(degs), "degrees": list(degs)}
+        entry: dict = {
+            "ranks": {str(j): c for j, c in table[i].items()},
+            "degrees": list(degs),
+        }
+        generators = (
+            [format_marked_element(el.body, el.head) for el in res.levels[i].ordered()]
+            if res.levels
+            else None
+        )
         if i == 0:
-            entry["generators"] = (
-                [
-                    format_marked_element(el.body, el.head)
-                    for el in res.levels[0].ordered()
-                ]
-                if res.levels
-                else [format_element(b) for b in res.bodies]
-            )
-            entry["differential"] = [[format_element(b) for b in res.bodies]]
+            images = [_format_image(col, res.layout.rank) for col in res.bodies]
+            entry["generators"] = images if generators is None else generators
+            entry["differential"] = [images]
         else:
-            entry["generators"] = (
-                [
-                    format_marked_element(el.body, el.head)
-                    for el in res.levels[i].ordered()
-                ]
-                if res.levels
-                else []
-            )
+            entry["generators"] = generators or []
             grid = [["0"] * len(degs) for _ in res.degrees[i - 1]]
             for c, column in enumerate(res.matrices[i - 1]):
                 for r, p in column.items():
@@ -609,7 +609,7 @@ def parse_resolution(text: str) -> FreeResolution:
     scalar = FreeModuleLayout(layout.n, (0,))
     degrees = [list(level["degrees"]) for level in data["levels"]]
     bodies = [
-        parse_polynomial(s, layout) for s in data["levels"][0]["differential"][0]
+        _column(parse_polynomial(s, layout)) for s in data["levels"][0]["differential"][0]
     ]
     matrices = []
     for i, level in enumerate(data["levels"][1:], start=1):

@@ -21,7 +21,6 @@ from marked_bases.ring import (
     FreeModuleLayout,
     ModuleElement,
     ModuleTerm,
-    element_times_poly,
     exp_add,
     exp_deg,
     exp_divides,
@@ -357,7 +356,8 @@ def dense_format(p, names) -> str:
 # The reference for `syzygy.minimize_resolution`: the same pivot order and
 # eliminations on a dense grid mat[row][column] with {} for a zero entry,
 # the layout the differentials were stored in before they became sparse
-# columns.
+# columns.  The level-0 map is one more grid, with a row per component of
+# the ambient free module.
 
 
 def dense_find_pivot(matrices):
@@ -377,11 +377,11 @@ def dense_minimize_resolution(res: FreeResolution):
     """Minimize `res` on dense grids.  Returns the result in columns and the
     cancelled pivots as (differential, row, column, value), in order."""
     pivots = []
-    bodies = list(res.bodies)
     degrees = [list(d) for d in res.degrees]
-    matrices = [
-        [[dict(col.get(r, {})) for col in mat] for r in range(len(degrees[i]))]
-        for i, mat in enumerate(res.matrices)
+    heights = [res.layout.rank] + [len(d) for d in degrees]
+    bodies, *matrices = [
+        [[dict(col.get(r, {})) for col in mat] for r in range(heights[i])]
+        for i, mat in enumerate([res.bodies, *res.matrices])
     ]
 
     while True:
@@ -419,23 +419,16 @@ def dense_minimize_resolution(res: FreeResolution):
             for c2 in range(len(mat[r2])):
                 if scaled[c2]:
                     poly_add_scaled(mat[r2][c2], scaled[c2], -1)
-        if i >= 1:
-            lower = matrices[i - 1]
-            for r2, mu in mus.items():
-                for row in lower:
-                    if row[r2]:
-                        poly_add_scaled(row[r], poly_mul(mu, row[r2]), 1)
-        else:
-            for r2, mu in mus.items():
-                bodies[r] = bodies[r] + element_times_poly(bodies[r2], mu)
+        lower = matrices[i - 1] if i else bodies
+        for r2, mu in mus.items():
+            for row in lower:
+                if row[r2]:
+                    poly_add_scaled(row[r], poly_mul(mu, row[r2]), 1)
 
         if i + 1 < len(matrices):
             del matrices[i + 1][c]
-        if i >= 1:
-            for row in matrices[i - 1]:
-                del row[r]
-        else:
-            del bodies[r]
+        for row in lower:
+            del row[r]
         del mat[r]
         for row in mat:
             del row[c]
@@ -446,9 +439,9 @@ def dense_minimize_resolution(res: FreeResolution):
             del degrees[-1]
             matrices.pop()
 
-    columns = [
-        [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(len(degrees[i + 1]))]
-        for i, mat in enumerate(matrices)
+    bodies, *columns = [
+        [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(len(degrees[i]))]
+        for i, mat in enumerate([bodies, *matrices])
     ]
     return FreeResolution(res.layout, bodies, degrees, columns), pivots
 

@@ -440,6 +440,34 @@ def test_c4_resolve_json_is_byte_identical(capsys, tmp_path):
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_C4_RESOLVE_SHA256
 
 
+# SHA-256 of `mbases resolve --minimize --json` on a rank-2 module with
+# weights (0, 1), recorded while the level-0 generator images were still
+# stored as module elements.  The document is the marked basis that
+# random_marked_basis draws over random_quasi_stable_module(random.Random(8),
+# 2, 2, max_deg=2, max_terms=8) with the same generator.  Its minimization
+# cancels a pivot in matrices[0], so the row elimination runs on the level-0
+# map and a generator image is cancelled.
+RANK2_DOC = """\
+ring 3
+module 2 0 1
+marked G = [x2*e1] + x1*e1, [x2*e2] + x1*e2, [x0*e2], [x1^2*e2], [x1*x0*e2]
+"""
+GOLDEN_RANK2_RESOLVE_SHA256 = "9d22f23136fc6e5c1537947bae7f7227a092019242716266c9e9de0ecb3a0446"
+
+
+def test_rank2_resolve_json_is_byte_identical(capsys, tmp_path):
+    path = tmp_path / "rank2.mb"
+    path.write_text(RANK2_DOC)
+    code, out = run(capsys, "resolve", str(path), "--minimize", "--json")
+    assert code == 0
+    data = json.loads(out.out)
+    full0 = data["resolution"]["levels"][0]
+    minimal0 = data["minimal"]["resolution"]["levels"][0]
+    assert len(minimal0["degrees"]) == len(full0["degrees"]) - 1
+    assert minimal0["differential"][0] == full0["differential"][0][:4]
+    assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_RANK2_RESOLVE_SHA256
+
+
 # SHA-256 of the standard output of the basis test and of `resolve` on the
 # twisted example with the tail of x1*x0 broken to x0^2, recorded before every
 # consumer walked the prolongations through one shared generator.  They pin

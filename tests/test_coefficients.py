@@ -87,14 +87,13 @@ def walk_marked(marked: MarkedSet, where):
 
 
 def walk_resolution(res, where):
-    for body in res.bodies:
-        walk_element(body, f"{where} body")
-    for mat in res.matrices:
+    maps = [("body", res.bodies)] + [("differential", mat) for mat in res.matrices]
+    for what, mat in maps:
         for col in mat:
             for entry in col.values():
-                assert entry, f"empty differential entry stored at {where}"
+                assert entry, f"empty {what} entry stored at {where}"
                 for c in entry.values():
-                    assert_rule(c, f"{where} differential")
+                    assert_rule(c, f"{where} {what}")
     for level in res.levels or []:
         walk_marked(level, f"{where} level")
 
@@ -223,8 +222,9 @@ class TestPipelines:
         walk_marked(generic.marked, "family memo")
         values = [Fraction(4, 2), Fraction(1, 2), -3, Fraction(-3, 4)]
         point = {i: values[i % len(values)] for i in range(generic.nparams)}
-        spec = specialize(generic, point, fam)
+        spec = specialize(generic, point)
         walk_marked(spec.marked, "specialize")
+        assert fam.vanishes_at(spec.assignment) == is_marked_basis(spec.marked).is_basis
 
 
 class TestDivision:

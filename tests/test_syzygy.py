@@ -14,7 +14,6 @@ import marked_bases.syzygy as syzygy_module
 from marked_bases import (
     FreeModuleLayout,
     MarkedSet,
-    ModuleElement,
     MonomialModule,
     NotABasis,
     ParametricCoefficients,
@@ -391,10 +390,9 @@ class TestVerifyComplex:
         res = free_resolution(build().marked)
         r = min(r for col in res.matrices[0] for r in col)
         broken = copy.deepcopy(res)
-        terms = dict(broken.bodies[r].terms)
-        t = next(iter(terms))
-        terms[t] = -terms[t]
-        broken.bodies[r] = ModuleElement(res.layout, terms)
+        entry = next(iter(broken.bodies[r].values()))  # holds the first term
+        e = next(iter(entry))
+        entry[e] = -entry[e]
         assert verify_complex(res)
         assert not verify_complex(broken)
 
@@ -443,7 +441,7 @@ class TestMinimize:
         generic = generic_marked_set(basis)
         res = FreeResolution(
             layout=LAY3,
-            bodies=[el.body for el in generic.marked.ordered()],
+            bodies=[syzygy_module._column(el.body) for el in generic.marked.ordered()],
             degrees=[[1]],
             matrices=[],
             levels=None,
@@ -458,6 +456,28 @@ def _doubled_pivot(find):
     def broken(matrices):
         found = find(matrices)
         return found and (*found[:3], 2 * found[3])
+
+    return broken
+
+
+def _spoil_level0(add_scaled_column, which):
+    """A corrupted elimination step.  The first call that clears its target
+    is the row elimination into the map below the pivot, which empties the
+    image of the eliminated generator; after it, that image gets the source
+    column back (``which="target"``) or the source, the image of a surviving
+    generator, has the sign of its first entry flipped (``"source"``)."""
+    done = []
+
+    def broken(target, source, factor, sign):
+        add_scaled_column(target, source, factor, sign)
+        if not target and not done:
+            done.append(True)
+            if which == "target":
+                target.update({r: dict(p) for r, p in source.items()})
+            else:
+                entry = next(iter(source.values()))
+                e = next(iter(entry))
+                entry[e] = -entry[e]
 
     return broken
 
@@ -489,6 +509,22 @@ class TestSelfChecksRaise:
         monkeypatch.setattr(syzygy_module, "_drop_row", _flip_once(syzygy_module._drop_row))
         with pytest.raises(InternalError, match="minimized resolution failed the complex check"):
             minimize_resolution(free_resolution(non_groebner.marked))
+
+    @pytest.mark.parametrize("which, message", [
+        ("target", "dependent column survived"),
+        ("source", "minimized resolution failed the complex check"),
+    ])
+    def test_corrupted_body_column_is_caught(self, monkeypatch, non_groebner, which, message):
+        # The one pivot of NON_GROEBNER lies in matrices[0], so its row
+        # elimination writes to the generator images (the bodies).
+        full = free_resolution(non_groebner.marked)
+        assert syzygy_module._find_pivot(full.matrices)[0] == 0
+        monkeypatch.setattr(
+            syzygy_module, "_add_scaled_column",
+            _spoil_level0(syzygy_module._add_scaled_column, which),
+        )
+        with pytest.raises(InternalError, match=message):
+            minimize_resolution(full)
 
     def test_corrupted_pivot_is_caught(self, monkeypatch, twisted):
         monkeypatch.setattr(
@@ -543,6 +579,33 @@ class TestSelfChecksRaise:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == "raised: minimized resolution failed the complex check\n"
+
+    def test_body_column_checks_survive_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_non_groebner_example\n"
+            "from test_syzygy import _spoil_level0\n"
+            "from marked_bases import syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "real = syzygy._add_scaled_column\n"
+            "full = syzygy.free_resolution(build_non_groebner_example().marked)\n"
+            "for which in ('target', 'source'):\n"
+            "    syzygy._add_scaled_column = _spoil_level0(real, which)\n"
+            "    try:\n"
+            "        syzygy.minimize_resolution(full)\n"
+            "    except InternalError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "raised: dependent column survived\n"
+            "raised: minimized resolution failed the complex check\n"
+        )
 
 
 class TestBounds:
