@@ -110,8 +110,9 @@ class MarkedSet:
         extra = set(by_head) - basis.terms
         if missing or extra:
             raise HeadMismatch(
-                f"heads do not match the basis (missing {sorted(missing)}, "
-                f"extra {sorted(extra)})"
+                "heads do not match the basis "
+                f"(missing [{', '.join(map(str, sorted(missing)))}], "
+                f"extra [{', '.join(map(str, sorted(extra)))}])"
             )
         for el in by_head.values():
             for t in el.tail_terms():

@@ -12,8 +12,8 @@ Two coefficient domains are supported:
   rule where a rational is divided or stored: in the ``ModuleElement``
   constructor (so for every parsed, generated, reduced or added element),
   the ``ParamPoly`` constructors and `ParamPoly.evaluate`, reduction
-  summands, every division by a pivot, and the entries a minimization
-  updates;
+  summands, every division by a pivot, and every term `poly_add_product`
+  stores;
 * ``ParamPoly`` -- polynomials with rational coefficients in a declared
   finite list of parameters, the family mode.  Each monomial is stored
   sparsely, as sorted ``(parameter index, power)`` pairs, because a family
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
@@ -79,11 +80,11 @@ def rational(q):
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_deg(a: Exponent) -> int:
@@ -91,11 +92,11 @@ def exp_deg(a: Exponent) -> int:
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def unit_exp(nvars: int) -> Exponent:
@@ -121,9 +122,26 @@ def min_index(a: Exponent):
     return None
 
 
+def format_exponent(exp: Exponent) -> str:
+    parts = []
+    for i in range(len(exp) - 1, -1, -1):
+        if exp[i] == 1:
+            parts.append(f"x{i}")
+        elif exp[i] > 1:
+            parts.append(f"x{i}^{exp[i]}")
+    return "*".join(parts) if parts else "1"
+
+
 class ModuleTerm(NamedTuple):
     exp: Exponent
     comp: int  # 1-based free-generator index
+
+    def __str__(self):
+        """The term in the document grammar, which reads no marker as e1."""
+        base = format_exponent(self.exp)
+        if self.comp == 1:
+            return base
+        return f"e{self.comp}" if base == "1" else f"{base}*e{self.comp}"
 
 
 def term_mul(t: ModuleTerm, e: Exponent) -> ModuleTerm:
@@ -487,31 +505,26 @@ class ModuleElement:
 Poly = dict[Exponent, Coeff]
 
 
-def poly_add_scaled(target: Poly, source: Poly, factor: Coeff) -> None:
-    """In-place target += factor * source, keeping the dict canonical and
-    its rationals stored by the int-when-integral rule."""
-    if not factor:
-        return
-    for e, c in source.items():
-        s = target.get(e)
-        s = factor * c if s is None else s + factor * c
-        if s:
-            target[e] = rational(s)
-        else:
-            target.pop(e, None)
+def poly_add_product(target: Poly, p: Poly, q: Poly, sign: int) -> None:
+    """In-place target += sign * p * q over the non-zero terms: every value
+    is stored by the int-when-integral rule and an entry that cancels is
+    deleted.  The one place where scalar polynomials are multiplied."""
+    for e1, c1 in p.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            s = target.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                target[e] = rational(s)
+            else:
+                del target[e]
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = exp_add(e1, e2)
-            s = out.get(e)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+    poly_add_product(out, p, q, 1)
     return out
 
 

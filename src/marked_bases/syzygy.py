@@ -31,6 +31,11 @@ only the pairs of consecutive maps its eliminations changed.
 `verify_complex` checks a whole resolution on request.  These self-checks
 and the minimization invariants touch non-zero entries only and raise
 `InternalError`, so they also run under ``python -O``.
+
+The chain check and the eliminations of minimization share one step,
+`_add_scaled_column`, which does all of their coefficient arithmetic
+through `ring.poly_add_product`; only the division by a pivot is apart
+(`_over`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
 
 from .marked import (
     MarkedElement,
@@ -51,7 +55,6 @@ from .marked import (
 from .monom import PommaretBasis, basis_invariants, is_pommaret_basis, pommaret_class
 from .ring import (
     Coeff,
-    Exponent,
     FreeModuleLayout,
     InternalError,
     MarkedBasesError,
@@ -59,9 +62,8 @@ from .ring import (
     ModuleTerm,
     ParamPoly,
     Poly,
-    poly_add_scaled,
+    poly_add_product,
     poly_constant,
-    poly_mul,
     rational,
     var_exp,
 )
@@ -220,22 +222,12 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     return res
 
 
-def _compose_column(lower: list[Column], column: Column) -> dict[tuple[int, Exponent], Coeff]:
-    """One column of lower * column: the products of non-zero entries only,
-    added into one accumulator keyed by (row, exponent).  The result is
-    empty exactly when the column composes to zero."""
-    acc: dict[tuple[int, Exponent], Coeff] = {}
+def _compose_column(lower: list[Column], column: Column) -> Column:
+    """One column of lower * column, from the non-zero entries only.  The
+    result is empty exactly when the column composes to zero."""
+    acc: Column = {}
     for k, q in column.items():
-        for r, p in lower[k].items():
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    key = (r, tuple(map(add, e1, e2)))
-                    prev = acc.get(key)
-                    total = c1 * c2 if prev is None else prev + c1 * c2
-                    if total:
-                        acc[key] = total
-                    else:
-                        del acc[key]
+        _add_scaled_column(acc, lower[k], q, 1)
     return acc
 
 
@@ -294,7 +286,7 @@ def _add_scaled_column(target: Column, source: Column, factor: Poly, sign: int) 
     """target += sign * factor * source, dropping the entries that cancel."""
     for r, p in source.items():
         entry = target.setdefault(r, {})
-        poly_add_scaled(entry, poly_mul(factor, p), sign)
+        poly_add_product(entry, factor, p, sign)
         if not entry:
             del target[r]
 

@@ -36,7 +36,6 @@ from json.encoder import encode_basestring_ascii
 from .monom import MonomialModule
 from .ring import (
     Coeff,
-    Exponent,
     FreeModuleLayout,
     MarkedBasesError,
     ModuleElement,
@@ -44,6 +43,7 @@ from .ring import (
     ParamPoly,
     Poly,
     Rational,
+    format_exponent,
 )
 from .syzygy import Column, FreeResolution, _column
 
@@ -234,16 +234,6 @@ def parse_marked_polynomial(
 
 
 # ---------- printing ----------
-
-
-def format_exponent(exp: Exponent) -> str:
-    parts = []
-    for i in range(len(exp) - 1, -1, -1):
-        if exp[i] == 1:
-            parts.append(f"x{i}")
-        elif exp[i] > 1:
-            parts.append(f"x{i}^{exp[i]}")
-    return "*".join(parts) if parts else "1"
 
 
 def format_module_term(t: ModuleTerm, rank: int) -> str:

@@ -7,6 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# oracles.py is a helper, not a test module, so pytest would leave its
+# asserts plain and the `python -O` run of scripts/tier1.sh would drop them.
+pytest.register_assert_rewrite("oracles")
 
 from marked_bases import (
     FreeModuleLayout,

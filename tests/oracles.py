@@ -28,9 +28,7 @@ from marked_bases.ring import (
     exp_sub,
     lex_key,
     min_index,
-    poly_add_scaled,
     poly_constant,
-    poly_mul,
     rational,
     term_mul,
     var_exp,
@@ -357,7 +355,31 @@ def dense_format(p, names) -> str:
 # eliminations on a dense grid mat[row][column] with {} for a zero entry,
 # the layout the differentials were stored in before they became sparse
 # columns.  The level-0 map is one more grid, with a row per component of
-# the ambient free module.
+# the ambient free module.  Products and scaled sums are the naive ones
+# below, so the reference shares no polynomial arithmetic with
+# `ring.poly_add_product`.
+
+
+def naive_mul(p, q):
+    """The product of two scalar polynomials: every pair of terms, then the
+    zero sums dropped."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_add_scaled(target, source, factor):
+    """target += factor * source in place, in Fractions; a zero sum is
+    dropped and an integral one stored as an int."""
+    for e, c in source.items():
+        total = Fraction(target.get(e, 0)) + factor * c
+        if total:
+            target[e] = total.numerator if total.denominator == 1 else total
+        else:
+            target.pop(e, None)
 
 
 def dense_find_pivot(matrices):
@@ -401,13 +423,13 @@ def dense_minimize_resolution(res: FreeResolution):
         for c2, factor in factors.items():
             for row in mat:
                 if row[c]:
-                    poly_add_scaled(row[c2], poly_mul(factor, row[c]), -1)
+                    naive_add_scaled(row[c2], naive_mul(factor, row[c]), -1)
         if i + 1 < len(matrices):
             upper = matrices[i + 1]
             for c2, factor in factors.items():
                 for col in range(len(upper[c2])):
                     if upper[c2][col]:
-                        poly_add_scaled(upper[c][col], poly_mul(factor, upper[c2][col]), 1)
+                        naive_add_scaled(upper[c][col], naive_mul(factor, upper[c2][col]), 1)
 
         # Row elimination: new gen_r = gen_r + sum(mu_r2 * gen_r2) at level i.
         mus = {}
@@ -415,15 +437,15 @@ def dense_minimize_resolution(res: FreeResolution):
             if r2 != r and mat[r2][c]:
                 mus[r2] = {e: rational(Fraction(v) / pivot) for e, v in mat[r2][c].items()}
         for r2, mu in mus.items():
-            scaled = [poly_mul(mu, entry) if entry else {} for entry in mat[r]]
+            scaled = [naive_mul(mu, entry) if entry else {} for entry in mat[r]]
             for c2 in range(len(mat[r2])):
                 if scaled[c2]:
-                    poly_add_scaled(mat[r2][c2], scaled[c2], -1)
+                    naive_add_scaled(mat[r2][c2], scaled[c2], -1)
         lower = matrices[i - 1] if i else bodies
         for r2, mu in mus.items():
             for row in lower:
                 if row[r2]:
-                    poly_add_scaled(row[r], poly_mul(mu, row[r2]), 1)
+                    naive_add_scaled(row[r], naive_mul(mu, row[r2]), 1)
 
         if i + 1 < len(matrices):
             del matrices[i + 1][c]

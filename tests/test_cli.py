@@ -350,6 +350,29 @@ class TestExitCodes:
         assert "unknown parameter 'C_{9,9}'" in out.err
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("command, doc, message", [
+        ("check", "marked G = [x1] + x0, [x0]",
+         "tail term x0 lies inside the monomial module"),
+        ("pommaret", "ideal J = x0*x1",
+         "not quasi-stable: no power x1^s * t / min(t) lies in the module "
+         "for generator x1*x0"),
+        ("check", "marked G = [x1] + x1, [x0]", "head x1 has coefficient != 1"),
+        ("check", "marked G = [x1] - x1, [x0]", "head x1 not in the support"),
+        ("check", "module 2 0 0\nmarked G = [x1*e2] + x0*e2, [x0*e2], [x0], [x1]",
+         "tail term x0*e2 lies inside the monomial module"),
+    ])
+    def test_terms_in_messages_use_the_grammar(self, capsys, tmp_path, command, doc,
+                                               message, fmt):
+        path = tmp_path / "doc.mb"
+        path.write_text(f"ring 2\n{doc}\n")
+        code, out = run(capsys, command, str(path), *fmt)
+        assert code == 1
+        if fmt:
+            assert json.loads(out.out) == {"ok": False, "error": message}
+        else:
+            assert out.out == message + "\n"
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_failed_self_check_exits_3(self, capsys, monkeypatch, twisted_file, fmt):
         # A forged composition that never vanishes: every syzygy fails.
         monkeypatch.setattr(syzygy_module, "_compose_column", lambda lower, column: {0: 1})
@@ -639,6 +662,7 @@ class TestModuleDocuments:
         pick = ["--marked", "G"] if command in ("check", "reduce", "resolve") else ["--ideal", "J"]
         code, out = run(capsys, command, path, *extra, *pick, *fmt)
         assert code == 0, out.out
+        assert "ModuleTerm(" not in out.out + out.err
         if fmt:
             assert out.out == json.dumps(json.loads(out.out), indent=2) + "\n"
 

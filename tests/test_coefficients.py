@@ -33,7 +33,7 @@ from marked_bases import (
 )
 from marked_bases.linalg import rref
 from marked_bases.randgen import random_marked_basis
-from marked_bases.ring import poly_add_scaled, rational
+from marked_bases.ring import poly_add_product, rational
 from marked_bases.textio import parse_document, parse_polynomial, resolution_to_dict
 from conftest import LAY3, NON_GROEBNER_DOC, TWISTED_DOC, T, survey_bases
 from oracles import dense_minimize_resolution
@@ -148,9 +148,10 @@ class TestStoredCoefficients:
         walk_element(half + half, "sum")
         assert (half + half).terms == {T((0, 0, 1)): 1}
 
-    def test_poly_add_scaled(self):
+    def test_poly_add_product(self):
+        # 1/2 * (x2 + 3*x1) added to 1/2 * x2.
         target = {(0, 0, 1): Fraction(1, 2)}
-        poly_add_scaled(target, {(0, 0, 1): 1, (0, 1, 0): 3}, Fraction(1, 2))
+        poly_add_product(target, {(0, 0, 0): Fraction(1, 2)}, {(0, 0, 1): 1, (0, 1, 0): 3}, 1)
         assert target == {(0, 0, 1): 1, (0, 1, 0): Fraction(3, 2)}
         assert type(target[(0, 0, 1)]) is int
 

@@ -58,8 +58,9 @@ class TestNewMarkedSet:
             for h in twisted.heads
             if h != T((0, 1, 2))
         ]
-        with pytest.raises(HeadMismatch):
+        with pytest.raises(HeadMismatch) as err:
             MarkedSet(twisted.basis, elements)
+        assert str(err.value) == "heads do not match the basis (missing [x2^2*x1], extra [])"
 
     def test_head_coefficient_must_be_one(self):
         with pytest.raises(HeadCoefficientNotOne):

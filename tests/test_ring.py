@@ -11,6 +11,7 @@ from marked_bases import (
     ModuleElement,
     ParamPoly,
 )
+from marked_bases.ring import poly_add_product, poly_mul
 from conftest import E, LAY3, T
 
 LAY1 = FreeModuleLayout(0)
@@ -68,6 +69,16 @@ class TestMulTerm:
         assert e.mul_term(t).mul_term(s) == e.mul_term(tuple(a + b for a, b in zip(s, t)))
 
 
+@pytest.mark.parametrize("term, text", [
+    (T((1, 0, 1)), "x2*x0"),
+    (T((0, 0, 0)), "1"),
+    (T((0, 2, 0), 3), "x1^2*e3"),
+    (T((0, 0, 0), 2), "e2"),
+])
+def test_module_term_prints_in_the_grammar(term, text):
+    assert str(term) == f"{term}" == text
+
+
 def test_rational_arithmetic_exact():
     rng = random.Random(1)
     for _ in range(1000):
@@ -118,6 +129,58 @@ class TestParamPoly:
     def test_no_zero_terms_stored(self):
         p = ParamPoly(1, {(1,): Fraction(0), (0,): Fraction(2)})
         assert list(p.terms) == [(0,)]
+
+
+# Stored coefficients: ints, and Fractions with denominators 2 and 3, so
+# that sums of products often come out integral.
+STORED = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=3).filter(
+    bool
+).map(lambda f: f.numerator if f.denominator == 1 else f)
+POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), STORED, max_size=4)
+
+
+def naive_add_product(target, p, q, sign):
+    """target + sign * p * q: the product dict first, then the sum, zero
+    sums dropped."""
+    product = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            product[e] = product.get(e, 0) + c1 * c2
+    out = dict(target)
+    for e, c in product.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_stored(poly):
+    for c in poly.values():
+        assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1)), c
+
+
+class TestPolyAddProduct:
+    """`poly_add_product` against a naive reference; the worked example of
+    an integral Fraction stored as an int is in test_coefficients.py."""
+
+    @given(POLYS, POLYS, POLYS, st.sampled_from([1, -1]))
+    def test_matches_naive_reference(self, target, p, q, sign):
+        expected = naive_add_product(target, p, q, sign)
+        poly_add_product(target, p, q, sign)
+        assert target == expected
+        assert_stored(target)
+
+    @given(POLYS, POLYS, POLYS)
+    def test_cancels_to_empty(self, extra, p, q):
+        target = naive_add_product(extra, p, q, 1)
+        poly_add_product(target, p, q, -1)
+        poly_add_product(target, {(0, 0, 0): -1}, extra, 1)
+        assert target == {}
+
+    @given(POLYS, POLYS)
+    def test_poly_mul(self, p, q):
+        product = poly_mul(p, q)
+        assert product == naive_add_product({}, p, q, 1)
+        assert_stored(product)
 
 
 def test_zero_element_compatible_with_every_degree():

@@ -465,7 +465,10 @@ def _spoil_level0(add_scaled_column, which):
     is the row elimination into the map below the pivot, which empties the
     image of the eliminated generator; after it, that image gets the source
     column back (``which="target"``) or the source, the image of a surviving
-    generator, has the sign of its first entry flipped (``"source"``)."""
+    generator, has the sign of its first entry flipped (``"source"``).
+    `_compose_column` accumulates through `_add_scaled_column` too, but
+    minimization composes only after its eliminations, so no composition
+    that cancels to zero comes first."""
     done = []
 
     def broken(target, source, factor, sign):
