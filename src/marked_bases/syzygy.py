@@ -91,10 +91,12 @@ def _column(elem: ModuleElement) -> Column:
 
 
 def syzygy_marked_basis(
-    marked: MarkedSet,
+    marked: MarkedSet, lower: list[Column] | None = None
 ) -> tuple[PommaretBasis, MarkedSet, list[Column]]:
     """Marked basis of the syzygy module of a certified marked basis, with
-    the syzygies as columns over the generators of `marked`.
+    the syzygies as columns over the generators of `marked`.  `lower`, if
+    given, holds the bodies of `marked` as columns in its element order (the
+    columns `free_resolution` already stores); otherwise they are built.
 
     One syzygy per prolongation, in the order of `prolongations`, read off
     the memoised reduction of that prolongation.  Every produced syzygy is
@@ -112,7 +114,8 @@ def syzygy_marked_basis(
 
     position = marked.position
     one = marked.one_like()
-    lower = [_column(el.body) for el in elems]
+    if lower is None:
+        lower = [_column(el.body) for el in elems]
     syz_elements = []
     columns: list[Column] = []
     for el, j in prolongations(marked):
@@ -195,24 +198,26 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     Each differential is the list of columns `syzygy_marked_basis` returns,
     and that step has composed every one of them with the map below it, so
     the chain property is checked once per column, as the column is built;
-    the finished resolution is not composed again.
+    the finished resolution is not composed again.  Each column is built
+    once: the bodies, then each step's columns, are passed to the next step
+    as the map below it.
     """
     _require_basis(marked)
     levels = [marked]
+    bodies = [_column(el.body) for el in marked.ordered()]
     matrices: list[list[Column]] = []
-    current = marked
+    current, lower = marked, bodies
     while any(prolongations(current)):
-        _, syz_set, columns = syzygy_marked_basis(current)
-        matrices.append(columns)
-        levels.append(syz_set)
-        current = syz_set
+        _, current, lower = syzygy_marked_basis(current, lower)
+        matrices.append(lower)
+        levels.append(current)
 
     degrees = [
         [lvl.layout.term_degree(el.head) for el in lvl.ordered()] for lvl in levels
     ]
     res = FreeResolution(
         layout=marked.layout,
-        bodies=[_column(el.body) for el in marked.ordered()],
+        bodies=bodies,
         degrees=degrees,
         matrices=matrices,
         levels=levels,

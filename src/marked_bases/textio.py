@@ -20,9 +20,12 @@ Resolutions serialize to a stable JSON schema: ``{"length": L, "ring": ...,
 level i into level i-1 (level 0's single row holds the generator images,
 the columns of `FreeResolution.bodies` printed as elements).  The
 differential is written out as a full grid of rows, with "0" for every
-entry the sparse columns of `FreeResolution.matrices` do not store.  Every
-JSON document is written by `dumps_indented`, which gives the text of
-``json.dumps(obj, indent=2)`` in one pass.
+entry the sparse columns of `FreeResolution.matrices` do not store.  Each
+`resolution_to_dict` call formats every distinct entry once, and the grid
+cells share its text; it formats each distinct monomial once too.
+Every JSON document is written by `dumps_indented`, which gives the text
+of ``json.dumps(obj, indent=2)`` in one pass and encodes each row of
+strings once.
 """
 
 from __future__ import annotations
@@ -237,10 +240,14 @@ def parse_marked_polynomial(
 
 
 def format_module_term(t: ModuleTerm, rank: int) -> str:
-    base = format_exponent(t.exp)
+    return _module_term(format_exponent(t.exp), t.comp, rank)
+
+
+def _module_term(base: str, comp: int, rank: int) -> str:
+    """A module term from the text of its exponent."""
     if rank == 1:
         return base
-    marker = f"e{t.comp}"
+    marker = f"e{comp}"
     return marker if base == "1" else f"{base}*{marker}"
 
 
@@ -314,12 +321,18 @@ def format_element(elem: ModuleElement, names=None) -> str:
 
 
 def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> str:
+    return _marked_text(body, head, format_module_term, names)
+
+
+def _marked_text(body: ModuleElement, head: ModuleTerm, term, names=None) -> str:
+    """A marked element as `format_marked_element` prints it, with
+    `term(t, rank)` giving the text of each module term."""
     rank = body.layout.rank
-    out = f"[{format_module_term(head, rank)}]"
+    out = f"[{term(head, rank)}]"
     for t, c in body.sorted_terms():
         if t == head:
             continue
-        sign, piece = _coeff_pieces(c, format_module_term(t, rank), names)
+        sign, piece = _coeff_pieces(c, term(t, rank), names)
         out += f" {sign} {piece}"
     return out
 
@@ -480,11 +493,12 @@ def parse_document(text: str) -> InputDocument:
 # ---------- resolution serialization ----------
 
 
-def _format_image(col: Column, rank: int) -> str:
+def _format_image(col: Column, rank: int, term) -> str:
     """A level-0 column as the element it stores, printed as by
-    `format_element`: component ascending, then the exponents ascending."""
+    `format_element`: component ascending, then the exponents ascending;
+    `term(t, rank)` gives the text of each module term."""
     return _join_pieces([
-        _coeff_pieces(p[e], format_module_term(ModuleTerm(e, r + 1), rank), None)
+        _coeff_pieces(p[e], term(ModuleTerm(e, r + 1), rank), None)
         for r, p in sorted(col.items())
         for e in sorted(p)
     ])
@@ -492,6 +506,16 @@ def _format_image(col: Column, rank: int) -> str:
 
 def resolution_to_dict(res: FreeResolution) -> dict:
     table = res.rank_table()
+    # Texts of this call: entry items -> entry, exponent -> monomial.
+    texts: dict[tuple, str] = {}
+    bases: dict[tuple, str] = {}
+
+    def term(t: ModuleTerm, rank: int) -> str:
+        base = bases.get(t.exp)
+        if base is None:
+            base = bases[t.exp] = format_exponent(t.exp)
+        return _module_term(base, t.comp, rank)
+
     levels = []
     for i, degs in enumerate(res.degrees):
         entry: dict = {
@@ -499,12 +523,12 @@ def resolution_to_dict(res: FreeResolution) -> dict:
             "degrees": list(degs),
         }
         generators = (
-            [format_marked_element(el.body, el.head) for el in res.levels[i].ordered()]
+            [_marked_text(el.body, el.head, term) for el in res.levels[i].ordered()]
             if res.levels
             else None
         )
         if i == 0:
-            images = [_format_image(col, res.layout.rank) for col in res.bodies]
+            images = [_format_image(col, res.layout.rank, term) for col in res.bodies]
             entry["generators"] = images if generators is None else generators
             entry["differential"] = [images]
         else:
@@ -512,7 +536,11 @@ def resolution_to_dict(res: FreeResolution) -> dict:
             grid = [["0"] * len(degs) for _ in res.degrees[i - 1]]
             for c, column in enumerate(res.matrices[i - 1]):
                 for r, p in column.items():
-                    grid[r][c] = format_poly(p)
+                    key = tuple(p.items())
+                    text = texts.get(key)
+                    if text is None:
+                        text = texts[key] = format_poly(p)
+                    grid[r][c] = text
             entry["differential"] = grid
         levels.append(entry)
     return {
@@ -533,7 +561,8 @@ def dumps_indented(obj) -> str:
     generator step per item.  This writer gives the same text (ASCII
     escapes, ``",\n"`` between items, ``": "`` after keys, ``[]`` and
     ``{}`` for empty containers) as pieces of one list, and writes a list of
-    strings, such as a row of a differential, with a single join.  It takes
+    strings, such as a row of a differential, with a single join, encoding
+    the row once to see whether any item needs an escape.  It takes
     only what the CLI emits, dicts with str keys, lists, str, int, bool and
     None, and raises `TypeError` on anything else.
     """
@@ -562,10 +591,16 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         if isinstance(obj[0], str):
             try:
-                items = ("," + inner).join(map(encode_basestring_ascii, obj))
+                joined = ",".join(obj)
             except TypeError:  # not every item is a string
                 pass
             else:
+                # Every escape lengthens the text and "," needs none, so the
+                # row needs no escape exactly when only the quotes are added.
+                if len(encode_basestring_ascii(joined)) == len(joined) + 2:
+                    items = '"' + ('",' + inner + '"').join(obj) + '"'
+                else:
+                    items = ("," + inner).join(map(encode_basestring_ascii, obj))
                 out.append("[" + inner + items + newline + "]")
                 return
         sep = "[" + inner

@@ -39,11 +39,7 @@ from marked_bases import (
     verify_complex,
     x0_heads_are_divisible,
 )
-from marked_bases.monom import (
-    MonomialModule,
-    minimalize,
-    nonmultiplicative_variables,
-)
+from marked_bases.monom import MonomialModule, minimalize
 from marked_bases.randgen import (
     random_homogeneous_element,
     random_marked_basis,
@@ -52,8 +48,8 @@ from marked_bases.randgen import (
     random_quasi_stable_module,
     random_saturated_basis,
 )
-from marked_bases.ring import min_index, var_exp
-from conftest import E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC
+from marked_bases.ring import min_index
+from conftest import E, NON_GROEBNER_DOC, T, TWISTED_DOC
 from oracles import (
     all_module_terms,
     all_products,

@@ -21,6 +21,7 @@ from marked_bases import (
 from marked_bases import cli as cli_module
 from marked_bases import family as family_module
 from marked_bases import syzygy as syzygy_module
+from marked_bases import textio as textio_module
 from marked_bases.cli import main
 from marked_bases.marked import BasisCheck
 from marked_bases.textio import (
@@ -463,6 +464,23 @@ def test_c4_resolve_json_is_byte_identical(capsys, tmp_path):
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_C4_RESOLVE_SHA256
 
 
+def test_resolution_to_dict_formats_each_distinct_entry_once(monkeypatch):
+    """Most entries of a resolution are the same few texts (the +-x_j of the
+    Pommaret syzygies), and each distinct one is formatted once per call."""
+    res = free_resolution(random_marked_basis(random.Random(1), c4_basis()))
+    stored = sum(len(col) for mat in res.matrices for col in mat)
+    calls = []
+    original = textio_module.format_poly
+
+    def counting(p, names=None):
+        calls.append(p)
+        return original(p, names)
+
+    monkeypatch.setattr(textio_module, "format_poly", counting)
+    textio_module.resolution_to_dict(res)
+    assert 0 < len(calls) < stored / 10
+
+
 # SHA-256 of `mbases resolve --minimize --json` on a rank-2 module with
 # weights (0, 1), recorded while the level-0 generator images were still
 # stored as module elements.  The document is the marked basis that
@@ -686,6 +704,21 @@ class TestJsonWriter:
 
     @given(st.lists(JSON_TEXT, max_size=6))
     def test_lists_of_strings(self, row):
+        assert dumps_indented([row, {"row": row}]) == json.dumps([row, {"row": row}], indent=2)
+
+    @pytest.mark.parametrize("row", [
+        ["x1", '"', "-x0"],
+        ["x1", "\\", "-x0"],
+        ["x1", "\n", "-x0"],
+        ["x1", "\xe9", "-x0"],
+        ["x1", "\u2028", "-x0"],
+        ["x1", 'a","b', "-x0"],
+        ["0"] * 7,
+        ["x2^2 - 3/2*x1*x0"],
+    ])
+    def test_rows_with_at_most_one_escaped_item(self, row):
+        # A row is written with one join unless encoding it whole shows an
+        # escape; each of the first six has exactly one item that needs one.
         assert dumps_indented([row, {"row": row}]) == json.dumps([row, {"row": row}], indent=2)
 
     @pytest.mark.parametrize("value", [

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from marked_bases import (
-    FreeModuleLayout,
     HeadCoefficientNotOne,
     HeadMismatch,
     MarkedElement,

@@ -38,7 +38,6 @@ from marked_bases import (
 from marked_bases.ring import InternalError
 from marked_bases.randgen import (
     random_marked_basis,
-    random_marked_set,
     random_quasi_stable_basis,
 )
 from conftest import (
@@ -117,7 +116,7 @@ class TestSyzygyMarkedBasis:
         assert len(syz) == 0 and columns == []
 
     def test_requires_a_basis(self, twisted):
-        from marked_bases import MarkedElement, MarkedSet, ModuleElement
+        from marked_bases import MarkedElement
 
         bodies = {h: E(LAY3, {h: 1}) for h in twisted.heads}
         bodies[T((1, 1, 0))] = E(LAY3, {T((1, 1, 0)): 1, T((2, 0, 0)): 1})
@@ -359,6 +358,22 @@ class TestComposeOnce:
         compositions.clear()
         res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
         assert len(compositions) == sum(len(degs) for degs in res.degrees[1:]) == 782
+
+    def test_c4_sized_truncation_builds_each_column_once(self, monkeypatch):
+        """The syzygy step reads the map below it from the columns
+        `free_resolution` holds instead of rebuilding them."""
+        drawn = random_marked_basis(random.Random(1), c4_basis())
+        calls = []
+        original = syzygy_module._column
+
+        def counting(elem):
+            calls.append(elem)
+            return original(elem)
+
+        monkeypatch.setattr(syzygy_module, "_column", counting)
+        res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
+        syzygies = sum(len(degs) for degs in res.degrees[1:])
+        assert len(calls) == syzygies + len(res.bodies) == 782 + 49
 
     @pytest.mark.parametrize("shape", [c2_basis, c3_basis, c4_basis])
     def test_minimize_without_a_pivot_composes_nothing(self, compositions, shape):
