@@ -397,7 +397,7 @@ def cmd_specialize(doc, args):
         assignment = _parse_assignment(args.assignment)
         spec = specialize(generic, assignment)
     except KeyError as exc:
-        raise InputFormatError(str(exc)) from None
+        raise InputFormatError(exc.args[0]) from None
     result = is_marked_basis(spec.marked)
     vanishes = result.is_basis
     lines = ["specialized elements:"]

@@ -336,22 +336,6 @@ def _quasi_stable_witness(gens: frozenset[Exponent], nvars: int):
     return None
 
 
-def _is_stable_component(gens: frozenset[Exponent], nvars: int) -> bool:
-    n = nvars - 1
-    for e in gens:
-        m = min_index(e)
-        if m is None:
-            continue
-        quotient = list(e)
-        quotient[m] -= 1
-        for j in range(m + 1, n + 1):
-            cand = list(quotient)
-            cand[j] += 1
-            if not any(exp_divides(g, tuple(cand)) for g in gens):
-                return False
-    return True
-
-
 def quasi_stability_witness(module: MonomialModule):
     """None when quasi-stable, else a failing (generator, variable) pair."""
     for k in range(1, module.layout.rank + 1):
@@ -365,23 +349,17 @@ def quasi_stability_witness(module: MonomialModule):
 
 
 def stability_class(module: MonomialModule) -> StabilityClass:
-    """Classify per component; the module is stable/quasi-stable iff every
-    component is.  The stable verdict is cross-checked against the
-    completion criterion (stable iff the completion adds nothing)."""
-    layout = module.layout
-    all_stable = True
-    for k in range(1, layout.rank + 1):
-        gens = module.component(k)
-        if not gens:
-            continue
-        if _quasi_stable_witness(gens, layout.nvars) is not None:
-            return StabilityClass.NOT_QUASI_STABLE
-        stable = _is_stable_component(gens, layout.nvars)
-        completed = _complete_component(set(gens), layout.nvars)
-        if (completed == set(gens)) != stable:
-            raise InternalError("stability criteria disagree")
-        all_stable = all_stable and stable
-    return StabilityClass.STABLE if all_stable else StabilityClass.QUASI_STABLE
+    """Classify by the Pommaret completion: a module that has none is not
+    quasi-stable, and a quasi-stable module is stable exactly when its
+    minimal generators are already its Pommaret basis (the completion adds
+    nothing)."""
+    try:
+        basis = pommaret_completion(module)
+    except NotQuasiStable:
+        return StabilityClass.NOT_QUASI_STABLE
+    if basis.terms == module.generators:
+        return StabilityClass.STABLE
+    return StabilityClass.QUASI_STABLE
 
 
 def pommaret_completion(module: MonomialModule) -> PommaretBasis:

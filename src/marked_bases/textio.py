@@ -4,7 +4,10 @@ Polynomial grammar: optional rational coefficients ``p/q``, variables
 ``x0..xN``, powers with ``^``, free-generator markers ``e<k>``, ``+``/``-``,
 and an optional ``*`` between factors.  In marked-set context the head term
 of an element is wrapped in square brackets: ``[x1*x0] + x2^2``.  A term
-without a component marker lives in component 1.
+without a component marker lives in component 1.  One column printer,
+`_column_text`, prints every element: a module element, a marked element,
+the generator images and syzygies of a resolution and each differential
+entry all print from their sparse columns {component - 1: polynomial}.
 
 Input documents are line oriented (``#`` starts a comment, indented lines
 continue the previous logical line)::
@@ -30,6 +33,7 @@ strings once.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -266,16 +270,9 @@ def _param_term(m, mag: Rational, names) -> str:
 
 
 def format_param_poly(p: ParamPoly, names) -> str:
-    if not p:
-        return "0"
-    out = ""
-    for m, c in p.sorted_terms():
-        body = _param_term(m, abs(c), names)
-        if not out:
-            out = ("-" if c < 0 else "") + body
-        else:
-            out += f" {'-' if c < 0 else '+'} {body}"
-    return out
+    return _join_pieces([
+        ("-" if c < 0 else "+", _param_term(m, abs(c), names)) for m, c in p.sorted_terms()
+    ])
 
 
 def _coeff_pieces(c: Coeff, term_str: str, names) -> tuple[str, str]:
@@ -301,48 +298,44 @@ def _coeff_pieces(c: Coeff, term_str: str, names) -> tuple[str, str]:
     return sign, f"{mag}*{term_str}"
 
 
-def _join_pieces(pieces: list[tuple[str, str]]) -> str:
-    """Summands given as (sign, body), joined; "0" when there are none."""
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+def _join_pieces(pieces: list[tuple[str, str]], out: str = "") -> str:
+    """Summands given as (sign, body), joined after `out`; "0" when the
+    result would be empty."""
+    for sign, body in pieces:
+        out += f" {sign} {body}" if out else ("-" + body if sign == "-" else body)
+    return out or "0"
+
+
+def _column_text(
+    col: Column, rank: int, head: ModuleTerm | None = None, names=None, base=format_exponent
+) -> str:
+    """The element stored as the column `col` ({component - 1: polynomial}),
+    printed component ascending, then exponents ascending; "0" when empty.
+    With `head`, the marked form: ``[head]`` first, then the other
+    summands.  `base(exponent)` gives the text of each monomial."""
+    skip = None if head is None else (head.comp - 1, head.exp)
+    pieces = [
+        _coeff_pieces(col[r][e], _module_term(base(e), r + 1, rank), names)
+        for r, e in sorted([(r, e) for r, p in col.items() for e in p])
+        if (r, e) != skip
+    ]
+    if head is None:
+        return _join_pieces(pieces)
+    return _join_pieces(pieces, f"[{_module_term(base(head.exp), head.comp, rank)}]")
 
 
 def format_element(elem: ModuleElement, names=None) -> str:
-    rank = elem.layout.rank
-    return _join_pieces([
-        _coeff_pieces(c, format_module_term(t, rank), names)
-        for t, c in elem.sorted_terms()
-    ])
+    return _column_text(_column(elem), elem.layout.rank, names=names)
 
 
 def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> str:
-    return _marked_text(body, head, format_module_term, names)
-
-
-def _marked_text(body: ModuleElement, head: ModuleTerm, term, names=None) -> str:
-    """A marked element as `format_marked_element` prints it, with
-    `term(t, rank)` giving the text of each module term."""
-    rank = body.layout.rank
-    out = f"[{term(head, rank)}]"
-    for t, c in body.sorted_terms():
-        if t == head:
-            continue
-        sign, piece = _coeff_pieces(c, term(t, rank), names)
-        out += f" {sign} {piece}"
-    return out
+    return _column_text(_column(body), body.layout.rank, head, names)
 
 
 def format_poly(p: Poly, names=None) -> str:
-    """Scalar polynomial (differential entry) in the same grammar, terms in
-    the order `format_element` prints a rank-one element."""
-    return _join_pieces([
-        _coeff_pieces(p[e], format_exponent(e), names) for e in sorted(p)
-    ])
+    """Scalar polynomial (differential entry) in the same grammar, printed
+    as the rank-one element it is."""
+    return _column_text({0: p}, 1, names=names)
 
 
 # ---------- input documents ----------
@@ -493,48 +486,35 @@ def parse_document(text: str) -> InputDocument:
 # ---------- resolution serialization ----------
 
 
-def _format_image(col: Column, rank: int, term) -> str:
-    """A level-0 column as the element it stores, printed as by
-    `format_element`: component ascending, then the exponents ascending;
-    `term(t, rank)` gives the text of each module term."""
-    return _join_pieces([
-        _coeff_pieces(p[e], term(ModuleTerm(e, r + 1), rank), None)
-        for r, p in sorted(col.items())
-        for e in sorted(p)
-    ])
-
-
 def resolution_to_dict(res: FreeResolution) -> dict:
     table = res.rank_table()
     # Texts of this call: entry items -> entry, exponent -> monomial.
     texts: dict[tuple, str] = {}
-    bases: dict[tuple, str] = {}
-
-    def term(t: ModuleTerm, rank: int) -> str:
-        base = bases.get(t.exp)
-        if base is None:
-            base = bases[t.exp] = format_exponent(t.exp)
-        return _module_term(base, t.comp, rank)
-
+    base = functools.cache(format_exponent)
     levels = []
     for i, degs in enumerate(res.degrees):
+        columns = res.matrices[i - 1] if i else res.bodies
+        rank = len(res.degrees[i - 1]) if i else res.layout.rank
         entry: dict = {
             "ranks": {str(j): c for j, c in table[i].items()},
             "degrees": list(degs),
         }
         generators = (
-            [_marked_text(el.body, el.head, term) for el in res.levels[i].ordered()]
+            [
+                _column_text(col, rank, el.head, base=base)
+                for col, el in zip(columns, res.levels[i].ordered())
+            ]
             if res.levels
             else None
         )
         if i == 0:
-            images = [_format_image(col, res.layout.rank, term) for col in res.bodies]
+            images = [_column_text(col, rank, base=base) for col in columns]
             entry["generators"] = images if generators is None else generators
             entry["differential"] = [images]
         else:
             entry["generators"] = generators or []
             grid = [["0"] * len(degs) for _ in res.degrees[i - 1]]
-            for c, column in enumerate(res.matrices[i - 1]):
+            for c, column in enumerate(columns):
                 for r, p in column.items():
                     key = tuple(p.items())
                     text = texts.get(key)

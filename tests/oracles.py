@@ -162,6 +162,23 @@ def quasi_stable_witness_scan(gens, nvars: int):
     return None
 
 
+def is_stable_scan(gens, nvars: int) -> bool:
+    """Stability by its definition, checked on the minimal generators: for
+    each generator t with smallest variable x_m and each j > m, the
+    exchange x_j * t / x_m lies in the ideal."""
+    for e in gens:
+        m = min_index(e)
+        if m is None:
+            continue
+        for j in range(m + 1, nvars):
+            moved = list(e)
+            moved[m] -= 1
+            moved[j] += 1
+            if not ideal_contains(gens, tuple(moved)):
+                return False
+    return True
+
+
 # ---------- Pommaret cones by scanning ----------
 # The cone machinery as it was before `monom.ConeIndex`: every lookup tests
 # every vertex with `in_cone`.

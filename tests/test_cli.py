@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from marked_bases import (
     FreeModuleLayout,
+    ModuleElement,
+    ParamPoly,
     free_resolution,
     minimize_resolution,
     parse_document,
@@ -30,6 +32,7 @@ from marked_bases.textio import (
     dumps_indented,
     format_element,
     format_marked_element,
+    format_poly,
 )
 from marked_bases.randgen import random_homogeneous_element, random_marked_basis
 from conftest import E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, c4_basis, survey_bases
@@ -102,6 +105,60 @@ class TestParsing:
             text = format_marked_element(el.body, el.head)
             body, head = parse_marked_polynomial(text, LAY3)
             assert body == el.body and head == el.head
+
+
+LAY_R2 = FreeModuleLayout(2, (0, 1))
+ONE, X1, X2, X0 = (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)
+
+
+def _param(terms):
+    return ParamPoly(2, terms)
+
+
+def _rank2_element():
+    return ModuleElement(LAY_R2, {T(X0): 1, T(X2): Fraction(2, 3), T(ONE, 2): -1})
+
+
+# Each printer branch once, with the text the printers gave when each kind
+# of element still had a printer of its own.
+PRINTED = [
+    ("constant-param-on-1", lambda: format_poly({ONE: _param({(0, 0): -3})}), "-3"),
+    ("constant-param-on-x1",
+     lambda: format_poly({X1: _param({(0, 0): Fraction(5, 2)})}), "5/2*x1"),
+    ("sum-param-on-1",
+     lambda: format_poly({ONE: _param({(1, 0): 1, (0, 1): -2})}), "(-2*C1 + C0)"),
+    ("sum-param-on-x1",
+     lambda: format_element(ModuleElement(LAY3, {T(X1): _param({(1, 0): -1, (0, 2): 3})})),
+     "(-C0 + 3*C1^2)*x1"),
+    ("negative-one-term-param",
+     lambda: format_element(
+         ModuleElement(LAY3, {T(X2): _param({(1, 1): -2}), T(X1): _param({(0, 1): 1})})),
+     "-2*C0*C1*x2 + C1*x1"),
+    ("fraction-negative-first",
+     lambda: format_element(
+         ModuleElement(LAY3, {T((1, 1, 0)): 1, T((0, 0, 2)): Fraction(-3, 2), T((2, 0, 0)): -4})),
+     "-3/2*x2^2 + x1*x0 - 4*x0^2"),
+    ("rank2-unit-term", lambda: format_element(_rank2_element()), "2/3*x2*e1 + x0*e1 - e2"),
+    ("head-not-first",
+     lambda: format_marked_element(_rank2_element(), T(X0)), "[x0*e1] + 2/3*x2*e1 - e2"),
+    ("marked-param-names",
+     lambda: format_marked_element(
+         ModuleElement(LAY3, {
+             T((0, 0, 2)): 1,
+             T((0, 2, 0)): _param({(1, 0): 1, (0, 0): 1}),
+             T((1, 1, 0)): _param({(0, 0): -1}),
+         }),
+         T((0, 0, 2)), ["a", "b"]),
+     "[x2^2] + (1 + a)*x1^2 - x1*x0"),
+    ("zero-element", lambda: format_element(ModuleElement(LAY_R2, {})), "0"),
+    ("zero-entry", lambda: format_poly({}), "0"),
+]
+
+
+@pytest.mark.parametrize("case, text", [(c, t) for _, c, t in PRINTED],
+                         ids=[name for name, _, _ in PRINTED])
+def test_printed_text(case, text):
+    assert case() == text
 
 
 class TestCheckCommand:
@@ -349,6 +406,13 @@ class TestExitCodes:
         code, out = run(capsys, "specialize", str(path), "--set", "C_{0,0}=1,C_{9,9}=2")
         assert code == 2
         assert "unknown parameter 'C_{9,9}'" in out.err
+
+    def test_unknown_parameter_message_is_unquoted(self, capsys, tmp_path):
+        path = tmp_path / "family.mb"
+        path.write_text("ring 2\nideal J = x1^2, x1*x0\n")
+        code, out = run(capsys, "specialize", str(path), "--set", "x=1")
+        assert code == 2
+        assert out.err == "input error: unknown parameter 'x'\n"
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     @pytest.mark.parametrize("command, doc, message", [
