@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of one benchmark op on two source trees.
+
+    python3 scripts/ab_ops.py PARENT_SRC CHANGE_SRC --workload resolve \\
+        --op "resolve C4" --rounds 20 [--seed 1]
+
+PARENT_SRC and CHANGE_SRC are directories that each hold a `marked_bases`
+package (a checkout's `src/`).  Both packages are loaded into this one
+process under separate names, and `bench/workloads.py` is loaded once for
+each, so each side builds its op list, input documents included, with its
+own code.  Every round runs the op once on each side; the side that runs
+first alternates from round to round.  Each run is timed in process time.
+`--op` may be given several times: a round then runs all those ops in turn
+on one side, then on the other, and times them together.
+
+The report gives each side's median time, the median of the per-round ratios
+change / parent, the number of rounds the change was faster, and whether
+every output of the two sides was byte-identical (compared through the op's
+own digest).  The two sides of a round run seconds apart in one process,
+so a change in the machine's speed reaches both of them.
+
+Nothing is written under `bench/`: the op documents go to a temporary
+directory and no bytecode is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import process_time
+
+sys.dont_write_bytecode = True
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "marked_bases"
+
+
+def load_side(label: str, src: Path):
+    """`bench/workloads.py`, loaded against the package in `src`, which is
+    loaded under the name `<label>_marked_bases`."""
+    name = f"{label}_{PACKAGE}"
+    spec = importlib.util.spec_from_file_location(
+        name, src / PACKAGE / "__init__.py", submodule_search_locations=[str(src / PACKAGE)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    # The workload module imports `marked_bases`: alias this side's modules
+    # under that name while it loads, then drop the aliases.
+    aliases = {
+        PACKAGE + key[len(name):]: module
+        for key, module in list(sys.modules.items())
+        if key == name or key.startswith(name + ".")
+    }
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"{label}_workloads", ROOT / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    finally:
+        for key in aliases:
+            del sys.modules[key]
+    return workloads
+
+
+def find_ops(workloads, workload: str, names: list[str], seed: int, workdir: Path):
+    ops = {op.name: op for op in workloads.WORKLOADS[workload](seed, workdir)}
+    missing = [name for name in names if name not in ops]
+    if missing:
+        raise SystemExit(f"no op {missing[0]!r} in workload {workload!r} "
+                         f"(ops: {', '.join(ops)})")
+    return [ops[name] for name in names]
+
+
+def timed(ops):
+    """Process time of running the ops in turn, and their digests."""
+    start = process_time()
+    results = [op.run() for op in ops]
+    seconds = process_time() - start
+    return seconds, [op.digest(result) for op, result in zip(ops, results)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--workload", default="resolve")
+    parser.add_argument("--op", action="append", help='default: "resolve C4"')
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    names = args.op or ["resolve C4"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = []
+        for label, src in (("parent", args.parent_src), ("change", args.change_src)):
+            workdir = Path(tmp) / label
+            workdir.mkdir()
+            workloads = load_side(label, src.resolve())
+            sides.append(find_ops(workloads, args.workload, names, args.seed, workdir))
+        times: list[list[float]] = [[], []]
+        identical = True
+        for r in range(args.rounds):
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            digests = [None, None]
+            for side in order:
+                seconds, digests[side] = timed(sides[side])
+                times[side].append(seconds)
+            identical = identical and digests[0] == digests[1]
+
+    ratios = [c / p for p, c in zip(*times)]
+    wins = sum(c < p for p, c in zip(*times))
+    print(f"ops {', '.join(names)}; workload {args.workload}, seed {args.seed}, "
+          f"{args.rounds} rounds")
+    print(f"parent median {statistics.median(times[0]) * 1e3:.1f} ms")
+    print(f"change median {statistics.median(times[1]) * 1e3:.1f} ms")
+    q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"ratio median {statistics.median(ratios):.3f} (quartiles {q[0]:.3f}-{q[2]:.3f})")
+    print(f"change faster in {wins} of {args.rounds} rounds")
+    print(f"outputs byte-identical: {'yes' if identical else 'no'}")
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,7 @@ from .marked import (
 )
 from .monom import (
     MonomialModule,
+    NotQuasiStable,
     PommaretBasis,
     StabilityClass,
     basis_invariants,
@@ -35,8 +36,6 @@ from .monom import (
     hilbert_function,
     is_pommaret_basis,
     pommaret_completion,
-    quasi_stability_witness,
-    stability_class,
     truncate_basis,
 )
 from .ring import (
@@ -191,24 +190,25 @@ def cmd_pommaret(doc, args):
 
 
 def cmd_classify(doc, args):
+    """One completion classifies, by the rule of `monom.stability_class`;
+    a module that has none is refused with the witness of the refusal."""
     module = _ideal(doc, args)
-    witness = quasi_stability_witness(module)
-    if witness is not None:
-        term, var = witness
+    try:
+        basis = pommaret_completion(module)
+    except NotQuasiStable as exc:
+        generator = format_module_term(exc.witness, module.layout.rank)
         text = (
             "not quasi-stable\n"
-            f"witness: generator {format_module_term(term, module.layout.rank)} "
-            f"with non-multiplicative variable x{var}"
+            f"witness: generator {generator} "
+            f"with non-multiplicative variable x{exc.variable}"
         )
         payload = {
             "class": StabilityClass.NOT_QUASI_STABLE.value,
-            "witness": {
-                "generator": format_module_term(term, module.layout.rank),
-                "variable": f"x{var}",
-            },
+            "witness": {"generator": generator, "variable": f"x{exc.variable}"},
         }
         return 1, text, payload
-    cls = stability_class(module)
+    stable = basis.terms == module.generators
+    cls = StabilityClass.STABLE if stable else StabilityClass.QUASI_STABLE
     return 0, cls.value, {"class": cls.value}
 
 

@@ -18,13 +18,30 @@ summands.  `prolongations` walks them in one fixed order (element order,
 then variable index) and `prolongation_rep` reduces each of them once per
 marked set and memoises the representation on the set, so every consumer
 of the same set shares one reduction per prolongation.
+
+Inside `reduce_full` a term is one int, packed by the basis's
+`ring.TermPacking` (packed monomials after Bachmann and Schönemann, ISSAC
+1998; a heap of packed keys after Monagan and Pearce, J. Symb. Comput.
+2011): rank - comp in the lowest field, then one field per variable with
+x_n most significant.  So int order is lex order, the lower component the
+larger int on equal exponents, and the heap pops the largest int; a shift
+is one int addition, the multiplier of a target is target - head, and the
+lex-descent certificate is new_mult < mult.  Width rule: each variable
+field holds degree - min(weights) for the largest degree the basis was
+asked for, at least max_degree() + 1, so every prolongation fits.  The
+terms of one reduction share deg(h), and a target of higher degree first
+widens the basis's packing, clearing the cone memo keyed by the old one
+(`PommaretBasis.packing`): no field overflows.  Each marked set packs its
+bodies once (`MarkedSet.packed_bodies`); all sets over one basis share its
+packing and cone memo.  Module elements and representations stay keyed by
+module terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import neg
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .monom import PommaretBasis, nonmultiplicative_variables
@@ -36,8 +53,7 @@ from .ring import (
     ModuleElement,
     ModuleTerm,
     ParamPoly,
-    exp_sub,
-    lex_key,
+    TermPacking,
     rational,
     term_mul,
     var_exp,
@@ -90,11 +106,14 @@ class MarkedSet:
     syzygies and printed matrices); ``position`` maps each head to its
     0-based place in it.  The marked-basis verdict is cached once
     established, and so is the representation of every prolongation reduced
-    through `prolongation_rep`; instances are immutable so both caches are
+    through `prolongation_rep`, and so are the packed bodies the kernel
+    reads (`packed_bodies`); instances are immutable so these caches are
     sound.
     """
 
-    __slots__ = ("basis", "elements", "position", "_certified", "_prolongations")
+    __slots__ = (
+        "basis", "elements", "position", "_certified", "_prolongations", "_packed"
+    )
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
         if not basis.certified:
@@ -114,15 +133,20 @@ class MarkedSet:
                 f"(missing [{', '.join(map(str, sorted(missing)))}], "
                 f"extra [{', '.join(map(str, sorted(extra)))}])"
             )
-        for el in by_head.values():
-            for t in el.tail_terms():
-                if basis.cone_divisor(t) is not None:
-                    raise TailTermInU(t)
         self.basis = basis
         self.elements = by_head
         self.position = {head: i for i, head in enumerate(by_head)}
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
+        self._packed: tuple[TermPacking, dict] | None = None
+        # The tails are checked as the kernel will read them, packed, and
+        # through the cone memo: the tails of many elements share terms.
+        # Every term has the degree of a head, which the packing holds.
+        packing = basis.packing(0)
+        for _, terms, _ in self.packed_bodies(packing).values():
+            for t in terms:
+                if basis.cone_divisor(t) is not None:
+                    raise TailTermInU(packing.unpack(t))
 
     @property
     def layout(self):
@@ -144,6 +168,24 @@ class MarkedSet:
         if isinstance(c, ParamPoly):
             return ParamPoly.const(c.nparams, 1)
         return 1
+
+    def packed_bodies(self, packing: TermPacking) -> dict:
+        """{packed head: (head, packed tail terms, their coefficients)} in
+        element order, each tail in body order; built with the set, for its
+        tail check, and again only when the basis's packing changes."""
+        packed = self._packed
+        if packed is None or packed[0] is not packing:
+            pack = packing.pack
+            bodies = {}
+            for head, el in self.elements.items():
+                terms = el.body.terms
+                bodies[pack(head)] = (
+                    head,
+                    tuple([pack(t) for t in terms if t != head]),
+                    tuple([c for t, c in terms.items() if t != head]),
+                )
+            packed = self._packed = (packing, bodies)
+        return packed[1]
 
 
 @dataclass(frozen=True)
@@ -174,15 +216,6 @@ class Representation:
         return ModuleElement(self.remainder.layout, total)
 
 
-def _heap_entry(t: ModuleTerm, head: ModuleTerm) -> tuple:
-    """Heap entry of a term of U, carrying the head whose cone holds it.
-
-    The key is the negated reversed exponent, then the component, so the
-    least entry is the lex-greatest term (x_n most significant) and the
-    lower component wins a tie."""
-    return tuple(map(neg, reversed(t.exp))), t.comp, t, head
-
-
 def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
     """Reduce h to its normal form modulo the marked set.
 
@@ -194,58 +227,77 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
     pushed on a heap when it enters the work element, and a popped term
     that has since cancelled is skipped.  Each cone lookup happens once per
     created term, where the lex-descent certificate needs it anyway.
+
+    The work element, the heap and the summands are keyed by terms packed
+    by the basis's packing for deg(h) (see the module docstring); the
+    representation is unpacked at the end, the remainder in the order its
+    terms entered the work element.
     """
     basis = marked.basis
     if h.layout != basis.layout:
         raise ValueError("element layout differs from the marked set layout")
-    work: dict[ModuleTerm, Coeff] = dict(h.terms)
+    packing = basis.packing(h.degree or 0)
+    bodies = marked.packed_bodies(packing)
+    pack = packing.pack
+    cone = basis.cone_divisor
+    work: dict[int, Coeff] = {}
+    divisor_of: dict[int, int] = {}  # each term of U pushed -> its packed head
     heap = []
-    for t in work:
-        head = basis.cone_divisor(t)
+    for t, c in h.terms.items():
+        p = pack(t)
+        work[p] = c
+        head = cone(p)
         if head is not None:
-            heap.append(_heap_entry(t, head))
+            divisor_of[p] = head
+            heap.append(-p)
     heapify(heap)
-    summands: dict[tuple[Exponent, ModuleTerm], Coeff] = {}
+    summands: dict[int, Coeff] = {}  # packed target -> coefficient
     while heap:
-        _, _, target, head = heappop(heap)
+        target = -heappop(heap)
         coeff = work.pop(target, None)
         if coeff is None:
             continue
-        mult = exp_sub(target.exp, head.exp)
-        key = (mult, head)
-        prev = summands.get(key)
+        prev = summands.get(target)
         total = coeff if prev is None else prev + coeff
         if total:
-            summands[key] = total
+            summands[target] = total
         else:
-            summands.pop(key, None)
-        body = marked.elements[head].body
-        for t, c in body.terms.items():
-            if t == head:
-                continue
-            shifted = term_mul(t, mult)
-            divisor = basis.cone_divisor(shifted)
+            del summands[target]
+        head = divisor_of[target]
+        _, terms, coeffs = bodies[head]
+        mult = target - head
+        for t, c in zip(terms, coeffs):
+            shifted = t + mult
+            divisor = cone(shifted)
             s = work.get(shifted)
             if divisor is not None:
-                new_mult = exp_sub(shifted.exp, divisor.exp)
-                if not lex_key(new_mult) < lex_key(mult):
+                if not shifted - divisor < mult:
                     raise InternalNonTermination(
-                        f"created multiplier {new_mult} not lex-below {mult}"
+                        f"created multiplier {packing.unpack_exp(shifted - divisor)} "
+                        f"not lex-below {packing.unpack_exp(mult)}"
                     )
                 if s is None:
-                    heappush(heap, _heap_entry(shifted, divisor))
+                    divisor_of[shifted] = divisor
+                    heappush(heap, -shifted)
             s = -(coeff * c) if s is None else s - coeff * c
             if s:
                 work[shifted] = s
             else:
                 work.pop(shifted, None)
+    # Summands lex-descending in the multiplier, then in element order.
     position = marked.position
-    flat = sorted(
-        ((rational(c), mult, head) for (mult, head), c in summands.items()),
-        key=lambda item: (tuple(-x for x in lex_key(item[1])), position[item[2]]),
+    keyed = []
+    for target, c in summands.items():
+        mult = target - divisor_of[target]
+        head = bodies[divisor_of[target]][0]
+        keyed.append((-mult, position[head], mult, head, c))
+    keyed.sort(key=itemgetter(0, 1))
+    unpack_exp, unpack = packing.unpack_exp, packing.unpack
+    flat = tuple((rational(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed)
+    remainder = ModuleElement._trusted(
+        basis.layout, {unpack(p): rational(c) for p, c in work.items()}, h.degree if work else None
     )
-    remainder = ModuleElement(basis.layout, work)
-    return Representation(tuple(flat), remainder)
+    return Representation(flat, remainder)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ trees do (Gerdt, Blinkov and Yanovich, "Construction of Janet bases I",
 CASC 2001; Seiler, *Involution*, 2010).  The vertices whose cones contain a
 term are then found with at most n + 1 dict probes, one per candidate class.
 `PommaretBasis.cone_divisor`, the structural test `is_pommaret_basis`, the
-completion and `complement_terms` all go through it.
+completion and `complement_terms` all go through it; the reduction kernel's
+lookups of packed terms go through the same filing by packed keys
+(`PackedCones`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .ring import (
     InternalError,
     MarkedBasesError,
     ModuleTerm,
+    TermPacking,
     exp_add,
     exp_deg,
     exp_divides,
@@ -135,6 +138,50 @@ class ConeIndex:
         return out
 
 
+class PackedCones:
+    """The cones of a `ConeIndex`, for terms packed by one `TermPacking`.
+
+    A vertex s of class m is filed, with its exponent s[m], in the table of
+    class m under its packed form with the fields of x0..x_m cleared, which
+    keeps the component and the exponents above m.  So a lookup reads each
+    key and each exponent x_m off the packed term with one mask or shift,
+    and never unpacks it.
+    """
+
+    __slots__ = ("packing", "classes")
+
+    def __init__(self, packing: TermPacking, terms, n: int):
+        self.packing = packing
+        shifts, comp_mask = packing.shifts, packing.comp_mask
+        tables: dict[int, dict] = {}
+        for g in terms:
+            m = pommaret_class(g.exp, n)
+            keep = comp_mask | (-1 << shifts[m + 1]) if m < n else comp_mask
+            p = packing.pack(g)
+            tables.setdefault(m, {}).setdefault(p & keep, []).append((g.exp[m], p))
+        # Per class that has vertices, in increasing order: the shift of
+        # field m, the mask keeping the component and the fields above m,
+        # the table, and whether every term probes it.
+        self.classes = [
+            (shifts[m], comp_mask | (-1 << shifts[m + 1]) if m < n else comp_mask,
+             tables[m], m == n)
+            for m in sorted(tables)
+        ]
+
+    def find(self, p: int):
+        """The packed vertex whose cone holds the packed term p, or None."""
+        mask = self.packing.mask
+        for shift, keep, table, always in self.classes:
+            x = p >> shift & mask
+            if x or always:
+                bucket = table.get(p & keep)
+                if bucket is not None:
+                    for low, vertex in bucket:
+                        if x >= low:
+                            return vertex
+        return None
+
+
 def terms_of_degree(nvars: int, d: int):
     """All exponent tuples of total degree d (degrevlex descending)."""
     if d < 0:
@@ -191,10 +238,12 @@ class PommaretBasis:
     """Finite term set with the disjoint-cone certificate.
 
     ``certified`` is set by the completion algorithm or by the structural
-    test.  Cone lookups go through a `ConeIndex` of the terms, keyed by
-    (component, class, exponents above the class) and built on the first
-    lookup; their answers are memoised in ``_cone_cache`` (sound: the value
-    is immutable).
+    test.  Cone lookups go through a `ConeIndex` of the terms, built on the
+    first lookup.  The reduction kernel asks with terms packed by the
+    basis's `packing`, through `PackedCones`, and those answers are
+    memoised in ``_cone_cache``, keyed by the packed term (sound: the value
+    is immutable, and the memo is cleared when the packing is replaced).
+    Every marked set over the basis shares the packing and the memo.
     """
 
     layout: FreeModuleLayout
@@ -202,6 +251,9 @@ class PommaretBasis:
     certified: bool = False
     _cone_cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
     _cone_index: ConeIndex | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _packed_cones: PackedCones | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
@@ -214,14 +266,33 @@ class PommaretBasis:
     def max_degree(self) -> int:
         return max((self.layout.term_degree(t) for t in self.terms), default=0)
 
-    def cone_divisor(self, t: ModuleTerm):
-        """The unique basis term whose cone contains t, or None outside U."""
+    def cone_divisor(self, t):
+        """The unique basis term whose cone contains t, or None outside U.
+
+        A `ModuleTerm` is answered with a `ModuleTerm`.  An int is a term
+        packed by the current `packing` and is answered packed, through the
+        memo."""
+        if type(t) is not int:
+            return self.cone_index().find(t.comp, t.exp)
         hit = self._cone_cache.get(t, False)
         if hit is not False:
             return hit
-        found = self.cone_index().find(t.comp, t.exp)
-        self._cone_cache[t] = found
+        found = self._cone_cache[t] = self._packed_cones.find(t)
         return found
+
+    def packing(self, degree: int) -> TermPacking:
+        """The packing of terms over this basis, wide enough for terms of
+        the given degree and at least of every prolongation.  A larger
+        degree than the current one holds replaces it by a wider one, with
+        its `PackedCones`, and clears the cone memo, whose keys the old one
+        packed."""
+        cones = self._packed_cones
+        if cones is None or degree > cones.packing.degree:
+            packing = TermPacking(self.layout, max(degree, self.max_degree() + 1))
+            cones = PackedCones(packing, self.terms, self.layout.n)
+            object.__setattr__(self, "_packed_cones", cones)
+            self._cone_cache.clear()
+        return cones.packing
 
     def cone_index(self) -> ConeIndex:
         """The `ConeIndex` of the terms, built on first use."""

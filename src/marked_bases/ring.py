@@ -33,14 +33,14 @@ zero element carries no degree.
 
 Variables are ordered x0 < x1 < ... < xn.  The lex comparison used by the
 reduction machinery gives the highest-index variable the most significance,
-so it is plain tuple comparison on reversed exponent tuples.
+so it is plain int comparison on terms packed by `TermPacking`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, lshift
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
@@ -83,10 +83,6 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
 
 
-def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(sub, a, b))
-
-
 def exp_deg(a: Exponent) -> int:
     return sum(a)
 
@@ -107,11 +103,6 @@ def var_exp(nvars: int, i: int) -> Exponent:
     e = [0] * nvars
     e[i] = 1
     return tuple(e)
-
-
-def lex_key(a: Exponent) -> Exponent:
-    # xn is the most significant variable.
-    return a[::-1]
 
 
 def min_index(a: Exponent):
@@ -146,6 +137,43 @@ class ModuleTerm(NamedTuple):
 
 def term_mul(t: ModuleTerm, e: Exponent) -> ModuleTerm:
     return ModuleTerm(exp_add(t.exp, e), t.comp)
+
+
+class TermPacking:
+    """Module terms of degree <= `degree` packed into one int each.
+
+    Fields, least significant first: rank - comp, then one per variable, x0
+    first, so int order is lex order with x_n most significant, and on
+    equal exponents the lower component is the larger int.  An exponent
+    packs with a zero component field, so a shift is one int addition.
+    Each variable field is just wide enough for degree - min(weights), the
+    largest exponent such a term can have; a term of higher degree could
+    carry into the next field, so it is never packed (`PommaretBasis.packing`).
+    """
+
+    __slots__ = ("degree", "rank", "shifts", "mask", "comp_mask")
+
+    def __init__(self, layout: FreeModuleLayout, degree: int):
+        self.degree = degree
+        self.rank = rank = len(layout.weights)
+        comp_width = (rank - 1).bit_length()
+        width = max(1, (degree - min(layout.weights)).bit_length())
+        self.shifts = tuple(range(comp_width, comp_width + width * (layout.n + 1), width))
+        self.mask = (1 << width) - 1
+        self.comp_mask = (1 << comp_width) - 1
+
+    def pack(self, t: ModuleTerm) -> int:
+        return sum(map(lshift, t.exp, self.shifts), self.rank - t.comp)
+
+    def pack_exp(self, e: Exponent) -> int:
+        return sum(map(lshift, e, self.shifts))
+
+    def unpack_exp(self, p: int) -> Exponent:
+        mask = self.mask
+        return tuple([p >> s & mask for s in self.shifts])
+
+    def unpack(self, p: int) -> ModuleTerm:
+        return ModuleTerm(self.unpack_exp(p), self.rank - (p & self.comp_mask))
 
 
 def canonical_term_key(t: ModuleTerm):
@@ -446,6 +474,17 @@ class ModuleElement:
         self.degree = degree
 
     @classmethod
+    def _trusted(cls, layout: FreeModuleLayout, terms: dict, degree) -> "ModuleElement":
+        """Wrap terms that are valid for the layout, share the given degree
+        and carry stored non-zero coefficients; nothing is copied, checked
+        or converted."""
+        el = object.__new__(cls)
+        el.layout = layout
+        el.terms = terms
+        el.degree = degree
+        return el
+
+    @classmethod
     def zero(cls, layout: FreeModuleLayout) -> "ModuleElement":
         return cls(layout, {})
 
@@ -490,8 +529,14 @@ class ModuleElement:
         return self + (-other)
 
     def mul_term(self, e: Exponent) -> "ModuleElement":
-        return ModuleElement(
-            self.layout, {term_mul(t, e): c for t, c in self.terms.items()}
+        """x^e times the element.  The shifted terms of a checked element
+        are valid and share one degree, so they are not checked again."""
+        if len(e) != self.layout.nvars:
+            raise ValueError(f"exponent length {len(e)} != {self.layout.nvars}")
+        return ModuleElement._trusted(
+            self.layout,
+            {term_mul(t, e): c for t, c in self.terms.items()},
+            None if self.degree is None else self.degree + exp_deg(e),
         )
 
     def __repr__(self):

@@ -25,14 +25,22 @@ share one reduction per prolongation.
 
 The chain property (consecutive maps compose to zero) is checked where a
 differential is written, not on the finished resolution: the syzygy step
-composes each column with the level below as it builds it (the column
-`free_resolution` stores is the one checked), and minimization re-checks
-only the pairs of consecutive maps its eliminations changed.
+evaluates each column it stores against the packed bodies of the level
+below (`_evaluate_column`), and minimization re-checks only the pairs of
+consecutive maps its eliminations changed (`_compose_column`).
 `verify_complex` checks a whole resolution on request.  These self-checks
 and the minimization invariants touch non-zero entries only and raise
 `InternalError`, so they also run under ``python -O``.
 
-The chain check and the eliminations of minimization share one step,
+The packed bodies are the ones the reduction kernel reads
+(`MarkedSet.packed_bodies`): one int per term, rank - comp in the lowest
+field, then one field per variable with x_n most significant, each field
+wide enough for degree - min(weights) at every degree up to one above the
+largest head degree (the width rule of `marked`).  The image of a column
+has the degree of a prolongation, so it fits, and an entry c*x^e of row k
+adds the packed x^e to each term of the k-th body: one int addition.
+
+The eliminations of minimization and `_compose_column` share one step,
 `_add_scaled_column`, which does all of their coefficient arithmetic
 through `ring.poly_add_product`; only the division by a pivot is apart
 (`_over`).
@@ -90,21 +98,19 @@ def _column(elem: ModuleElement) -> Column:
     return col
 
 
-def syzygy_marked_basis(
-    marked: MarkedSet, lower: list[Column] | None = None
-) -> tuple[PommaretBasis, MarkedSet, list[Column]]:
+def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet, list[Column]]:
     """Marked basis of the syzygy module of a certified marked basis, with
-    the syzygies as columns over the generators of `marked`.  `lower`, if
-    given, holds the bodies of `marked` as columns in its element order (the
-    columns `free_resolution` already stores); otherwise they are built.
+    the syzygies as columns over the generators of `marked`.
 
     One syzygy per prolongation, in the order of `prolongations`, read off
     the memoised reduction of that prolongation.  Every produced syzygy is
     composed with the level below and must give zero: this is the chain
-    property of the pair, and the returned columns are exactly the ones it
-    composed, in the element order of the returned set.  The resulting set
-    is re-certified; the re-certification reduces every prolongation of the
-    new set, which fills the memo the next level's syzygy step reads.
+    property of the pair.  The check evaluates the column that is returned
+    against the packed bodies of `marked` (`_evaluate_column`), and the
+    returned columns come in the element order of the returned set.  The
+    resulting set is re-certified; the re-certification reduces every
+    prolongation of the new set, which fills the memo the next level's
+    syzygy step reads.
     """
     _require_basis(marked)
     elems = marked.ordered()
@@ -114,8 +120,13 @@ def syzygy_marked_basis(
 
     position = marked.position
     one = marked.one_like()
-    if lower is None:
-        lower = [_column(el.body) for el in elems]
+    # Every composed term has the degree of a prolongation, which the
+    # packing the reductions used already holds.
+    packing = marked.basis.packing(max(weights, default=0) + 1)
+    rows = [
+        ((head, *terms), (1, *coeffs))
+        for head, (_, terms, coeffs) in marked.packed_bodies(packing).items()
+    ]
     syz_elements = []
     columns: list[Column] = []
     for el, j in prolongations(marked):
@@ -134,7 +145,7 @@ def syzygy_marked_basis(
                 body_terms.pop(t, None)
         body = ModuleElement(syz_layout, body_terms)
         column = _column(body)
-        if _compose_column(lower, column):
+        if _evaluate_column(rows, column, packing.pack_exp):
             raise InternalError("produced element is not a syzygy")
         syz_elements.append(MarkedElement(body, head))
         columns.append(column)
@@ -147,6 +158,29 @@ def syzygy_marked_basis(
     if syz_elements and not is_marked_basis(syz_set).is_basis:
         raise InternalError("syzygy set failed the marked-basis re-check")
     return syz_basis, syz_set, columns
+
+
+def _evaluate_column(rows: list[tuple[tuple, tuple]], column: Column, pack_exp) -> dict:
+    """The image of a column under the map below it, as {packed term:
+    coefficient} without the terms that cancel: the sum over the entries
+    c*x^e in row k of c times the body of the k-th element shifted by x^e.
+    `rows` holds each body of the level below as its packed terms and their
+    coefficients, in element order.  Empty exactly when the column composes
+    to zero."""
+    acc: dict[int, Coeff] = {}
+    for k, entry in column.items():
+        terms, coeffs = rows[k]
+        for e, c in entry.items():
+            shift = pack_exp(e)
+            for t, b in zip(terms, coeffs):
+                t += shift
+                s = acc.get(t)
+                s = c * b if s is None else s + c * b
+                if s:
+                    acc[t] = s
+                else:
+                    del acc[t]
+    return acc
 
 
 @dataclass
@@ -198,18 +232,16 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     Each differential is the list of columns `syzygy_marked_basis` returns,
     and that step has composed every one of them with the map below it, so
     the chain property is checked once per column, as the column is built;
-    the finished resolution is not composed again.  Each column is built
-    once: the bodies, then each step's columns, are passed to the next step
-    as the map below it.
+    the finished resolution is not composed again.
     """
     _require_basis(marked)
     levels = [marked]
     bodies = [_column(el.body) for el in marked.ordered()]
     matrices: list[list[Column]] = []
-    current, lower = marked, bodies
+    current = marked
     while any(prolongations(current)):
-        _, current, lower = syzygy_marked_basis(current, lower)
-        matrices.append(lower)
+        _, current, columns = syzygy_marked_basis(current)
+        matrices.append(columns)
         levels.append(current)
 
     degrees = [

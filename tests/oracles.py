@@ -25,8 +25,6 @@ from marked_bases.ring import (
     exp_deg,
     exp_divides,
     exp_lcm,
-    exp_sub,
-    lex_key,
     min_index,
     poly_constant,
     rational,
@@ -486,6 +484,15 @@ def dense_minimize_resolution(res: FreeResolution):
 
 
 # ---------- marked reduction in a chosen order ----------
+
+
+def exp_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def lex_key(a):
+    """Exponents compared lex with x_n most significant."""
+    return a[::-1]
 
 
 def lex_greatest(candidates):

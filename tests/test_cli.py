@@ -22,6 +22,7 @@ from marked_bases import (
 )
 from marked_bases import cli as cli_module
 from marked_bases import family as family_module
+from marked_bases import monom as monom_module
 from marked_bases import syzygy as syzygy_module
 from marked_bases import textio as textio_module
 from marked_bases.cli import main
@@ -278,6 +279,49 @@ class TestOtherCommands:
         assert code == 0
         assert out.out.strip() == "stable"
 
+    def test_classify_scans_for_the_witness_once(self, capsys, monkeypatch, twisted_file):
+        """One completion classifies: the quasi-stability scan runs once per
+        component, and a refusal would carry the witness."""
+        calls = []
+        original = monom_module._quasi_stable_witness
+
+        def counting(gens, nvars):
+            calls.append(gens)
+            return original(gens, nvars)
+
+        monkeypatch.setattr(monom_module, "_quasi_stable_witness", counting)
+        code, out = run(capsys, "classify", twisted_file)
+        assert (code, out.out) == (0, "quasi-stable\n")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("target, expected", [
+        ("x0^5000", "summands:\n  (none)\nremainder: x0^5000\n"),
+        ("x1*x0^4999",
+         "summands:\n  1 * x0^4998 * [x1*x0]\nremainder: -x2^2*x0^4998\n"),
+        ("x1*x0^4999 + x2*x0^4999 + x0^5000",
+         "summands:\n  1 * x0^4998 * [x1*x0]\n"
+         "remainder: -x2^2*x0^4998 + x2*x0^4999 + x0^5000\n"),
+        ("x2^2*x1*x0^4997 + 3*x1^2*x0^4998",
+         "summands:\n  3 * x0^4998 * [x1^2]\n  1 * x0^4997 * [x2^2*x1]\nremainder: 0\n"),
+        ("x2^3000*x1^2000",
+         "summands:\n  1 * x2^2997*x1^2000 * [x2^3]\nremainder: 0\n"),
+    ])
+    def test_reduce_far_above_the_basis_degree(self, capsys, twisted_file, target, expected):
+        """Targets whose exponents need far wider packed fields than the
+        basis degree: the output is the one of the tuple-keyed kernel."""
+        code, out = run(capsys, "reduce", twisted_file, "--target", target)
+        assert (code, out.out) == (0, expected)
+
+    def test_reduce_far_above_the_basis_degree_with_tails(self, capsys, non_groebner_file):
+        code, out = run(capsys, "reduce", non_groebner_file, "--target", "x2*x1*x0^4998")
+        assert (code, out.out) == (0, (
+            "summands:\n"
+            "  1 * x0^4998 * [x2*x1]\n"
+            "  1 * x0^4997 * [x2^2*x0]\n"
+            "  1 * x0^4997 * [x1^2*x0]\n"
+            "remainder: 0\n"
+        ))
+
     def test_truncate(self, capsys, tmp_path):
         path = tmp_path / "line.mb"
         path.write_text("ring 2\nideal J = x1\n")
@@ -439,8 +483,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_failed_self_check_exits_3(self, capsys, monkeypatch, twisted_file, fmt):
-        # A forged composition that never vanishes: every syzygy fails.
-        monkeypatch.setattr(syzygy_module, "_compose_column", lambda lower, column: {0: 1})
+        # A forged chain check that never vanishes: every syzygy fails.
+        monkeypatch.setattr(
+            syzygy_module, "_evaluate_column", lambda rows, column, pack_exp: {0: 1}
+        )
         code, out = run(capsys, "resolve", twisted_file, *fmt)
         assert code == 3
         assert "Traceback" not in out.out + out.err

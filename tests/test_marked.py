@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marked_bases import (
     HeadCoefficientNotOne,
     HeadMismatch,
+    InternalNonTermination,
     MarkedElement,
     MarkedSet,
     ModuleElement,
@@ -18,18 +20,20 @@ from marked_bases import (
     nonmultiplicative_variables,
     reduce_full,
 )
-from marked_bases.ring import lex_key, var_exp
+from marked_bases.ring import var_exp
 from marked_bases.randgen import (
     random_homogeneous_element,
     random_marked_basis,
     random_marked_set,
     random_quasi_stable_basis,
+    random_quasi_stable_module,
 )
 from conftest import E, LAY3, T, build_twisted_example
 from oracles import (
     all_module_terms,
     all_products,
     lex_greatest,
+    lex_key,
     multiplicative_products,
     reduce_in_order,
     span_rank,
@@ -300,3 +304,66 @@ class TestCertificate:
             assert result.certificate == expected
             failures += expected is not None
         assert failures >= 3
+
+
+class TestPackedKernel:
+    """The kernel keys its work on packed ints; the scan oracle keys its
+    work on module terms.  Both attack the lex-greatest term of U, so they
+    must agree in every summand and in the remainder, down to the order in
+    which the remainder's terms entered the work element."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3))
+    def test_matches_the_lex_greatest_scan(self, seed, n, rank):
+        rng = random.Random(seed)
+        basis = random_quasi_stable_module(rng, n, rank, max_deg=3, max_terms=16)
+        marked = random_marked_set(rng, basis)
+        top = basis.max_degree()
+        # The high-degree target widens the basis's packing between the
+        # others, which then reuse the wider one.
+        degrees = [rng.randint(1, top + 2) for _ in range(3)]
+        degrees.insert(rng.randint(0, 3), top + rng.randint(10, 16))
+        for d in degrees:
+            h = random_homogeneous_element(rng, basis.layout, d)
+            expected = reduce_in_order(h, marked, lex_greatest)
+            got = reduce_full(h, marked)
+            assert got == expected
+            assert list(got.remainder.terms) == list(expected.remainder.terms)
+            assert got.remainder.degree == expected.remainder.degree
+
+    def test_certificate_refuses_a_multiplier_that_does_not_descend(self, twisted):
+        """A tail term that is itself a head recreates the multiplier just
+        used, which a valid marked set never does; the certificate must
+        refuse equality, not only growth."""
+        marked = MarkedSet(twisted.basis, twisted.marked.ordered())
+        head = T((1, 1, 0))
+        # Forged past the tail check: the packed bodies are dropped, so the
+        # kernel packs them again from the forged element.
+        marked.elements[head] = MarkedElement(E(LAY3, {head: 1, T((0, 2, 0)): 1}), head)
+        marked._packed = None
+        with pytest.raises(InternalNonTermination):
+            reduce_full(E(LAY3, {T((2, 1, 0)): 1}), marked)
+
+    def test_marked_sets_share_one_memo_across_a_widening(self, twisted, rng):
+        """Two marked sets over one basis share its packing and its cone
+        memo, keyed by packed ints; a target above the packing's degree
+        replaces both, and every later reduction agrees with the oracle."""
+        basis = twisted.basis
+        first = MarkedSet(basis, twisted.marked.ordered())
+        second = random_marked_set(rng, basis)
+        small = random_homogeneous_element(rng, LAY3, 4)
+        reduce_full(small, first)
+        reduce_full(small, second)
+        packing = basis.packing(0)
+        assert first._packed[0] is second._packed[0] is packing
+        assert basis._cone_cache and all(type(k) is int for k in basis._cone_cache)
+        big = E(LAY3, {T((2, 1, 2 * packing.mask)): 1, T((0, 3, 2 * packing.mask)): -1})
+        for marked in (first, second, first):
+            for h in (big, small):
+                got = reduce_full(h, marked)
+                expected = reduce_in_order(h, marked, lex_greatest)
+                assert got == expected
+                assert list(got.remainder.terms) == list(expected.remainder.terms)
+        assert basis.packing(0) is not packing
+        assert basis.packing(0).degree >= big.degree
+        assert first._packed[0] is second._packed[0] is basis.packing(0)

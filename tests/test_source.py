@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +39,21 @@ def test_names_the_benchmark_needs(monkeypatch):
     finally:
         tracer.remove()
     tracing.assert_untraced()
+
+
+def test_ab_ops_loads_two_trees_side_by_side():
+    """`scripts/ab_ops.py` on one tree against itself: both sides run, their
+    outputs agree, and nothing is written under `bench/`."""
+    before = sorted(p for p in (ROOT / "bench").rglob("*"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT / "src"), str(ROOT / "src"),
+         "--workload", "resolve", "--op", "check TWISTED", "--op", "resolve TWISTED",
+         "--rounds", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "ops check TWISTED, resolve TWISTED; workload resolve, seed 1, 2 rounds"
+    assert lines[-2].startswith("change faster in ") and lines[-2].endswith(" of 2 rounds")
+    assert lines[-1] == "outputs byte-identical: yes"
+    assert sorted(p for p in (ROOT / "bench").rglob("*")) == before

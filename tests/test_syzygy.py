@@ -333,8 +333,9 @@ class TestSharedReductions:
 
 class TestComposeOnce:
     """Each column is composed with the map below it once, by the syzygy
-    step that builds it; minimization composes again only the pairs of maps
-    its eliminations changed."""
+    step that builds it (the chain check `_evaluate_column`); minimization
+    composes again (`_compose_column`) only the pairs of maps its
+    eliminations changed."""
 
     @pytest.fixture
     def compositions(self, monkeypatch):
@@ -349,19 +350,34 @@ class TestComposeOnce:
         monkeypatch.setattr(syzygy_module, "_compose_column", counting)
         return calls
 
-    def test_non_groebner(self, compositions):
-        res = free_resolution(build_non_groebner_example().marked)
-        assert len(compositions) == sum(len(lvl) for lvl in res.levels[1:]) > 0
+    @pytest.fixture
+    def chain_checks(self, monkeypatch, compositions):
+        """`compositions`, with the column of every `_evaluate_column` call
+        recorded too, so a second composition of a checked column counts."""
+        original = syzygy_module._evaluate_column
 
-    def test_c4_sized_truncation(self, compositions):
+        def counting(rows, column, pack_exp):
+            compositions.append(column)
+            return original(rows, column, pack_exp)
+
+        monkeypatch.setattr(syzygy_module, "_evaluate_column", counting)
+        return compositions
+
+    def test_non_groebner(self, chain_checks):
+        res = free_resolution(build_non_groebner_example().marked)
+        assert len(chain_checks) == sum(len(lvl) for lvl in res.levels[1:]) > 0
+        assert chain_checks == [col for mat in res.matrices for col in mat]
+
+    def test_c4_sized_truncation(self, chain_checks):
         drawn = random_marked_basis(random.Random(1), c4_basis())
-        compositions.clear()
+        chain_checks.clear()
         res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
-        assert len(compositions) == sum(len(degs) for degs in res.degrees[1:]) == 782
+        assert len(chain_checks) == sum(len(degs) for degs in res.degrees[1:]) == 782
 
     def test_c4_sized_truncation_builds_each_column_once(self, monkeypatch):
-        """The syzygy step reads the map below it from the columns
-        `free_resolution` holds instead of rebuilding them."""
+        """Each column is built once: the bodies by `free_resolution`, each
+        syzygy by its step, whose chain check reads the packed bodies of the
+        level below rather than columns rebuilt from them."""
         drawn = random_marked_basis(random.Random(1), c4_basis())
         calls = []
         original = syzygy_module._column
