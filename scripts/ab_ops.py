@@ -11,7 +11,10 @@ each, so each side builds its op list, input documents included, with its
 own code.  Every round runs the op once on each side; the side that runs
 first alternates from round to round.  Each run is timed in process time.
 `--op` may be given several times: a round then runs all those ops in turn
-on one side, then on the other, and times them together.
+on one side, then on the other, and times them together.  `--op all` runs
+every op of the workload in each round, a whole pass:
+
+    python3 scripts/ab_ops.py PARENT_SRC CHANGE_SRC --workload family --op all
 
 The report gives each side's median time, the median of the per-round ratios
 change / parent, the number of rounds the change was faster, and whether
@@ -72,6 +75,8 @@ def load_side(label: str, src: Path):
 
 def find_ops(workloads, workload: str, names: list[str], seed: int, workdir: Path):
     ops = {op.name: op for op in workloads.WORKLOADS[workload](seed, workdir)}
+    if names == ["all"]:
+        return list(ops.values())
     missing = [name for name in names if name not in ops]
     if missing:
         raise SystemExit(f"no op {missing[0]!r} in workload {workload!r} "
@@ -92,7 +97,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--workload", default="resolve")
-    parser.add_argument("--op", action="append", help='default: "resolve C4"')
+    parser.add_argument("--op", action="append",
+                        help='an op name, or "all" for every op (default: "resolve C4")')
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
@@ -117,7 +123,8 @@ def main(argv=None) -> int:
 
     ratios = [c / p for p, c in zip(*times)]
     wins = sum(c < p for p, c in zip(*times))
-    print(f"ops {', '.join(names)}; workload {args.workload}, seed {args.seed}, "
+    shown = f"all {len(sides[0])}" if names == ["all"] else ", ".join(names)
+    print(f"ops {shown}; workload {args.workload}, seed {args.seed}, "
           f"{args.rounds} rounds")
     print(f"parent median {statistics.median(times[0]) * 1e3:.1f} ms")
     print(f"change median {statistics.median(times[1]) * 1e3:.1f} ms")

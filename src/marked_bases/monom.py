@@ -194,18 +194,32 @@ def terms_of_degree(nvars: int, d: int):
 
 
 def minimalize(exps) -> frozenset[Exponent]:
-    """Minimal generating set of the monomial ideal generated by exps."""
+    """Minimal generating set of the monomial ideal generated by exps.
+
+    Terms are kept in (degree, exponent) order.  A distinct term of the same
+    degree never divides another, so each term is tested against the kept
+    terms of lower degree only, and a set of one degree is tested not at
+    all."""
     out: list[Exponent] = []
-    for e in sorted(set(exps), key=lambda x: (exp_deg(x), x)):
-        if not any(exp_divides(g, e) for g in out):
+    lower: list[Exponent] = []
+    current = None
+    for d, e in sorted((exp_deg(x), x) for x in set(exps)):
+        if d != current:
+            current, lower = d, out[:]
+        if not any(exp_divides(g, e) for g in lower):
             out.append(e)
     return frozenset(out)
 
 
 class MonomialModule:
-    """Finitely generated monomial submodule, minimalized componentwise."""
+    """Finitely generated monomial submodule, minimalized componentwise.
 
-    __slots__ = ("layout", "generators")
+    ``generators`` are the minimal generators; ``listed`` keeps the terms
+    the module was given, so that a listed Pommaret basis can serve as its
+    own completion (`pommaret_completion`).  Equality reads the generators
+    only."""
+
+    __slots__ = ("layout", "generators", "listed")
 
     def __init__(self, layout: FreeModuleLayout, generators):
         per_comp: dict[int, set[Exponent]] = {}
@@ -218,6 +232,9 @@ class MonomialModule:
                 gens.add(ModuleTerm(e, k))
         self.layout = layout
         self.generators = frozenset(gens)
+        self.listed = frozenset(
+            ModuleTerm(e, k) for k, exps in per_comp.items() for e in exps
+        )
 
     def component(self, k: int) -> frozenset[Exponent]:
         return frozenset(t.exp for t in self.generators if t.comp == k)
@@ -244,6 +261,8 @@ class PommaretBasis:
     memoised in ``_cone_cache``, keyed by the packed term (sound: the value
     is immutable, and the memo is cleared when the packing is replaced).
     Every marked set over the basis shares the packing and the memo.
+    The split of a degree into the terms inside and outside the module
+    (`complement_terms`) is memoised in ``_slices``, keyed by the degree.
     """
 
     layout: FreeModuleLayout
@@ -255,6 +274,9 @@ class PommaretBasis:
     )
     _packed_cones: PackedCones | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
+    )
+    _slices: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
 
     def sorted_terms(self) -> list[ModuleTerm]:
@@ -438,20 +460,40 @@ def pommaret_completion(module: MonomialModule) -> PommaretBasis:
 
     Refuses non-quasi-stable input (completion would not terminate) with a
     witness generator and variable.
+
+    Fast path: when the terms the module was given (``module.listed``) pass
+    the structural test `is_pommaret_basis`, they are a finite Pommaret
+    basis of the module, which is then quasi-stable, and a finite Pommaret
+    basis is unique (Seiler, *Involution*, 2010).  So they are the
+    completion, and neither the witness scan nor `_complete_component` runs.
+    Their set is built with the same insertions as the completion's: per
+    component the minimal generators, then the other listed terms in
+    (degree, exponent) order, the order in which the completion's heap adds
+    them.  So ``terms`` iterates in the same order on both paths.  Whenever
+    the test rejects the listed terms, the full completion runs and is
+    certified by the same test.
     """
     layout = module.layout
+    complete = is_pommaret_basis(module.listed, layout)
     terms: set[ModuleTerm] = set()
     for k in range(1, layout.rank + 1):
         gens = module.component(k)
         if not gens:
             continue
-        witness = _quasi_stable_witness(gens, layout.nvars)
-        if witness is not None:
-            raise NotQuasiStable(ModuleTerm(witness[0], k), witness[1])
-        for e in _complete_component(set(gens), layout.nvars):
+        if complete:
+            exps = set(gens)
+            added = [t.exp for t in module.listed if t.comp == k and t.exp not in gens]
+            added.sort(key=lambda e: (exp_deg(e), e))
+            exps.update(added)
+        else:
+            witness = _quasi_stable_witness(gens, layout.nvars)
+            if witness is not None:
+                raise NotQuasiStable(ModuleTerm(witness[0], k), witness[1])
+            exps = _complete_component(set(gens), layout.nvars)
+        for e in exps:
             terms.add(ModuleTerm(e, k))
     basis = PommaretBasis(layout, frozenset(terms), certified=True)
-    if not is_pommaret_basis(basis.terms, layout):
+    if not complete and not is_pommaret_basis(basis.terms, layout):
         raise InternalError("the completion is not a Pommaret basis (disjoint cones fail)")
     return basis
 
@@ -581,31 +623,38 @@ def complement_rank(basis: PommaretBasis, s: int) -> int:
     return ambient_rank(basis.layout, s) - hilbert_function(basis, s)
 
 
-def _terms_by_cone(basis: PommaretBasis, s: int, inside: bool) -> list[ModuleTerm]:
-    """The degree-s terms of the free module inside U (or outside it), in
-    listing order.  The cones of a certified basis cover U exactly, so a
-    term lies in U when some cone holds it."""
+def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list[ModuleTerm]]:
+    """The degree-s terms of the free module inside U and outside it, each
+    in listing order, split in one pass and memoised on the basis.  The
+    cones of a certified basis cover U exactly, so a term lies in U when
+    some cone holds it.  All terms have degree s, so listing order is the
+    order of the (exponent, component) pairs themselves.  The memo's lists
+    are never handed out: callers get copies, which they may keep."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
-    layout = basis.layout
-    find = basis.cone_index().find
-    out = []
-    for k in range(1, layout.rank + 1):
-        d = s - layout.weight(k)
-        if d < 0:
-            continue
-        for e in terms_of_degree(layout.nvars, d):
-            if (find(k, e) is not None) == inside:
-                out.append(ModuleTerm(e, k))
-    out.sort(key=lambda t: listing_key(layout, t))
-    return out
+    split = basis._slices.get(s)
+    if split is None:
+        layout = basis.layout
+        find = basis.cone_index().find
+        inside: list[ModuleTerm] = []
+        outside: list[ModuleTerm] = []
+        for k in range(1, layout.rank + 1):
+            d = s - layout.weight(k)
+            if d < 0:
+                continue
+            for e in terms_of_degree(layout.nvars, d):
+                (outside if find(k, e) is None else inside).append(ModuleTerm(e, k))
+        inside.sort()
+        outside.sort()
+        split = basis._slices[s] = (inside, outside)
+    return split
 
 
 def complement_terms(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
     """The degree-s terms of the free module outside U, in listing order."""
-    return _terms_by_cone(basis, s, inside=False)
+    return list(_terms_by_cone(basis, s)[1])
 
 
 def module_terms_of_degree(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
     """The degree-s terms of U itself, in listing order."""
-    return _terms_by_cone(basis, s, inside=True)
+    return list(_terms_by_cone(basis, s)[0])

@@ -232,19 +232,47 @@ ParamMonomial = tuple[tuple[int, int], ...]
 
 
 def _mono_mul(a: ParamMonomial, b: ParamMonomial) -> ParamMonomial:
+    """The product of two sparse monomials.  A factor of one pair, the
+    shape of every generic tail coefficient, is inserted into the other
+    factor's sorted pairs where its index belongs."""
     if not a:
         return b
     if not b:
         return a
-    powers = dict(a)
-    for i, p in b:
-        powers[i] = powers.get(i, 0) + p
-    return tuple(sorted(powers.items()))
+    if len(b) != 1:
+        if len(a) != 1:
+            powers = dict(a)
+            for i, p in b:
+                powers[i] = powers.get(i, 0) + p
+            return tuple(sorted(powers.items()))
+        a, b = b, a
+    (i, p), = b
+    for k, (j, q) in enumerate(a):
+        if j >= i:
+            if j == i:
+                return a[:k] + ((i, p + q),) + a[k + 1:]
+            return a[:k] + b + a[k:]
+    return a + b
 
 
 def _mono_order_key(m: ParamMonomial):
-    """Degree ascending, then ascending dense exponent tuple."""
-    return (sum(p for _, p in m), tuple((-i, p) for i, p in m))
+    """Degree ascending, then ascending dense exponent tuple.
+
+    The dense order is the order of the pairs (-index, power) in turn, so
+    the key is the degree followed by those pairs, flattened; monomials of
+    one or two pairs, nearly all of them, are keyed without a loop."""
+    if len(m) == 1:
+        (i, p), = m
+        return (p, -i, p)
+    if len(m) == 2:
+        (i, p), (j, q) = m
+        return (p + q, -i, p, -j, q)
+    degree = 0
+    flat: list[int] = []
+    for i, p in m:
+        degree += p
+        flat += (-i, p)
+    return (degree, *flat)
 
 
 class ParamPoly:

@@ -350,9 +350,16 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     of consecutive maps that contain a changed one.  The other pairs are
     those of the input, which `free_resolution` checked column by column,
     so a resolution with no cancelled pivot is not composed at all.
+
+    The first pivot is looked for before anything is copied: a resolution
+    with no constant entry is already minimal, and the result then shares
+    its maps with the input instead of copying them.
     """
     if _has_parametric(res):
         raise ParametricCoefficients("cannot minimize with parameter coefficients")
+    found = _find_pivot(res.matrices)
+    if found is None:
+        return FreeResolution(res.layout, res.bodies, res.degrees, res.matrices)
 
     bodies, *matrices = [
         [{r: dict(p) for r, p in col.items()} for col in mat]
@@ -363,7 +370,7 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     # Maps an elimination wrote to: the bodies are map 0 and matrices[k] is
     # map k + 1, so matrices[k] pairs with map k below it.
     changed: set[int] = set()
-    while (found := _find_pivot(matrices)) is not None:
+    while found is not None:
         i, r, c, pivot = found
         changed.update((i, i + 1, i + 2))
         mat = matrices[i]
@@ -413,6 +420,7 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
             del degrees[-1]
             if matrices.pop():
                 raise InternalError("an empty level kept a column")
+        found = _find_pivot(matrices)
 
     out = FreeResolution(
         layout=res.layout,

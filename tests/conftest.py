@@ -75,6 +75,13 @@ ideal J = x2^3, x2^2*x1, x2*x1, x1*x0, x1^2
 marked G = [x2^3], [x2^2*x1], [x2*x1], [x1*x0] + x2^2, [x1^2]
 """
 
+# The ideal of TWISTED_DOC by its minimal generators only, which are not its
+# Pommaret basis (x2^2*x1 is missing), so reading it runs the full completion.
+TWISTED_MINIMAL_DOC = """\
+ring 3
+ideal J = x2*x1, x1*x0, x1^2, x2^3
+"""
+
 NON_GROEBNER_DOC = """\
 ring 3
 ideal J = x2*x1, x2^2*x1, x2^3, x1^3, x2^2*x0, x1^2*x0

@@ -16,7 +16,13 @@ from fractions import Fraction
 
 from marked_bases.linalg import rref
 from marked_bases.marked import Representation
-from marked_bases.monom import minimalize, terms_of_degree
+from marked_bases.monom import (
+    NotQuasiStable,
+    _complete_component,
+    _quasi_stable_witness,
+    minimalize,
+    terms_of_degree,
+)
 from marked_bases.ring import (
     FreeModuleLayout,
     ModuleElement,
@@ -244,6 +250,25 @@ def complete_component_scan(exps, nvars: int):
         basis.add(min(pending, key=lambda e: (exp_deg(e), e)))
 
 
+def completion_without_fast_path(module):
+    """The term set of `pommaret_completion` without its fast path: the
+    witness scan (raising `NotQuasiStable`) and the completion of every
+    component's minimal generators, inserted into the set in the same order,
+    so that the result iterates as the completion's terms do."""
+    layout = module.layout
+    terms = set()
+    for k in range(1, layout.rank + 1):
+        gens = module.component(k)
+        if not gens:
+            continue
+        witness = _quasi_stable_witness(gens, layout.nvars)
+        if witness is not None:
+            raise NotQuasiStable(ModuleTerm(witness[0], k), witness[1])
+        for e in _complete_component(set(gens), layout.nvars):
+            terms.add(ModuleTerm(e, k))
+    return frozenset(terms)
+
+
 def elements_matrix(elems, columns):
     index = {t: i for i, t in enumerate(columns)}
     rows = []
@@ -344,6 +369,22 @@ def dense_evaluate(p, point) -> Fraction:
 def dense_sorted_terms(p):
     """Degree ascending, then ascending exponent tuple."""
     return sorted(p.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def sparse_mono_mul(a, b):
+    """The product of two sparse parameter monomials (sorted (index, power)
+    pairs) through a dict of powers and one sort: the reference for
+    `ring._mono_mul`."""
+    powers = dict(a)
+    for i, p in b:
+        powers[i] = powers.get(i, 0) + p
+    return tuple(sorted(powers.items()))
+
+
+def sparse_mono_order_key(m):
+    """Degree, then the (-index, power) pairs: the reference for
+    `ring._mono_order_key`, whose order must be this one."""
+    return (sum(p for _, p in m), tuple((-i, p) for i, p in m))
 
 
 def dense_format(p, names) -> str:

@@ -36,7 +36,9 @@ from marked_bases.textio import (
     format_poly,
 )
 from marked_bases.randgen import random_homogeneous_element, random_marked_basis
-from conftest import E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, c4_basis, survey_bases
+from conftest import (
+    E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, TWISTED_MINIMAL_DOC, c4_basis, survey_bases,
+)
 
 
 @pytest.fixture
@@ -279,20 +281,53 @@ class TestOtherCommands:
         assert code == 0
         assert out.out.strip() == "stable"
 
-    def test_classify_scans_for_the_witness_once(self, capsys, monkeypatch, twisted_file):
-        """One completion classifies: the quasi-stability scan runs once per
-        component, and a refusal would carry the witness."""
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """The argument tuples of every call of the `monom` function `name`."""
         calls = []
-        original = monom_module._quasi_stable_witness
+        original = getattr(monom_module, name)
 
-        def counting(gens, nvars):
-            calls.append(gens)
-            return original(gens, nvars)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(monom_module, "_quasi_stable_witness", counting)
-        code, out = run(capsys, "classify", twisted_file)
+        monkeypatch.setattr(monom_module, name, counting)
+        return calls
+
+    def test_classify_scans_for_the_witness_once(self, capsys, monkeypatch, tmp_path):
+        """One completion classifies: the quasi-stability scan runs once per
+        component, and a refusal would carry the witness.  The document lists
+        only minimal generators, which are not the Pommaret basis, so the
+        full completion runs."""
+        path = tmp_path / "twisted-minimal.mb"
+        path.write_text(TWISTED_MINIMAL_DOC)
+        calls = self.count_calls(monkeypatch, "_quasi_stable_witness")
+        code, out = run(capsys, "classify", str(path))
         assert (code, out.out) == (0, "quasi-stable\n")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command, expected", [
+        ("classify", "quasi-stable\n"),
+        ("family", None),
+        ("pommaret", None),
+    ])
+    def test_listed_basis_is_its_own_completion(
+        self, capsys, monkeypatch, twisted_file, tmp_path, command, expected
+    ):
+        """TWISTED_DOC lists its complete Pommaret basis, so neither the
+        witness scan nor the completion runs, and the output is that of the
+        document listing the minimal generators only."""
+        witness = self.count_calls(monkeypatch, "_quasi_stable_witness")
+        completion = self.count_calls(monkeypatch, "_complete_component")
+        code, out = run(capsys, command, twisted_file, "--ideal", "J")
+        assert code == 0
+        if expected is not None:
+            assert out.out == expected
+        assert (witness, completion) == ([], [])
+        minimal = tmp_path / "twisted-minimal.mb"
+        minimal.write_text(TWISTED_MINIMAL_DOC)
+        assert run(capsys, command, str(minimal)) == (code, out)
+        assert len(witness) == len(completion) == 1
 
     @pytest.mark.parametrize("target, expected", [
         ("x0^5000", "summands:\n  (none)\nremainder: x0^5000\n"),

@@ -43,11 +43,12 @@ from marked_bases.randgen import (
     random_quasi_stable_exponents,
     random_quasi_stable_module,
 )
-from conftest import LAY3, T, TWISTED_DOC
+from conftest import LAY3, T, TWISTED_MINIMAL_DOC
 from oracles import (
     all_module_terms,
     brute_hilbert,
     complete_component_scan,
+    completion_without_fast_path,
     cone_divisor_scan,
     covering_scan,
     ideal_slice,
@@ -363,6 +364,38 @@ def test_disjoint_cover_on_random_inputs(rng):
             assert set(complement_terms(basis, s)) == outside
 
 
+def test_degree_split_once_per_basis_in_listing_order(monkeypatch, rng):
+    """Each degree is enumerated once per basis, for both of its lists, which
+    come in listing order; a caller may change the lists it gets."""
+    real = monom_module.terms_of_degree
+    degrees = []
+
+    def counting(nvars, d):
+        degrees.append(d)
+        return real(nvars, d)
+
+    monkeypatch.setattr(monom_module, "terms_of_degree", counting)
+    for basis in random_pommaret_bases(rng, 8):
+        layout = basis.layout
+        key = lambda t: (layout.term_degree(t), t.exp, t.comp)  # listing_key
+        for s in range(basis.max_degree() + 2):
+            degrees.clear()
+            inside = module_terms_of_degree(basis, s)
+            outside = complement_terms(basis, s)
+            assert inside == sorted(inside, key=key)
+            assert outside == sorted(outside, key=key)
+            assert set(inside) | set(outside) == set(all_module_terms(layout, s))
+            enumerated = len(degrees)
+            assert enumerated <= layout.rank
+            outside.append("kept by the caller")
+            inside.clear()
+            assert complement_terms(basis, s) == outside[:-1]
+            assert module_terms_of_degree(basis, s) == sorted(
+                module_slice(basis.terms, layout, s), key=key
+            )
+            assert len(degrees) == enumerated
+
+
 # ---------- the cone index against the scans it replaced ----------
 
 
@@ -483,6 +516,76 @@ class TestConeIndex:
         assert grew
 
 
+LISTINGS = ("basis", "minimal", "redundant", "basis and redundant", "basis less one")
+
+
+def listed_terms(basis, listing, rng):
+    """Terms that generate the module of `basis`, or a module close to it:
+    its Pommaret basis, its minimal generators, either with multiples of
+    their own terms added, or the basis with one term dropped; shuffled."""
+    gens = [
+        T(e, k) for k in range(1, basis.layout.rank + 1) for e in minimalize(basis.component(k))
+    ]
+    terms = list(basis.terms) if listing.startswith("basis") else gens
+    if "redundant" in listing:
+        for t in rng.sample(terms, k=min(3, len(terms))):
+            e = list(t.exp)
+            e[rng.randrange(len(e))] += rng.randint(1, 2)
+            terms.append(T(e, t.comp))
+    if listing == "basis less one":
+        terms.remove(rng.choice(terms))
+    rng.shuffle(terms)
+    return terms
+
+
+def completion_outcome(module, complete=lambda m: pommaret_completion(m).terms):
+    """The completed terms in their iteration order, or the witness of the
+    refusal."""
+    try:
+        return list(complete(module))
+    except NotQuasiStable as exc:
+        return exc.witness, exc.variable
+
+
+class TestCompletionFastPath:
+    """A listed Pommaret basis is returned as the completion, and iterates as
+    the full completion does (`completion_without_fast_path` in oracles.py);
+    any other input gets the full completion, or its refusal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(LISTINGS))
+    def test_equals_the_full_completion(self, seed, rank, listing):
+        rng = random.Random(seed)
+        basis = random_quasi_stable_module(rng, rng.randint(1, 3), rank)
+        module = MonomialModule(basis.layout, listed_terms(basis, listing, rng))
+        outcome = completion_outcome(module)
+        assert outcome == completion_outcome(module, completion_without_fast_path)
+        if listing == "basis":
+            assert set(outcome) == basis.terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_sets())
+    def test_refusals_carry_the_same_witness(self, case):
+        """Arbitrary term sets, mostly not quasi-stable."""
+        layout, terms = case
+        module = MonomialModule(layout, terms)
+        assert completion_outcome(module) == completion_outcome(
+            module, completion_without_fast_path
+        )
+
+    def test_listed_basis_skips_the_scan_and_the_completion(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("the fast path ran the full completion")
+
+        bases = list(random_pommaret_bases(rng, 10))
+        monkeypatch.setattr(monom_module, "_quasi_stable_witness", refuse)
+        monkeypatch.setattr(monom_module, "_complete_component", refuse)
+        for basis in bases:
+            terms = sorted(basis.terms)
+            rng.shuffle(terms)
+            assert pommaret_completion(MonomialModule(basis.layout, terms)).terms == basis.terms
+
+
 def _drop_last_added(complete):
     """Wraps `_complete_component` to lose the last term it added."""
     def broken(exps, nvars):
@@ -526,8 +629,10 @@ class TestSelfChecksRaise:
             monom_module, "_complete_component",
             _drop_last_added(monom_module._complete_component),
         )
-        path = tmp_path / "twisted.mb"
-        path.write_text(TWISTED_DOC)
+        # Minimal generators only: a listed Pommaret basis would skip the
+        # completion that the patch breaks.
+        path = tmp_path / "twisted-minimal.mb"
+        path.write_text(TWISTED_MINIMAL_DOC)
         assert main(["pommaret", str(path)]) == 3  # exit code of InternalError
         out = capsys.readouterr()
         assert "not a Pommaret basis" in out.out

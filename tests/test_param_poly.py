@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from marked_bases.ring import ParamPoly
+from marked_bases.ring import ParamPoly, _mono_mul, _mono_order_key
 from marked_bases.textio import format_param_poly
 from oracles import (
     dense_add,
@@ -15,6 +15,8 @@ from oracles import (
     dense_occurring,
     dense_sorted_terms,
     dense_sub,
+    sparse_mono_mul,
+    sparse_mono_order_key,
 )
 
 NPARAMS = 5
@@ -84,3 +86,30 @@ def test_print_order_and_text_match_dense(p, q):
         poly = pp(dense)
         assert [(dense_of(m), c) for m, c in poly.sorted_terms()] == dense_sorted_terms(dense)
         assert format_param_poly(poly, NAMES) == dense_format(dense, NAMES)
+
+
+# Sparse monomials over a dozen parameters, one or two pairs most often, as
+# in the family equations, whose generic tail coefficients are one pair each.
+sparse_monomials = st.dictionaries(
+    st.integers(0, 11), st.integers(1, 3), max_size=4
+).map(lambda powers: tuple(sorted(powers.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_monomials, sparse_monomials)
+def test_monomial_product_matches_the_reference(a, b):
+    assert _mono_mul(a, b) == sparse_mono_mul(a, b)
+    assert _mono_mul(b, a) == sparse_mono_mul(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_monomials, min_size=2, max_size=12, unique=True))
+def test_monomial_order_matches_the_reference(monomials):
+    assert sorted(monomials, key=_mono_order_key) == sorted(
+        monomials, key=sparse_mono_order_key
+    )
+    for a in monomials:
+        for b in monomials:
+            assert (_mono_order_key(a) < _mono_order_key(b)) == (
+                sparse_mono_order_key(a) < sparse_mono_order_key(b)
+            )

@@ -464,6 +464,19 @@ class TestMinimize:
         assert again.matrices == minimal.matrices
         assert again.bodies == minimal.bodies
 
+    @pytest.mark.parametrize("shape", [c2_basis, c4_basis])
+    def test_no_pivot_shares_the_maps(self, shape):
+        """With no constant entry nothing is copied: the result shares the
+        input's maps, which stay as they were, and drops the levels."""
+        res = free_resolution(random_marked_basis(random.Random(1), shape()))
+        before = copy.deepcopy((res.bodies, res.degrees, res.matrices))
+        minimal = minimize_resolution(res)
+        assert minimal.bodies is res.bodies
+        assert minimal.degrees is res.degrees
+        assert minimal.matrices is res.matrices
+        assert minimal.levels is None and res.levels is not None
+        assert (res.bodies, res.degrees, res.matrices) == before
+
     def test_parametric_coefficients_refused(self):
         from marked_bases import generic_marked_set
         from marked_bases.syzygy import FreeResolution
