@@ -16,11 +16,19 @@ every op of the workload in each round, a whole pass:
 
     python3 scripts/ab_ops.py PARENT_SRC CHANGE_SRC --workload family --op all
 
+Each round also builds each side's op list afresh, the side that builds
+first alternating too, and times the build in process time.  That is the
+benchmark's set-up of the whole workload, whatever `--op` picks (for
+`survey` it makes the random cases); the ops timed are still the ones built
+before the first round, so each op runs again on its own inputs, as in the
+benchmark.
+
 The report gives each side's median time, the median of the per-round ratios
-change / parent, the number of rounds the change was faster, and whether
-every output of the two sides was byte-identical (compared through the op's
-own digest).  The two sides of a round run seconds apart in one process,
-so a change in the machine's speed reaches both of them.
+change / parent, one `setup` line with the same figures for the builds, the
+number of rounds the change ran its ops faster, and whether every output of
+the two sides was byte-identical (compared through the op's own digest).
+The two sides of a round run seconds apart in one process, so a change in
+the machine's speed reaches both of them.
 
 Nothing is written under `bench/`: the op documents go to a temporary
 directory and no bytecode is written.
@@ -92,6 +100,13 @@ def timed(ops):
     return seconds, [op.digest(result) for op, result in zip(ops, results)]
 
 
+def ratio_line(times: list[list[float]]) -> str:
+    """The median and quartiles of the per-round ratios change / parent."""
+    ratios = [c / p for p, c in zip(*times)]
+    q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return f"ratio median {statistics.median(ratios):.3f} (quartiles {q[0]:.3f}-{q[2]:.3f})"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -105,31 +120,38 @@ def main(argv=None) -> int:
     names = args.op or ["resolve C4"]
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = []
+        sides, ops = [], []
         for label, src in (("parent", args.parent_src), ("change", args.change_src)):
             workdir = Path(tmp) / label
             workdir.mkdir()
             workloads = load_side(label, src.resolve())
-            sides.append(find_ops(workloads, args.workload, names, args.seed, workdir))
+            sides.append((workloads, workdir))
+            ops.append(find_ops(workloads, args.workload, names, args.seed, workdir))
         times: list[list[float]] = [[], []]
+        setups: list[list[float]] = [[], []]
         identical = True
         for r in range(args.rounds):
             order = (0, 1) if r % 2 == 0 else (1, 0)
+            for side in order:
+                workloads, workdir = sides[side]
+                start = process_time()
+                find_ops(workloads, args.workload, names, args.seed, workdir)
+                setups[side].append(process_time() - start)
             digests = [None, None]
             for side in order:
-                seconds, digests[side] = timed(sides[side])
+                seconds, digests[side] = timed(ops[side])
                 times[side].append(seconds)
             identical = identical and digests[0] == digests[1]
 
-    ratios = [c / p for p, c in zip(*times)]
     wins = sum(c < p for p, c in zip(*times))
-    shown = f"all {len(sides[0])}" if names == ["all"] else ", ".join(names)
+    shown = f"all {len(ops[0])}" if names == ["all"] else ", ".join(names)
     print(f"ops {shown}; workload {args.workload}, seed {args.seed}, "
           f"{args.rounds} rounds")
     print(f"parent median {statistics.median(times[0]) * 1e3:.1f} ms")
     print(f"change median {statistics.median(times[1]) * 1e3:.1f} ms")
-    q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"ratio median {statistics.median(ratios):.3f} (quartiles {q[0]:.3f}-{q[2]:.3f})")
+    print(ratio_line(times))
+    print(f"setup parent median {statistics.median(setups[0]) * 1e3:.1f} ms, "
+          f"change median {statistics.median(setups[1]) * 1e3:.1f} ms, {ratio_line(setups)}")
     print(f"change faster in {wins} of {args.rounds} rounds")
     print(f"outputs byte-identical: {'yes' if identical else 'no'}")
     return 0 if identical else 1

@@ -32,9 +32,9 @@ from .monom import (
     PommaretBasis,
     StabilityClass,
     basis_invariants,
+    certified_basis,
     complement_rank,
     hilbert_function,
-    is_pommaret_basis,
     pommaret_completion,
     truncate_basis,
 )
@@ -131,11 +131,11 @@ def _marked_set(doc, args) -> MarkedSet:
     heads = [head for _, head in raw.elements]
     if len(set(heads)) != len(heads):
         raise HeadMismatch("duplicate heads in the marked set")
-    if not is_pommaret_basis(heads, doc.layout):
+    basis = certified_basis(heads, doc.layout)
+    if basis is None:
         raise HeadMismatch(
             "the heads do not form a Pommaret basis (disjoint cones fail)"
         )
-    basis = PommaretBasis(doc.layout, frozenset(heads), certified=True)
     return MarkedSet(basis, [MarkedElement(body, head) for body, head in raw.elements])
 
 

@@ -21,15 +21,18 @@ fixed by the key (component, m, s[m+1:]) plus the lower bound s[m], and
 trees do (Gerdt, Blinkov and Yanovich, "Construction of Janet bases I",
 CASC 2001; Seiler, *Involution*, 2010).  The vertices whose cones contain a
 term are then found with at most n + 1 dict probes, one per candidate class.
-`PommaretBasis.cone_divisor`, the structural test `is_pommaret_basis`, the
-completion and `complement_terms` all go through it; the reduction kernel's
-lookups of packed terms go through the same filing by packed keys
-(`PackedCones`).
+The terms are packed into ints (`ring.TermPacking`), so a key is the packed
+vertex with the fields of x0..x_m cleared, read off a packed term with one
+mask.  There is one index per basis: the structural test `certified_basis`
+builds it and hands it to the basis it certifies, and
+`PommaretBasis.cone_divisor`, `complement_terms` and the reduction kernel
+all read it.  The completion keeps an index of its own growing term set.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement
@@ -91,82 +94,45 @@ def nonmultiplicative_variables(t, n: int) -> tuple[int, ...]:
 
 
 class ConeIndex:
-    """Pommaret cones filed under (component, class, exponents above it).
-
-    A vertex s of class m is stored as the pair (s[m], item) in the bucket
-    (comp, m, s[m+1:]); its cone holds x^e in component comp exactly when
-    the bucket (comp, m, e[m+1:]) has it and e[m] >= s[m].  A lookup probes
-    one bucket per class m <= n, and skips a class m < n with e[m] = 0, which
-    no vertex of that class can reach.
-    """
-
-    __slots__ = ("n", "buckets")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.buckets: dict[tuple, list] = {}
-
-    def add(self, comp: int, e: Exponent, item) -> None:
-        m = pommaret_class(e, self.n)
-        self.buckets.setdefault((comp, m, e[m + 1:]), []).append((e[m], item))
-
-    def find(self, comp: int, e: Exponent):
-        """The item of a vertex whose cone holds x^e, or None."""
-        get = self.buckets.get
-        n = self.n
-        for m in range(n + 1):
-            x = e[m]
-            if x or m == n:
-                bucket = get((comp, m, e[m + 1:]))
-                if bucket is not None:
-                    for low, item in bucket:
-                        if x >= low:
-                            return item
-        return None
-
-    def covering(self, comp: int, e: Exponent) -> list:
-        """The items of every vertex whose cone holds x^e."""
-        get = self.buckets.get
-        n = self.n
-        out = []
-        for m in range(n + 1):
-            x = e[m]
-            if x or m == n:
-                for low, item in get((comp, m, e[m + 1:]), ()):
-                    if x >= low:
-                        out.append(item)
-        return out
-
-
-class PackedCones:
-    """The cones of a `ConeIndex`, for terms packed by one `TermPacking`.
+    """Pommaret cones of terms packed by one `TermPacking`.
 
     A vertex s of class m is filed, with its exponent s[m], in the table of
     class m under its packed form with the fields of x0..x_m cleared, which
     keeps the component and the exponents above m.  So a lookup reads each
     key and each exponent x_m off the packed term with one mask or shift,
-    and never unpacks it.
+    and never unpacks it; it probes one table per class that has vertices,
+    and skips a class m < n where the term has x_m = 0, which no vertex of
+    that class can reach.
     """
 
-    __slots__ = ("packing", "classes")
+    __slots__ = ("packing", "classes", "_entries", "_width")
 
-    def __init__(self, packing: TermPacking, terms, n: int):
+    def __init__(self, packing: TermPacking, vertices=()):
         self.packing = packing
         shifts, comp_mask = packing.shifts, packing.comp_mask
-        tables: dict[int, dict] = {}
-        for g in terms:
-            m = pommaret_class(g.exp, n)
-            keep = comp_mask | (-1 << shifts[m + 1]) if m < n else comp_mask
-            p = packing.pack(g)
-            tables.setdefault(m, {}).setdefault(p & keep, []).append((g.exp[m], p))
-        # Per class that has vertices, in increasing order: the shift of
-        # field m, the mask keeping the component and the fields above m,
-        # the table, and whether every term probes it.
-        self.classes = [
-            (shifts[m], comp_mask | (-1 << shifts[m + 1]) if m < n else comp_mask,
-             tables[m], m == n)
-            for m in sorted(tables)
+        n = len(shifts) - 1
+        # Per class m: the shift of field m, the mask keeping the component
+        # and the fields above m, the table, and whether every term probes it.
+        self._entries = [
+            (shifts[m], comp_mask | (-1 << shifts[m + 1]) if m < n else comp_mask, {}, m == n)
+            for m in range(n + 1)
         ]
+        # The entries of the classes that have vertices, in increasing order.
+        self.classes: list[tuple] = []
+        self._width = packing.mask.bit_length()
+        for p in vertices:
+            self.add(p)
+
+    def add(self, p: int) -> None:
+        """File the packed term p as a vertex."""
+        fields = p >> self.packing.shifts[0]
+        # The lowest set bit of the exponent fields lies in field m = cls(p);
+        # the unit term has class n, the last entry.
+        entry = self._entries[((fields & -fields).bit_length() - 1) // self._width if fields else -1]
+        shift, keep, table, _ = entry
+        if not table:
+            insort(self.classes, entry)
+        table.setdefault(p & keep, []).append((p >> shift & self.packing.mask, p))
 
     def find(self, p: int):
         """The packed vertex whose cone holds the packed term p, or None."""
@@ -180,6 +146,18 @@ class PackedCones:
                         if x >= low:
                             return vertex
         return None
+
+    def covering(self, p: int) -> list[int]:
+        """The packed vertices whose cones hold the packed term p."""
+        mask = self.packing.mask
+        out = []
+        for shift, keep, table, always in self.classes:
+            x = p >> shift & mask
+            if x or always:
+                for low, vertex in table.get(p & keep, ()):
+                    if x >= low:
+                        out.append(vertex)
+        return out
 
 
 def terms_of_degree(nvars: int, d: int):
@@ -254,12 +232,13 @@ class MonomialModule:
 class PommaretBasis:
     """Finite term set with the disjoint-cone certificate.
 
-    ``certified`` is set by the completion algorithm or by the structural
-    test.  Cone lookups go through a `ConeIndex` of the terms, built on the
-    first lookup.  The reduction kernel asks with terms packed by the
-    basis's `packing`, through `PackedCones`, and those answers are
-    memoised in ``_cone_cache``, keyed by the packed term (sound: the value
-    is immutable, and the memo is cleared when the packing is replaced).
+    ``certified`` is set by the structural test `certified_basis`, which
+    the completion also goes through.  Cone lookups go through one
+    `ConeIndex` of the terms, packed by the basis's `packing`: the one the
+    structural test built, or one built on the first lookup.  The reduction
+    kernel asks with packed terms, and those answers are memoised in
+    ``_cone_cache``, keyed by the packed term (sound: the value is
+    immutable, and the memo is cleared when the packing is replaced).
     Every marked set over the basis shares the packing and the memo.
     The split of a degree into the terms inside and outside the module
     (`complement_terms`) is memoised in ``_slices``, keyed by the degree.
@@ -269,10 +248,7 @@ class PommaretBasis:
     terms: frozenset[ModuleTerm]
     certified: bool = False
     _cone_cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
-    _cone_index: ConeIndex | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _packed_cones: PackedCones | None = field(
+    _cones: ConeIndex | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
     _slices: dict = field(
@@ -291,40 +267,32 @@ class PommaretBasis:
     def cone_divisor(self, t):
         """The unique basis term whose cone contains t, or None outside U.
 
-        A `ModuleTerm` is answered with a `ModuleTerm`.  An int is a term
-        packed by the current `packing` and is answered packed, through the
-        memo."""
+        A `ModuleTerm` is packed, widening the packing to its degree when
+        needed, and answered with a `ModuleTerm`.  An int is a term packed
+        by the current `packing` and is answered packed, through the memo."""
         if type(t) is not int:
-            return self.cone_index().find(t.comp, t.exp)
+            packing = self.packing(self.layout.term_degree(t))
+            found = self._cones.find(packing.pack(t))
+            return None if found is None else packing.unpack(found)
         hit = self._cone_cache.get(t, False)
         if hit is not False:
             return hit
-        found = self._cone_cache[t] = self._packed_cones.find(t)
+        found = self._cone_cache[t] = self._cones.find(t)
         return found
 
     def packing(self, degree: int) -> TermPacking:
         """The packing of terms over this basis, wide enough for terms of
-        the given degree and at least of every prolongation.  A larger
-        degree than the current one holds replaces it by a wider one, with
-        its `PackedCones`, and clears the cone memo, whose keys the old one
-        packed."""
-        cones = self._packed_cones
+        the given degree and at least of every prolongation, one degree
+        above the largest term.  A larger degree than the current one holds
+        replaces it by a wider one, with its `ConeIndex`, and clears the
+        cone memo, whose keys the old one packed."""
+        cones = self._cones
         if cones is None or degree > cones.packing.degree:
             packing = TermPacking(self.layout, max(degree, self.max_degree() + 1))
-            cones = PackedCones(packing, self.terms, self.layout.n)
-            object.__setattr__(self, "_packed_cones", cones)
+            cones = ConeIndex(packing, map(packing.pack, self.terms))
+            object.__setattr__(self, "_cones", cones)
             self._cone_cache.clear()
         return cones.packing
-
-    def cone_index(self) -> ConeIndex:
-        """The `ConeIndex` of the terms, built on first use."""
-        index = self._cone_index
-        if index is None:
-            index = ConeIndex(self.layout.n)
-            for g in self.terms:
-                index.add(g.comp, g.exp, g)
-            object.__setattr__(self, "_cone_index", index)
-        return index
 
 
 def cone_divisor(basis: PommaretBasis, t: ModuleTerm):
@@ -333,30 +301,39 @@ def cone_divisor(basis: PommaretBasis, t: ModuleTerm):
     return basis.cone_divisor(t)
 
 
-def is_pommaret_basis(terms, layout: FreeModuleLayout) -> bool:
-    """Structural disjoint-cover test for a finite term set.
+def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
+    """The certified Pommaret basis on a finite term set, or None when the
+    structural disjoint-cover test rejects it.
 
-    Checks that no term lies in the cone of another and that every
+    The test checks that no term lies in the cone of another and that every
     non-multiplicative prolongation of a term lies in exactly one cone.
     Two Pommaret cones can only intersect when one vertex lies in the other
     cone, so these local conditions certify the global disjoint cover.
-    Both are read from a `ConeIndex` of the terms.
+    Both are read from a `ConeIndex` of the terms, packed one degree above
+    the largest term, which holds every prolongation; the basis returned
+    keeps it, since it is the index its `packing` would build first.
     """
-    terms = set(terms)
-    n = layout.n
-    index = ConeIndex(n)
-    for t in terms:
-        index.add(t.comp, t.exp, t)
+    terms = frozenset(terms)
+    packing = TermPacking(layout, max((layout.term_degree(t) for t in terms), default=0) + 1)
+    packed = [packing.pack(t) for t in terms]
+    index = ConeIndex(packing, packed)
     # Every term lies in its own cone, so one covering vertex means no other.
-    for t in terms:
-        if len(index.covering(t.comp, t.exp)) != 1:
-            return False
-    for t in terms:
-        for j in nonmultiplicative_variables(t, n):
-            prol = exp_add(t.exp, var_exp(layout.nvars, j))
-            if len(index.covering(t.comp, prol)) != 1:
-                return False
-    return True
+    for p in packed:
+        if len(index.covering(p)) != 1:
+            return None
+    shifts = packing.shifts
+    for t, p in zip(terms, packed):
+        for j in nonmultiplicative_variables(t, layout.n):
+            if len(index.covering(p + (1 << shifts[j]))) != 1:
+                return None
+    basis = PommaretBasis(layout, terms, certified=True)
+    object.__setattr__(basis, "_cones", index)
+    return basis
+
+
+def is_pommaret_basis(terms, layout: FreeModuleLayout) -> bool:
+    """Whether a finite term set passes the structural test of `certified_basis`."""
+    return certified_basis(terms, layout) is not None
 
 
 def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
@@ -371,29 +348,41 @@ def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
     prolongation covered when it is produced, or when it is popped, stays
     covered and is dropped; the first uncovered one popped is the least
     uncovered prolongation of the current set, and joins it and the index.
+    The index packs its terms for some degree.  The set is filed at the
+    first lookup, packed for twice the largest degree of a prolongation of
+    the input, and re-filed, packed for twice the degree, whenever a term's
+    prolongations outgrow the packing.
     """
     basis = set(exps)
     n = nvars - 1
-    index = ConeIndex(n)
-    for e in basis:
-        index.add(0, e, e)
+    layout = FreeModuleLayout(n)
+    top = max(map(exp_deg, basis), default=0) + 1
+    index: ConeIndex | None = None
     queue: list[tuple[int, Exponent]] = []
     queued: set[Exponent] = set()
 
+    def covered(e: Exponent, degree: int) -> bool:
+        nonlocal index
+        if index is None or degree > index.packing.degree:
+            packing = TermPacking(layout, 2 * max(degree, top))
+            index = ConeIndex(packing, map(packing.pack_exp, basis))
+        return index.find(index.packing.pack_exp(e)) is not None
+
     def enqueue(e: Exponent) -> None:
+        degree = exp_deg(e) + 1
         for j in range(pommaret_class(e, n) + 1, n + 1):
             prol = exp_add(e, var_exp(nvars, j))
-            if prol not in queued and index.find(0, prol) is None:
+            if prol not in queued and not covered(prol, degree):
                 queued.add(prol)
-                heappush(queue, (exp_deg(prol), prol))
+                heappush(queue, (degree, prol))
 
     for e in exps:
         enqueue(e)
     while queue:
-        _, e = heappop(queue)
-        if index.find(0, e) is None:
+        degree, e = heappop(queue)
+        if not covered(e, degree):
             basis.add(e)
-            index.add(0, e, e)
+            index.add(index.packing.pack_exp(e))
             enqueue(e)
     return basis
 
@@ -462,7 +451,7 @@ def pommaret_completion(module: MonomialModule) -> PommaretBasis:
     witness generator and variable.
 
     Fast path: when the terms the module was given (``module.listed``) pass
-    the structural test `is_pommaret_basis`, they are a finite Pommaret
+    the structural test of `certified_basis`, they are a finite Pommaret
     basis of the module, which is then quasi-stable, and a finite Pommaret
     basis is unique (Seiler, *Involution*, 2010).  So they are the
     completion, and neither the witness scan nor `_complete_component` runs.
@@ -474,28 +463,28 @@ def pommaret_completion(module: MonomialModule) -> PommaretBasis:
     certified by the same test.
     """
     layout = module.layout
-    complete = is_pommaret_basis(module.listed, layout)
-    terms: set[ModuleTerm] = set()
-    for k in range(1, layout.rank + 1):
-        gens = module.component(k)
-        if not gens:
-            continue
-        if complete:
-            exps = set(gens)
-            added = [t.exp for t in module.listed if t.comp == k and t.exp not in gens]
-            added.sort(key=lambda e: (exp_deg(e), e))
-            exps.update(added)
-        else:
-            witness = _quasi_stable_witness(gens, layout.nvars)
-            if witness is not None:
-                raise NotQuasiStable(ModuleTerm(witness[0], k), witness[1])
-            exps = _complete_component(set(gens), layout.nvars)
-        for e in exps:
-            terms.add(ModuleTerm(e, k))
-    basis = PommaretBasis(layout, frozenset(terms), certified=True)
-    if not complete and not is_pommaret_basis(basis.terms, layout):
-        raise InternalError("the completion is not a Pommaret basis (disjoint cones fail)")
-    return basis
+    for listed in (True, False):
+        terms: set[ModuleTerm] = set()
+        for k in range(1, layout.rank + 1):
+            gens = module.component(k)
+            if not gens:
+                continue
+            if listed:
+                exps = set(gens)
+                added = [t.exp for t in module.listed if t.comp == k and t.exp not in gens]
+                added.sort(key=lambda e: (exp_deg(e), e))
+                exps.update(added)
+            else:
+                witness = _quasi_stable_witness(gens, layout.nvars)
+                if witness is not None:
+                    raise NotQuasiStable(ModuleTerm(witness[0], k), witness[1])
+                exps = _complete_component(set(gens), layout.nvars)
+            for e in exps:
+                terms.add(ModuleTerm(e, k))
+        basis = certified_basis(terms, layout)
+        if basis is not None:
+            return basis
+    raise InternalError("the completion is not a Pommaret basis (disjoint cones fail)")
 
 
 @dataclass(frozen=True)
@@ -565,7 +554,7 @@ def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
 
     Keeps basis terms of degree >= m+1 and replaces each lower-degree term
     by the degree-m slice of its cone.  The output is certified directly by
-    the structural test.
+    the structural test (`certified_basis`).
     """
     if not basis.certified:
         raise ValueError("requires a certified basis")
@@ -581,8 +570,8 @@ def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
             for i, x in enumerate(extra):
                 e[i] += x
             out.add(ModuleTerm(tuple(e), t.comp))
-    result = PommaretBasis(layout, frozenset(out), certified=True)
-    if not is_pommaret_basis(result.terms, layout):
+    result = certified_basis(out, layout)
+    if result is None:
         raise InternalError("truncation lost the cone cover")
     return result
 
@@ -627,7 +616,8 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
     """The degree-s terms of the free module inside U and outside it, each
     in listing order, split in one pass and memoised on the basis.  The
     cones of a certified basis cover U exactly, so a term lies in U when
-    some cone holds it.  All terms have degree s, so listing order is the
+    some cone holds it; the terms are looked up packed by the basis's
+    packing for degree s.  All terms have degree s, so listing order is the
     order of the (exponent, component) pairs themselves.  The memo's lists
     are never handed out: callers get copies, which they may keep."""
     if not basis.certified:
@@ -635,7 +625,8 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
     split = basis._slices.get(s)
     if split is None:
         layout = basis.layout
-        find = basis.cone_index().find
+        pack = basis.packing(s).pack
+        find = basis._cones.find
         inside: list[ModuleTerm] = []
         outside: list[ModuleTerm] = []
         for k in range(1, layout.rank + 1):
@@ -643,7 +634,8 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
             if d < 0:
                 continue
             for e in terms_of_degree(layout.nvars, d):
-                (outside if find(k, e) is None else inside).append(ModuleTerm(e, k))
+                t = ModuleTerm(e, k)
+                (outside if find(pack(t)) is None else inside).append(t)
         inside.sort()
         outside.sort()
         split = basis._slices[s] = (inside, outside)

@@ -60,7 +60,7 @@ from .marked import (
     prolongation_rep,
     prolongations,
 )
-from .monom import PommaretBasis, basis_invariants, is_pommaret_basis, pommaret_class
+from .monom import PommaretBasis, basis_invariants, certified_basis, pommaret_class
 from .ring import (
     Coeff,
     FreeModuleLayout,
@@ -136,13 +136,10 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet, li
         head = ModuleTerm(var_exp(nvars, j), position[el.head] + 1)
         body_terms: dict[ModuleTerm, Coeff] = {head: one}
         for coeff, mult, tau in rep.summands:
-            t = ModuleTerm(mult, position[tau] + 1)
-            prev = body_terms.get(t)
-            s = -coeff if prev is None else prev - coeff
-            if s:
-                body_terms[t] = s
-            else:
-                body_terms.pop(t, None)
+            # The (multiplier, head) pairs are distinct, and none lands on
+            # the syzygy head: x_j is non-multiplicative for el.head, while
+            # each multiplier is multiplicative for its own head.
+            body_terms[ModuleTerm(mult, position[tau] + 1)] = -coeff
         body = ModuleElement(syz_layout, body_terms)
         column = _column(body)
         if _evaluate_column(rows, column, packing.pack_exp):
@@ -151,8 +148,8 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet, li
         columns.append(column)
 
     syz_terms = frozenset(el.head for el in syz_elements)
-    syz_basis = PommaretBasis(syz_layout, syz_terms, certified=True)
-    if syz_terms and not is_pommaret_basis(syz_terms, syz_layout):
+    syz_basis = certified_basis(syz_terms, syz_layout)
+    if syz_basis is None:
         raise InternalError("syzygy heads do not form a Pommaret basis")
     syz_set = MarkedSet(syz_basis, syz_elements)
     if syz_elements and not is_marked_basis(syz_set).is_basis:
@@ -296,10 +293,14 @@ def _has_parametric(res: FreeResolution) -> bool:
     )
 
 
-def _find_pivot(matrices: list[list[Column]]):
+def _find_pivot(matrices: list[list[Column]], degrees: list[list[int]]):
     """The first non-zero constant entry as (i, row, column, value): lowest
-    differential, then row, then column."""
+    differential, then row, then column.  A constant entry links generators
+    of one degree, so a differential whose two levels share no degree is
+    not scanned."""
     for i, mat in enumerate(matrices):
+        if set(degrees[i]).isdisjoint(degrees[i + 1]):
+            continue
         best = None
         for c, col in enumerate(mat):
             for r, entry in col.items():
@@ -357,7 +358,7 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     """
     if _has_parametric(res):
         raise ParametricCoefficients("cannot minimize with parameter coefficients")
-    found = _find_pivot(res.matrices)
+    found = _find_pivot(res.matrices, res.degrees)
     if found is None:
         return FreeResolution(res.layout, res.bodies, res.degrees, res.matrices)
 
@@ -420,7 +421,7 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
             del degrees[-1]
             if matrices.pop():
                 raise InternalError("an empty level kept a column")
-        found = _find_pivot(matrices)
+        found = _find_pivot(matrices, degrees)
 
     out = FreeResolution(
         layout=res.layout,

@@ -116,8 +116,8 @@ def pivots(monkeypatch):
     seen = []
     find = syzygy_module._find_pivot
 
-    def recording(matrices):
-        found = find(matrices)
+    def recording(matrices, degrees):
+        found = find(matrices, degrees)
         if found is not None:
             seen.append(found)
         return found

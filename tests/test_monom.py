@@ -34,10 +34,11 @@ from marked_bases.monom import (
     ConeIndex,
     _complete_component,
     _quasi_stable_witness,
+    certified_basis,
     minimalize,
     module_terms_of_degree,
 )
-from marked_bases.ring import InternalError
+from marked_bases.ring import InternalError, TermPacking
 from marked_bases.randgen import (
     random_quasi_stable_basis,
     random_quasi_stable_exponents,
@@ -448,22 +449,35 @@ class TestConeIndex:
                       st.integers(1, layout.rank)),
             max_size=8,
         ))
-        index = ConeIndex(layout.n)
+        probes = probe_terms(layout, terms, extra)
+        packing = TermPacking(layout, max(layout.term_degree(t) for t in probes))
+        index = ConeIndex(packing)
         for t in terms:
-            index.add(t.comp, t.exp, t)
-        for t in probe_terms(layout, terms, extra):
-            covering = index.covering(t.comp, t.exp)
+            index.add(packing.pack(t))
+        for t in probes:
+            covering = [packing.unpack(p) for p in index.covering(packing.pack(t))]
             assert len(covering) == len(set(covering))
             assert set(covering) == covering_scan(terms, t)
-            found = index.find(t.comp, t.exp)
+            found = index.find(packing.pack(t))
             assert (found is None) == (not covering)
-            assert found is None or found in covering
+            assert found is None or packing.unpack(found) in covering
 
     @settings(max_examples=300, deadline=None)
     @given(term_sets())
     def test_structural_test_matches_scan(self, case):
+        """`certified_basis` returns None exactly when the scan rejects the
+        terms, and otherwise a basis that keeps the index of the test as the
+        one its packing picks first."""
         layout, terms = case
-        assert is_pommaret_basis(terms, layout) == is_pommaret_basis_scan(terms, layout)
+        verdict = is_pommaret_basis_scan(terms, layout)
+        assert is_pommaret_basis(terms, layout) == verdict
+        basis = certified_basis(terms, layout)
+        assert (basis is not None) == verdict
+        if basis is not None:
+            assert basis.certified and basis.terms == terms
+            cones = basis._cones
+            assert basis.packing(0).degree == basis.max_degree() + 1
+            assert basis._cones is cones
 
     def test_structural_test_on_bases_and_broken_bases(self, rng):
         verdicts = []
@@ -504,6 +518,26 @@ class TestConeIndex:
         if _quasi_stable_witness(gens, nvars) is not None:
             gens = random_quasi_stable_exponents(random.Random(seed), nvars, 3)
         assert _complete_component(set(gens), nvars) == complete_component_scan(gens, nvars)
+
+    def test_completion_outgrows_its_first_packing(self, monkeypatch):
+        """(x1^5, x2^5, x3^5) completes up to degree 13, beyond the packing
+        the completion's index starts with (for twice the degree of the
+        first prolongations), so the index is re-filed on the way."""
+        built = []
+
+        class Counting(ConeIndex):
+            __slots__ = ()
+
+            def __init__(self, packing, vertices=()):
+                built.append(packing.degree)
+                super().__init__(packing, vertices)
+
+        monkeypatch.setattr(monom_module, "ConeIndex", Counting)
+        gens = {(0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5)}
+        completed = _complete_component(set(gens), 4)
+        assert max(map(sum, completed)) == 13 > built[0]
+        assert len(built) > 1
+        assert completed == complete_component_scan(gens, 4)
 
     def test_completion_of_random_quasi_stable_ideals(self, rng):
         grew = 0

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,8 @@ def test_names_the_benchmark_needs(monkeypatch):
 
 def test_ab_ops_loads_two_trees_side_by_side():
     """`scripts/ab_ops.py` on one tree against itself: both sides run, their
-    outputs agree, and nothing is written under `bench/`."""
+    outputs agree, the set-up of each side is timed, and nothing is written
+    under `bench/`."""
     before = sorted(p for p in (ROOT / "bench").rglob("*"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT / "src"), str(ROOT / "src"),
@@ -54,6 +56,11 @@ def test_ab_ops_loads_two_trees_side_by_side():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "ops check TWISTED, resolve TWISTED; workload resolve, seed 1, 2 rounds"
+    assert re.fullmatch(
+        r"setup parent median \d+\.\d ms, change median \d+\.\d ms, "
+        r"ratio median \d+\.\d{3} \(quartiles \d+\.\d{3}-\d+\.\d{3}\)",
+        lines[-3],
+    )
     assert lines[-2].startswith("change faster in ") and lines[-2].endswith(" of 2 rounds")
     assert lines[-1] == "outputs byte-identical: yes"
     assert sorted(p for p in (ROOT / "bench").rglob("*")) == before

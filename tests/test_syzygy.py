@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import marked_bases.marked as marked_module
+import marked_bases.monom as monom_module
 import marked_bases.syzygy as syzygy_module
 from marked_bases import (
     FreeModuleLayout,
@@ -142,6 +143,23 @@ class TestFreeResolution:
         assert res.matrices[0] == as_columns(delta1)
         assert res.matrices[1] == as_columns(delta2)
         assert verify_complex(res)
+
+    def test_one_cone_index_per_level(self, monkeypatch):
+        """Each level's basis files its cones once: level 0 on its first
+        lookup, each syzygy level in the structural test that certifies it."""
+        built = []
+
+        class Counting(monom_module.ConeIndex):
+            __slots__ = ()
+
+            def __init__(self, packing, vertices=()):
+                super().__init__(packing, vertices)
+                built.append(self)
+
+        monkeypatch.setattr(monom_module, "ConeIndex", Counting)
+        res = free_resolution(build_twisted_example().marked)
+        assert len(res.levels) == 3
+        assert built == [level.basis._cones for level in res.levels]
 
     def test_non_groebner_ranks(self, non_groebner):
         res = free_resolution(non_groebner.marked)
@@ -465,12 +483,21 @@ class TestMinimize:
         assert again.bodies == minimal.bodies
 
     @pytest.mark.parametrize("shape", [c2_basis, c4_basis])
-    def test_no_pivot_shares_the_maps(self, shape):
+    def test_no_pivot_shares_the_maps(self, shape, monkeypatch):
         """With no constant entry nothing is copied: the result shares the
-        input's maps, which stay as they were, and drops the levels."""
+        input's maps, which stay as they were, and drops the levels.  No two
+        consecutive levels share a degree, so no strand can hold a constant
+        entry and no entry is scanned for one."""
         res = free_resolution(random_marked_basis(random.Random(1), shape()))
+        assert all(set(a).isdisjoint(b) for a, b in zip(res.degrees, res.degrees[1:]))
         before = copy.deepcopy((res.bodies, res.degrees, res.matrices))
+        scanned = []
+        constant = syzygy_module.poly_constant
+        monkeypatch.setattr(
+            syzygy_module, "poly_constant", lambda p: scanned.append(p) or constant(p)
+        )
         minimal = minimize_resolution(res)
+        assert scanned == []
         assert minimal.bodies is res.bodies
         assert minimal.degrees is res.degrees
         assert minimal.matrices is res.matrices
@@ -497,8 +524,8 @@ class TestMinimize:
 def _doubled_pivot(find):
     """A corrupted pivot search: the right entry, at twice its value."""
 
-    def broken(matrices):
-        found = find(matrices)
+    def broken(matrices, degrees):
+        found = find(matrices, degrees)
         return found and (*found[:3], 2 * found[3])
 
     return broken
@@ -565,7 +592,7 @@ class TestSelfChecksRaise:
         # The one pivot of NON_GROEBNER lies in matrices[0], so its row
         # elimination writes to the generator images (the bodies).
         full = free_resolution(non_groebner.marked)
-        assert syzygy_module._find_pivot(full.matrices)[0] == 0
+        assert syzygy_module._find_pivot(full.matrices, full.degrees)[0] == 0
         monkeypatch.setattr(
             syzygy_module, "_add_scaled_column",
             _spoil_level0(syzygy_module._add_scaled_column, which),
@@ -588,8 +615,8 @@ class TestSelfChecksRaise:
             "from marked_bases.ring import InternalError\n"
             "assert False, 'asserts run'\n"
             "real = syzygy._find_pivot\n"
-            "def broken(matrices):\n"
-            "    found = real(matrices)\n"
+            "def broken(matrices, degrees):\n"
+            "    found = real(matrices, degrees)\n"
             "    return found and (*found[:3], 2 * found[3])\n"
             "syzygy._find_pivot = broken\n"
             "full = syzygy.free_resolution(build_twisted_example().marked)\n"
