@@ -95,28 +95,30 @@ def generic_marked_set(basis: PommaretBasis) -> GenericMarkedSet:
     deterministic listing order of heads and tails."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
+    layout = basis.layout
     heads = basis.sorted_terms()
     tails_by_head = []
-    pairs: list[tuple[ModuleTerm, ModuleTerm]] = []
-    names: list[str] = []
     tails_at: dict[int, list[ModuleTerm]] = {}
-    for h_idx, head in enumerate(heads):
-        d = basis.layout.term_degree(head)
+    for head in heads:
+        d = layout.term_degree(head)
         tails = tails_at.get(d)
         if tails is None:
             tails = tails_at[d] = complement_terms(basis, d)
         tails_by_head.append(tails)
+    nparams = sum(map(len, tails_by_head))
+    one = ParamPoly.const(nparams, 1)
+    pairs: list[tuple[ModuleTerm, ModuleTerm]] = []
+    names: list[str] = []
+    elements = []
+    # Heads and complement terms are valid terms of one degree: unchecked.
+    for h_idx, (head, tails) in enumerate(zip(heads, tails_by_head)):
+        terms = {head: one}
         for t_idx, tail in enumerate(tails):
+            terms[tail] = ParamPoly._trusted(nparams, {((len(pairs), 1),): -1})
             pairs.append((head, tail))
             names.append(f"C_{{{h_idx},{t_idx}}}")
-    nparams = len(pairs)
-    elements = []
-    param_at = {pair: i for i, pair in enumerate(pairs)}
-    for head, tails in zip(heads, tails_by_head):
-        terms = {head: ParamPoly.const(nparams, 1)}
-        for tail in tails:
-            terms[tail] = -ParamPoly.variable(nparams, param_at[(head, tail)])
-        elements.append(MarkedElement(ModuleElement(basis.layout, terms), head))
+        body = ModuleElement._trusted(layout, terms, layout.term_degree(head))
+        elements.append(MarkedElement(body, head))
     marked = MarkedSet(basis, elements)
     return GenericMarkedSet(basis, marked, tuple(names), tuple(pairs))
 

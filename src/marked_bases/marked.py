@@ -35,11 +35,19 @@ widens the basis's packing, clearing the cone memo keyed by the old one
 bodies once (`MarkedSet.packed_bodies`); all sets over one basis share its
 packing and cone memo.  Module elements and representations stay keyed by
 module terms.
+
+Over Q the work element and the summands hold inline ints and Fractions,
+and a step computes s - coeff * c.  Over K[C] (ParamPoly head coefficients,
+as in a generic set; decided once per set, with its packed bodies) they hold
+sparse-terms dicts, a step multiply-subtracts coeff * c into the target's
+dict in place (`ring.param_add_product` on `MarkedSet.sparse_bodies`), and
+each dict is wrapped as a ParamPoly once, for the representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -54,7 +62,9 @@ from .ring import (
     ModuleTerm,
     ParamPoly,
     TermPacking,
+    param_add_product,
     rational,
+    sparse_terms,
     term_mul,
     var_exp,
 )
@@ -107,12 +117,12 @@ class MarkedSet:
     0-based place in it.  The marked-basis verdict is cached once
     established, and so is the representation of every prolongation reduced
     through `prolongation_rep`, and so are the packed bodies the kernel
-    reads (`packed_bodies`); instances are immutable so these caches are
-    sound.
+    reads (`packed_bodies`, `sparse_bodies`); instances are immutable so
+    these caches are sound.
     """
 
     __slots__ = (
-        "basis", "elements", "position", "_certified", "_prolongations", "_packed"
+        "basis", "elements", "position", "_certified", "_prolongations", "_packed", "_sparse"
     )
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
@@ -138,7 +148,8 @@ class MarkedSet:
         self.position = {head: i for i, head in enumerate(by_head)}
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
-        self._packed: tuple[TermPacking, dict] | None = None
+        self._packed: tuple[TermPacking, dict, int | None] | None = None
+        self._sparse: tuple[dict, dict] | None = None
         # The tails are checked as the kernel will read them, packed, and
         # through the cone memo: the tails of many elements share terms.
         # Every term has the degree of a head, which the packing holds.
@@ -172,7 +183,9 @@ class MarkedSet:
     def packed_bodies(self, packing: TermPacking) -> dict:
         """{packed head: (head, packed tail terms, their coefficients)} in
         element order, each tail in body order; built with the set, for its
-        tail check, and again only when the basis's packing changes."""
+        tail check, and again only when the basis's packing changes.  The
+        coefficient domain is decided with them: ``_packed[2]`` is None over
+        Q, else the number of parameters of the ParamPoly head coefficients."""
         packed = self._packed
         if packed is None or packed[0] is not packing:
             pack = packing.pack
@@ -184,8 +197,21 @@ class MarkedSet:
                     tuple([pack(t) for t in terms if t != head]),
                     tuple([c for t, c in terms.items() if t != head]),
                 )
-            packed = self._packed = (packing, bodies)
+            sample = self.coefficient_sample()
+            nparams = sample.nparams if isinstance(sample, ParamPoly) else None
+            packed = self._packed = (packing, bodies, nparams)
         return packed[1]
+
+    def sparse_bodies(self, packing: TermPacking) -> dict:
+        """`packed_bodies` with every coefficient as `ring.sparse_terms`, as
+        the K[C] steps of `reduce_full` read them; built on the first such
+        reduction per packing, so a set that is only specialized never is."""
+        bodies = self.packed_bodies(packing)
+        if self._sparse is None or self._sparse[0] is not bodies:
+            sparse = {p: (head, terms, tuple(map(sparse_terms, coeffs)))
+                      for p, (head, terms, coeffs) in bodies.items()}
+            self._sparse = (bodies, sparse)
+        return self._sparse[1]
 
 
 @dataclass(frozen=True)
@@ -238,6 +264,7 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
         raise ValueError("element layout differs from the marked set layout")
     packing = basis.packing(h.degree or 0)
     bodies = marked.packed_bodies(packing)
+    nparams = marked._packed[2]
     pack = packing.pack
     cone = basis.cone_divisor
     work: dict[int, Coeff] = {}
@@ -251,6 +278,12 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
             divisor_of[p] = head
             heap.append(-p)
     heapify(heap)
+    if nparams is not None:
+        # h's coefficient dicts are shared with h: a step copies one before
+        # it writes to it, and the representation shares the rest.
+        bodies = marked.sparse_bodies(packing)
+        work = {p: sparse_terms(c) for p, c in work.items()}
+        shared = set(map(id, work.values()))
     summands: dict[int, Coeff] = {}  # packed target -> coefficient
     while heap:
         target = -heappop(heap)
@@ -258,11 +291,16 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
         if coeff is None:
             continue
         prev = summands.get(target)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            summands[target] = total
+        if prev is None:
+            summands[target] = coeff
         else:
-            del summands[target]
+            if nparams is None:
+                prev = summands[target] = prev + coeff
+            else:
+                prev = summands[target] = dict(prev)
+                param_add_product(prev, coeff, {(): 1}, 1)
+            if not prev:
+                del summands[target]
         head = divisor_of[target]
         _, terms, coeffs = bodies[head]
         mult = target - head
@@ -279,11 +317,16 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
                 if s is None:
                     divisor_of[shifted] = divisor
                     heappush(heap, -shifted)
-            s = -(coeff * c) if s is None else s - coeff * c
-            if s:
-                work[shifted] = s
+            if nparams is None:
+                s = work[shifted] = -(coeff * c) if s is None else s - coeff * c
             else:
-                work.pop(shifted, None)
+                if s is None:
+                    s = work[shifted] = {}
+                elif id(s) in shared:
+                    s = work[shifted] = dict(s)
+                param_add_product(s, coeff, c, -1)
+            if not s:
+                del work[shifted]
     # Summands lex-descending in the multiplier, then in element order.
     position = marked.position
     keyed = []
@@ -293,9 +336,10 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
         keyed.append((-mult, position[head], mult, head, c))
     keyed.sort(key=itemgetter(0, 1))
     unpack_exp, unpack = packing.unpack_exp, packing.unpack
-    flat = tuple((rational(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed)
+    wrap = rational if nparams is None else partial(ParamPoly._trusted, nparams)
+    flat = tuple((wrap(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed)
     remainder = ModuleElement._trusted(
-        basis.layout, {unpack(p): rational(c) for p, c in work.items()}, h.degree if work else None
+        basis.layout, {unpack(p): wrap(c) for p, c in work.items()}, h.degree if work else None
     )
     return Representation(flat, remainder)
 

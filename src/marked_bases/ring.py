@@ -229,6 +229,8 @@ def listing_key(layout: FreeModuleLayout, t: ModuleTerm):
 # Sparse parameter monomial: sorted tuple of (parameter index, power) pairs
 # with positive powers; () is the constant monomial.
 ParamMonomial = tuple[tuple[int, int], ...]
+# The sparse terms of a ParamPoly: monomial -> non-zero rational.
+ParamTerms = dict[ParamMonomial, Rational]
 
 
 def _mono_mul(a: ParamMonomial, b: ParamMonomial) -> ParamMonomial:
@@ -296,7 +298,7 @@ class ParamPoly:
 
     def __init__(self, nparams: int, terms: Mapping[Exponent, Rational] | None = None):
         self.nparams = nparams
-        clean: dict[ParamMonomial, Rational] = {}
+        clean: ParamTerms = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nparams:
@@ -307,7 +309,7 @@ class ParamPoly:
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, nparams: int, terms: dict[ParamMonomial, Rational]) -> "ParamPoly":
+    def _trusted(cls, nparams: int, terms: ParamTerms) -> "ParamPoly":
         """Wrap sparse terms whose values are already non-zero rationals;
         nothing is copied, checked or converted."""
         p = object.__new__(cls)
@@ -411,24 +413,8 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # Times one term: monomials stay distinct, nothing cancels.
-            [(m2, c2)] = b.items()
-            out = {_mono_mul(m1, m2): c1 * c2 for m1, c1 in a.items()}
-            return ParamPoly._trusted(self.nparams, out)
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        out: ParamTerms = {}
+        param_add_product(out, self._terms, other._terms, 1)
         return ParamPoly._trusted(self.nparams, out)
 
     __rmul__ = __mul__
@@ -593,6 +579,29 @@ def poly_add_product(target: Poly, p: Poly, q: Poly, sign: int) -> None:
                 target[e] = rational(s)
             else:
                 del target[e]
+
+
+def param_add_product(target: ParamTerms, p: ParamTerms, q: ParamTerms, sign: int) -> None:
+    """`poly_add_product` on the sparse terms of ParamPolys, without
+    `rational`, as in all ParamPoly arithmetic; the one place where they are
+    multiplied (`ParamPoly.__mul__`, the K[C] steps of `marked.reduce_full`)."""
+    for m1, c1 in p.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in q.items():
+            m = _mono_mul(m1, m2)
+            s = target.get(m)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                target[m] = s
+            else:
+                del target[m]
+
+
+def sparse_terms(c: Coeff) -> ParamTerms:
+    """The sparse terms of a ParamPoly c, not copied, or of a non-zero
+    rational c as a constant."""
+    return c._terms if isinstance(c, ParamPoly) else {(): c}
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:

@@ -118,6 +118,24 @@ class TestFamilyEquations:
             collected.update(rep.remainder.terms.values())
         assert collected == set(fam.generators)
 
+    def test_reductions_build_no_param_poly_per_step(self, twisted, monkeypatch):
+        """Over K[C] `reduce_full` multiply-subtracts sparse dicts in place,
+        so no `ParamPoly` product or difference comes from it."""
+        generic = generic_marked_set(twisted.basis)
+        callers = []
+        for name in ("__mul__", "__rmul__", "__sub__", "__rsub__"):
+            def counted(self, other, original=getattr(ParamPoly, name)):
+                callers.append(sys._getframe(1).f_code)
+                return original(self, other)
+
+            monkeypatch.setattr(ParamPoly, name, counted)
+        fam = family_equations(generic)
+        assert fam.generators
+        assert sum(code is marked_module.reduce_full.__code__ for code in callers) == 0
+        # The counter sees an operator call.
+        ParamPoly.variable(generic.nparams, 0) * ParamPoly.variable(generic.nparams, 1)
+        assert callers[-1] is sys._getframe().f_code
+
 
 class TestSpecialize:
     def test_root_gives_basis(self):

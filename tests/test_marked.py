@@ -12,9 +12,11 @@ from marked_bases import (
     MarkedSet,
     ModuleElement,
     NotABasis,
+    ParamPoly,
     PommaretBasis,
     TailTermInU,
     contains,
+    generic_marked_set,
     is_marked_basis,
     monomial_marked_set,
     nonmultiplicative_variables,
@@ -29,6 +31,7 @@ from marked_bases.randgen import (
     random_quasi_stable_module,
 )
 from conftest import E, LAY3, T, build_twisted_example
+from test_coefficients import assert_rule
 from oracles import (
     all_module_terms,
     all_products,
@@ -306,11 +309,35 @@ class TestCertificate:
         assert failures >= 3
 
 
+def over_parameters(rng, h: ModuleElement, generic, degree: int) -> ModuleElement:
+    """h over K[C]: each coefficient c becomes c * (1 + C_i) for a random
+    parameter C_i (the constant c when there are none), and a random
+    generic element times a power of x0, which is multiplicative for every
+    head, is added, so that its tail terms cancel in the work element."""
+    nparams = generic.nparams
+    terms = {}
+    for t, c in h.terms.items():
+        lifted = ParamPoly.const(nparams, c)
+        if nparams:
+            lifted = lifted * (ParamPoly.variable(nparams, rng.randrange(nparams)) + 1)
+        terms[t] = lifted
+    layout = h.layout
+    h_params = ModuleElement(layout, terms)
+    fitting = [el for el in generic.marked.ordered() if layout.term_degree(el.head) <= degree]
+    if not fitting:
+        return h_params
+    el = rng.choice(fitting)
+    shift = (degree - layout.term_degree(el.head),) + (0,) * layout.n
+    return h_params + el.body.mul_term(shift)
+
+
 class TestPackedKernel:
     """The kernel keys its work on packed ints; the scan oracle keys its
     work on module terms.  Both attack the lex-greatest term of U, so they
     must agree in every summand and in the remainder, down to the order in
-    which the remainder's terms entered the work element."""
+    which the remainder's terms entered the work element.  Over K[C] the
+    kernel multiply-subtracts sparse dicts in place, and the oracle keeps
+    the `ParamPoly` operators: the values must still be the same."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3))
@@ -318,6 +345,7 @@ class TestPackedKernel:
         rng = random.Random(seed)
         basis = random_quasi_stable_module(rng, n, rank, max_deg=3, max_terms=16)
         marked = random_marked_set(rng, basis)
+        generic = generic_marked_set(basis)
         top = basis.max_degree()
         # The high-degree target widens the basis's packing between the
         # others, which then reuse the wider one.
@@ -325,24 +353,47 @@ class TestPackedKernel:
         degrees.insert(rng.randint(0, 3), top + rng.randint(10, 16))
         for d in degrees:
             h = random_homogeneous_element(rng, basis.layout, d)
-            expected = reduce_in_order(h, marked, lex_greatest)
-            got = reduce_full(h, marked)
-            assert got == expected
-            assert list(got.remainder.terms) == list(expected.remainder.terms)
-            assert got.remainder.degree == expected.remainder.degree
+            cases = [(h, marked)]
+            # Parameter coefficients grow fast with the degree and with the
+            # number of parameters, so the generic set reduces targets up to
+            # the degree of a prolongation only, some after the widening, and
+            # only with at most 100 parameters (most of these bases).
+            if d <= top + 1 and generic.nparams <= 100:
+                cases.append((over_parameters(rng, h, generic, d), generic.marked))
+            for target, over in cases:
+                expected = reduce_in_order(target, over, lex_greatest)
+                got = reduce_full(target, over)
+                assert got == expected
+                assert list(got.remainder.terms) == list(expected.remainder.terms)
+                assert got.remainder.degree == expected.remainder.degree
+                for c, _, _ in got.summands:
+                    assert_rule(c, "summand")
+                for c in got.remainder.terms.values():
+                    assert_rule(c, "remainder")
 
-    def test_certificate_refuses_a_multiplier_that_does_not_descend(self, twisted):
+    @pytest.mark.parametrize("domain", ["Q", "K[C]"])
+    def test_certificate_refuses_a_multiplier_that_does_not_descend(self, twisted, domain):
         """A tail term that is itself a head recreates the multiplier just
         used, which a valid marked set never does; the certificate must
-        refuse equality, not only growth."""
-        marked = MarkedSet(twisted.basis, twisted.marked.ordered())
+        refuse equality, not only growth, over either coefficient domain."""
+        one = tail = 1
+        elements = twisted.marked.ordered()
+        if domain == "K[C]":
+            generic = generic_marked_set(twisted.basis)
+            one = ParamPoly.const(generic.nparams, 1)
+            tail = ParamPoly.variable(generic.nparams, 0)
+            elements = generic.marked.ordered()
+        marked = MarkedSet(twisted.basis, elements)
         head = T((1, 1, 0))
         # Forged past the tail check: the packed bodies are dropped, so the
         # kernel packs them again from the forged element.
-        marked.elements[head] = MarkedElement(E(LAY3, {head: 1, T((0, 2, 0)): 1}), head)
+        marked.elements[head] = MarkedElement(
+            ModuleElement(LAY3, {head: one, T((0, 2, 0)): tail}), head
+        )
         marked._packed = None
         with pytest.raises(InternalNonTermination):
-            reduce_full(E(LAY3, {T((2, 1, 0)): 1}), marked)
+            reduce_full(ModuleElement(LAY3, {T((2, 1, 0)): one}), marked)
+        assert (marked._sparse is not None) == (domain == "K[C]")
 
     def test_marked_sets_share_one_memo_across_a_widening(self, twisted, rng):
         """Two marked sets over one basis share its packing and its cone

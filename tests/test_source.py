@@ -25,6 +25,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_one_reduction_loop():
+    """`marked.reduce_full` reduces over Q and over K[C] in one loop, whose
+    lex-descent certificate is the only place `InternalNonTermination` is
+    raised: a second copy of the kernel fails here."""
+    tree = ast.parse((PACKAGE / "marked.py").read_text())
+    raises = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any(
+            isinstance(name, ast.Name) and name.id == "InternalNonTermination"
+            for name in ast.walk(node.exc)
+        )
+    ]
+    assert len(raises) == 1
+
+
 def test_names_the_benchmark_needs(monkeypatch):
     """`bench/workloads.py` imports names of the package, and
     `bench/tracing.py` wraps every function listed in its `SPANS` and
