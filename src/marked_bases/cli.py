@@ -400,14 +400,11 @@ def cmd_specialize(doc, args):
         raise InputFormatError(exc.args[0]) from None
     result = is_marked_basis(spec.marked)
     vanishes = result.is_basis
-    lines = ["specialized elements:"]
-    for el in spec.marked.ordered():
-        lines.append("  " + format_marked_element(el.body, el.head))
+    elements = [format_marked_element(el.body, el.head) for el in spec.marked.ordered()]
+    lines = ["specialized elements:", *("  " + text for text in elements)]
     lines.append(f"family equations vanish: {'yes' if vanishes else 'no'}")
     payload = {
-        "elements": [
-            format_marked_element(el.body, el.head) for el in spec.marked.ordered()
-        ],
+        "elements": elements,
         "family_vanishes": vanishes,
         "marked_basis": result.is_basis,
     }

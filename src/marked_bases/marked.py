@@ -65,7 +65,6 @@ from .ring import (
     param_add_product,
     rational,
     sparse_terms,
-    term_mul,
     var_exp,
 )
 
@@ -227,20 +226,6 @@ class Representation:
     summands: tuple[tuple[Coeff, Exponent, ModuleTerm], ...]
     remainder: ModuleElement
 
-    def evaluate(self, marked: MarkedSet) -> ModuleElement:
-        total = dict(self.remainder.terms)
-        for coeff, mult, head in self.summands:
-            body = marked.elements[head].body
-            for t, c in body.terms.items():
-                shifted = term_mul(t, mult)
-                s = total.get(shifted)
-                s = coeff * c if s is None else s + coeff * c
-                if s:
-                    total[shifted] = s
-                else:
-                    total.pop(shifted, None)
-        return ModuleElement(self.remainder.layout, total)
-
 
 def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
     """Reduce h to its normal form modulo the marked set.
@@ -394,8 +379,8 @@ def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> Basis
     stops at the first non-zero remainder, which is the certificate.
     """
     basis = marked.basis
-    reg = basis.max_degree()
-    conclusive = up_to_degree is None or up_to_degree >= reg + 1
+    # Without a cap the test is conclusive, and reg is not computed.
+    conclusive = up_to_degree is None or up_to_degree >= basis.max_degree() + 1
     if marked._certified is not None and conclusive:
         return BasisCheck(marked._certified)
 
@@ -424,7 +409,7 @@ def contains(marked: MarkedSet, f: ModuleElement) -> bool:
 def monomial_marked_set(basis: PommaretBasis) -> MarkedSet:
     """The marked set with zero tails: U as a marked basis over itself."""
     elements = [
-        MarkedElement(ModuleElement.from_term(basis.layout, t), t)
+        MarkedElement(ModuleElement(basis.layout, {t: 1}), t)
         for t in basis.sorted_terms()
     ]
     return MarkedSet(basis, elements)

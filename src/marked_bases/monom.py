@@ -78,17 +78,10 @@ def pommaret_class(e: Exponent, n: int) -> int:
     return n if m is None else m
 
 
-def multiplicative_variables(t, n: int) -> frozenset[int]:
-    """Indices of the Pommaret-multiplicative variables {x0, ..., min(t)}.
-
-    Accepts a ModuleTerm or a bare exponent tuple.  For the constant
-    exponent every variable is multiplicative.
-    """
-    exp = t.exp if isinstance(t, ModuleTerm) else t
-    return frozenset(range(pommaret_class(exp, n) + 1))
-
-
 def nonmultiplicative_variables(t, n: int) -> tuple[int, ...]:
+    """Indices of the variables above min(t), which are not
+    Pommaret-multiplicative for t: x0, ..., min(t) are.  Accepts a
+    ModuleTerm or a bare exponent tuple; the constant exponent has none."""
     exp = t.exp if isinstance(t, ModuleTerm) else t
     return tuple(range(pommaret_class(exp, n) + 1, n + 1))
 
@@ -293,12 +286,6 @@ class PommaretBasis:
             object.__setattr__(self, "_cones", cones)
             self._cone_cache.clear()
         return cones.packing
-
-
-def cone_divisor(basis: PommaretBasis, t: ModuleTerm):
-    if not basis.certified:
-        raise ValueError("cone_divisor requires a certified basis")
-    return basis.cone_divisor(t)
 
 
 def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:

@@ -176,16 +176,6 @@ class TermPacking:
         return ModuleTerm(self.unpack_exp(p), self.rank - (p & self.comp_mask))
 
 
-def canonical_term_key(t: ModuleTerm):
-    """Print/iteration order: component ascending, degrevlex descending inside.
-
-    For exponent tuples of equal degree, ascending plain-tuple order is
-    exactly descending degrevlex (the term with less of the smallest
-    variable comes first).
-    """
-    return (t.comp, t.exp)
-
-
 @dataclass(frozen=True)
 class FreeModuleLayout:
     """Ambient weighted free module: variables x0..xn, generators e1..em."""
@@ -390,18 +380,7 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-                continue
-            s -= c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return ParamPoly._trusted(self.nparams, out)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -498,25 +477,16 @@ class ModuleElement:
         el.degree = degree
         return el
 
-    @classmethod
-    def zero(cls, layout: FreeModuleLayout) -> "ModuleElement":
-        return cls(layout, {})
-
-    @classmethod
-    def from_term(cls, layout: FreeModuleLayout, t: ModuleTerm, coeff: Coeff = 1):
-        return cls(layout, {t: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self):
-        return set(self.terms)
 
     def coefficient(self, t: ModuleTerm) -> Coeff:
         return self.terms.get(t, 0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: canonical_term_key(item[0]))
+        """The terms component ascending, then degrevlex descending: on
+        exponents of one degree, ascending tuple order is exactly that."""
+        return sorted(self.terms.items(), key=lambda item: (item[0].comp, item[0].exp))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleElement):
@@ -602,12 +572,6 @@ def sparse_terms(c: Coeff) -> ParamTerms:
     """The sparse terms of a ParamPoly c, not copied, or of a non-zero
     rational c as a constant."""
     return c._terms if isinstance(c, ParamPoly) else {(): c}
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    poly_add_product(out, p, q, 1)
-    return out
 
 
 def poly_constant(p: Poly):

@@ -13,15 +13,16 @@ Differentials are stored as sparse columns.  matrices[i] is the map from
 level i+1 to level i, one column per level-(i+1) generator; a column is a
 dict {row: entry}, the row a 0-based level-i generator index and the entry
 a non-zero scalar polynomial {exponent tuple: coefficient}.  A column is
-the syzygy exactly as the syzygy step builds it, written out in the lower
-level's generators (`_column`), and no column ever stores an empty entry.
-The level-0 map is stored in the same layout: `FreeResolution.bodies` holds
-one column per generator, its image `_column(body)` in the ambient free
-module, with row k-1 for the component e_k.
+the syzygy written out in the lower level's generators, and no column ever
+stores an empty entry.  The level-0 map is stored in the same layout:
+`FreeResolution.bodies` holds one column per generator, its image
+`_column(body)` in the ambient free module, with row k-1 for the component
+e_k.
 
 The syzygies are read off the memoised prolongation representations of the
 marked set (`prolongation_rep`), so the basis test and the syzygy step
-share one reduction per prolongation.
+share one reduction per prolongation, and each syzygy is written once, as
+its column and its element's terms side by side.
 
 The chain property (consecutive maps compose to zero) is checked where a
 differential is written, not on the finished resolution: the syzygy step
@@ -48,7 +49,7 @@ through `ring.poly_add_product`; only the division by a pivot is apart
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -98,17 +99,18 @@ def _column(elem: ModuleElement) -> Column:
     return col
 
 
-def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet, list[Column]]:
+def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
     """Marked basis of the syzygy module of a certified marked basis, with
     the syzygies as columns over the generators of `marked`.
 
     One syzygy per prolongation, in the order of `prolongations`, read off
-    the memoised reduction of that prolongation.  Every produced syzygy is
-    composed with the level below and must give zero: this is the chain
-    property of the pair.  The check evaluates the column that is returned
-    against the packed bodies of `marked` (`_evaluate_column`), and the
-    returned columns come in the element order of the returned set.  The
-    resulting set is re-certified; the re-certification reduces every
+    the memoised reduction of that prolongation; one pass over its summands
+    writes the column and the element's terms, which are not checked one by
+    one.  Every column is composed with the level below and must give zero:
+    this chain check (`_evaluate_column`, on the packed bodies of `marked`)
+    also refuses a wrong multiplier or row.  The returned columns come in
+    the element order of the returned set, which passes the marked-element
+    and tail checks and is re-certified; the re-certification reduces every
     prolongation of the new set, which fills the memo the next level's
     syzygy step reads.
     """
@@ -133,17 +135,22 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet, li
         rep = prolongation_rep(marked, el, j)
         if not rep.remainder.is_zero():
             raise InternalError("prolongation of a certified basis does not vanish")
-        head = ModuleTerm(var_exp(nvars, j), position[el.head] + 1)
-        body_terms: dict[ModuleTerm, Coeff] = {head: one}
+        k = position[el.head]
+        x_j = var_exp(nvars, j)
+        head = ModuleTerm(x_j, k + 1)
+        terms: dict[ModuleTerm, Coeff] = {head: one}
+        column: Column = {k: {x_j: one}}
         for coeff, mult, tau in rep.summands:
             # The (multiplier, head) pairs are distinct, and none lands on
             # the syzygy head: x_j is non-multiplicative for el.head, while
             # each multiplier is multiplicative for its own head.
-            body_terms[ModuleTerm(mult, position[tau] + 1)] = -coeff
-        body = ModuleElement(syz_layout, body_terms)
-        column = _column(body)
+            r = position[tau]
+            c = -coeff
+            terms[ModuleTerm(mult, r + 1)] = c
+            column.setdefault(r, {})[mult] = c
         if _evaluate_column(rows, column, packing.pack_exp):
             raise InternalError("produced element is not a syzygy")
+        body = ModuleElement._trusted(syz_layout, terms, weights[k] + 1)
         syz_elements.append(MarkedElement(body, head))
         columns.append(column)
 
@@ -154,7 +161,7 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[PommaretBasis, MarkedSet, li
     syz_set = MarkedSet(syz_basis, syz_elements)
     if syz_elements and not is_marked_basis(syz_set).is_basis:
         raise InternalError("syzygy set failed the marked-basis re-check")
-    return syz_basis, syz_set, columns
+    return syz_set, columns
 
 
 def _evaluate_column(rows: list[tuple[tuple, tuple]], column: Column, pack_exp) -> dict:
@@ -191,14 +198,16 @@ class FreeResolution:
     the level-0 map in the same layout: column c is the image of the c-th
     level-0 generator in the ambient free module, row k-1 holding its e_k
     component.  ``levels`` holds the marked sets of the iterated syzygy
-    construction and is dropped by minimization.
+    construction and is dropped by minimization; equality ignores it, so
+    two resolutions are equal when their layouts, degrees, generator images
+    and differential columns are.
     """
 
     layout: FreeModuleLayout
     bodies: list[Column]
     degrees: list[list[int]]
     matrices: list[list[Column]]
-    levels: list[MarkedSet] | None = None
+    levels: list[MarkedSet] | None = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
@@ -237,7 +246,7 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     matrices: list[list[Column]] = []
     current = marked
     while any(prolongations(current)):
-        _, current, columns = syzygy_marked_basis(current)
+        current, columns = syzygy_marked_basis(current)
         matrices.append(columns)
         levels.append(current)
 

@@ -2,12 +2,14 @@
 
 Polynomial grammar: optional rational coefficients ``p/q``, variables
 ``x0..xN``, powers with ``^``, free-generator markers ``e<k>``, ``+``/``-``,
-and an optional ``*`` between factors.  In marked-set context the head term
-of an element is wrapped in square brackets: ``[x1*x0] + x2^2``.  A term
-without a component marker lives in component 1.  One column printer,
-`_column_text`, prints every element: a module element, a marked element,
-the generator images and syzygies of a resolution and each differential
-entry all print from their sparse columns {component - 1: polynomial}.
+and an optional ``*`` between factors.  In marked-set context (a
+``marked`` line of a document) the head term of an element is wrapped in
+square brackets: ``[x1*x0] + x2^2``.  A term without a component marker
+lives in component 1.  One parser, `_Parser`, reads every polynomial.  One
+column printer, `_column_text`, prints every element: a module element, a
+marked element, the generator images and syzygies of a resolution and each
+differential entry all print from their sparse columns {component - 1:
+polynomial}.
 
 Input documents are line oriented (``#`` starts a comment, indented lines
 continue the previous logical line)::
@@ -17,7 +19,8 @@ continue the previous logical line)::
     ideal J = x2^3, x2*x1, x1^2
     marked G = [x2^3], [x1*x0] + x2^2
 
-Resolutions serialize to a stable JSON schema: ``{"length": L, "ring": ...,
+Resolutions serialize, as ``dumps_indented(resolution_to_dict(res))``,
+to a stable JSON schema: ``{"length": L, "ring": ...,
 "levels": [{"ranks": {...}, "degrees": [...], "generators": [...],
 "differential": [[entry strings]]}]}`` where level i's differential maps
 level i into level i-1 (level 0's single row holds the generator images,
@@ -34,7 +37,6 @@ strings once.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,14 +232,6 @@ def parse_polynomial(text: str, layout: FreeModuleLayout, line: int = 1) -> Modu
     """Parse a homogeneous element; "0" gives the zero element."""
     terms, head = _Parser(text, layout, lambda col: (line, col), allow_head=False).parse()
     return ModuleElement(layout, terms)
-
-
-def parse_marked_polynomial(
-    text: str, layout: FreeModuleLayout, line: int = 1
-) -> tuple[ModuleElement, ModuleTerm | None]:
-    """Parse an element with an optional bracketed head term."""
-    terms, head = _Parser(text, layout, lambda col: (line, col), allow_head=True).parse()
-    return ModuleElement(layout, terms), head
 
 
 # ---------- printing ----------
@@ -530,10 +524,6 @@ def resolution_to_dict(res: FreeResolution) -> dict:
     }
 
 
-def serialize_resolution(res: FreeResolution) -> str:
-    return dumps_indented(resolution_to_dict(res))
-
-
 def dumps_indented(obj) -> str:
     """Exactly the text of ``json.dumps(obj, indent=2)``, written in one pass.
 
@@ -604,38 +594,3 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
-def parse_resolution(text: str) -> FreeResolution:
-    """Rebuild a resolution from its JSON form (levels come back abstract)."""
-    data = json.loads(text)
-    ring = data["ring"]
-    layout = FreeModuleLayout(int(ring["variables"]) - 1, tuple(ring["weights"]))
-    scalar = FreeModuleLayout(layout.n, (0,))
-    degrees = [list(level["degrees"]) for level in data["levels"]]
-    bodies = [
-        _column(parse_polynomial(s, layout)) for s in data["levels"][0]["differential"][0]
-    ]
-    matrices = []
-    for i, level in enumerate(data["levels"][1:], start=1):
-        columns: list[Column] = [{} for _ in degrees[i]]
-        for r, row in enumerate(level["differential"]):
-            for c, entry in enumerate(row):
-                elem = parse_polynomial(entry, scalar)
-                if elem.terms:
-                    columns[c][r] = {t.exp: coeff for t, coeff in elem.terms.items()}
-        matrices.append(columns)
-    return FreeResolution(
-        layout=layout, bodies=bodies, degrees=degrees, matrices=matrices, levels=None
-    )
-
-
-def resolutions_equal(a: FreeResolution, b: FreeResolution) -> bool:
-    """Entrywise equality of layout, degrees, generator images, and the
-    sparse columns of the differentials."""
-    return (
-        a.layout == b.layout
-        and a.degrees == b.degrees
-        and a.bodies == b.bodies
-        and a.matrices == b.matrices
-    )

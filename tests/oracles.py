@@ -7,11 +7,14 @@ Hilbert functions and disjoint covers, generator manipulation for colon
 ideals and satiety, slice stability for regularity, and rank computations
 for the direct-sum decomposition.  Minimization of a resolution has a dense
 reference too, eliminating on full grids of entries, and marked reduction
-has a reference that attacks the reducible terms in any given order.
+has a reference that attacks the reducible terms in any given order.  A
+representation is evaluated back to the element it stands for, and the
+resolution JSON is parsed back into a resolution.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from marked_bases.linalg import rref
@@ -37,7 +40,8 @@ from marked_bases.ring import (
     term_mul,
     var_exp,
 )
-from marked_bases.syzygy import FreeResolution
+from marked_bases.syzygy import Column, FreeResolution, _column
+from marked_bases.textio import parse_polynomial
 
 
 def ideal_contains(gens, e) -> bool:
@@ -542,6 +546,23 @@ def lex_greatest(candidates):
     return max(candidates, key=lambda t: (lex_key(t.exp), -t.comp))
 
 
+def evaluate_representation(rep: Representation, marked) -> ModuleElement:
+    """The element a representation stands for: the sum of its summands
+    c * x^mult * element(head), plus its remainder."""
+    total = dict(rep.remainder.terms)
+    for coeff, mult, head in rep.summands:
+        body = marked.elements[head].body
+        for t, c in body.terms.items():
+            shifted = term_mul(t, mult)
+            s = total.get(shifted)
+            s = coeff * c if s is None else s + coeff * c
+            if s:
+                total[shifted] = s
+            else:
+                total.pop(shifted, None)
+    return ModuleElement(rep.remainder.layout, total)
+
+
 def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
     """Marked reduction of h that scans the work element for its terms of U
     at every step and attacks `chooser(candidates)`.  The reducer of each
@@ -582,3 +603,27 @@ def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
         key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
     )
     return Representation(tuple(flat), ModuleElement(basis.layout, work))
+
+
+def parse_resolution(text: str) -> FreeResolution:
+    """Rebuild a resolution from its JSON form (levels come back abstract)."""
+    data = json.loads(text)
+    ring = data["ring"]
+    layout = FreeModuleLayout(int(ring["variables"]) - 1, tuple(ring["weights"]))
+    scalar = FreeModuleLayout(layout.n, (0,))
+    degrees = [list(level["degrees"]) for level in data["levels"]]
+    bodies = [
+        _column(parse_polynomial(s, layout)) for s in data["levels"][0]["differential"][0]
+    ]
+    matrices = []
+    for i, level in enumerate(data["levels"][1:], start=1):
+        columns: list[Column] = [{} for _ in degrees[i]]
+        for r, row in enumerate(level["differential"]):
+            for c, entry in enumerate(row):
+                elem = parse_polynomial(entry, scalar)
+                if elem.terms:
+                    columns[c][r] = {t.exp: coeff for t, coeff in elem.terms.items()}
+        matrices.append(columns)
+    return FreeResolution(
+        layout=layout, bodies=bodies, degrees=degrees, matrices=matrices, levels=None
+    )

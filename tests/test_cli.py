@@ -14,11 +14,7 @@ from marked_bases import (
     free_resolution,
     minimize_resolution,
     parse_document,
-    parse_marked_polynomial,
     parse_polynomial,
-    parse_resolution,
-    resolutions_equal,
-    serialize_resolution,
 )
 from marked_bases import cli as cli_module
 from marked_bases import family as family_module
@@ -34,11 +30,28 @@ from marked_bases.textio import (
     format_element,
     format_marked_element,
     format_poly,
+    resolution_to_dict,
 )
-from marked_bases.randgen import random_homogeneous_element, random_marked_basis
+from marked_bases.randgen import random_marked_basis
 from conftest import (
     E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, TWISTED_MINIMAL_DOC, c4_basis, survey_bases,
 )
+from oracles import parse_resolution
+from samplers import random_homogeneous_element
+
+
+def serialized(res) -> str:
+    """The JSON text of a resolution: its `resolution_to_dict`, written by
+    `dumps_indented` as every JSON document of the CLI is."""
+    return dumps_indented(resolution_to_dict(res))
+
+
+def parse_marked(text: str):
+    """The one element of a marked set written on a document line, as
+    (body, head)."""
+    doc = parse_document(f"ring {LAY3.nvars}\nmarked G = {text}\n")
+    [element] = doc.marked["G"].elements
+    return element
 
 
 @pytest.fixture
@@ -62,7 +75,7 @@ def run(capsys, *argv):
 
 class TestParsing:
     def test_twisted_tail(self):
-        body, head = parse_marked_polynomial("[x1*x0] + x2^2", LAY3)
+        body, head = parse_marked("[x1*x0] + x2^2")
         assert head == T((1, 1, 0))
         assert body == E(LAY3, {T((1, 1, 0)): 1, T((0, 0, 2)): 1})
 
@@ -106,7 +119,7 @@ class TestParsing:
     def test_marked_round_trip(self, twisted):
         for el in twisted.marked.ordered():
             text = format_marked_element(el.body, el.head)
-            body, head = parse_marked_polynomial(text, LAY3)
+            body, head = parse_marked(text)
             assert body == el.body and head == el.head
 
 
@@ -232,15 +245,15 @@ class TestResolveCommand:
     def test_round_trip(self, twisted):
         res = free_resolution(twisted.marked)
         for full, minimal in [(res, minimize_resolution(res))] + survey_resolutions():
-            assert resolutions_equal(full, parse_resolution(serialize_resolution(full)))
+            assert full == parse_resolution(serialized(full))
             # A minimal resolution carries no marked levels, so its JSON
             # comes back byte for byte as well.
-            text = serialize_resolution(minimal)
+            text = serialized(minimal)
             again = parse_resolution(text)
-            assert resolutions_equal(minimal, again)
-            assert serialize_resolution(again) == text
-        assert not resolutions_equal(res, minimize_resolution(res))
-        schema = json.loads(serialize_resolution(res))
+            assert minimal == again
+            assert serialized(again) == text
+        assert res != minimize_resolution(res)
+        schema = json.loads(serialized(res))
         assert schema["length"] == 2
         assert [lvl["ranks"] for lvl in schema["levels"]] == [
             {"2": 3, "3": 2},
@@ -570,7 +583,7 @@ def test_resolve_json_is_byte_identical(capsys, tmp_path, name):
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_RESOLVE_SHA256[name]
 
 
-# SHA-256 of `serialize_resolution` of the full and of the minimal resolution
+# SHA-256 of the JSON text (`serialized`) of the full and of the minimal resolution
 # over 30 fixed survey-style cases (joined by newlines), and of `mbases
 # resolve --minimize --json` on a C4-sized document (P^5, (x5, x4, x3, x2^2)
 # truncated in degree 3: 49 generators, length 5), recorded while the
@@ -595,7 +608,7 @@ def survey_resolutions():
 def test_survey_serializations_are_byte_identical():
     pairs = survey_resolutions()
     for k, kind in enumerate(("full", "minimal")):
-        joined = "\n".join(serialize_resolution(pair[k]) for pair in pairs)
+        joined = "\n".join(serialized(pair[k]) for pair in pairs)
         assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_SURVEY_SHA256[kind]
 
 

@@ -29,9 +29,10 @@ from marked_bases import marked as marked_module
 from marked_bases import monom as monom_module
 from marked_bases.family import FamilyIdeal
 from marked_bases.monom import nonmultiplicative_variables
-from marked_bases.randgen import random_marked_basis, random_saturated_basis
+from marked_bases.randgen import random_marked_basis
 from marked_bases.ring import min_index, var_exp
 from conftest import LAY3, T
+from samplers import random_saturated_basis
 
 LAY2 = FreeModuleLayout(1)
 

@@ -17,10 +17,9 @@ from marked_bases import (
     colon_saturation_basis,
     complement_rank,
     complement_terms,
-    cone_divisor,
     hilbert_function,
     is_pommaret_basis,
-    multiplicative_variables,
+    nonmultiplicative_variables,
     pommaret_completion,
     quasi_stability_witness,
     rho,
@@ -39,12 +38,9 @@ from marked_bases.monom import (
     module_terms_of_degree,
 )
 from marked_bases.ring import InternalError, TermPacking
-from marked_bases.randgen import (
-    random_quasi_stable_basis,
-    random_quasi_stable_exponents,
-    random_quasi_stable_module,
-)
+from marked_bases.randgen import random_quasi_stable_basis, random_quasi_stable_exponents
 from conftest import LAY3, T, TWISTED_MINIMAL_DOC
+from samplers import random_quasi_stable_module
 from oracles import (
     all_module_terms,
     brute_hilbert,
@@ -63,6 +59,12 @@ LAY2 = FreeModuleLayout(1)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def multiplicative_variables(t, n: int) -> set[int]:
+    """The Pommaret-multiplicative variables of t: all but the
+    non-multiplicative ones."""
+    return set(range(n + 1)) - set(nonmultiplicative_variables(t, n))
+
+
 class TestMultiplicativeVariables:
     def test_mixed_term(self):
         assert multiplicative_variables(T((1, 1, 0)), 2) == {0}
@@ -79,13 +81,13 @@ class TestMultiplicativeVariables:
 
 class TestConeDivisor:
     def test_multiplicative_multiple(self, twisted):
-        assert cone_divisor(twisted.basis, T((0, 1, 3))) == T((0, 0, 3))
+        assert twisted.basis.cone_divisor(T((0, 1, 3))) == T((0, 0, 3))
 
     def test_outside_module(self, twisted):
-        assert cone_divisor(twisted.basis, T((2, 0, 0))) is None
+        assert twisted.basis.cone_divisor(T((2, 0, 0))) is None
 
     def test_deep_in_cone(self, twisted):
-        assert cone_divisor(twisted.basis, T((5, 1, 0))) == T((1, 1, 0))
+        assert twisted.basis.cone_divisor(T((5, 1, 0))) == T((1, 1, 0))
 
     def test_unique_divisor_on_slices(self, twisted):
         for s in range(2, 7):
@@ -94,9 +96,7 @@ class TestConeDivisor:
                     g
                     for g in twisted.basis.terms
                     if g.comp == t.comp
-                    and cone_divisor(
-                        PommaretBasis(LAY3, frozenset({g}), certified=True), t
-                    )
+                    and PommaretBasis(LAY3, frozenset({g}), certified=True).cone_divisor(t)
                 ]
                 assert len(hits) == 1
 
@@ -356,9 +356,9 @@ def test_disjoint_cover_on_random_inputs(rng):
         reg = basis.max_degree()
         for s in range(reg + 4):
             for t in module_terms_of_degree(basis, s):
-                assert cone_divisor(basis, t) is not None
+                assert basis.cone_divisor(t) is not None
             for t in complement_terms(basis, s):
-                assert cone_divisor(basis, t) is None
+                assert basis.cone_divisor(t) is None
             outside = set(all_module_terms(basis.layout, s)) - module_slice(
                 basis.terms, basis.layout, s
             )
@@ -504,7 +504,7 @@ class TestConeIndex:
                 for _ in range(30)
             ]
             for t in probe_terms(layout, basis.terms, extra):
-                assert cone_divisor(basis, t) == cone_divisor_scan(basis.terms, t)
+                assert basis.cone_divisor(t) == cone_divisor_scan(basis.terms, t)
                 lookups += 1
         assert lookups > 500
 

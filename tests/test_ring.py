@@ -11,7 +11,7 @@ from marked_bases import (
     ModuleElement,
     ParamPoly,
 )
-from marked_bases.ring import poly_add_product, poly_mul
+from marked_bases.ring import poly_add_product
 from conftest import E, LAY3, T
 
 LAY1 = FreeModuleLayout(0)
@@ -21,7 +21,7 @@ LAY2 = FreeModuleLayout(1)
 class TestCanonicalize:
     def test_zero_coefficient_removed(self):
         e = ModuleElement(LAY3, {T((0, 1, 0)): Fraction(0), T((1, 0, 0)): Fraction(1)})
-        assert e.support() == {T((1, 0, 0))}
+        assert set(e.terms) == {T((1, 0, 0))}
 
     def test_cancellation_gives_zero(self):
         e = E(LAY3, {T((0, 1, 0)): 1}) - E(LAY3, {T((0, 1, 0)): 1})
@@ -178,12 +178,14 @@ class TestPolyAddProduct:
 
     @given(POLYS, POLYS)
     def test_poly_mul(self, p, q):
-        product = poly_mul(p, q)
+        """A product is a multiply-add into an empty target."""
+        product = {}
+        poly_add_product(product, p, q, 1)
         assert product == naive_add_product({}, p, q, 1)
         assert_stored(product)
 
 
 def test_zero_element_compatible_with_every_degree():
-    zero = ModuleElement.zero(LAY3)
+    zero = ModuleElement(LAY3, {})
     assert (zero + E(LAY3, {T((0, 0, 2)): 1})).degree == 2
     assert (zero + E(LAY3, {T((0, 0, 3)): 1})).degree == 3

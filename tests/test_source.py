@@ -42,6 +42,56 @@ def test_one_reduction_loop():
     assert len(raises) == 1
 
 
+# Functions kept for the library although nothing in the package, the
+# benchmark or the scripts calls them: the first four state the paper's
+# results, `contains` is membership by normal form and `stability_class`
+# the stable/quasi-stable classification.
+LIBRARY_ONLY = {
+    "triangular_representation",
+    "tails_respect_min_variable",
+    "x0_heads_are_divisible",
+    "saturate",
+    "contains",
+    "stability_class",
+}
+
+
+def _referenced_names(paths) -> set[str]:
+    """Every name the files read: identifiers, attributes, imported names,
+    and the parts of dotted strings such as the attribute paths that
+    `bench/tracing.py` wraps."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[\w.]+", node.value):
+                    names.update(node.value.split("."))
+    return names
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    """Each top-level function of the package is used by the package
+    itself (not counting the re-exports of `__init__.py`), by `bench/` or
+    by `scripts/`.  A helper that only tests call belongs in `tests/`; the
+    frozen copy under `bench/` does not count as a caller."""
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    used = _referenced_names(callers) | LIBRARY_ONLY
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name not in used
+    ]
+    assert unused == []
+
+
 def test_names_the_benchmark_needs(monkeypatch):
     """`bench/workloads.py` imports names of the package, and
     `bench/tracing.py` wraps every function listed in its `SPANS` and

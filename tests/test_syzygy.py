@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import random
 import subprocess
@@ -40,7 +41,9 @@ from marked_bases.ring import InternalError
 from marked_bases.randgen import (
     random_marked_basis,
     random_quasi_stable_basis,
+    random_quasi_stable_exponents,
 )
+from samplers import random_quasi_stable_module
 from conftest import (
     E,
     LAY3,
@@ -51,6 +54,7 @@ from conftest import (
     c3_basis,
     c4_basis,
 )
+from oracles import is_stable_scan
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -71,7 +75,7 @@ def as_columns(rows):
 
 class TestSyzygyMarkedBasis:
     def test_twisted_syzygies_exact(self, twisted):
-        _, syz, columns = syzygy_marked_basis(twisted.marked)
+        syz, columns = syzygy_marked_basis(twisted.marked)
         lay5 = syz.layout
         assert lay5.weights == (3, 3, 2, 2, 2)
         expected = [
@@ -95,8 +99,8 @@ class TestSyzygyMarkedBasis:
         ]
 
     def test_second_level_syzygy(self, twisted):
-        _, syz1, _ = syzygy_marked_basis(twisted.marked)
-        _, syz2, _ = syzygy_marked_basis(syz1)
+        syz1, _ = syzygy_marked_basis(twisted.marked)
+        syz2, _ = syzygy_marked_basis(syz1)
         assert len(syz2) == 1
         el = syz2.ordered()[0]
         assert el.head == T((0, 0, 1), 3)
@@ -113,7 +117,7 @@ class TestSyzygyMarkedBasis:
 
     def test_principal_ideal_has_no_syzygies(self):
         basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 4))]))
-        _, syz, columns = syzygy_marked_basis(monomial_marked_set(basis))
+        syz, columns = syzygy_marked_basis(monomial_marked_set(basis))
         assert len(syz) == 0 and columns == []
 
     def test_requires_a_basis(self, twisted):
@@ -126,6 +130,37 @@ class TestSyzygyMarkedBasis:
         )
         with pytest.raises(NotABasis):
             syzygy_marked_basis(broken)
+
+    @pytest.mark.parametrize("forgery", ["multiplier degree", "row"])
+    def test_forged_summand_is_refused(self, twisted, monkeypatch, forgery):
+        """A syzygy is built without checking its terms one by one, so a
+        representation with one forged summand must still be refused: a
+        multiplier of the wrong degree (times an extra x0, which keeps it
+        multiplicative), or the right multiplier filed under another
+        element of the same degree.  Either column fails the chain check."""
+        original = syzygy_module.prolongation_rep
+        forged = []
+
+        def forging(marked, el, j):
+            rep = original(marked, el, j)
+            degree = marked.layout.term_degree
+            for i, (coeff, mult, head) in enumerate(rep.summands):
+                if forgery == "row":
+                    others = [h for h in marked.elements if h != head and degree(h) == degree(head)]
+                    if not others:
+                        continue
+                    head = others[0]
+                else:
+                    mult = (mult[0] + 1, *mult[1:])
+                forged.append((el.head, j))
+                summands = (*rep.summands[:i], (coeff, mult, head), *rep.summands[i + 1:])
+                return dataclasses.replace(rep, summands=summands)
+            return rep
+
+        monkeypatch.setattr(syzygy_module, "prolongation_rep", forging)
+        with pytest.raises(InternalError, match="not a syzygy"):
+            syzygy_marked_basis(twisted.marked)
+        assert len(forged) == 1
 
 
 class TestFreeResolution:
@@ -198,7 +233,6 @@ class TestFreeResolution:
 class TestModuleInput:
     def test_module_resolution_verifies(self, rng):
         from marked_bases import basis_invariants
-        from marked_bases.randgen import random_quasi_stable_module
 
         basis = random_quasi_stable_module(rng, 2, rank=2, max_deg=2)
         marked = random_marked_basis(rng, basis)
@@ -212,8 +246,6 @@ class TestModuleInput:
         """The level ranks of the resolution of a random marked basis over a
         random quasi-stable module (weights 0-2 per component) are the
         predicted ones, and the minimal ranks lie under them."""
-        from marked_bases.randgen import random_quasi_stable_module
-
         rng = random.Random(seed)
         basis = random_quasi_stable_module(rng, n, rank=rank, max_deg=2, max_terms=14)
         predicted = predicted_ranks(basis)
@@ -393,9 +425,12 @@ class TestComposeOnce:
         assert len(chain_checks) == sum(len(degs) for degs in res.degrees[1:]) == 782
 
     def test_c4_sized_truncation_builds_each_column_once(self, monkeypatch):
-        """Each column is built once: the bodies by `free_resolution`, each
-        syzygy by its step, whose chain check reads the packed bodies of the
-        level below rather than columns rebuilt from them."""
+        """Each column is built once: the bodies by `free_resolution`, from
+        the level-0 elements, and each syzygy by its step, in the same pass
+        that writes the syzygy's element, so no element is converted back
+        into a column; the chain check reads the packed bodies of the level
+        below rather than columns rebuilt from them.  Each stored column is
+        the column of its element."""
         drawn = random_marked_basis(random.Random(1), c4_basis())
         calls = []
         original = syzygy_module._column
@@ -406,8 +441,10 @@ class TestComposeOnce:
 
         monkeypatch.setattr(syzygy_module, "_column", counting)
         res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
-        syzygies = sum(len(degs) for degs in res.degrees[1:])
-        assert len(calls) == syzygies + len(res.bodies) == 782 + 49
+        assert len(calls) == len(res.bodies) == 49
+        assert sum(len(degs) for degs in res.degrees[1:]) == 782
+        for level, columns in zip(res.levels[1:], res.matrices):
+            assert columns == [original(el.body) for el in level.ordered()]
 
     @pytest.mark.parametrize("shape", [c2_basis, c3_basis, c4_basis])
     def test_minimize_without_a_pivot_composes_nothing(self, compositions, shape):
@@ -503,6 +540,29 @@ class TestMinimize:
         assert minimal.matrices is res.matrices
         assert minimal.levels is None and res.levels is not None
         assert (res.bodies, res.degrees, res.matrices) == before
+
+    def test_minimal_exactly_when_stable(self):
+        """Eliahou and Kervaire (J. Algebra 129, 1990): over the zero-tail
+        marked set of a stable ideal, the Pommaret basis is the minimal
+        generating set and the syzygy resolution is minimal.  A quasi-stable
+        ideal that is not stable has a Pommaret basis beyond its minimal
+        generators, so the resolution is not minimal and minimization
+        cancels a pivot.  Stability is decided by its definition, on the
+        minimal generators (`oracles.is_stable_scan`)."""
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 30:
+            nvars = rng.choice((3, 4))
+            gens = random_quasi_stable_exponents(rng, nvars, max_deg=3)
+            module = MonomialModule(FreeModuleLayout(nvars - 1), [T(e) for e in gens])
+            basis = pommaret_completion(module)
+            if len(basis.terms) > 25:
+                continue
+            res = free_resolution(monomial_marked_set(basis))
+            minimal = minimize_resolution(res)
+            stable = is_stable_scan(module.component(1), nvars)
+            assert (minimal.degrees == res.degrees) == stable
+            seen[stable] += 1
 
     def test_parametric_coefficients_refused(self):
         from marked_bases import generic_marked_set
