@@ -28,14 +28,13 @@ from .marked import (
 )
 from .monom import (
     MonomialModule,
-    NotQuasiStable,
     PommaretBasis,
-    StabilityClass,
     basis_invariants,
     certified_basis,
     complement_rank,
     hilbert_function,
     pommaret_completion,
+    stability_class,
     truncate_basis,
 )
 from .ring import (
@@ -46,10 +45,8 @@ from .ring import (
 )
 from .syzygy import free_resolution, invariant_bounds, minimize_resolution
 from .textio import (
-    ComponentOutOfRange,
     InputFormatError,
     PolySyntaxError,
-    UnknownVariable,
     dumps_indented,
     format_element,
     format_exponent,
@@ -63,8 +60,6 @@ from .textio import (
 
 INPUT_ERRORS = (
     PolySyntaxError,
-    UnknownVariable,
-    ComponentOutOfRange,
     InputFormatError,
     HeterogeneousElement,
     MissingParameter,
@@ -190,26 +185,23 @@ def cmd_pommaret(doc, args):
 
 
 def cmd_classify(doc, args):
-    """One completion classifies, by the rule of `monom.stability_class`;
-    a module that has none is refused with the witness of the refusal."""
+    """Classify by `monom.stability_class`; a module that is not
+    quasi-stable is refused with the witness of the refusal."""
     module = _ideal(doc, args)
-    try:
-        basis = pommaret_completion(module)
-    except NotQuasiStable as exc:
-        generator = format_module_term(exc.witness, module.layout.rank)
-        text = (
-            "not quasi-stable\n"
-            f"witness: generator {generator} "
-            f"with non-multiplicative variable x{exc.variable}"
-        )
-        payload = {
-            "class": StabilityClass.NOT_QUASI_STABLE.value,
-            "witness": {"generator": generator, "variable": f"x{exc.variable}"},
-        }
-        return 1, text, payload
-    stable = basis.terms == module.generators
-    cls = StabilityClass.STABLE if stable else StabilityClass.QUASI_STABLE
-    return 0, cls.value, {"class": cls.value}
+    cls, refusal = stability_class(module)
+    if refusal is None:
+        return 0, cls.value, {"class": cls.value}
+    generator = format_module_term(refusal.witness, module.layout.rank)
+    text = (
+        f"{cls.value}\n"
+        f"witness: generator {generator} "
+        f"with non-multiplicative variable x{refusal.variable}"
+    )
+    payload = {
+        "class": cls.value,
+        "witness": {"generator": generator, "variable": f"x{refusal.variable}"},
+    }
+    return 1, text, payload
 
 
 def cmd_truncate(doc, args):

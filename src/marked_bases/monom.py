@@ -417,18 +417,18 @@ def quasi_stability_witness(module: MonomialModule):
     return None
 
 
-def stability_class(module: MonomialModule) -> StabilityClass:
+def stability_class(module: MonomialModule) -> tuple[StabilityClass, NotQuasiStable | None]:
     """Classify by the Pommaret completion: a module that has none is not
-    quasi-stable, and a quasi-stable module is stable exactly when its
-    minimal generators are already its Pommaret basis (the completion adds
-    nothing)."""
+    quasi-stable, and is returned with the refusal that names its witness;
+    a quasi-stable module is stable exactly when its minimal generators are
+    already its Pommaret basis (the completion adds nothing)."""
     try:
         basis = pommaret_completion(module)
-    except NotQuasiStable:
-        return StabilityClass.NOT_QUASI_STABLE
+    except NotQuasiStable as refusal:
+        return StabilityClass.NOT_QUASI_STABLE, refusal
     if basis.terms == module.generators:
-        return StabilityClass.STABLE
-    return StabilityClass.QUASI_STABLE
+        return StabilityClass.STABLE, None
+    return StabilityClass.QUASI_STABLE, None
 
 
 def pommaret_completion(module: MonomialModule) -> PommaretBasis:

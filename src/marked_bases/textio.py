@@ -1,15 +1,18 @@
 """Text grammar, pretty printing, input documents, resolution JSON.
 
-Polynomial grammar: optional rational coefficients ``p/q``, variables
-``x0..xN``, powers with ``^``, free-generator markers ``e<k>``, ``+``/``-``,
-and an optional ``*`` between factors.  In marked-set context (a
+Polynomial grammar: summands joined by ``+``/``-`` after an optional
+leading sign, each a product of factors with an optional ``*`` between
+them (``3 x1`` is ``3*x1``): coefficients ``p`` or ``p/q``, variables
+``x0..xN`` with powers ``^k``, and at most one free-generator marker
+``e<k>``; a term without one lives in component 1.  Whitespace may separate
+any two tokens; ``0`` is the zero element.  In marked-set context (a
 ``marked`` line of a document) the head term of an element is wrapped in
-square brackets: ``[x1*x0] + x2^2``.  A term without a component marker
-lives in component 1.  One parser, `_Parser`, reads every polynomial.  One
-column printer, `_column_text`, prints every element: a module element, a
-marked element, the generator images and syzygies of a resolution and each
-differential entry all print from their sparse columns {component - 1:
-polynomial}.
+square brackets: ``[x1*x0] + x2^2``.  One reader, `_parse_terms`, reads
+every polynomial; an error found at the end of the text is reported at its
+last token.  One column printer, `_column_text`, prints every element: a
+module element, a marked element, the generator images and syzygies of a
+resolution and each differential entry all print from their sparse columns
+{component - 1: polynomial}.
 
 Input documents are line oriented (``#`` starts a comment, indented lines
 continue the previous logical line)::
@@ -64,173 +67,110 @@ class PolySyntaxError(MarkedBasesError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-class UnknownVariable(MarkedBasesError):
-    def __init__(self, name: str, line: int, col: int):
-        self.line = line
-        self.col = col
-        super().__init__(f"line {line}, column {col}: unknown variable {name}")
+class UnknownVariable(PolySyntaxError):
+    """A variable ``x<i>`` with i outside the ring."""
 
 
-class ComponentOutOfRange(MarkedBasesError):
-    def __init__(self, comp: int, rank: int, line: int, col: int):
-        self.line = line
-        self.col = col
-        super().__init__(
-            f"line {line}, column {col}: component e{comp} outside 1..{rank}"
-        )
+class ComponentOutOfRange(PolySyntaxError):
+    """A marker ``e<k>`` with k outside 1..rank."""
 
 
 class InputFormatError(MarkedBasesError):
     pass
 
 
-# ---------- tokenizer ----------
+# ---------- reader ----------
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+(?:/\d+)?)
-  | (?P<var>x\d+)
-  | (?P<comp>e\d+)
-  | (?P<op>[\^*+\-\[\]])
-    """,
-    re.VERBOSE,
+    r"(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<comp>e\d+)|(?P<op>[\^*+\-\[\]])|(?P<bad>\S)"
 )
 
 
-def _tokenize(text: str, where):
+def _parse_terms(text: str, layout: FreeModuleLayout, where, allow_head: bool):
+    """The terms {term: coefficient} of `text` and its bracketed head (None
+    when there is none).  `where(col)` maps a 1-based column of `text` to
+    the (line, column) that error messages report."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolySyntaxError(f"unexpected character {text[pos]!r}", *where(pos + 1))
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        tokens.append((m.lastgroup, m.group(), m.start() + 1))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise PolySyntaxError(f"unexpected character {value!r}", *where(m.start() + 1))
+        tokens.append((value if kind == "op" else kind, value, m.start() + 1))
+    tokens.append(("end", "", tokens[-1][2] if tokens else 1))
 
+    def fail(message, error=PolySyntaxError):
+        raise error(message, *where(tokens[i][2]))
 
-class _Parser:
-    """`where(col)` maps a 1-based column of `text` to the (line, column)
-    that error messages report."""
-
-    def __init__(self, text: str, layout: FreeModuleLayout, where, allow_head: bool):
-        self.tokens = _tokenize(text, where)
-        self.layout = layout
-        self.where = where
-        self.allow_head = allow_head
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, "", 0)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def error(self, message, col=None):
-        if col is None:
-            col = self.peek()[2] or len(self.tokens) and self.tokens[-1][2] or 1
-        raise PolySyntaxError(message, *self.where(col))
-
-    def parse(self):
-        terms: dict[ModuleTerm, Rational] = {}
-        head = None
-        sign = 1
-        kind, value, col = self.peek()
-        if kind == "op" and value == "-":
-            self.take()
-            sign = -1
-        elif kind == "op" and value == "+":
-            self.take()
-        while True:
-            term, coeff, is_head = self._summand()
-            if is_head:
-                if head is not None:
-                    self.error("more than one bracketed head")
-                head = term
-            total = terms.get(term, 0) + sign * coeff
-            if total:
-                terms[term] = total
-            else:
-                terms.pop(term, None)
-            kind, value, col = self.peek()
-            if kind is None:
-                break
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = 1 if value == "+" else -1
-                continue
-            self.error(f"expected '+' or '-', found {value!r}", col)
-        return terms, head
-
-    def _summand(self):
-        kind, value, col = self.peek()
-        is_head = False
-        if kind == "op" and value == "[":
-            if not self.allow_head:
-                self.error("bracketed heads are only allowed in marked sets", col)
-            self.take()
-            is_head = True
-        coeff = Fraction(1)
-        exp = [0] * self.layout.nvars
+    terms: dict[ModuleTerm, Rational] = {}
+    head = None
+    i = 0
+    while True:
+        sign = -1 if tokens[i][0] == "-" else 1
+        if tokens[i][0] in ("+", "-"):
+            i += 1
+        is_head = tokens[i][0] == "["
+        if is_head:
+            if not allow_head:
+                fail("bracketed heads are only allowed in marked sets")
+            i += 1
+        coeff: Rational = 1
+        exp = [0] * layout.nvars
         comp = None
         factors = 0
         while True:
-            kind, value, col = self.peek()
-            if kind == "num":
-                self.take()
-                try:
-                    coeff *= Fraction(value)
-                except ZeroDivisionError:
-                    self.error(f"zero denominator in {value!r}", col)
-                factors += 1
-            elif kind == "var":
-                self.take()
-                idx = int(value[1:])
-                if idx >= self.layout.nvars:
-                    raise UnknownVariable(value, *self.where(col))
-                power = 1
-                k2, v2, c2 = self.peek()
-                if k2 == "op" and v2 == "^":
-                    self.take()
-                    k3, v3, c3 = self.peek()
-                    if k3 != "num" or "/" in v3:
-                        self.error("'^' needs an integer exponent", c3 or c2)
-                    self.take()
-                    power = int(v3)
-                exp[idx] += power
-                factors += 1
-            elif kind == "comp":
-                self.take()
-                k = int(value[1:])
-                if not 1 <= k <= self.layout.rank:
-                    raise ComponentOutOfRange(k, self.layout.rank, *self.where(col))
-                if comp is not None:
-                    self.error("more than one component marker in a term", col)
-                comp = k
-                factors += 1
-            elif kind == "op" and value == "*":
-                self.take()
+            kind, value, _ = tokens[i]
+            if kind == "*":
+                i += 1
                 continue
+            if kind == "num":
+                num, _, den = value.partition("/")
+                if den and not int(den):
+                    fail(f"zero denominator in {value!r}")
+                coeff *= Fraction(int(num), int(den)) if den else int(num)
+            elif kind == "var":
+                idx = int(value[1:])
+                if idx >= layout.nvars:
+                    fail(f"unknown variable {value}", UnknownVariable)
+                if tokens[i + 1][0] == "^":
+                    i += 2
+                    if tokens[i][0] != "num" or "/" in tokens[i][1]:
+                        fail("'^' needs an integer exponent")
+                    exp[idx] += int(tokens[i][1])
+                else:
+                    exp[idx] += 1
+            elif kind == "comp":
+                k = int(value[1:])
+                if not 1 <= k <= layout.rank:
+                    fail(f"component e{k} outside 1..{layout.rank}", ComponentOutOfRange)
+                if comp is not None:
+                    fail("more than one component marker in a term")
+                comp = k
             else:
                 break
-        if factors == 0:
-            self.error("expected a term")
+            factors += 1
+            i += 1
+        if not factors:
+            fail("expected a term")
+        term = ModuleTerm(tuple(exp), comp or 1)
         if is_head:
-            kind, value, col = self.peek()
-            if not (kind == "op" and value == "]"):
-                self.error("unterminated '[' head", col)
-            self.take()
-        return ModuleTerm(tuple(exp), comp or 1), coeff, is_head
+            if tokens[i][0] != "]":
+                fail("unterminated '[' head")
+            i += 1
+            if head is not None:
+                fail("more than one bracketed head")
+            head = term
+        terms[term] = terms.get(term, 0) + sign * coeff
+        if not terms[term]:
+            del terms[term]
+        if tokens[i][0] == "end":
+            return terms, head
+        if tokens[i][0] not in ("+", "-"):
+            fail(f"expected '+' or '-', found {tokens[i][1]!r}")
 
 
 def parse_polynomial(text: str, layout: FreeModuleLayout, line: int = 1) -> ModuleElement:
     """Parse a homogeneous element; "0" gives the zero element."""
-    terms, head = _Parser(text, layout, lambda col: (line, col), allow_head=False).parse()
+    terms, _ = _parse_terms(text, layout, lambda col: (line, col), False)
     return ModuleElement(layout, terms)
 
 
@@ -393,16 +333,8 @@ def _chunks(line: str):
 
 def parse_document(text: str) -> InputDocument:
     layout = None
-    weights = None
     doc_ideals: dict[str, MonomialModule] = {}
     doc_marked: dict[str, RawMarkedSet] = {}
-
-    def ensure_layout(lineno):
-        nonlocal layout
-        if layout is None:
-            raise InputFormatError(f"line {lineno}: 'ring <nvars>' must come first")
-        return layout
-
     for lineno, line, pieces in _logical_lines(text):
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -413,7 +345,7 @@ def parse_document(text: str) -> InputDocument:
                 raise InputFormatError(
                     f"line {lineno}: expected 'ring <number of variables>'"
                 )
-            layout = FreeModuleLayout(int(rest) - 1, weights or (0,))
+            layout = FreeModuleLayout(int(rest) - 1, (0,))
         elif keyword == "module":
             if layout is None:
                 raise InputFormatError(f"line {lineno}: 'module' after 'ring'")
@@ -433,7 +365,8 @@ def parse_document(text: str) -> InputDocument:
                 raise InputFormatError(f"line {lineno}: need exactly {m} weights")
             layout = FreeModuleLayout(layout.n, ws)
         elif keyword in ("ideal", "marked"):
-            lay = ensure_layout(lineno)
+            if layout is None:
+                raise InputFormatError(f"line {lineno}: 'ring <nvars>' must come first")
             name, eq, _ = rest.partition("=")
             name = name.strip()
             if not eq or not _NAME_RE.match(name):
@@ -442,33 +375,30 @@ def parse_document(text: str) -> InputDocument:
                 )
             if name in doc_ideals or name in doc_marked:
                 raise InputFormatError(f"line {lineno}: duplicate name {name!r}")
-            if keyword == "ideal":
-                gens = []
-                for chunk, offset in _chunks(line):
-                    terms, _ = _Parser(chunk, lay, _chunk_where(pieces, offset), False).parse()
-                    elem = ModuleElement(lay, terms)
-                    if len(elem.terms) != 1:
-                        raise InputFormatError(
-                            f"line {lineno}: ideal generators must be single terms"
-                        )
-                    [(t, c)] = elem.terms.items()
-                    if c != 1:
-                        raise InputFormatError(
-                            f"line {lineno}: ideal generators must be monic"
-                        )
-                    gens.append(t)
-                doc_ideals[name] = MonomialModule(lay, gens)
-            else:
-                elems = []
-                for chunk, offset in _chunks(line):
-                    terms, head = _Parser(chunk, lay, _chunk_where(pieces, offset), True).parse()
-                    body_elem = ModuleElement(lay, terms)
+            marked = keyword == "marked"
+            items = []
+            for chunk, offset in _chunks(line):
+                terms, head = _parse_terms(chunk, layout, _chunk_where(pieces, offset), marked)
+                elem = ModuleElement(layout, terms)
+                if marked:
                     if head is None:
                         raise InputFormatError(
                             f"line {lineno}: every marked element needs a [head]"
                         )
-                    elems.append((body_elem, head))
-                doc_marked[name] = RawMarkedSet(name, elems)
+                    items.append((elem, head))
+                    continue
+                if len(elem.terms) != 1:
+                    raise InputFormatError(
+                        f"line {lineno}: ideal generators must be single terms"
+                    )
+                [(t, c)] = elem.terms.items()
+                if c != 1:
+                    raise InputFormatError(f"line {lineno}: ideal generators must be monic")
+                items.append(t)
+            if marked:
+                doc_marked[name] = RawMarkedSet(name, items)
+            else:
+                doc_ideals[name] = MonomialModule(layout, items)
         else:
             raise InputFormatError(f"line {lineno}: unknown directive {keyword!r}")
 

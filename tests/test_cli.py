@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from marked_bases import (
     FreeModuleLayout,
+    MarkedBasesError,
     ModuleElement,
     ParamPoly,
     free_resolution,
@@ -73,6 +77,55 @@ def run(capsys, *argv):
     return code, capsys.readouterr()
 
 
+LAY_E2 = FreeModuleLayout(2, (0, 0))  # x0, x1, x2 in components e1, e2
+HEAD_AT_END = "an unterminated head at the end of a chunk reports its last token"
+READER_MESSAGES = [
+    ("x1 + y", "line 4, column 6: unexpected character 'y'"),
+    ("x1 ]", "line 4, column 4: expected '+' or '-', found ']'"),
+    ("[x1]", "line 4, column 1: bracketed heads are only allowed in marked sets"),
+    ("3/0*x1", "line 4, column 1: zero denominator in '3/0'"),
+    ("x1*x9", "line 4, column 4: unknown variable x9"),
+    ("x1^x2", "line 4, column 4: '^' needs an integer exponent"),
+    ("x1^1/2", "line 4, column 4: '^' needs an integer exponent"),
+    ("x1^", "line 4, column 3: '^' needs an integer exponent"),
+    ("e3*x1", "line 4, column 1: component e3 outside 1..2"),
+    ("x1*e1*e2", "line 4, column 7: more than one component marker in a term"),
+    ("x1 + + x0", "line 4, column 6: expected a term"),
+    ("x1 +", "line 4, column 4: expected a term"),
+    ("", "line 4, column 1: expected a term"),
+    ("ring 3\nideal J = x2,\n   x1 ?", "line 3, column 7: unexpected character '?'"),
+    ("ring 3\nmarked G = [x2] x1", "line 2, column 17: expected '+' or '-', found 'x1'"),
+    ("ring 3\nmarked G = [x2],\n [x1]\n  x0",
+     "line 4, column 3: expected '+' or '-', found 'x0'"),
+    ("ring 3\nmarked G = [x1] + [x0] + x2", "line 2, column 24: more than one bracketed head"),
+    ("ring 3\nmarked G = [x1] + [x0]", "line 2, column 22: more than one bracketed head"),
+    ("ring 3\nideal J = x2, [x1]",
+     "line 2, column 15: bracketed heads are only allowed in marked sets"),
+    ("ring 3\nmarked G = [x2], [x1] + 2/0*x0", "line 2, column 25: zero denominator in '2/0'"),
+    ("ring 3\nideal J = x2, x1 x5", "line 2, column 18: unknown variable x5"),
+    ("ring 3\nmarked G = [x2^3],\n   [x1 x0] +\n  x2 ^",
+     "line 4, column 6: '^' needs an integer exponent"),
+    ("ring 3\nmodule 2 0 0\nmarked G = [x2*e1], [x1*e3]",
+     "line 3, column 25: component e3 outside 1..2"),
+    ("ring 3\nmodule 2 0 0\nmarked G = [x2*e1],\n  [x1*e2*e1]",
+     "line 4, column 10: more than one component marker in a term"),
+    ("ring 3\nideal J = x2,\n   x1 +", "line 3, column 7: expected a term"),
+    ("ring 3\nideal J = x2,", "line 2, column 14: expected a term"),
+    ("ring 3\nmarked G = [x1 + x0]", "line 2, column 16: unterminated '[' head"),
+    pytest.param("ring 3\nmarked G = [x2^3", "line 2, column 16: unterminated '[' head",
+                 id=HEAD_AT_END),
+    pytest.param("ring 3\nmarked G = [x2^3],\n   [x1", "line 3, column 5: unterminated '[' head",
+                 id=HEAD_AT_END + " on a continuation line"),
+]
+# The fuzz test's alphabet: every kind of token, joined with no separator,
+# so that neighbours also merge ("x1" "2" is x12); "\n  " starts a
+# continuation line.
+GRAMMAR_TOKENS = [
+    "x0", "x1", "x2", "x3", "e1", "e2", "e3", "0", "1", "2", "1/2", "3/0",
+    "^", "*", "+", "-", "[", "]", ",", " ", "\n  ", "y", "/",
+]
+
+
 class TestParsing:
     def test_twisted_tail(self):
         body, head = parse_marked("[x1*x0] + x2^2")
@@ -121,6 +174,18 @@ class TestParsing:
             text = format_marked_element(el.body, el.head)
             body, head = parse_marked(text)
             assert body == el.body and head == el.head
+
+    @pytest.mark.parametrize("text, message", READER_MESSAGES)
+    def test_reader_messages(self, text, message):
+        """Each message of the polynomial reader, with the line and column it
+        reports, read by `parse_polynomial` (on line 4) or, for a text that
+        starts with "ring", as a document."""
+        with pytest.raises(MarkedBasesError) as err:
+            if text.startswith("ring"):
+                parse_document(text)
+            else:
+                parse_polynomial(text, LAY_E2, line=4)
+        assert str(err.value) == message
 
 
 LAY_R2 = FreeModuleLayout(2, (0, 1))
@@ -468,6 +533,31 @@ class TestExitCodes:
         code, out = run(capsys, "check", str(path))
         assert code == 2
         assert "line 3, column 15: zero denominator in '3/0'" in out.err
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        keyword=st.sampled_from(["ideal J =", "marked G ="]),
+        tokens=st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=14),
+    )
+    def test_grammar_fuzz(self, tmp_path_factory, keyword, tokens):
+        """Documents whose object line is a random string of the grammar's
+        tokens: `check` exits 0, 1 or 2 without a traceback, and a parse
+        error names a column of the physical line it reports, or the column
+        just past its end (an empty chunk after a last comma)."""
+        text = f"ring 3\nmodule 2 0 0\n{keyword} {''.join(tokens)}\n"
+        path = tmp_path_factory.mktemp("fuzz") / "doc.mb"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        located = re.match(r"input error: line (\d+), column (\d+): ", err.getvalue())
+        if located is None:
+            assert ", column " not in err.getvalue()
+        else:
+            line, col = map(int, located.groups())
+            assert 1 <= col <= len(text.splitlines()[line - 1]) + 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "pommaret", str(tmp_path / "absent.mb"))

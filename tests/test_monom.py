@@ -150,25 +150,26 @@ class TestCompletion:
 class TestStabilityClass:
     def test_not_quasi_stable(self):
         module = MonomialModule(LAY2, [T((1, 1))])
-        assert stability_class(module) == StabilityClass.NOT_QUASI_STABLE
-        assert quasi_stability_witness(module) is not None
+        cls, refusal = stability_class(module)
+        assert cls == StabilityClass.NOT_QUASI_STABLE
+        assert (refusal.witness, refusal.variable) == quasi_stability_witness(module)
 
     def test_twisted_is_quasi_stable_not_stable(self):
         module = MonomialModule(
             LAY3, [T((0, 1, 1)), T((1, 1, 0)), T((0, 2, 0)), T((0, 0, 3))]
         )
-        assert stability_class(module) == StabilityClass.QUASI_STABLE
+        assert stability_class(module) == (StabilityClass.QUASI_STABLE, None)
 
     def test_irrelevant_ideal_stable(self):
         module = MonomialModule(LAY3, [T((1, 0, 0)), T((0, 1, 0)), T((0, 0, 1))])
-        assert stability_class(module) == StabilityClass.STABLE
+        assert stability_class(module) == (StabilityClass.STABLE, None)
 
     def test_stable_iff_completion_adds_nothing(self, rng):
         for _ in range(8):
             basis = random_quasi_stable_basis(rng, 2, max_deg=3)
             gens = minimalize(e for e, _ in basis.terms)
             module = MonomialModule(LAY3, [T(g) for g in gens])
-            cls = stability_class(module)
+            cls, _ = stability_class(module)
             added = basis.terms != frozenset(T(g) for g in gens)
             assert (cls == StabilityClass.STABLE) == (not added)
 
@@ -188,7 +189,7 @@ class TestStabilityClass:
             stable = all(
                 is_stable_scan(module.component(k), nvars) for k in range(1, rank + 1)
             )
-            cls = stability_class(module)
+            cls, _ = stability_class(module)
             assert cls == (StabilityClass.STABLE if stable else StabilityClass.QUASI_STABLE)
             seen.add(cls)
         assert seen == {StabilityClass.STABLE, StabilityClass.QUASI_STABLE}
