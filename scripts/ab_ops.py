@@ -27,6 +27,11 @@ The report gives each side's median time, the median of the per-round ratios
 change / parent, one `setup` line with the same figures for the builds, the
 number of rounds the change ran its ops faster, and whether every output of
 the two sides was byte-identical (compared through the op's own digest).
+When several ops are timed, a `per-op medians` line gives, for each side,
+the p50 and the tail of the ops' median times, computed by `bench/run.py`'s
+`figures` as the benchmark's `op_p50_ms` and `op_tail_ms` are (below 100
+ops the tail is the maximum), and the change / parent ratio of the two
+p50s, so that an `op_p50_ms` claim can be sized in process first.
 The two sides of a round run seconds apart in one process, so a change in
 the machine's speed reaches both of them.
 
@@ -92,12 +97,28 @@ def find_ops(workloads, workload: str, names: list[str], seed: int, workdir: Pat
     return [ops[name] for name in names]
 
 
+def bench_figures():
+    """`figures` of `bench/run.py`: the benchmark's wall time, p50 and tail
+    of one latency per op."""
+    sys.path.insert(0, str(ROOT / "bench"))  # run.py imports bench/tracing.py
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return run.figures
+
+
 def timed(ops):
-    """Process time of running the ops in turn, and their digests."""
-    start = process_time()
-    results = [op.run() for op in ops]
-    seconds = process_time() - start
-    return seconds, [op.digest(result) for op, result in zip(ops, results)]
+    """Process time of running each op in turn, and their digests."""
+    seconds, digests = [], []
+    for op in ops:
+        start = process_time()
+        result = op.run()
+        seconds.append(process_time() - start)
+        digests.append(op.digest(result))
+    return seconds, digests
 
 
 def ratio_line(times: list[list[float]]) -> str:
@@ -128,6 +149,7 @@ def main(argv=None) -> int:
             sides.append((workloads, workdir))
             ops.append(find_ops(workloads, args.workload, names, args.seed, workdir))
         times: list[list[float]] = [[], []]
+        per_op: list[list[list[float]]] = [[[] for _ in ops[0]], [[] for _ in ops[1]]]
         setups: list[list[float]] = [[], []]
         identical = True
         for r in range(args.rounds):
@@ -140,7 +162,9 @@ def main(argv=None) -> int:
             digests = [None, None]
             for side in order:
                 seconds, digests[side] = timed(ops[side])
-                times[side].append(seconds)
+                times[side].append(sum(seconds))
+                for k, t in enumerate(seconds):
+                    per_op[side][k].append(t)
             identical = identical and digests[0] == digests[1]
 
     wins = sum(c < p for p, c in zip(*times))
@@ -150,6 +174,15 @@ def main(argv=None) -> int:
     print(f"parent median {statistics.median(times[0]) * 1e3:.1f} ms")
     print(f"change median {statistics.median(times[1]) * 1e3:.1f} ms")
     print(ratio_line(times))
+    if len(ops[0]) > 1:
+        figures = bench_figures()
+        p50, tail = zip(*(
+            (f["op_p50_ms"], f["op_tail_ms"])
+            for f in (figures([statistics.median(t) for t in side]) for side in per_op)
+        ))
+        print(f"per-op medians: parent p50 {p50[0]:.2f} ms, tail {tail[0]:.2f} ms; "
+              f"change p50 {p50[1]:.2f} ms, tail {tail[1]:.2f} ms; "
+              f"p50 ratio {p50[1] / p50[0]:.3f}")
     print(f"setup parent median {statistics.median(setups[0]) * 1e3:.1f} ms, "
           f"change median {statistics.median(setups[1]) * 1e3:.1f} ms, {ratio_line(setups)}")
     print(f"change faster in {wins} of {args.rounds} rounds")

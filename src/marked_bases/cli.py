@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
-from .family import family_equations, generic_marked_set, specialize
+from .family import family_equations, generic_marked_set, specialized_set, tail_parameters
 from .marked import (
     HeadMismatch,
     MarkedElement,
@@ -38,10 +39,11 @@ from .monom import (
     truncate_basis,
 )
 from .ring import (
-    HeterogeneousElement,
     InternalError,
     MarkedBasesError,
     MissingParameter,
+    Rational,
+    rational,
 )
 from .syzygy import free_resolution, invariant_bounds, minimize_resolution
 from .textio import (
@@ -61,7 +63,6 @@ from .textio import (
 INPUT_ERRORS = (
     PolySyntaxError,
     InputFormatError,
-    HeterogeneousElement,
     MissingParameter,
 )
 
@@ -342,68 +343,60 @@ def cmd_family(doc, args):
     return 0, "\n".join(lines), payload
 
 
-def _parse_assignment(raw: str) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
-    depth = 0
-    piece = ""
-    pieces = []
-    for ch in raw:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            pieces.append(piece)
-            piece = ""
-        else:
-            piece += ch
-    if piece.strip():
-        pieces.append(piece)
+# A comma with no '}' before the next '{': one outside a name's braces.
+_PIECE_COMMA = re.compile(r",(?![^{}]*\})")
+
+
+def _parse_assignment(raw: str) -> dict[str, Rational]:
+    """``name=value`` pieces, split at the commas outside braces (a name
+    C_{h,t} holds one); each value becomes a rational once, an integer
+    literal straight an int."""
+    pieces = _PIECE_COMMA.split(raw)
+    if not pieces[-1].strip():
+        pieces.pop()
+    out: dict[str, Rational] = {}
     for item in pieces:
         name, eq, value = item.partition("=")
-        name = name.strip()
-        value = value.strip()
+        name, value = name.strip(), value.strip()
         if not eq or not name or not value:
             raise InputFormatError(f"bad assignment {item!r}; expected name=value")
         try:
-            out[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputFormatError(f"bad rational value {value!r}") from None
+            out[name] = int(value)
+        except ValueError:
+            try:
+                out[name] = rational(Fraction(value))
+            except (ValueError, ZeroDivisionError):
+                raise InputFormatError(f"bad rational value {value!r}") from None
     return out
 
 
 def cmd_specialize(doc, args):
-    """Specialize the generic tails and run the basis test on the result.
+    """Build the set at the point straight from the heads (`specialized_set`;
+    no generic set, no family equations) and run the basis test on it.
 
-    The family equations are not built.  Marked reduction is forced: each
-    step's target depends only on the heads and the coefficients enter
-    linearly, so reducing commutes with specializing.  The family equations
-    evaluated at the point are therefore the remainder coefficients of the
-    specialized set's prolongations, and they all vanish exactly when the
-    basis test says yes.  "family equations vanish" is read from that
-    verdict; the test suite checks it against `FamilyIdeal.vanishes_at`.
+    Marked reduction is forced: each step's target depends only on the heads
+    and the coefficients enter linearly, so reducing commutes with
+    specializing.  The family equations at the point are therefore the
+    remainder coefficients of the specialized set's prolongations, and they
+    all vanish exactly when the basis test says yes; the test suite checks
+    that verdict against `FamilyIdeal.vanishes_at`.
     """
     basis = _basis(doc, args)
-    generic = generic_marked_set(basis)
     try:
         assignment = _parse_assignment(args.assignment)
-        spec = specialize(generic, assignment)
+        marked, _ = specialized_set(basis, *tail_parameters(basis), assignment)
     except KeyError as exc:
         raise InputFormatError(exc.args[0]) from None
-    result = is_marked_basis(spec.marked)
+    result = is_marked_basis(marked)
     vanishes = result.is_basis
-    elements = [format_marked_element(el.body, el.head) for el in spec.marked.ordered()]
+    elements = [format_marked_element(el.body, el.head) for el in marked.ordered()]
     lines = ["specialized elements:", *("  " + text for text in elements)]
     lines.append(f"family equations vanish: {'yes' if vanishes else 'no'}")
-    payload = {
-        "elements": elements,
-        "family_vanishes": vanishes,
-        "marked_basis": result.is_basis,
-    }
+    payload = {"elements": elements, "family_vanishes": vanishes, "marked_basis": vanishes}
     if result.is_basis:
         lines.append("marked basis: yes")
         return 0, "\n".join(lines), payload
-    line, payload["certificate"] = _certificate(spec.marked, result.certificate)
+    line, payload["certificate"] = _certificate(marked, result.certificate)
     lines += ["marked basis: no", line]
     return 1, "\n".join(lines), payload
 

@@ -9,8 +9,9 @@ polynomials; an assignment of the parameters produces a marked basis exactly
 when it annihilates R, so R cuts out the family of all marked bases over
 these heads inside the affine space of tail coefficients.  Since reduction
 is forced, it commutes with evaluating the parameters: whether R vanishes at
-a point is exactly the basis test of the specialized set, which is how
-`mbases specialize` reads it without building R.
+a point is exactly the basis test of the specialized set.  `specialized_set`
+builds that set straight from the heads, so `mbases specialize` builds
+neither R nor the generic set.
 
 The family equations and the triangular check read the same memoised
 prolongation reductions as the basis test (`marked.prolongations` and
@@ -24,9 +25,10 @@ that head; this naming is part of the output contract.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import neg
 from typing import Mapping
 
 from .marked import (
@@ -79,47 +81,44 @@ class GenericMarkedSet:
     def nparams(self) -> int:
         return len(self.param_names)
 
-    @cached_property
-    def _index_of_name(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.param_names)}
 
-    def param_index(self, name: str) -> int:
-        try:
-            return self._index_of_name[name]
-        except KeyError:
-            raise KeyError(f"unknown parameter {name!r}") from None
+def tail_parameters(basis: PommaretBasis) -> tuple[list[tuple], list[str]]:
+    """The (head, tail term) pairs and names C_{h,t} of the parameters,
+    head-major in the listing order of heads and of each degree's complement
+    terms, which are enumerated once."""
+    tails_of = functools.cache(functools.partial(complement_terms, basis))
+    pairs, names = [], []
+    for h_idx, head in enumerate(basis.sorted_terms()):
+        for t_idx, tail in enumerate(tails_of(basis.layout.term_degree(head))):
+            pairs.append((head, tail))
+            names.append(f"C_{{{h_idx},{t_idx}}}")
+    return pairs, names
+
+
+def _marked_set(basis: PommaretBasis, one, tails) -> MarkedSet:
+    """One element per head, in listing order: the head with coefficient
+    `one`, then the ((head, tail term), coefficient) pairs of `tails`, zeros
+    dropped.  Heads and complement terms of one degree: unchecked."""
+    layout = basis.layout
+    bodies = {head: {head: one} for head in basis.sorted_terms()}
+    for (head, tail), c in tails:
+        if c:
+            bodies[head][tail] = c
+    return MarkedSet(basis, [
+        MarkedElement(ModuleElement._trusted(layout, terms, layout.term_degree(head)), head)
+        for head, terms in bodies.items()
+    ])
 
 
 def generic_marked_set(basis: PommaretBasis) -> GenericMarkedSet:
-    """One generic element per head; parameters enumerated head-major in the
-    deterministic listing order of heads and tails."""
+    """One generic element per head; parameter k is the tail coefficient
+    -C_k of its (head, tail term)."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
-    layout = basis.layout
-    heads = basis.sorted_terms()
-    tails_by_head = []
-    tails_at: dict[int, list[ModuleTerm]] = {}
-    for head in heads:
-        d = layout.term_degree(head)
-        tails = tails_at.get(d)
-        if tails is None:
-            tails = tails_at[d] = complement_terms(basis, d)
-        tails_by_head.append(tails)
-    nparams = sum(map(len, tails_by_head))
-    one = ParamPoly.const(nparams, 1)
-    pairs: list[tuple[ModuleTerm, ModuleTerm]] = []
-    names: list[str] = []
-    elements = []
-    # Heads and complement terms are valid terms of one degree: unchecked.
-    for h_idx, (head, tails) in enumerate(zip(heads, tails_by_head)):
-        terms = {head: one}
-        for t_idx, tail in enumerate(tails):
-            terms[tail] = ParamPoly._trusted(nparams, {((len(pairs), 1),): -1})
-            pairs.append((head, tail))
-            names.append(f"C_{{{h_idx},{t_idx}}}")
-        body = ModuleElement._trusted(layout, terms, layout.term_degree(head))
-        elements.append(MarkedElement(body, head))
-    marked = MarkedSet(basis, elements)
+    pairs, names = tail_parameters(basis)
+    n = len(pairs)
+    tails = zip(pairs, [ParamPoly._trusted(n, {((k, 1),): -1}) for k in range(n)])
+    marked = _marked_set(basis, ParamPoly.const(n, 1), tails)
     return GenericMarkedSet(basis, marked, tuple(names), tuple(pairs))
 
 
@@ -148,18 +147,26 @@ def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
     return FamilyIdeal(tuple(out), generic.param_names)
 
 
-def _normalize_assignment(generic: GenericMarkedSet, assignment: Mapping) -> dict[int, Rational]:
-    by_index: dict[int, Rational] = {}
+def specialized_set(basis: PommaretBasis, pairs, names, assignment: Mapping):
+    """The one builder of specialized sets: the parameters `pairs`, `names`
+    of `tail_parameters(basis)` at an assignment keyed by name or index.
+    Returns the marked set, with tail coefficient -value at each pair, and
+    the values, one stored rational each (no second `Fraction` of any)."""
+    index = {name: i for i, name in enumerate(names)}
+    values: list = [None] * len(names)
     for key, value in assignment.items():
-        idx = generic.param_index(key) if isinstance(key, str) else int(key)
-        if not 0 <= idx < generic.nparams:
+        idx = index.get(key) if isinstance(key, str) else int(key)
+        if idx is None:
+            raise KeyError(f"unknown parameter {key!r}")
+        if not 0 <= idx < len(names):
             raise KeyError(f"parameter index {idx} out of range")
-        by_index[idx] = rational(Fraction(value))
-    missing = set(range(generic.nparams)) - set(by_index)
+        if type(value) is not int:
+            value = rational(value if type(value) is Fraction else Fraction(value))
+        values[idx] = value
+    missing = [names[i] for i, v in enumerate(values) if v is None]
     if missing:
-        names = [generic.param_names[i] for i in sorted(missing)]
-        raise MissingParameter(f"unassigned parameters: {', '.join(names)}")
-    return by_index
+        raise MissingParameter(f"unassigned parameters: {', '.join(missing)}")
+    return _marked_set(basis, 1, zip(pairs, map(neg, values))), values
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,8 @@ class Specialization:
 
 
 def specialize(generic: GenericMarkedSet, assignment: Mapping) -> Specialization:
-    """Evaluate every parameter of the generic set at the assignment.
+    """The generic set at the assignment, built by `specialized_set` from its
+    heads and parameters; no parameter polynomial is evaluated.
 
     Marked reduction is forced, so it commutes with specialization: the
     family equations at a point are the remainder coefficients of the
@@ -177,14 +185,10 @@ def specialize(generic: GenericMarkedSet, assignment: Mapping) -> Specialization
     basis test of ``marked``, and `is_marked_basis` answers it without
     building the equations.
     """
-    values = _normalize_assignment(generic, assignment)
-    elements = []
-    for el in generic.marked.ordered():
-        terms = {}
-        for t, coeff in el.body.terms.items():
-            terms[t] = coeff.evaluate(values) if isinstance(coeff, ParamPoly) else coeff
-        elements.append(MarkedElement(ModuleElement(generic.basis.layout, terms), el.head))
-    return Specialization(MarkedSet(generic.basis, elements), dict(values))
+    marked, values = specialized_set(
+        generic.basis, generic.param_pairs, generic.param_names, assignment
+    )
+    return Specialization(marked, dict(enumerate(values)))
 
 
 @dataclass(frozen=True)

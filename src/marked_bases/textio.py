@@ -49,6 +49,7 @@ from .monom import MonomialModule
 from .ring import (
     Coeff,
     FreeModuleLayout,
+    HeterogeneousElement,
     MarkedBasesError,
     ModuleElement,
     ModuleTerm,
@@ -87,9 +88,10 @@ _TOKEN_RE = re.compile(
 
 
 def _parse_terms(text: str, layout: FreeModuleLayout, where, allow_head: bool):
-    """The terms {term: coefficient} of `text` and its bracketed head (None
-    when there is none).  `where(col)` maps a 1-based column of `text` to
-    the (line, column) that error messages report."""
+    """The element `text` spells and its bracketed head (None when there is
+    none).  `where(col)` maps a 1-based column of `text` to the (line,
+    column) that error messages report; an element of two degrees is
+    reported at column 1."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, value = m.lastgroup, m.group()
@@ -163,15 +165,17 @@ def _parse_terms(text: str, layout: FreeModuleLayout, where, allow_head: bool):
         if not terms[term]:
             del terms[term]
         if tokens[i][0] == "end":
-            return terms, head
+            try:
+                return ModuleElement(layout, terms), head
+            except HeterogeneousElement as exc:
+                raise PolySyntaxError(str(exc), *where(1)) from None
         if tokens[i][0] not in ("+", "-"):
             fail(f"expected '+' or '-', found {tokens[i][1]!r}")
 
 
 def parse_polynomial(text: str, layout: FreeModuleLayout, line: int = 1) -> ModuleElement:
     """Parse a homogeneous element; "0" gives the zero element."""
-    terms, _ = _parse_terms(text, layout, lambda col: (line, col), False)
-    return ModuleElement(layout, terms)
+    return _parse_terms(text, layout, lambda col: (line, col), False)[0]
 
 
 # ---------- printing ----------
@@ -378,8 +382,7 @@ def parse_document(text: str) -> InputDocument:
             marked = keyword == "marked"
             items = []
             for chunk, offset in _chunks(line):
-                terms, head = _parse_terms(chunk, layout, _chunk_where(pieces, offset), marked)
-                elem = ModuleElement(layout, terms)
+                elem, head = _parse_terms(chunk, layout, _chunk_where(pieces, offset), marked)
                 if marked:
                     if head is None:
                         raise InputFormatError(

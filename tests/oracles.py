@@ -6,8 +6,9 @@ slices.  These are the second routes for the dual-route checks: slices for
 Hilbert functions and disjoint covers, generator manipulation for colon
 ideals and satiety, slice stability for regularity, and rank computations
 for the direct-sum decomposition.  Minimization of a resolution has a dense
-reference too, eliminating on full grids of entries, and marked reduction
-has a reference that attacks the reducible terms in any given order.  A
+reference too, eliminating on full grids of entries, marked reduction has
+a reference that attacks the reducible terms in any given order, and a
+specialized set one that evaluates the generic set's coefficients.  A
 representation is evaluated back to the element it stands for, and the
 resolution JSON is parsed back into a resolution.
 """
@@ -18,7 +19,7 @@ import json
 from fractions import Fraction
 
 from marked_bases.linalg import rref
-from marked_bases.marked import Representation
+from marked_bases.marked import MarkedElement, MarkedSet, Representation
 from marked_bases.monom import (
     NotQuasiStable,
     _complete_component,
@@ -30,6 +31,7 @@ from marked_bases.ring import (
     FreeModuleLayout,
     ModuleElement,
     ModuleTerm,
+    ParamPoly,
     exp_add,
     exp_deg,
     exp_divides,
@@ -603,6 +605,24 @@ def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
         key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
     )
     return Representation(tuple(flat), ModuleElement(basis.layout, work))
+
+
+def specialize_by_evaluation(generic, assignment):
+    """The generic set at an assignment keyed by parameter name or index,
+    by evaluating every coefficient polynomial, and the values by index:
+    the reference for `family.specialize`, which writes the values under
+    the heads instead."""
+    values = {}
+    for key, value in assignment.items():
+        idx = generic.param_names.index(key) if isinstance(key, str) else int(key)
+        values[idx] = rational(Fraction(value))
+    elements = []
+    for el in generic.marked.ordered():
+        terms = {}
+        for t, coeff in el.body.terms.items():
+            terms[t] = coeff.evaluate(values) if isinstance(coeff, ParamPoly) else coeff
+        elements.append(MarkedElement(ModuleElement(generic.basis.layout, terms), el.head))
+    return MarkedSet(generic.basis, elements), values
 
 
 def parse_resolution(text: str) -> FreeResolution:

@@ -116,6 +116,11 @@ READER_MESSAGES = [
                  id=HEAD_AT_END),
     pytest.param("ring 3\nmarked G = [x2^3],\n   [x1", "line 3, column 5: unterminated '[' head",
                  id=HEAD_AT_END + " on a continuation line"),
+    # An element of two degrees is reported at the first column of its text.
+    ("x1 + x0^2", "line 4, column 1: degrees 1 and 2 in one element"),
+    ("x2*e1 - x1^3*e2", "line 4, column 1: degrees 1 and 3 in one element"),
+    ("ring 3\nmarked G = [x2], [x1] + x0^2", "line 2, column 18: degrees 1 and 2 in one element"),
+    ("ring 3\nideal J = x2,\n   x1 + x0^2", "line 3, column 4: degrees 1 and 2 in one element"),
 ]
 # The fuzz test's alphabet: every kind of token, joined with no separator,
 # so that neighbours also merge ("x1" "2" is x12); "\n  " starts a
@@ -123,6 +128,61 @@ READER_MESSAGES = [
 GRAMMAR_TOKENS = [
     "x0", "x1", "x2", "x3", "e1", "e2", "e3", "0", "1", "2", "1/2", "3/0",
     "^", "*", "+", "-", "[", "]", ",", " ", "\n  ", "y", "/",
+]
+
+
+# `specialize --set` on SET_DOC, whose nine parameters are C_{h,t} with h, t
+# in 0..2: each row is (argument, exit code, standard error when the code is
+# 2, else the SHA-256 of standard output).  Rows spelling the same point
+# share a digest.
+SET_DOC = "ring 3\nideal J = x2^2, x2*x1, x1^2\n"
+SET_ZERO = "96f0355d4e59523302f28e5165ed5bd85ecf0c3a40078984b6556f3b37927056"
+SET_C11_IS_7 = "2777402a17591a6b3d22b605bb4a73a85e1a01770dcca10972787070e0a4960b"
+SET_C00_IS = {
+    "3": "fcae3a5644d2dc27af1f8ced6c29797eb19af054e0b0babd0a6992ad0345ec7c",
+    "2": "d084ec5b6b53dd2f7898e031a13fc8f996b9104c0e053d6a864dc37ba9ca8040",
+    "1/2": "7afa0049be86c136be4d3c7b6e13131b27c0973b8ba567bde035d2ae1f3448c9",
+    "3/2": "fd47a9c0b7836d420a8e6edcdb779eeeb94a8df9f328e924dbae49935997b35f",
+    "100": "455eedcd1335052997c6997eaadf281dd1a54cfc4d5c2cb69b5fc3a0d0dad768",
+}
+
+
+def _set_point(**values) -> str:
+    """A --set argument for SET_DOC: C{h}{t}=v sets C_{h,t}, the rest are 0."""
+    return ",".join(
+        f"C_{{{h},{t}}}={values.get(f'C{h}{t}', 0)}" for h in range(3) for t in range(3)
+    )
+
+
+SET_TABLE = [
+    pytest.param("x=1", 2, "input error: unknown parameter 'x'\n", id="unknown x"),
+    *(
+        pytest.param(_set_point() + f",{name}=1", 2,
+                     f"input error: unknown parameter {name!r}\n", id=f"unknown {name}")
+        for name in ("C_{9,9}", "C_{01,0}", "C_{0, 0}")
+    ),
+    pytest.param("C_{0,0}=x", 2, "input error: bad rational value 'x'\n", id="value x"),
+    pytest.param("C_{0,0}=1/0", 2, "input error: bad rational value '1/0'\n", id="value 1/0"),
+    pytest.param("C_{0,0}=", 2, "input error: bad assignment 'C_{0,0}='; expected name=value\n",
+                 id="empty value"),
+    pytest.param("C_{0,0}", 2, "input error: bad assignment 'C_{0,0}'; expected name=value\n",
+                 id="no ="),
+    pytest.param("C_{2,2}=0,C_{1,0}=0", 2,
+                 "input error: unassigned parameters: "
+                 "C_{0,0}, C_{0,1}, C_{0,2}, C_{1,1}, C_{1,2}, C_{2,0}, C_{2,1}\n",
+                 id="missing, in index order"),
+    pytest.param(_set_point(), 0, SET_ZERO, id="zero"),
+    pytest.param("C_{1,1}=7," + _set_point(), 0, SET_ZERO, id="repeated, last 0"),
+    pytest.param(_set_point() + ",C_{1,1}=7", 1, SET_C11_IS_7, id="repeated, last 7"),
+    pytest.param(_set_point(C11=7), 1, SET_C11_IS_7, id="C_{1,1}=7"),
+    *(
+        pytest.param(_set_point(C00=spelling), 0,
+                     SET_ZERO if point == "0" else SET_C00_IS[point], id=f"spelling {spelling!r}")
+        for spelling, point in [
+            ("3", "3"), ("+3", "3"), (" 3 ", "3"), ("-0", "0"), ("2", "2"), ("6/3", "2"),
+            ("1/2", "1/2"), ("3/2", "3/2"), ("1.5", "3/2"), ("100", "100"), ("1e2", "100"),
+        ]
+    ),
 ]
 
 
@@ -596,6 +656,20 @@ class TestExitCodes:
         assert code == 2
         assert out.err == "input error: unknown parameter 'x'\n"
 
+    @pytest.mark.parametrize("assignment, code, expected", SET_TABLE)
+    def test_set_argument(self, capsys, tmp_path, assignment, code, expected):
+        """How `specialize --set` reads its argument: the exit code and either
+        the exact standard error or the SHA-256 of standard output."""
+        path = tmp_path / "family.mb"
+        path.write_text(SET_DOC)
+        got, out = run(capsys, "specialize", str(path), "--set", assignment)
+        assert got == code
+        if code == 2:
+            assert (out.out, out.err) == ("", expected)
+        else:
+            assert out.err == ""
+            assert hashlib.sha256(out.out.encode()).hexdigest() == expected
+
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     @pytest.mark.parametrize("command, doc, message", [
         ("check", "marked G = [x1] + x0, [x0]",
@@ -852,6 +926,28 @@ class TestSpecializeReadsTheBasisTest:
 
         for module in (cli_module, family_module):
             monkeypatch.setattr(module, "family_equations", refuse)
+        code, out = run(capsys, "specialize", path, "--set", assignment)
+        assert code == expected_code
+        assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_FAMILY_SHA256[(name, point)]
+
+    @pytest.mark.parametrize("name, point", sorted(
+        key for key in GOLDEN_FAMILY_SHA256 if key[1] in ("on", "off")
+    ))
+    def test_golden_text_without_the_generic_set(self, capsys, tmp_path, monkeypatch,
+                                                 name, point):
+        """The point's set is built from the heads: no generic set, and no
+        parameter polynomial made or evaluated."""
+        path = _paper_file(tmp_path, name)
+        values, expected_code = SPECIALIZE_POINTS[(name, point)]
+        assignment = _full_assignment(capsys, path, values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("specialize built or evaluated a generic set")
+
+        for module in (cli_module, family_module):
+            monkeypatch.setattr(module, "generic_marked_set", refuse)
+        monkeypatch.setattr(ParamPoly, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(ParamPoly, "evaluate", refuse)
         code, out = run(capsys, "specialize", path, "--set", assignment)
         assert code == expected_code
         assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_FAMILY_SHA256[(name, point)]

@@ -17,6 +17,7 @@ from marked_bases import (
     family_equations,
     generic_marked_set,
     is_marked_basis,
+    parse_document,
     pommaret_completion,
     reduce_full,
     specialize,
@@ -27,11 +28,12 @@ from marked_bases import (
 )
 from marked_bases import marked as marked_module
 from marked_bases import monom as monom_module
-from marked_bases.family import FamilyIdeal
+from marked_bases.family import FamilyIdeal, specialized_set, tail_parameters
 from marked_bases.monom import nonmultiplicative_variables
 from marked_bases.randgen import random_marked_basis
 from marked_bases.ring import min_index, var_exp
-from conftest import LAY3, T
+from conftest import LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC
+from oracles import specialize_by_evaluation
 from samplers import random_saturated_basis
 
 LAY2 = FreeModuleLayout(1)
@@ -321,10 +323,15 @@ def corpus_family(name):
 
 
 def family_point(name, seed: int, kind: str) -> list:
+    """A point of the parameter space of a corpus case (see `point_of`)."""
+    basis, generic, _ = corpus_family(name)
+    return point_of(basis, generic, seed, kind)
+
+
+def point_of(basis, generic, seed: int, kind: str) -> list:
     """A point of the parameter space: "on" the family (the tails of a random
     marked basis; generic tails carry -C), "moved" off it in one coordinate
     (usually), or a "random" one (almost never on it)."""
-    basis, generic, _ = corpus_family(name)
     rng = random.Random(seed)
     if kind == "random":
         return [Fraction(rng.randint(-3, 3)) for _ in range(generic.nparams)]
@@ -389,3 +396,66 @@ class TestSpecializeOracle:
         monkeypatch.setattr(marked_module, "is_marked_basis", flipped)
         with pytest.raises(AssertionError, match="family equations vanish"):
             cross_check("C1", values)
+
+
+# A rank-2 module with weights (0, 1), beside the (0, 0) of C5.
+MODULE_DOC = "ring 3\nmodule 2 0 1\nideal J = x2*e1, x1^2*e1, x2*e2\n"
+DOCUMENTS = {"twisted": TWISTED_DOC, "non_groebner": NON_GROEBNER_DOC, "module": MODULE_DOC}
+
+
+@functools.cache
+def differential_case(name):
+    """The basis and generic set of a corpus case or of a document's ideal."""
+    if name in FAMILY_CORPUS:
+        basis, generic, _ = corpus_family(name)
+        return basis, generic
+    basis = pommaret_completion(parse_document(DOCUMENTS[name]).ideals["J"])
+    return basis, generic_marked_set(basis)
+
+
+def shape(marked):
+    """Heads in order, each with its body's terms in order, coefficient
+    types included (a stored rational is an int when integral)."""
+    return [
+        (el.head, [(t, c, type(c)) for t, c in el.body.terms.items()])
+        for el in marked.ordered()
+    ]
+
+
+def refuse_evaluation(*args):
+    raise AssertionError("a parameter polynomial was evaluated")
+
+
+class TestSpecializeFromTheHeads:
+    """`specialize` and the CLI's route (`specialized_set` over
+    `tail_parameters`) build the point's set from the heads; evaluating the
+    generic set's coefficients is the reference."""
+
+    @pytest.mark.parametrize("kind", ["on", "moved", "random"])
+    @pytest.mark.parametrize("name", [*sorted(FAMILY_CORPUS), *DOCUMENTS])
+    def test_equals_evaluating_the_generic_set(self, monkeypatch, name, kind):
+        basis, generic = differential_case(name)
+        assert tail_parameters(basis) == (list(generic.param_pairs), list(generic.param_names))
+        for seed in (1, 2):
+            values = point_of(basis, generic, seed, kind)
+            by_name = dict(zip(generic.param_names, values))
+            expected, assignment = specialize_by_evaluation(generic, by_name)
+            with monkeypatch.context() as patch:
+                patch.setattr(ParamPoly, "evaluate", refuse_evaluation)
+                spec = specialize(generic, dict(enumerate(values)))
+                cli_route, cli_values = specialized_set(basis, *tail_parameters(basis), by_name)
+            assert shape(spec.marked) == shape(cli_route) == shape(expected)
+            assert spec.assignment == dict(enumerate(cli_values)) == assignment
+
+    def test_value_spellings(self):
+        """Ints and Fractions are taken as they are; any other value goes
+        through `Fraction`, and integral values are stored as ints."""
+        generic = generic_marked_set(double_point_basis())
+        for values in [(3, Fraction(1, 2)), (Fraction(6, 3), "3/4"), (0.5, "-0"), ("1e2", 7)]:
+            assignment = dict(zip(generic.param_names, values))
+            expected, stored = specialize_by_evaluation(generic, assignment)
+            spec = specialize(generic, assignment)
+            assert shape(spec.marked) == shape(expected)
+            assert [(v, type(v)) for v in spec.assignment.values()] == [
+                (v, type(v)) for v in stored.values()
+            ]

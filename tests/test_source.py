@@ -131,8 +131,9 @@ def test_names_the_benchmark_needs(monkeypatch):
 
 def test_ab_ops_loads_two_trees_side_by_side():
     """`scripts/ab_ops.py` on one tree against itself: both sides run, their
-    outputs agree, the set-up of each side is timed, and nothing is written
-    under `bench/`."""
+    outputs agree, the set-up of each side is timed, the p50 and tail of the
+    per-op medians are given as the benchmark computes them, and nothing is
+    written under `bench/`."""
     before = sorted(p for p in (ROOT / "bench").rglob("*"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT / "src"), str(ROOT / "src"),
@@ -143,6 +144,13 @@ def test_ab_ops_loads_two_trees_side_by_side():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "ops check TWISTED, resolve TWISTED; workload resolve, seed 1, 2 rounds"
+    per_op = re.fullmatch(
+        r"per-op medians: parent p50 (\d+\.\d\d) ms, tail (\d+\.\d\d) ms; "
+        r"change p50 (\d+\.\d\d) ms, tail (\d+\.\d\d) ms; p50 ratio \d+\.\d{3}",
+        lines[-4],
+    )
+    p50_parent, tail_parent, p50_change, tail_change = map(float, per_op.groups())
+    assert p50_parent <= tail_parent and p50_change <= tail_change
     assert re.fullmatch(
         r"setup parent median \d+\.\d ms, change median \d+\.\d ms, "
         r"ratio median \d+\.\d{3} \(quartiles \d+\.\d{3}-\d+\.\d{3}\)",
