@@ -52,7 +52,3 @@ def rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
         if rank == len(mat):
             break
     return mat[:rank], pivots
-
-
-def rank(rows: list[list[Rational]]) -> int:
-    return len(rref(rows)[0])

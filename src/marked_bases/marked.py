@@ -38,7 +38,7 @@ module terms.
 
 Over Q the work element and the summands hold inline ints and Fractions,
 and a step computes s - coeff * c.  Over K[C] (ParamPoly head coefficients,
-as in a generic set; decided once per set, with its packed bodies) they hold
+as in a generic set; decided once, when the set is built) they hold
 sparse-terms dicts, a step multiply-subtracts coeff * c into the target's
 dict in place (`ring.param_add_product` on `MarkedSet.sparse_bodies`), and
 each dict is wrapped as a ParamPoly once, for the representation.
@@ -121,7 +121,8 @@ class MarkedSet:
     """
 
     __slots__ = (
-        "basis", "elements", "position", "_certified", "_prolongations", "_packed", "_sparse"
+        "basis", "elements", "position", "nparams",
+        "_certified", "_prolongations", "_packed", "_sparse",
     )
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
@@ -145,9 +146,12 @@ class MarkedSet:
         self.basis = basis
         self.elements = by_head
         self.position = {head: i for i, head in enumerate(by_head)}
+        # None over Q, else the number of parameters of the head coefficients.
+        sample = next((el.body.terms[el.head] for el in by_head.values()), 1)
+        self.nparams = sample.nparams if isinstance(sample, ParamPoly) else None
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
-        self._packed: tuple[TermPacking, dict, int | None] | None = None
+        self._packed: tuple[TermPacking, dict] | None = None
         self._sparse: tuple[dict, dict] | None = None
         # The tails are checked as the kernel will read them, packed, and
         # through the cone memo: the tails of many elements share terms.
@@ -168,23 +172,10 @@ class MarkedSet:
     def ordered(self) -> list[MarkedElement]:
         return list(self.elements.values())
 
-    def coefficient_sample(self) -> Coeff:
-        for el in self.elements.values():
-            return el.body.terms[el.head]
-        return 1
-
-    def one_like(self) -> Coeff:
-        c = self.coefficient_sample()
-        if isinstance(c, ParamPoly):
-            return ParamPoly.const(c.nparams, 1)
-        return 1
-
     def packed_bodies(self, packing: TermPacking) -> dict:
         """{packed head: (head, packed tail terms, their coefficients)} in
         element order, each tail in body order; built with the set, for its
-        tail check, and again only when the basis's packing changes.  The
-        coefficient domain is decided with them: ``_packed[2]`` is None over
-        Q, else the number of parameters of the ParamPoly head coefficients."""
+        tail check, and again only when the basis's packing changes."""
         packed = self._packed
         if packed is None or packed[0] is not packing:
             pack = packing.pack
@@ -196,9 +187,7 @@ class MarkedSet:
                     tuple([pack(t) for t in terms if t != head]),
                     tuple([c for t, c in terms.items() if t != head]),
                 )
-            sample = self.coefficient_sample()
-            nparams = sample.nparams if isinstance(sample, ParamPoly) else None
-            packed = self._packed = (packing, bodies, nparams)
+            packed = self._packed = (packing, bodies)
         return packed[1]
 
     def sparse_bodies(self, packing: TermPacking) -> dict:
@@ -249,7 +238,7 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
         raise ValueError("element layout differs from the marked set layout")
     packing = basis.packing(h.degree or 0)
     bodies = marked.packed_bodies(packing)
-    nparams = marked._packed[2]
+    nparams = marked.nparams
     pack = packing.pack
     cone = basis.cone_divisor
     work: dict[int, Coeff] = {}

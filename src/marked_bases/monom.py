@@ -19,8 +19,8 @@ t[m+1:] == s[m+1:] and t[m] >= s[m], since s vanishes below m.  So a cone is
 fixed by the key (component, m, s[m+1:]) plus the lower bound s[m], and
 `ConeIndex` files every vertex under that key, the way Janet and Pommaret
 trees do (Gerdt, Blinkov and Yanovich, "Construction of Janet bases I",
-CASC 2001; Seiler, *Involution*, 2010).  The vertices whose cones contain a
-term are then found with at most n + 1 dict probes, one per candidate class.
+CASC 2001; Seiler, *Involution*, 2010).  A vertex whose cone contains a
+term is then found with at most n + 1 dict probes, one per candidate class.
 The terms are packed into ints (`ring.TermPacking`), so a key is the packed
 vertex with the fields of x0..x_m cleared, read off a packed term with one
 mask.  There is one index per basis: the structural test `certified_basis`
@@ -139,18 +139,6 @@ class ConeIndex:
                         if x >= low:
                             return vertex
         return None
-
-    def covering(self, p: int) -> list[int]:
-        """The packed vertices whose cones hold the packed term p."""
-        mask = self.packing.mask
-        out = []
-        for shift, keep, table, always in self.classes:
-            x = p >> shift & mask
-            if x or always:
-                for low, vertex in table.get(p & keep, ()):
-                    if x >= low:
-                        out.append(vertex)
-        return out
 
 
 def terms_of_degree(nvars: int, d: int):
@@ -293,25 +281,29 @@ def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
     structural disjoint-cover test rejects it.
 
     The test checks that no term lies in the cone of another and that every
-    non-multiplicative prolongation of a term lies in exactly one cone.
-    Two Pommaret cones can only intersect when one vertex lies in the other
-    cone, so these local conditions certify the global disjoint cover.
-    Both are read from a `ConeIndex` of the terms, packed one degree above
-    the largest term, which holds every prolongation; the basis returned
-    keeps it, since it is the index its `packing` would build first.
+    non-multiplicative prolongation of a term lies in a cone.  A cone holds
+    no other term of its vertex's degree, so the terms are filed in
+    increasing degree, each only if no cone filed before holds it.  Two
+    Pommaret cones can only intersect when one vertex lies in the other
+    cone, so the cones are then disjoint, and these local conditions
+    certify the global disjoint cover.  Both are read from a `ConeIndex` of
+    the terms, packed one degree above the largest term, which holds every
+    prolongation; the basis returned keeps it, since it is the index its
+    `packing` would build first.
     """
     terms = frozenset(terms)
-    packing = TermPacking(layout, max((layout.term_degree(t) for t in terms), default=0) + 1)
-    packed = [packing.pack(t) for t in terms]
-    index = ConeIndex(packing, packed)
-    # Every term lies in its own cone, so one covering vertex means no other.
+    ordered = sorted(terms, key=layout.term_degree)
+    packing = TermPacking(layout, layout.term_degree(ordered[-1]) + 1 if ordered else 1)
+    packed = [packing.pack(t) for t in ordered]
+    index = ConeIndex(packing)
     for p in packed:
-        if len(index.covering(p)) != 1:
+        if index.find(p) is not None:
             return None
+        index.add(p)
     shifts = packing.shifts
-    for t, p in zip(terms, packed):
+    for t, p in zip(ordered, packed):
         for j in nonmultiplicative_variables(t, layout.n):
-            if len(index.covering(p + (1 << shifts[j]))) != 1:
+            if index.find(p + (1 << shifts[j])) is None:
                 return None
     basis = PommaretBasis(layout, terms, certified=True)
     object.__setattr__(basis, "_cones", index)

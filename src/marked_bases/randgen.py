@@ -67,10 +67,10 @@ def _stable_closure(exps: set[Exponent], nvars: int) -> set[Exponent]:
     return out
 
 
-def random_stable_exponents(rng: random.Random, nvars: int, max_deg: int = 4,
-                            max_seeds: int = 2) -> frozenset[Exponent]:
+def random_stable_exponents(rng: random.Random, nvars: int,
+                            max_deg: int = 4) -> frozenset[Exponent]:
     seeds = set()
-    for _ in range(rng.randint(1, max_seeds)):
+    for _ in range(rng.randint(1, 2)):
         d = rng.randint(1, max_deg)
         e = [0] * nvars
         for _ in range(d):
@@ -139,15 +139,14 @@ def random_quasi_stable_basis(rng: random.Random, n: int, max_deg: int = 4,
             return basis
 
 
-def random_marked_set(rng: random.Random, basis: PommaretBasis,
-                      density: float = 0.6, coeff_bound: int = 3) -> MarkedSet:
+def random_marked_set(rng: random.Random, basis: PommaretBasis) -> MarkedSet:
     """Random tails over the complement; rarely a basis."""
     elements = []
     for head in basis.sorted_terms():
         terms = {head: 1}
         for tail in complement_terms(basis, basis.layout.term_degree(head)):
-            if rng.random() < density:
-                c = rng.randint(-coeff_bound, coeff_bound)
+            if rng.random() < 0.6:
+                c = rng.randint(-3, 3)
                 if c:
                     terms[tail] = c
         elements.append(MarkedElement(ModuleElement(basis.layout, terms), head))
@@ -157,14 +156,14 @@ def random_marked_set(rng: random.Random, basis: PommaretBasis,
 # ---------- random marked bases via a unipotent coordinate change ----------
 
 
-def unipotent_images(rng: random.Random, nvars: int, coeff_bound: int = 2) -> list[Poly]:
+def unipotent_images(rng: random.Random, nvars: int) -> list[Poly]:
     """Images of the variables: x_i plus a random load of smaller variables."""
     images = []
     for i in range(nvars):
         p: Poly = {var_exp(nvars, i): 1}
         for j in range(i):
             if rng.random() < 0.6:
-                c = rng.randint(-coeff_bound, coeff_bound)
+                c = rng.randint(-2, 2)
                 if c:
                     p[var_exp(nvars, j)] = c
         images.append(p)
@@ -220,12 +219,11 @@ def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]):
     return MarkedSet(basis, [elements[h] for h in basis.sorted_terms()])
 
 
-def random_marked_basis(rng: random.Random, basis: PommaretBasis,
-                        attempts: int = 8) -> MarkedSet:
+def random_marked_basis(rng: random.Random, basis: PommaretBasis) -> MarkedSet:
     """A certified marked basis over the given heads, usually with dense
-    non-trivial tails; falls back to the monomial basis if every random
-    coordinate change degenerates."""
-    for _ in range(attempts):
+    non-trivial tails; falls back to the monomial basis if eight random
+    coordinate changes all degenerate."""
+    for _ in range(8):
         marked = _extract_marked_basis(basis, unipotent_images(rng, basis.layout.nvars))
         if marked is not None and is_marked_basis(marked).is_basis:
             return marked

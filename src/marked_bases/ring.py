@@ -362,16 +362,7 @@ class ParamPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-                continue
-            s += c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+        param_add_product(out, other._terms, {(): 1}, 1)
         return ParamPoly._trusted(self.nparams, out)
 
     __radd__ = __add__
@@ -553,8 +544,8 @@ def poly_add_product(target: Poly, p: Poly, q: Poly, sign: int) -> None:
 
 def param_add_product(target: ParamTerms, p: ParamTerms, q: ParamTerms, sign: int) -> None:
     """`poly_add_product` on the sparse terms of ParamPolys, without
-    `rational`, as in all ParamPoly arithmetic; the one place where they are
-    multiplied (`ParamPoly.__mul__`, the K[C] steps of `marked.reduce_full`)."""
+    `rational`, as in all ParamPoly arithmetic; the one loop that adds or
+    multiplies them (ParamPoly `+` and `*`, the K[C] steps of `reduce_full`)."""
     for m1, c1 in p.items():
         if sign < 0:
             c1 = -c1

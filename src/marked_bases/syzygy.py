@@ -121,7 +121,7 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
     syz_layout = FreeModuleLayout(marked.layout.n, weights)
 
     position = marked.position
-    one = marked.one_like()
+    one = 1 if marked.nparams is None else ParamPoly.const(marked.nparams, 1)
     # Every composed term has the degree of a prolongation, which the
     # packing the reductions used already holds.
     packing = marked.basis.packing(max(weights, default=0) + 1)
@@ -292,11 +292,10 @@ def verify_complex(res: FreeResolution) -> bool:
 
 
 def _has_parametric(res: FreeResolution) -> bool:
-    """Whether any stored coefficient is a ParamPoly."""
+    """Whether the bodies, whose domain every map's entries share, hold a ParamPoly."""
     return any(
         isinstance(c, ParamPoly)
-        for mat in (res.bodies, *res.matrices)
-        for col in mat
+        for col in res.bodies
         for entry in col.values()
         for c in entry.values()
     )

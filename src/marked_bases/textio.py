@@ -262,18 +262,18 @@ def _column_text(
     return _join_pieces(pieces, f"[{_module_term(base(head.exp), head.comp, rank)}]")
 
 
-def format_element(elem: ModuleElement, names=None) -> str:
-    return _column_text(_column(elem), elem.layout.rank, names=names)
+def format_element(elem: ModuleElement) -> str:
+    return _column_text(_column(elem), elem.layout.rank)
 
 
 def format_marked_element(body: ModuleElement, head: ModuleTerm, names=None) -> str:
     return _column_text(_column(body), body.layout.rank, head, names)
 
 
-def format_poly(p: Poly, names=None) -> str:
+def format_poly(p: Poly) -> str:
     """Scalar polynomial (differential entry) in the same grammar, printed
     as the rank-one element it is."""
-    return _column_text({0: p}, 1, names=names)
+    return _column_text({0: p}, 1)
 
 
 # ---------- input documents ----------

@@ -42,6 +42,20 @@ def test_one_reduction_loop():
     assert len(raises) == 1
 
 
+def test_one_cone_query():
+    """`monom.ConeIndex` answers one query, `find`, which the structural
+    test and every lookup share, and `MarkedSet` decides its coefficient
+    domain once, in its `nparams`: a second cone query or a per-call domain
+    probe fails here."""
+    def methods(path, name):
+        tree = ast.parse((PACKAGE / path).read_text())
+        [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+        return {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+
+    assert methods("monom.py", "ConeIndex") == {"__init__", "add", "find"}
+    assert not methods("marked.py", "MarkedSet") & {"coefficient_sample", "one_like"}
+
+
 def test_one_polynomial_reader():
     """`textio._parse_terms` reads every polynomial in one pass of one
     compiled token regex, whose last alternative takes any unexpected
