@@ -20,7 +20,6 @@ from .monom import (
     StabilityClass,
     basis_invariants,
     certified_basis,
-    colon_saturation_basis,
     complement_rank,
     complement_terms,
     hilbert_function,
@@ -28,8 +27,6 @@ from .monom import (
     nonmultiplicative_variables,
     pommaret_completion,
     quasi_stability_witness,
-    rho,
-    saturate,
     stability_class,
     truncate_basis,
 )
@@ -43,7 +40,6 @@ from .marked import (
     NotABasis,
     Representation,
     TailTermInU,
-    contains,
     is_marked_basis,
     monomial_marked_set,
     prolongation_rep,
@@ -64,16 +60,10 @@ from .syzygy import (
 from .family import (
     FamilyIdeal,
     GenericMarkedSet,
-    HypothesisViolated,
     Specialization,
-    StructureViolated,
-    TriangularReport,
     family_equations,
     generic_marked_set,
     specialize,
-    tails_respect_min_variable,
-    triangular_representation,
-    x0_heads_are_divisible,
 )
 from .textio import (
     ComponentOutOfRange,

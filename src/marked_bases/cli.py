@@ -379,7 +379,7 @@ def cmd_specialize(doc, args):
     specializing.  The family equations at the point are therefore the
     remainder coefficients of the specialized set's prolongations, and they
     all vanish exactly when the basis test says yes; the test suite checks
-    that verdict against `FamilyIdeal.vanishes_at`.
+    that verdict against the family equations evaluated at the point.
     """
     basis = _basis(doc, args)
     try:

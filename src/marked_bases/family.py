@@ -13,10 +13,9 @@ a point is exactly the basis test of the specialized set.  `specialized_set`
 builds that set straight from the heads, so `mbases specialize` builds
 neither R nor the generic set.
 
-The family equations and the triangular check read the same memoised
-prolongation reductions as the basis test (`marked.prolongations` and
-`marked.prolongation_rep`), so each prolongation of a generic set is
-reduced at most once.
+The family equations read the same memoised prolongation reductions as
+the basis test (`marked.prolongations` and `marked.prolongation_rep`), so
+each prolongation of a generic set is reduced at most once.
 
 Parameters are named C_{h,t} with h the index of the head in the listing
 order of the basis and t the index of the complement term among the tails of
@@ -34,38 +33,20 @@ from typing import Mapping
 from .marked import (
     MarkedElement,
     MarkedSet,
-    Representation,
     prolongation_rep,
     prolongations,
 )
 from .monom import (
     PommaretBasis,
-    basis_invariants,
     complement_terms,
-    pommaret_class,
-    rho,
-    truncate_basis,
 )
 from .ring import (
-    InternalError,
-    MarkedBasesError,
     MissingParameter,
     ModuleElement,
     ModuleTerm,
     ParamPoly,
-    Rational,
-    exp_deg,
-    min_index,
     rational,
 )
-
-
-class HypothesisViolated(MarkedBasesError):
-    """A stated hypothesis of the triangular representation fails."""
-
-
-class StructureViolated(InternalError):
-    """The verified structural claim failed; indicates an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -129,9 +110,6 @@ class FamilyIdeal:
     generators: tuple[ParamPoly, ...]
     param_names: tuple[str, ...]
 
-    def vanishes_at(self, assignment: Mapping[int, Rational]) -> bool:
-        return all(g.evaluate(assignment) == 0 for g in self.generators)
-
 
 def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
     """Collect the complement-term coefficients of all reduced
@@ -189,99 +167,3 @@ def specialize(generic: GenericMarkedSet, assignment: Mapping) -> Specialization
         generic.basis, generic.param_pairs, generic.param_names, assignment
     )
     return Specialization(marked, dict(enumerate(values)))
-
-
-@dataclass(frozen=True)
-class TriangularReport:
-    """A structurally verified representation of x_i * F_head: all
-    multipliers are single variables below x_i and the remainder is
-    supported outside the untruncated ideal."""
-
-    head: ModuleTerm
-    variable: int
-    representation: Representation
-    verified: bool
-
-
-def triangular_representation(
-    generic: GenericMarkedSet,
-    head: ModuleTerm,
-    i: int,
-    *,
-    base: PommaretBasis,
-    truncation_degree: int,
-) -> TriangularReport:
-    """Representation of the prolongation x_i * F_head over a generic set on
-    a truncated saturated ideal, with its triangular shape verified.
-
-    Hypotheses checked: `base` is the certified basis of a saturated ideal,
-    `generic` lives over its degree-`truncation_degree` truncation,
-    truncation_degree >= max(rho_1..rho_i), and min(head) < x_i.  Under
-    them, every multiplier in the representation must be one variable x_j
-    with j < i, multiplicative for its own head; a violation raises
-    StructureViolated and indicates a bug, never bad input.
-    """
-    layout = generic.basis.layout
-    if layout.rank != 1 or base.layout != layout:
-        raise HypothesisViolated("triangular representations live over a single ideal")
-    if not base.certified:
-        raise HypothesisViolated("base basis must be certified")
-    if not basis_invariants(base).saturated:
-        raise HypothesisViolated("base ideal is not saturated")
-    if not 1 <= i <= layout.n:
-        raise HypothesisViolated(f"variable index {i} out of range 1..{layout.n}")
-    if generic.basis.terms != truncate_basis(base, truncation_degree).terms:
-        raise HypothesisViolated(
-            "generic set does not live over the stated truncation"
-        )
-    rho_bound = max(rho(base, t) for t in range(1, i + 1))
-    if truncation_degree < rho_bound:
-        raise HypothesisViolated(
-            f"truncation degree {truncation_degree} below max rho = {rho_bound}"
-        )
-    if head not in generic.basis.terms:
-        raise HypothesisViolated(f"{head} is not a head of the generic set")
-    mi = min_index(head.exp)
-    if mi is None or mi > i - 1:
-        raise HypothesisViolated(f"min variable of {head} is not below x{i}")
-    if layout.term_degree(head) != truncation_degree:
-        raise InternalError(f"{head} is a head of the truncation off its degree")
-
-    # min(head) < x_i makes x_i non-multiplicative: x_i * F_head is a
-    # prolongation, and its reduction is the memoised one.
-    rep = prolongation_rep(generic.marked, generic.marked.elements[head], i)
-    for _, mult, tau in rep.summands:
-        if exp_deg(mult) != 1:
-            raise StructureViolated(f"multiplier x^{mult} is not a single variable")
-        j = min_index(mult)
-        if j >= i:
-            raise StructureViolated(f"multiplier x{j} not below x{i}")
-        if j > pommaret_class(tau.exp, layout.n):
-            raise StructureViolated(f"multiplier x{j} not multiplicative for {tau}")
-    for t in rep.remainder.terms:
-        if base.cone_divisor(t) is not None:
-            raise StructureViolated(f"remainder term {t} lies inside the base ideal")
-    return TriangularReport(head, i, rep, True)
-
-
-def tails_respect_min_variable(marked: MarkedSet) -> bool:
-    """Every tail term's minimal variable stays at or below the head's."""
-    for el in marked.ordered():
-        hmin = min_index(el.head.exp)
-        if hmin is None:
-            continue
-        for t in el.tail_terms():
-            tmin = min_index(t.exp)
-            if tmin is None or tmin > hmin:
-                return False
-    return True
-
-
-def x0_heads_are_divisible(marked: MarkedSet) -> bool:
-    """Elements whose head involves x0 have x0 dividing every tail term."""
-    for el in marked.ordered():
-        if min_index(el.head.exp) == 0:
-            for t in el.tail_terms():
-                if t.exp[0] == 0:
-                    return False
-    return True

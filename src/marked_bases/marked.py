@@ -13,11 +13,11 @@ of U has a cone multiplier strictly lex-below the multiplier just used.
 
 The reductions of the non-multiplicative prolongations x_j*f are the data
 every later construction reads: the basis test and the family equations
-need their remainders, the syzygies and the triangular check their
-summands.  `prolongations` walks them in one fixed order (element order,
-then variable index) and `prolongation_rep` reduces each of them once per
-marked set and memoises the representation on the set, so every consumer
-of the same set shares one reduction per prolongation.
+need their remainders, the syzygies their summands.  `prolongations` walks
+them in one fixed order (element order, then variable index) and
+`prolongation_rep` reduces each of them once per marked set and memoises
+the representation on the set, so every consumer of the same set shares
+one reduction per prolongation.
 
 Inside `reduce_full` a term is one int, packed by the basis's
 `ring.TermPacking` (packed monomials after Bachmann and Schönemann, ISSAC
@@ -103,9 +103,6 @@ class MarkedElement:
             raise HeadMismatch(f"head {self.head} not in the support")
         if not self.body.terms[self.head] == 1:
             raise HeadCoefficientNotOne(f"head {self.head} has coefficient != 1")
-
-    def tail_terms(self):
-        return [t for t in self.body.terms if t != self.head]
 
 
 class MarkedSet:
@@ -386,13 +383,6 @@ def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> Basis
         marked._certified = True
         return BasisCheck(True)
     return BasisCheck(True, inconclusive_beyond=up_to_degree)
-
-
-def contains(marked: MarkedSet, f: ModuleElement) -> bool:
-    """Module membership via zero normal form; requires a certified basis."""
-    if marked._certified is not True:
-        raise NotABasis("membership test requires a set certified as a basis")
-    return reduce_full(f, marked).remainder.is_zero()
 
 
 def monomial_marked_set(basis: PommaretBasis) -> MarkedSet:

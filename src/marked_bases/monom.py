@@ -498,36 +498,6 @@ def basis_invariants(basis: PommaretBasis) -> InvariantReport:
     )
 
 
-def colon_saturation_basis(basis: PommaretBasis, j: int) -> frozenset[Exponent]:
-    """Weak Pommaret basis of J : (xn, ..., xj)^oo, returned verbatim.
-
-    Terms with minimal variable xj are stripped of their xj power, terms
-    with larger minimal variable pass through, the rest are dropped.  The
-    caller may minimalize and re-complete to obtain a true basis.
-    """
-    if not basis.certified:
-        raise ValueError("requires a certified basis")
-    if basis.layout.rank != 1:
-        raise ValueError("colon saturation is defined for single-component ideals")
-    out = set()
-    for t in basis.terms:
-        m = min_index(t.exp)
-        if m is None or m > j:
-            out.add(t.exp)
-        elif m == j:
-            stripped = list(t.exp)
-            stripped[j] = 0
-            out.add(tuple(stripped))
-    return frozenset(out)
-
-
-def saturate(basis: PommaretBasis) -> PommaretBasis:
-    """Pommaret basis of the saturation (strip x0, minimalize, re-complete)."""
-    weak = colon_saturation_basis(basis, 0)
-    gens = [ModuleTerm(e, 1) for e in minimalize(weak)]
-    return pommaret_completion(MonomialModule(basis.layout, gens))
-
-
 def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
     """Pommaret basis of the degree->=m truncation.
 
@@ -553,18 +523,6 @@ def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
     if result is None:
         raise InternalError("truncation lost the cone cover")
     return result
-
-
-def rho(basis: PommaretBasis, i: int) -> int:
-    """Largest degree of a basis term involving xi (0 when none does)."""
-    if not basis.certified:
-        raise ValueError("requires a certified basis")
-    if not 1 <= i <= basis.layout.n:
-        raise ValueError(f"variable index {i} out of range 1..{basis.layout.n}")
-    degs = [
-        basis.layout.term_degree(t) for t in basis.terms if t.exp[i] >= 1
-    ]
-    return max(degs) if degs else 0
 
 
 def hilbert_function(basis: PommaretBasis, s: int) -> int:

@@ -28,7 +28,6 @@ from .monom import (
     module_terms_of_degree,
     pommaret_completion,
     quasi_stability_witness,
-    terms_of_degree,
 )
 from .ring import (
     Exponent,
@@ -181,28 +180,21 @@ def transform_exponent(images: list[Poly], exp: Exponent) -> Poly:
 
 
 def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]):
+    """The marked basis over `basis` of the image of U, read off the RREF of
+    the images of the terms of U_s, which span the degree-s slice of the
+    image; None when the complement terms do not split that slice."""
     layout = basis.layout
-    mingens = []
-    for k in range(1, layout.rank + 1):
-        for e in minimalize(basis.component(k)):
-            mingens.append(ModuleTerm(e, k))
-    transformed = {t: transform_exponent(images, t.exp) for t in mingens}
-
     elements = {}
     for s in sorted({layout.term_degree(t) for t in basis.terms}):
         u_terms = module_terms_of_degree(basis, s)
         n_terms = complement_terms(basis, s)
         columns = {t: i for i, t in enumerate(u_terms + n_terms)}
         rows = []
-        for g in mingens:
-            free = s - layout.term_degree(g)
-            if free < 0:
-                continue
-            for delta in terms_of_degree(layout.nvars, free):
-                row = [0] * len(columns)
-                for e, c in transformed[g].items():
-                    row[columns[ModuleTerm(exp_add(e, delta), g.comp)]] = c
-                rows.append(row)
+        for u in u_terms:
+            row = [0] * len(columns)
+            for e, c in transform_exponent(images, u.exp).items():
+                row[columns[ModuleTerm(e, u.comp)]] = c
+            rows.append(row)
         reduced, pivots = rref(rows)
         if pivots != list(range(len(u_terms))):
             return None

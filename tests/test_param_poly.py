@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from marked_bases.ring import ParamPoly, _mono_mul, _mono_order_key
+from marked_bases.ring import MissingParameter, ParamPoly, _mono_mul, _mono_order_key
 from marked_bases.textio import format_param_poly
 from oracles import (
     dense_add,
@@ -13,6 +13,7 @@ from oracles import (
     dense_mul,
     dense_neg,
     dense_occurring,
+    evaluate,
     dense_sorted_terms,
     dense_sub,
     sparse_mono_mul,
@@ -75,8 +76,17 @@ def test_equality_and_hash_follow_the_dense_value(p, q):
 @settings(max_examples=100, deadline=None)
 @given(dense_polys, points)
 def test_evaluate_and_occurring_match_dense(p, point):
-    assert pp(p).occurring() == dense_occurring(p)
-    assert pp(p).evaluate(dict(enumerate(point))) == dense_evaluate(p, point)
+    assignment = dict(enumerate(point))
+    assert evaluate(pp(p), assignment) == dense_evaluate(p, point)
+    for i in range(NPARAMS):
+        del assignment[i]
+        try:
+            evaluate(pp(p), assignment)
+        except MissingParameter:
+            assert i in dense_occurring(p)
+        else:
+            assert i not in dense_occurring(p)
+        assignment[i] = point[i]
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,9 +31,7 @@ from marked_bases import (
     predicted_ranks,
     prolongation_rep,
     prolongations,
-    saturate,
     syzygy_marked_basis,
-    triangular_representation,
     truncate_basis,
     verify_complex,
 )
@@ -54,7 +52,7 @@ from conftest import (
     c3_basis,
     c4_basis,
 )
-from oracles import is_stable_scan
+from oracles import is_stable_scan, saturate, triangular_representation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
