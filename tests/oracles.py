@@ -26,7 +26,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from marked_bases.linalg import rref
-from marked_bases.marked import MarkedElement, MarkedSet, Representation, prolongation_rep
+from marked_bases.marked import (
+    MarkedElement,
+    MarkedSet,
+    NotABasis,
+    Representation,
+    prolongation_rep,
+    reduce_full,
+)
 from marked_bases.monom import (
     MonomialModule,
     NotQuasiStable,
@@ -705,6 +712,36 @@ class HypothesisViolated(MarkedBasesError):
 
 class StructureViolated(InternalError):
     """The verified structural claim failed; indicates an implementation bug."""
+
+
+def colon_saturation_basis(basis: PommaretBasis, j: int) -> frozenset:
+    """Weak Pommaret basis of J : (xn, ..., xj)^oo, returned verbatim.
+
+    Terms with minimal variable xj are stripped of their xj power, terms
+    with larger minimal variable pass through, the rest are dropped.  The
+    caller may minimalize and re-complete to obtain a true basis.
+    """
+    if not basis.certified:
+        raise ValueError("requires a certified basis")
+    if basis.layout.rank != 1:
+        raise ValueError("colon saturation is defined for single-component ideals")
+    out = set()
+    for t in basis.terms:
+        m = min_index(t.exp)
+        if m is None or m > j:
+            out.add(t.exp)
+        elif m == j:
+            stripped = list(t.exp)
+            stripped[j] = 0
+            out.add(tuple(stripped))
+    return frozenset(out)
+
+
+def contains(marked: MarkedSet, f: ModuleElement) -> bool:
+    """Module membership via zero normal form; requires a certified basis."""
+    if marked._certified is not True:
+        raise NotABasis("membership test requires a set certified as a basis")
+    return reduce_full(f, marked).remainder.is_zero()
 
 
 def saturate(basis: PommaretBasis) -> PommaretBasis:

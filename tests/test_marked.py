@@ -11,6 +11,7 @@ from marked_bases import (
     MarkedElement,
     MarkedSet,
     ModuleElement,
+    NotABasis,
     ParamPoly,
     PommaretBasis,
     TailTermInU,
@@ -28,6 +29,7 @@ from samplers import random_homogeneous_element, random_quasi_stable_module
 from oracles import (
     all_module_terms,
     all_products,
+    contains,
     evaluate_representation,
     lex_greatest,
     lex_key,
@@ -136,6 +138,26 @@ class TestIsMarkedBasis:
         assert partial.is_basis and partial.inconclusive_beyond == 3
         conclusive = is_marked_basis(fresh, up_to_degree=4)
         assert conclusive.is_basis and conclusive.inconclusive_beyond is None
+
+
+class TestContains:
+    def test_prolongation_is_inside(self, twisted):
+        is_marked_basis(twisted.marked)
+        g4 = twisted.marked.elements[T((1, 1, 0))]
+        assert contains(twisted.marked, g4.body.mul_term((0, 0, 1)))
+
+    def test_head_term_alone_is_not(self, twisted):
+        is_marked_basis(twisted.marked)
+        assert not contains(twisted.marked, E(LAY3, {T((1, 1, 0)): 1}))
+
+    def test_zero_is_inside(self, twisted):
+        is_marked_basis(twisted.marked)
+        assert contains(twisted.marked, ModuleElement(LAY3, {}))
+
+    def test_uncertified_set_refuses(self):
+        fresh = build_twisted_example().marked
+        with pytest.raises(NotABasis):
+            contains(fresh, ModuleElement(LAY3, {}))
 
 
 class TestConfluence:

@@ -41,6 +41,7 @@ from samplers import random_quasi_stable_module
 from oracles import (
     all_module_terms,
     brute_hilbert,
+    colon_saturation_basis,
     complete_component_scan,
     completion_without_fast_path,
     cone_divisor_scan,
@@ -252,10 +253,24 @@ class TestInvariants:
 
 class TestColonSaturation:
     def test_twisted_saturation(self, twisted):
+        weak = colon_saturation_basis(twisted.basis, 0)
+        assert weak == frozenset(
+            {(0, 1, 0), (0, 0, 3), (0, 1, 2), (0, 1, 1), (0, 2, 0)}
+        )
+        assert minimalize(weak) == frozenset({(0, 1, 0), (0, 0, 3)})
         sat = saturate(twisted.basis)
         assert minimalize(e for e, _ in sat.terms) == frozenset(
             {(0, 1, 0), (0, 0, 3)}
         )
+
+    def test_saturated_ideal_unchanged(self):
+        basis = pommaret_completion(MonomialModule(LAY3, [T((0, 1, 0)), T((0, 0, 3))]))
+        weak = colon_saturation_basis(basis, 0)
+        assert weak == frozenset(e for e, _ in basis.terms)
+
+    def test_full_colon_gives_unit(self):
+        basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 1))]))
+        assert colon_saturation_basis(basis, 2) == frozenset({(0, 0, 0)})
 
 
 class TestTruncate:
