@@ -41,7 +41,6 @@ from .marked import (
     Representation,
     TailTermInU,
     is_marked_basis,
-    monomial_marked_set,
     prolongation_rep,
     prolongations,
     reduce_full,

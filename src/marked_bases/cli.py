@@ -30,6 +30,7 @@ from .marked import (
 from .monom import (
     MonomialModule,
     PommaretBasis,
+    TooLarge,
     basis_invariants,
     certified_basis,
     complement_rank,
@@ -64,6 +65,7 @@ INPUT_ERRORS = (
     PolySyntaxError,
     InputFormatError,
     MissingParameter,
+    TooLarge,
 )
 
 

@@ -384,11 +384,3 @@ def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> Basis
         return BasisCheck(True)
     return BasisCheck(True, inconclusive_beyond=up_to_degree)
 
-
-def monomial_marked_set(basis: PommaretBasis) -> MarkedSet:
-    """The marked set with zero tails: U as a marked basis over itself."""
-    elements = [
-        MarkedElement(ModuleElement(basis.layout, {t: 1}), t)
-        for t in basis.sorted_terms()
-    ]
-    return MarkedSet(basis, elements)

@@ -66,6 +66,11 @@ class NotQuasiStable(MarkedBasesError):
         )
 
 
+class TooLarge(MarkedBasesError):
+    """An output would hold more terms than the package builds; reported
+    as an input error."""
+
+
 class StabilityClass(enum.Enum):
     NOT_QUASI_STABLE = "not quasi-stable"
     QUASI_STABLE = "quasi-stable"
@@ -498,16 +503,31 @@ def basis_invariants(basis: PommaretBasis) -> InvariantReport:
     )
 
 
+# The most terms `truncate_basis` builds: `mbases truncate` prints 99,677
+# terms in about 1.5 s of CPU time on a 2-CPU x86-64 virtual machine.
+TRUNCATION_LIMIT = 100_000
+
+
 def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
     """Pommaret basis of the degree->=m truncation.
 
     Keeps basis terms of degree >= m+1 and replaces each lower-degree term
     by the degree-m slice of its cone.  The output is certified directly by
-    the structural test (`certified_basis`).
+    the structural test (`certified_basis`).  Its size is counted first, a
+    cone of class i giving binomial(m - d + i, i) terms, and more than
+    `TRUNCATION_LIMIT` terms are refused (`TooLarge`) before any is built.
     """
     if not basis.certified:
         raise ValueError("requires a certified basis")
     layout = basis.layout
+    size = 0
+    for t in basis.terms:
+        d = layout.term_degree(t)
+        i = pommaret_class(t.exp, layout.n)
+        size += 1 if d >= m + 1 else comb(m - d + i, i)
+    if size > TRUNCATION_LIMIT:
+        raise TooLarge(f"the truncation at degree {m} has {size} terms, "
+                       f"more than the {TRUNCATION_LIMIT} this program builds")
     out: set[ModuleTerm] = set()
     for t in basis.terms:
         d = layout.term_degree(t)

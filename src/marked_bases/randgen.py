@@ -6,12 +6,16 @@ by a non-multiplicative one, which never changes degrees) combined with
 sums, products and intersections, all of which preserve quasi-stability.
 The result is double-checked and resampled if too large.
 
-Random marked *bases* come from a unipotent coordinate change: the image of
-the module under x_i -> x_i + (random combination of smaller variables) has
-the same Hilbert function, and for almost every choice the complement terms
-still split every graded slice, so the marked basis can be read off a
-reduced row echelon form degree by degree.  Failures (non-generic choices)
-are detected and resampled.
+Random marked *bases* come from a unipotent coordinate change g: x_i ->
+x_i + (random combination of smaller variables).  The image g(U) has the
+same Hilbert function as U, and for lex with x_n most significant each
+image g(x^u) is x^u plus lex-lower terms, since lex is a term order and
+each factor g(x_i) has leading term x_i.  So in every degree s the images
+of the terms of U_s, which span g(U)_s, are unit triangular on U_s: fed to
+`linalg.rref` lex-ascending, each row's pivot is its own term, and the
+reduced row of a head is the head plus complement terms.  The complement
+therefore always splits g(U)_s, the reduced rows are a marked basis of g(U)
+over U, and one draw suffices; the basis test still runs on it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import random
 
 from .linalg import rref
-from .marked import MarkedElement, MarkedSet, is_marked_basis, monomial_marked_set
+from .marked import MarkedElement, MarkedSet, is_marked_basis
 from .monom import (
     MonomialModule,
     PommaretBasis,
@@ -32,6 +36,7 @@ from .monom import (
 from .ring import (
     Exponent,
     FreeModuleLayout,
+    InternalError,
     ModuleElement,
     ModuleTerm,
     Poly,
@@ -40,8 +45,6 @@ from .ring import (
     exp_divides,
     exp_lcm,
     min_index,
-    poly_add_product,
-    unit_exp,
     var_exp,
 )
 
@@ -140,15 +143,21 @@ def random_quasi_stable_basis(rng: random.Random, n: int, max_deg: int = 4,
 
 def random_marked_set(rng: random.Random, basis: PommaretBasis) -> MarkedSet:
     """Random tails over the complement; rarely a basis."""
+    layout = basis.layout
+    complements: dict[int, list[ModuleTerm]] = {}
     elements = []
     for head in basis.sorted_terms():
+        s = layout.term_degree(head)
+        tails = complements.get(s)
+        if tails is None:
+            tails = complements[s] = complement_terms(basis, s)
         terms = {head: 1}
-        for tail in complement_terms(basis, basis.layout.term_degree(head)):
+        for tail in tails:
             if rng.random() < 0.6:
                 c = rng.randint(-3, 3)
                 if c:
                     terms[tail] = c
-        elements.append(MarkedElement(ModuleElement(basis.layout, terms), head))
+        elements.append(MarkedElement(ModuleElement._trusted(layout, terms, s), head))
     return MarkedSet(basis, elements)
 
 
@@ -169,54 +178,66 @@ def unipotent_images(rng: random.Random, nvars: int) -> list[Poly]:
     return images
 
 
-def transform_exponent(images: list[Poly], exp: Exponent) -> Poly:
-    out: Poly = {unit_exp(len(exp)): 1}
-    for i, power in enumerate(exp):
-        for _ in range(power):
-            product: Poly = {}
-            poly_add_product(product, out, images[i], 1)
-            out = product
-    return out
+def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]) -> MarkedSet:
+    """The marked basis over `basis` of the image of U under the unipotent
+    change with these variable images.
 
-
-def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]):
-    """The marked basis over `basis` of the image of U, read off the RREF of
-    the images of the terms of U_s, which span the degree-s slice of the
-    image; None when the complement terms do not split that slice."""
+    Terms are packed by the basis's packing, and the image of a packed
+    exponent e is the image of e - x_m times that of x_m, m the least
+    variable of e, memoised for the call.  In each degree s one sparse row
+    per term of U_s holds its image, keyed by the negated packed term, so
+    the lex-greatest term is the least column; the rows go to `rref` in
+    ascending packed order (see the module docstring).  A head's row is
+    reduced only by the rows of lex-lower terms, so the terms of U_s above
+    the lex-greatest head of degree s get no row.  Images that are not unit
+    triangular leave a pivot off U_s and raise `InternalError`."""
     layout = basis.layout
-    elements = {}
-    for s in sorted({layout.term_degree(t) for t in basis.terms}):
-        u_terms = module_terms_of_degree(basis, s)
-        n_terms = complement_terms(basis, s)
-        columns = {t: i for i, t in enumerate(u_terms + n_terms)}
+    packing = basis.packing(0)
+    pack, unpack, shifts = packing.pack, packing.unpack, packing.shifts
+    comp_mask, low, width = packing.comp_mask, shifts[0], packing.mask.bit_length()
+    variables = [{packing.pack_exp(e): c for e, c in p.items()} for p in images]
+    memo = {0: {0: 1}}
+
+    def image(e: int) -> dict:
+        found = memo.get(e)
+        if found is None:
+            m = ((e & -e).bit_length() - 1 - low) // width
+            product: dict = {}
+            for a, c1 in image(e - (1 << shifts[m])).items():
+                for b, c2 in variables[m].items():
+                    product[a + b] = product.get(a + b, 0) + c1 * c2
+            found = memo[e] = {k: c for k, c in product.items() if c}
+        return found
+
+    heads: dict[int, list[ModuleTerm]] = {}  # by degree, in listing order
+    for head in basis.sorted_terms():
+        heads.setdefault(layout.term_degree(head), []).append(head)
+    elements = []
+    for s, group in heads.items():
+        top = max(map(pack, group))
+        packed = sorted(p for p in map(pack, module_terms_of_degree(basis, s)) if p <= top)
         rows = []
-        for u in u_terms:
-            row = [0] * len(columns)
-            for e, c in transform_exponent(images, u.exp).items():
-                row[columns[ModuleTerm(e, u.comp)]] = c
-            rows.append(row)
+        for p in packed:
+            comp = p & comp_mask
+            rows.append({-(e + comp): c for e, c in image(p - comp).items()})
         reduced, pivots = rref(rows)
-        if pivots != list(range(len(u_terms))):
-            return None
-        for head in basis.sorted_terms():
-            if layout.term_degree(head) != s:
-                continue
-            row = reduced[u_terms.index(head)]
+        if pivots != [-p for p in reversed(packed)]:
+            raise InternalError(f"the coordinate change is not unit triangular in degree {s}")
+        by_pivot = dict(zip(pivots, reduced))
+        for head in group:
+            pivot = -pack(head)
             terms = {head: 1}
-            for j, tail in enumerate(n_terms):
-                c = row[len(u_terms) + j]
-                if c:
-                    terms[tail] = c
-            elements[head] = MarkedElement(ModuleElement(layout, terms), head)
-    return MarkedSet(basis, [elements[h] for h in basis.sorted_terms()])
+            terms.update(sorted((unpack(-c), v) for c, v in by_pivot[pivot].items() if c != pivot))
+            elements.append(MarkedElement(ModuleElement._trusted(layout, terms, s), head))
+    return MarkedSet(basis, elements)
 
 
 def random_marked_basis(rng: random.Random, basis: PommaretBasis) -> MarkedSet:
-    """A certified marked basis over the given heads, usually with dense
-    non-trivial tails; falls back to the monomial basis if eight random
-    coordinate changes all degenerate."""
-    for _ in range(8):
-        marked = _extract_marked_basis(basis, unipotent_images(rng, basis.layout.nvars))
-        if marked is not None and is_marked_basis(marked).is_basis:
-            return marked
-    return monomial_marked_set(basis)
+    """A marked basis over the given heads, usually with dense non-trivial
+    tails, drawn from one random unipotent coordinate change.  Its basis
+    test runs, filling the prolongation memo that `free_resolution` reads;
+    a failure is a bug (`InternalError`)."""
+    marked = _extract_marked_basis(basis, unipotent_images(rng, basis.layout.nvars))
+    if not is_marked_basis(marked).is_basis:
+        raise InternalError("a marked basis drawn by a unipotent coordinate change fails its test")
+    return marked

@@ -94,10 +94,6 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-def unit_exp(nvars: int) -> Exponent:
-    return (0,) * nvars
-
-
 def var_exp(nvars: int, i: int) -> Exponent:
     e = [0] * nvars
     e[i] = 1

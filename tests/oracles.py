@@ -8,7 +8,9 @@ ideals and satiety, slice stability for regularity, and rank computations
 for the direct-sum decomposition.  Minimization of a resolution has a dense
 reference too, eliminating on full grids of entries, marked reduction has
 a reference that attacks the reducible terms in any given order, and a
-specialized set one that evaluates the generic set's coefficients.  A
+specialized set one that evaluates the generic set's coefficients.  The
+sparse `linalg.rref` has the dense `dense_rref` as its reference, and the
+random marked-basis generator the dense-row extraction it replaced.  A
 representation is evaluated back to the element it stands for, and the
 resolution JSON is parsed back into a resolution.
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from marked_bases.linalg import rref
 from marked_bases.marked import (
     MarkedElement,
     MarkedSet,
@@ -41,7 +42,9 @@ from marked_bases.monom import (
     _complete_component,
     _quasi_stable_witness,
     basis_invariants,
+    complement_terms,
     minimalize,
+    module_terms_of_degree,
     pommaret_class,
     pommaret_completion,
     terms_of_degree,
@@ -61,6 +64,7 @@ from marked_bases.ring import (
     exp_divides,
     exp_lcm,
     min_index,
+    poly_add_product,
     poly_constant,
     rational,
     term_mul,
@@ -310,8 +314,101 @@ def elements_matrix(elems, columns):
     return rows
 
 
+def dense_rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
+    """Reduced row echelon form of dense rows, the reference for the sparse
+    `linalg.rref`: classical Gaussian elimination, column by column.
+
+    Returns the non-zero rows and the pivot column indices (ascending; one
+    per returned row).  Input rows are not modified.  A pivot row is divided
+    as ``rational(Fraction(x) / pivot)``, as in `linalg`.
+    """
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(mat)):
+            if mat[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pv = mat[rank][col]
+        if pv != 1:
+            mat[rank] = [rational(Fraction(x) / pv) for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                row = mat[r]
+                top = mat[rank]
+                mat[r] = [a - factor * b for a, b in zip(row, top)]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat[:rank], pivots
+
+
 def span_rank(elems, columns) -> int:
-    return len(rref(elements_matrix(elems, columns))[0])
+    return len(dense_rref(elements_matrix(elems, columns))[0])
+
+
+def monomial_marked_set(basis: PommaretBasis) -> MarkedSet:
+    """The marked set with zero tails: U as a marked basis over itself."""
+    elements = [
+        MarkedElement(ModuleElement(basis.layout, {t: 1}), t)
+        for t in basis.sorted_terms()
+    ]
+    return MarkedSet(basis, elements)
+
+
+def transform_exponent(images, exp):
+    """The image of x^exp under the coordinate change with these variable
+    images, multiplied out one variable at a time."""
+    out = {(0,) * len(exp): 1}
+    for i, power in enumerate(exp):
+        for _ in range(power):
+            product = {}
+            poly_add_product(product, out, images[i], 1)
+            out = product
+    return out
+
+
+def dense_extract_marked_basis(basis: PommaretBasis, images):
+    """The marked basis over `basis` of the image of U, read off the dense
+    RREF of the images of the terms of U_s over the columns U_s, then N_s,
+    both in listing order; None when the complement terms do not split
+    that slice.  The reference for `randgen._extract_marked_basis`."""
+    layout = basis.layout
+    elements = {}
+    for s in sorted({layout.term_degree(t) for t in basis.terms}):
+        u_terms = module_terms_of_degree(basis, s)
+        n_terms = complement_terms(basis, s)
+        columns = {t: i for i, t in enumerate(u_terms + n_terms)}
+        rows = []
+        for u in u_terms:
+            row = [0] * len(columns)
+            for e, c in transform_exponent(images, u.exp).items():
+                row[columns[ModuleTerm(e, u.comp)]] = c
+            rows.append(row)
+        reduced, pivots = dense_rref(rows)
+        if pivots != list(range(len(u_terms))):
+            return None
+        for head in basis.sorted_terms():
+            if layout.term_degree(head) != s:
+                continue
+            row = reduced[u_terms.index(head)]
+            terms = {head: 1}
+            for j, tail in enumerate(n_terms):
+                c = row[len(u_terms) + j]
+                if c:
+                    terms[tail] = c
+            elements[head] = MarkedElement(ModuleElement(layout, terms), head)
+    return MarkedSet(basis, [elements[h] for h in basis.sorted_terms()])
 
 
 def multiplicative_products(marked, s: int):

@@ -24,7 +24,6 @@ from marked_bases import (
     invariant_bounds,
     is_marked_basis,
     minimize_resolution,
-    monomial_marked_set,
     complement_terms,
     parse_document,
     pommaret_completion,
@@ -49,6 +48,7 @@ from oracles import (
     all_products,
     evaluate,
     evaluate_representation,
+    monomial_marked_set,
     multiplicative_products,
     param_variable,
     reduce_in_order,

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -595,6 +596,21 @@ class TestExitCodes:
         code, out = run(capsys, "check", str(path))
         assert code == 2
         assert "line 3, column 15: zero denominator in '3/0'" in out.err
+
+    def test_truncation_past_the_size_limit_is_input_error(self, capsys, tmp_path):
+        """The size of a truncation is counted before any term is built, so
+        a far degree is refused at once instead of running without end."""
+        path = tmp_path / "far.mb"
+        path.write_text("ring 3\nideal J = x2^2, x2*x1, x1^3\n")
+        start = time.process_time()
+        code, out = run(capsys, "truncate", str(path), "--degree", "100000000")
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("input error: the truncation at degree 100000000 has ")
+        # Degree 445 gives 99,677 terms, within the limit; 446 gives 100,124.
+        code, out = run(capsys, "truncate", str(path), "--degree", "446")
+        assert code == 2 and "at degree 446 has 100124 terms" in out.err
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -229,19 +229,21 @@ class TestPipelines:
 
 
 class TestDivision:
+    """`linalg.rref` on sparse rows {column: value}: a zero is never stored."""
+
     def test_rref_of_integer_rows_is_exact(self):
-        reduced, pivots = rref([[2, 1], [4, 3]])
+        reduced, pivots = rref([{0: 2, 1: 1}, {0: 4, 1: 3}])
         assert pivots == [0, 1]
-        assert reduced == [[1, 0], [0, 1]]
-        [row], _ = rref([[2, 1]])
-        assert row == [1, Fraction(1, 2)]
+        assert reduced == [{0: 1}, {1: 1}]
+        [row], _ = rref([{0: 2, 1: 1}])
+        assert row == {0: 1, 1: Fraction(1, 2)}
         assert type(row[1]) is Fraction
-        assert not any(isinstance(x, float) for x in row)
+        assert not any(isinstance(x, float) for x in row.values())
 
     def test_rref_keeps_integral_quotients_as_ints(self):
-        reduced, _ = rref([[-1, 2, 0], [3, -6, 1]])
-        assert reduced == [[1, -2, 0], [0, 0, 1]]
-        assert all(type(x) is int for x in reduced[0])
+        reduced, _ = rref([{0: -1, 1: 2}, {0: 3, 1: -6, 2: 1}])
+        assert reduced == [{0: 1, 1: -2}, {2: 1}]
+        assert all(type(x) is int for x in reduced[0].values())
 
     def test_minimization_with_pivot_two(self, pivots):
         full = free_resolution(marked_from_doc(PIVOT_TWO_DOC))

@@ -17,7 +17,6 @@ from marked_bases import (
     TailTermInU,
     generic_marked_set,
     is_marked_basis,
-    monomial_marked_set,
     nonmultiplicative_variables,
     reduce_full,
 )
@@ -33,6 +32,7 @@ from oracles import (
     evaluate_representation,
     lex_greatest,
     lex_key,
+    monomial_marked_set,
     multiplicative_products,
     param_variable,
     reduce_in_order,

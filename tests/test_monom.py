@@ -288,6 +288,21 @@ class TestTruncate:
         assert cut.terms == frozenset(expected)
         assert len(cut.terms) == 7
 
+    def test_size_limit_counts_the_terms_exactly(self, monkeypatch, rng):
+        """The count made before building equals the size of the output: a
+        limit equal to the size of a truncation lets it through, and one
+        term less refuses it."""
+        for _ in range(8):
+            basis = random_quasi_stable_module(rng, 2, rng.randint(1, 2))
+            m = basis.max_degree() + rng.randint(-1, 3)
+            size = len(truncate_basis(basis, m).terms)
+            monkeypatch.setattr(monom_module, "TRUNCATION_LIMIT", size)
+            assert len(truncate_basis(basis, m).terms) == size
+            monkeypatch.setattr(monom_module, "TRUNCATION_LIMIT", size - 1)
+            with pytest.raises(monom_module.TooLarge, match=f"at degree {m} has {size} terms"):
+                truncate_basis(basis, m)
+            monkeypatch.undo()
+
     def test_truncation_stays_certified(self, rng):
         for _ in range(8):
             basis = random_quasi_stable_basis(rng, 2, max_deg=3)

@@ -181,21 +181,37 @@ def test_src_line_budget():
     assert lines <= 3705
 
 
-def test_names_the_benchmark_needs(monkeypatch):
+def test_names_the_benchmark_needs(monkeypatch, tmp_path):
     """`bench/workloads.py` imports names of the package, and
     `bench/tracing.py` wraps every function listed in its `SPANS` and
     `COUNTS`; a deleted or renamed one fails here, not only in the
-    benchmark.  Nothing is written under `bench/`."""
+    benchmark.  Each workload's quick op list then runs once under the
+    installed tracer, as `--trace 1` runs it: every op passes its own
+    check, `rref` is traced on `survey` (its hook reads the rows as a
+    list), and removing the tracer leaves nothing wrapped.  Nothing is
+    written under `bench/`."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    importlib.import_module("workloads")
+    workloads = importlib.import_module("workloads")
     tracing = importlib.import_module("tracing")
-    tracer = tracing.Tracer()
-    try:
-        tracer.install()
-    finally:
-        tracer.remove()
-    tracing.assert_untraced()
+    for name, build in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        ops = build(1, workdir, quick=True)
+        tracer = tracing.Tracer()
+        results = []
+        try:
+            tracer.install()
+            for k, op in enumerate(ops):
+                tracer.start_op(f"0:{k}")
+                results.append(op.run())
+        finally:
+            tracer.remove()
+        tracing.assert_untraced()
+        assert [problem for op, result in zip(ops, results) for problem in op.check(result)] == []
+        if name == "survey":
+            assert tracer.counts["linalg.rref.calls"] > 0
+            assert tracer.counts["linalg.rref.cells"] > 0
 
 
 def test_ab_ops_loads_two_trees_side_by_side():

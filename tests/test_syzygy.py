@@ -26,7 +26,6 @@ from marked_bases import (
     invariant_bounds,
     is_marked_basis,
     minimize_resolution,
-    monomial_marked_set,
     pommaret_completion,
     predicted_ranks,
     prolongation_rep,
@@ -52,7 +51,7 @@ from conftest import (
     c3_basis,
     c4_basis,
 )
-from oracles import is_stable_scan, saturate, triangular_representation
+from oracles import is_stable_scan, monomial_marked_set, saturate, triangular_representation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
