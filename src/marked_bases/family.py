@@ -98,7 +98,7 @@ def generic_marked_set(basis: PommaretBasis) -> GenericMarkedSet:
         raise ValueError("requires a certified basis")
     pairs, names = tail_parameters(basis)
     n = len(pairs)
-    tails = zip(pairs, [ParamPoly._trusted(n, {((k, 1),): -1}) for k in range(n)])
+    tails = zip(pairs, [ParamPoly(n, {((k, 1),): -1}) for k in range(n)])
     marked = _marked_set(basis, ParamPoly.const(n, 1), tails)
     return GenericMarkedSet(basis, marked, tuple(names), tuple(pairs))
 

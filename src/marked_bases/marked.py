@@ -163,9 +163,6 @@ class MarkedSet:
     def layout(self):
         return self.basis.layout
 
-    def __len__(self):
-        return len(self.elements)
-
     def ordered(self) -> list[MarkedElement]:
         return list(self.elements.values())
 
@@ -307,7 +304,7 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
         keyed.append((-mult, position[head], mult, head, c))
     keyed.sort(key=itemgetter(0, 1))
     unpack_exp, unpack = packing.unpack_exp, packing.unpack
-    wrap = rational if nparams is None else partial(ParamPoly._trusted, nparams)
+    wrap = rational if nparams is None else partial(ParamPoly, nparams)
     flat = tuple((wrap(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed)
     remainder = ModuleElement._trusted(
         basis.layout, {unpack(p): wrap(c) for p, c in work.items()}, h.degree if work else None

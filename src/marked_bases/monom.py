@@ -221,8 +221,8 @@ class PommaretBasis:
     ``certified`` is set by the structural test `certified_basis`, which
     the completion also goes through.  Cone lookups go through one
     `ConeIndex` of the terms, packed by the basis's `packing`: the one the
-    structural test built, or one built on the first lookup.  The reduction
-    kernel asks with packed terms, and those answers are memoised in
+    structural test built, or one built on the first lookup.  Lookups take
+    and give packed terms, and `cone_divisor` memoises them in
     ``_cone_cache``, keyed by the packed term (sound: the value is
     immutable, and the memo is cleared when the packing is replaced).
     Every marked set over the basis shares the packing and the memo.
@@ -244,26 +244,16 @@ class PommaretBasis:
     def sorted_terms(self) -> list[ModuleTerm]:
         return sorted(self.terms, key=lambda t: listing_key(self.layout, t))
 
-    def component(self, k: int) -> list[Exponent]:
-        return sorted(t.exp for t in self.terms if t.comp == k)
-
     def max_degree(self) -> int:
         return max((self.layout.term_degree(t) for t in self.terms), default=0)
 
-    def cone_divisor(self, t):
-        """The unique basis term whose cone contains t, or None outside U.
-
-        A `ModuleTerm` is packed, widening the packing to its degree when
-        needed, and answered with a `ModuleTerm`.  An int is a term packed
-        by the current `packing` and is answered packed, through the memo."""
-        if type(t) is not int:
-            packing = self.packing(self.layout.term_degree(t))
-            found = self._cones.find(packing.pack(t))
-            return None if found is None else packing.unpack(found)
-        hit = self._cone_cache.get(t, False)
+    def cone_divisor(self, p: int):
+        """The packed basis term whose cone contains the term p, packed by
+        the current `packing`, or None outside U; memoised."""
+        hit = self._cone_cache.get(p, False)
         if hit is not False:
             return hit
-        found = self._cone_cache[t] = self._cones.find(t)
+        found = self._cone_cache[p] = self._cones.find(p)
         return found
 
     def packing(self, degree: int) -> TermPacking:
@@ -503,9 +493,10 @@ def basis_invariants(basis: PommaretBasis) -> InvariantReport:
     )
 
 
-# The most terms `truncate_basis` builds: `mbases truncate` prints 99,677
-# terms in about 1.5 s of CPU time on a 2-CPU x86-64 virtual machine.
-TRUNCATION_LIMIT = 100_000
+# The most terms a truncation or the split of one degree builds: `mbases
+# truncate` prints 99,677 terms in about 1.5 s of CPU time on a 2-CPU x86-64
+# virtual machine.
+TERM_LIMIT = 100_000
 
 
 def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
@@ -515,7 +506,7 @@ def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
     by the degree-m slice of its cone.  The output is certified directly by
     the structural test (`certified_basis`).  Its size is counted first, a
     cone of class i giving binomial(m - d + i, i) terms, and more than
-    `TRUNCATION_LIMIT` terms are refused (`TooLarge`) before any is built.
+    `TERM_LIMIT` terms are refused (`TooLarge`) before any is built.
     """
     if not basis.certified:
         raise ValueError("requires a certified basis")
@@ -525,9 +516,9 @@ def truncate_basis(basis: PommaretBasis, m: int) -> PommaretBasis:
         d = layout.term_degree(t)
         i = pommaret_class(t.exp, layout.n)
         size += 1 if d >= m + 1 else comb(m - d + i, i)
-    if size > TRUNCATION_LIMIT:
+    if size > TERM_LIMIT:
         raise TooLarge(f"the truncation at degree {m} has {size} terms, "
-                       f"more than the {TRUNCATION_LIMIT} this program builds")
+                       f"more than the {TERM_LIMIT} this program builds")
     out: set[ModuleTerm] = set()
     for t in basis.terms:
         d = layout.term_degree(t)
@@ -576,12 +567,18 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
     some cone holds it; the terms are looked up packed by the basis's
     packing for degree s.  All terms have degree s, so listing order is the
     order of the (exponent, component) pairs themselves.  The memo's lists
-    are never handed out: callers get copies, which they may keep."""
+    are never handed out: callers get copies, which they may keep.  More
+    than `TERM_LIMIT` terms of degree s are refused (`TooLarge`) before any
+    is built."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
     split = basis._slices.get(s)
     if split is None:
         layout = basis.layout
+        size = ambient_rank(layout, s)
+        if size > TERM_LIMIT:
+            raise TooLarge(f"degree {s} has {size} terms, "
+                           f"more than the {TERM_LIMIT} this program builds")
         pack = basis.packing(s).pack
         find = basis._cones.find
         inside: list[ModuleTerm] = []

@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic and sparse module-element arithmetic.
+"""Exact coefficient arithmetic and sparse module elements.
 
 Two coefficient domains are supported:
 
@@ -10,15 +10,14 @@ Two coefficient domains are supported:
   mix exactly (``int`` with ``int`` stays ``int``), compare and hash alike,
   and print alike (``str(3) == str(Fraction(3))``).  `rational` applies the
   rule where a rational is divided or stored: in the ``ModuleElement``
-  constructor (so for every parsed, generated, reduced or added element),
-  the ``ParamPoly`` constructors, reduction summands, every division by a
-  pivot, and every term `poly_add_product` stores;
+  constructor (so for every parsed element), `ParamPoly.const`, reduction
+  summands, every division by a pivot, and every term `poly_add_product`
+  stores;
 * ``ParamPoly`` -- polynomials with rational coefficients in a declared
-  finite list of parameters, the family mode.  Each monomial is stored
-  sparsely, as sorted ``(parameter index, power)`` pairs, because a family
-  has hundreds of parameters and each monomial involves only a few; the
-  dense exponent tuples of the public constructor and of ``terms`` exist
-  only at that boundary.
+  finite list of parameters, the family mode.  Each monomial is stored,
+  built and read sparsely, as sorted ``(parameter index, power)`` pairs,
+  because a family has hundreds of parameters and each monomial involves
+  only a few.
 
 Elements of the weighted free module live in ``FreeModuleLayout(n, weights)``:
 the ambient ring has variables x0..xn and the free generators e1..em carry
@@ -40,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, lshift
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
 
@@ -268,12 +266,11 @@ class ParamPoly:
     Storage is sparse: each monomial is a sorted tuple of ``(index, power)``
     pairs (``()`` is the constant), mapped to a non-zero rational, so the
     cost of arithmetic does not grow with the number of parameters.  The
-    public constructor takes dense exponent tuples of length ``nparams`` and
-    validates them; ``terms`` is a read-only view with dense keys, built on
-    request.  The constructors store integral rationals as ints;
-    arithmetic stores what int and Fraction arithmetic yield, so ints stay
-    ints, and only a result computed from a non-integral Fraction can be an
-    integral Fraction (equal to the int, and printed alike).
+    constructor wraps such terms as they are: nothing is copied, checked or
+    converted.  `const` stores an integral rational as an int; arithmetic
+    stores what int and Fraction arithmetic yield, so ints stay ints, and
+    only a result computed from a non-integral Fraction can be an integral
+    Fraction (equal to the int, and printed alike).
     Instances are treated as immutable; arithmetic returns fresh objects.
     Plain numbers coerce to constants, so rationals and ParamPolys mix
     freely in module-element coefficients.
@@ -281,42 +278,14 @@ class ParamPoly:
 
     __slots__ = ("nparams", "_terms")
 
-    def __init__(self, nparams: int, terms: Mapping[Exponent, Rational] | None = None):
+    def __init__(self, nparams: int, terms: ParamTerms):
         self.nparams = nparams
-        clean: ParamTerms = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != nparams:
-                    raise ValueError("parameter exponent of wrong length")
-                c = rational(Fraction(c))
-                if c:
-                    clean[tuple((i, x) for i, x in enumerate(e) if x)] = c
-        self._terms = clean
-
-    @classmethod
-    def _trusted(cls, nparams: int, terms: ParamTerms) -> "ParamPoly":
-        """Wrap sparse terms whose values are already non-zero rationals;
-        nothing is copied, checked or converted."""
-        p = object.__new__(cls)
-        p.nparams = nparams
-        p._terms = terms
-        return p
-
-    @property
-    def terms(self) -> Mapping[Exponent, Rational]:
-        """Read-only view keyed by dense exponent tuples over all parameters."""
-        dense = {}
-        for m, c in self._terms.items():
-            e = [0] * self.nparams
-            for i, p in m:
-                e[i] = p
-            dense[tuple(e)] = c
-        return MappingProxyType(dense)
+        self._terms = terms
 
     @classmethod
     def const(cls, nparams: int, value) -> "ParamPoly":
         v = rational(Fraction(value))
-        return cls._trusted(nparams, {(): v} if v else {})
+        return cls(nparams, {(): v} if v else {})
 
     def _coerce(self, other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
@@ -344,7 +313,7 @@ class ParamPoly:
         return hash((self.nparams, frozenset(self._terms.items())))
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly._trusted(self.nparams, {m: -c for m, c in self._terms.items()})
+        return ParamPoly(self.nparams, {m: -c for m, c in self._terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -352,7 +321,7 @@ class ParamPoly:
             return NotImplemented
         out = dict(self._terms)
         param_add_product(out, other._terms, {(): 1}, 1)
-        return ParamPoly._trusted(self.nparams, out)
+        return ParamPoly(self.nparams, out)
 
     __radd__ = __add__
 
@@ -374,7 +343,7 @@ class ParamPoly:
             return NotImplemented
         out: ParamTerms = {}
         param_add_product(out, self._terms, other._terms, 1)
-        return ParamPoly._trusted(self.nparams, out)
+        return ParamPoly(self.nparams, out)
 
     __rmul__ = __mul__
 
@@ -395,7 +364,7 @@ class ParamPoly:
         return sorted(self._terms.items(), key=lambda item: _mono_order_key(item[0]))
 
     def __repr__(self):
-        return f"ParamPoly({self.nparams}, {dict(self.terms)!r})"
+        return f"ParamPoly({self.nparams}, {self._terms!r})"
 
 
 Coeff = Union[int, Fraction, ParamPoly]
@@ -456,25 +425,6 @@ class ModuleElement:
         if not isinstance(other, ModuleElement):
             return NotImplemented
         return self.layout == other.layout and self.terms == other.terms
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.layout != other.layout:
-            raise ValueError("layout mismatch")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return ModuleElement(self.layout, out)
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.layout, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
 
     def mul_term(self, e: Exponent) -> "ModuleElement":
         """x^e times the element.  The shifted terms of a checked element

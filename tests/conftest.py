@@ -35,6 +35,15 @@ def E(layout, terms):
     return ModuleElement(layout, {t: Fraction(c) for t, c in terms.items()})
 
 
+def cone_divisor_of(basis, t):
+    """The basis term whose cone holds the module term t, or None: t is
+    packed for its degree (`PommaretBasis.packing`) and looked up through
+    `PommaretBasis.cone_divisor`, the kernel's one cone lookup."""
+    packing = basis.packing(basis.layout.term_degree(t))
+    found = basis.cone_divisor(packing.pack(t))
+    return None if found is None else packing.unpack(found)
+
+
 def build_twisted_example():
     """P(J) = {x2^3, x2^2x1, x2x1, x1x0, x1^2} with the one non-trivial tail
     x1x0 + x2^2; paper-order numbering g1..g5."""

@@ -455,6 +455,30 @@ def all_module_terms(layout: FreeModuleLayout, s: int):
 # parameters: non-zero Fraction}, with the arithmetic written out directly.
 
 
+def param_poly(nparams: int, dense: Mapping) -> ParamPoly:
+    """The ParamPoly of a dense polynomial over `nparams` parameters, zero
+    coefficients dropped and integral ones stored as ints."""
+    terms = {}
+    for e, c in dense.items():
+        if len(e) != nparams:
+            raise ValueError("parameter exponent of wrong length")
+        c = rational(Fraction(c))
+        if c:
+            terms[tuple((i, x) for i, x in enumerate(e) if x)] = c
+    return ParamPoly(nparams, terms)
+
+
+def dense_terms(p: ParamPoly) -> dict:
+    """The terms of p keyed by dense exponent tuples over all parameters."""
+    dense = {}
+    for m, c in p._terms.items():
+        e = [0] * p.nparams
+        for i, power in m:
+            e[i] = power
+        dense[tuple(e)] = c
+    return dense
+
+
 def dense_add(p, q):
     out = dict(p)
     for e, c in q.items():
@@ -487,7 +511,7 @@ def param_variable(nparams: int, i: int) -> ParamPoly:
     """The parameter C_i as a ParamPoly over `nparams` parameters."""
     if not 0 <= i < nparams:
         raise ValueError(f"parameter index {i} out of range")
-    return ParamPoly._trusted(nparams, {((i, 1),): 1})
+    return ParamPoly(nparams, {((i, 1),): 1})
 
 
 def evaluate(p: ParamPoly, assignment: Mapping[int, Rational]) -> Rational:
@@ -719,16 +743,24 @@ def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
     at every step and attacks `chooser(candidates)`.  The reducer of each
     term is forced, so every chooser must reach the kernel's remainder, and
     every created term of U must still have a multiplier lex-below the one
-    just used."""
+    just used.  Cones are found by `cone_divisor_scan`, memoised per call,
+    not by the basis's cone index."""
     basis = marked.basis
+    divisors: dict = {}
+
+    def cone_divisor(t):
+        if t not in divisors:
+            divisors[t] = cone_divisor_scan(basis.terms, t)
+        return divisors[t]
+
     work = dict(h.terms)
     summands: dict = {}
     while True:
-        candidates = [t for t in work if basis.cone_divisor(t) is not None]
+        candidates = [t for t in work if cone_divisor(t) is not None]
         if not candidates:
             break
         target = chooser(candidates)
-        head = basis.cone_divisor(target)
+        head = cone_divisor(target)
         mult = exp_sub(target.exp, head.exp)
         coeff = work.pop(target)
         total = summands.get((mult, head), 0) + coeff
@@ -740,7 +772,7 @@ def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
             if t == head:
                 continue
             shifted = term_mul(t, mult)
-            divisor = basis.cone_divisor(shifted)
+            divisor = cone_divisor(shifted)
             if divisor is not None:
                 assert lex_key(exp_sub(shifted.exp, divisor.exp)) < lex_key(mult)
             s = work.get(shifted, 0) - coeff * c
@@ -930,7 +962,7 @@ def triangular_representation(
         if j > pommaret_class(tau.exp, layout.n):
             raise StructureViolated(f"multiplier x{j} not multiplicative for {tau}")
     for t in rep.remainder.terms:
-        if base.cone_divisor(t) is not None:
+        if cone_divisor_scan(base.terms, t) is not None:
             raise StructureViolated(f"remainder term {t} lies inside the base ideal")
     return TriangularReport(head, i, rep, True)
 

@@ -41,7 +41,7 @@ from marked_bases.randgen import random_marked_basis
 from conftest import (
     E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, TWISTED_MINIMAL_DOC, c4_basis, survey_bases,
 )
-from oracles import parse_resolution
+from oracles import param_poly, parse_resolution
 from samplers import random_homogeneous_element
 
 
@@ -256,7 +256,7 @@ ONE, X1, X2, X0 = (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)
 
 
 def _param(terms):
-    return ParamPoly(2, terms)
+    return param_poly(2, terms)
 
 
 def _rank2_element():
@@ -612,6 +612,24 @@ class TestExitCodes:
         code, out = run(capsys, "truncate", str(path), "--degree", "446")
         assert code == 2 and "at degree 446 has 100124 terms" in out.err
 
+    @pytest.mark.parametrize("argv", [["family"], ["specialize", "--set", "C0=1"]],
+                             ids=["family", "specialize"])
+    def test_degree_past_the_size_limit_is_input_error(self, capsys, tmp_path, argv):
+        """The tails of a head of degree 3000 range over the 4,504,501 terms
+        of that degree, more than the package builds: they are counted
+        before any is enumerated, so both commands are refused at once."""
+        path = tmp_path / "high.mb"
+        path.write_text("ring 3\nideal J = x2^3000\n")
+        start = time.process_time()
+        code, out = run(capsys, argv[0], str(path), *argv[1:])
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert out.out == ""
+        assert out.err == (
+            "input error: degree 3000 has 4504501 terms, more than the 100000 "
+            "this program builds\n"
+        )
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         keyword=st.sampled_from(["ideal J =", "marked G ="]),
@@ -944,7 +962,7 @@ class TestSpecializeReadsTheBasisTest:
 
         for module in (cli_module, family_module):
             monkeypatch.setattr(module, "generic_marked_set", refuse)
-        monkeypatch.setattr(ParamPoly, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(ParamPoly, "__init__", refuse)
         code, out = run(capsys, "specialize", path, "--set", assignment)
         assert code == expected_code
         assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDEN_FAMILY_SHA256[(name, point)]

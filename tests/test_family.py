@@ -446,7 +446,7 @@ class TestSpecializeFromTheHeads:
             by_name = dict(zip(generic.param_names, values))
             expected, assignment = specialize_by_evaluation(generic, by_name)
             with monkeypatch.context() as patch:
-                patch.setattr(ParamPoly, "_trusted", classmethod(refuse_parameter_polynomials))
+                patch.setattr(ParamPoly, "__init__", refuse_parameter_polynomials)
                 spec = specialize(generic, dict(enumerate(values)))
                 cli_route, cli_values = specialized_set(basis, *tail_parameters(basis), by_name)
             assert shape(spec.marked) == shape(cli_route) == shape(expected)

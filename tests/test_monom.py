@@ -36,7 +36,7 @@ from marked_bases.monom import (
 )
 from marked_bases.ring import InternalError, TermPacking
 from marked_bases.randgen import random_quasi_stable_basis, random_quasi_stable_exponents
-from conftest import LAY3, T, TWISTED_MINIMAL_DOC
+from conftest import LAY3, T, TWISTED_MINIMAL_DOC, cone_divisor_of
 from samplers import random_quasi_stable_module
 from oracles import (
     all_module_terms,
@@ -81,13 +81,13 @@ class TestMultiplicativeVariables:
 
 class TestConeDivisor:
     def test_multiplicative_multiple(self, twisted):
-        assert twisted.basis.cone_divisor(T((0, 1, 3))) == T((0, 0, 3))
+        assert cone_divisor_of(twisted.basis, T((0, 1, 3))) == T((0, 0, 3))
 
     def test_outside_module(self, twisted):
-        assert twisted.basis.cone_divisor(T((2, 0, 0))) is None
+        assert cone_divisor_of(twisted.basis, T((2, 0, 0))) is None
 
     def test_deep_in_cone(self, twisted):
-        assert twisted.basis.cone_divisor(T((5, 1, 0))) == T((1, 1, 0))
+        assert cone_divisor_of(twisted.basis, T((5, 1, 0))) == T((1, 1, 0))
 
     def test_unique_divisor_on_slices(self, twisted):
         for s in range(2, 7):
@@ -96,7 +96,7 @@ class TestConeDivisor:
                     g
                     for g in twisted.basis.terms
                     if g.comp == t.comp
-                    and PommaretBasis(LAY3, frozenset({g}), certified=True).cone_divisor(t)
+                    and cone_divisor_of(PommaretBasis(LAY3, frozenset({g}), certified=True), t)
                 ]
                 assert len(hits) == 1
 
@@ -296,9 +296,9 @@ class TestTruncate:
             basis = random_quasi_stable_module(rng, 2, rng.randint(1, 2))
             m = basis.max_degree() + rng.randint(-1, 3)
             size = len(truncate_basis(basis, m).terms)
-            monkeypatch.setattr(monom_module, "TRUNCATION_LIMIT", size)
+            monkeypatch.setattr(monom_module, "TERM_LIMIT", size)
             assert len(truncate_basis(basis, m).terms) == size
-            monkeypatch.setattr(monom_module, "TRUNCATION_LIMIT", size - 1)
+            monkeypatch.setattr(monom_module, "TERM_LIMIT", size - 1)
             with pytest.raises(monom_module.TooLarge, match=f"at degree {m} has {size} terms"):
                 truncate_basis(basis, m)
             monkeypatch.undo()
@@ -372,9 +372,9 @@ def test_disjoint_cover_on_random_inputs(rng):
         reg = basis.max_degree()
         for s in range(reg + 4):
             for t in module_terms_of_degree(basis, s):
-                assert basis.cone_divisor(t) is not None
+                assert cone_divisor_of(basis, t) is not None
             for t in complement_terms(basis, s):
-                assert basis.cone_divisor(t) is None
+                assert cone_divisor_of(basis, t) is None
             outside = set(all_module_terms(basis.layout, s)) - module_slice(
                 basis.terms, basis.layout, s
             )
@@ -411,6 +411,21 @@ def test_degree_split_once_per_basis_in_listing_order(monkeypatch, rng):
                 module_slice(basis.terms, layout, s), key=key
             )
             assert len(degrees) == enumerated
+
+
+def test_degree_split_size_limit_counts_the_terms_exactly(monkeypatch, twisted):
+    """The split of a degree counts the terms of that degree before it
+    enumerates any: a limit equal to their number lets the split through,
+    and one term less refuses it."""
+    for s in (3, 6):
+        size = len(all_module_terms(LAY3, s))
+        monkeypatch.setattr(monom_module, "TERM_LIMIT", size)
+        basis = certified_basis(twisted.basis.terms, LAY3)
+        assert len(module_terms_of_degree(basis, s)) + len(complement_terms(basis, s)) == size
+        monkeypatch.setattr(monom_module, "TERM_LIMIT", size - 1)
+        basis = certified_basis(twisted.basis.terms, LAY3)
+        with pytest.raises(monom_module.TooLarge, match=f"degree {s} has {size} terms"):
+            complement_terms(basis, s)
 
 
 # ---------- the cone index against the scans it replaced ----------
@@ -530,7 +545,7 @@ class TestConeIndex:
                 for _ in range(30)
             ]
             for t in probe_terms(layout, basis.terms, extra):
-                assert basis.cone_divisor(t) == cone_divisor_scan(basis.terms, t)
+                assert cone_divisor_of(basis, t) == cone_divisor_scan(basis.terms, t)
                 lookups += 1
         assert lookups > 500
 
@@ -584,7 +599,8 @@ def listed_terms(basis, listing, rng):
     its Pommaret basis, its minimal generators, either with multiples of
     their own terms added, or the basis with one term dropped; shuffled."""
     gens = [
-        T(e, k) for k in range(1, basis.layout.rank + 1) for e in minimalize(basis.component(k))
+        T(e, k) for k in range(1, basis.layout.rank + 1)
+        for e in minimalize(t.exp for t in basis.terms if t.comp == k)
     ]
     terms = list(basis.terms) if listing.startswith("basis") else gens
     if "redundant" in listing:

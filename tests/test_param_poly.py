@@ -16,6 +16,8 @@ from oracles import (
     evaluate,
     dense_sorted_terms,
     dense_sub,
+    dense_terms,
+    param_poly,
     sparse_mono_mul,
     sparse_mono_order_key,
 )
@@ -32,7 +34,7 @@ points = st.lists(coefficients, min_size=NPARAMS, max_size=NPARAMS)
 
 
 def pp(p) -> ParamPoly:
-    return ParamPoly(NPARAMS, p)
+    return param_poly(NPARAMS, p)
 
 
 def dense_of(monomial) -> tuple[int, ...]:
@@ -45,21 +47,21 @@ def dense_of(monomial) -> tuple[int, ...]:
 @settings(max_examples=100, deadline=None)
 @given(dense_polys, dense_polys)
 def test_arithmetic_matches_dense(p, q):
-    assert dict(pp(p).terms) == p
-    assert dict((pp(p) + pp(q)).terms) == dense_add(p, q)
-    assert dict((pp(p) - pp(q)).terms) == dense_sub(p, q)
-    assert dict((pp(p) * pp(q)).terms) == dense_mul(p, q)
-    assert dict((-pp(p)).terms) == dense_neg(p)
+    assert dense_terms(pp(p)) == p
+    assert dense_terms(pp(p) + pp(q)) == dense_add(p, q)
+    assert dense_terms(pp(p) - pp(q)) == dense_sub(p, q)
+    assert dense_terms(pp(p) * pp(q)) == dense_mul(p, q)
+    assert dense_terms(-pp(p)) == dense_neg(p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(dense_polys, dense_polys, coefficients)
 def test_mixing_with_numbers_matches_dense(p, q, c):
     const = {(0,) * NPARAMS: c} if c else {}
-    assert dict((c * pp(p)).terms) == dense_mul(const, p)
-    assert dict((pp(p) + c).terms) == dense_add(p, const)
-    assert dict((c - pp(p)).terms) == dense_sub(const, p)
-    assert dict((pp(p) - c).terms) == dense_sub(p, const)
+    assert dense_terms(c * pp(p)) == dense_mul(const, p)
+    assert dense_terms(pp(p) + c) == dense_add(p, const)
+    assert dense_terms(c - pp(p)) == dense_sub(const, p)
+    assert dense_terms(pp(p) - c) == dense_sub(p, const)
 
 
 @settings(max_examples=100, deadline=None)

@@ -94,16 +94,19 @@ def _bound_names(function) -> set[str]:
     return bound
 
 
-def _uses(paths, modules, *, dotted: bool) -> tuple[set[str], set[str]]:
-    """(names, attributes) that the files use.
+def _uses(paths, modules, *, dotted: bool) -> tuple[set[str], set[str], set[str]]:
+    """(names, attributes, constructed) that the files use.
 
     A name is used where it is loaded (called or taken as a value) and no
     enclosing function binds it, or where it is read as an attribute of an
     imported module (`mod.f`).  An attribute is used where it is read.  A
     function's uses of its own name do not count.  With `dotted`, every
     part of a dotted string constant counts as both, as for the attribute
-    paths that `bench/tracing.py` wraps."""
-    names, attributes = set(), set()
+    paths that `bench/tracing.py` wraps.  A used name is constructed where
+    it is called, or passed as an argument of any call but `isinstance` or
+    `issubclass` (`partial(Cls, n)`); reading an attribute of a class
+    (`Cls.const`) or testing an instance's type constructs nothing."""
+    names, attributes, constructed = set(), set(), set()
 
     def visit(node, imported, scopes):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -116,6 +119,17 @@ def _uses(paths, modules, *, dotted: bool) -> tuple[set[str], set[str]]:
                 attributes.add(node.attr)
                 if isinstance(node.value, ast.Name) and node.value.id in imported:
                     names.add(node.attr)
+        elif isinstance(node, ast.Call):
+            values = [node.func]
+            if not (isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass")):
+                values += [*node.args, *(keyword.value for keyword in node.keywords)]
+            for value in values:
+                if isinstance(value, ast.Name):
+                    if not any(value.id == own or value.id in bound for own, bound in scopes):
+                        constructed.add(value.id)
+                elif isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name) \
+                        and value.value.id in imported:
+                    constructed.add(value.attr)
         elif dotted and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"[\w.]+", node.value):
                 names.update(node.value.split("."))
@@ -133,31 +147,38 @@ def _uses(paths, modules, *, dotted: bool) -> tuple[set[str], set[str]]:
             if isinstance(node, ast.Import) or alias.name in modules
         }
         visit(tree, imported, [])
-    return names, attributes
+    return names, attributes, constructed
 
 
 def test_every_function_has_a_caller_outside_the_tests():
     """Each top-level function of the package is called, or taken as a
-    value under a name that no enclosing function binds, and each method
-    other than a dunder is read as an attribute, by the package itself, by
-    `bench/` or by `scripts/`.  The re-exports of `__init__.py` do not
+    value under a name that no enclosing function binds, each method other
+    than a dunder is read as an attribute, and each class that defines
+    `__init__` is called or passed as an argument, by the package itself,
+    by `bench/` or by `scripts/`.  The re-exports of `__init__.py` do not
     count, dotted strings count only in `bench/` and `scripts/`, and the
     frozen copy under `bench/` is no caller.  A helper that only tests use
     belongs in `tests/`.
 
-    A method is matched by its name alone, so one whose name is also read
-    as another attribute passes unseen: `ParamPoly.variable` could hide
-    behind `NotQuasiStable.variable`, and was moved into the tests by
-    hand."""
+    Limits, each checked by hand instead:
+    - a method is matched by its name alone, so one whose name is also
+      read as another attribute passes unseen: `ParamPoly.variable` could
+      hide behind `NotQuasiStable.variable`, and `PommaretBasis.component`
+      behind `MonomialModule.component`; both were moved or deleted;
+    - dunder methods other than `__init__` are not checked, so an
+      operator or `__len__` that only the tests use passes unseen, as
+      `ModuleElement.__add__` and `MarkedSet.__len__` did before they
+      were deleted."""
     sources = sorted(PACKAGE.glob("*.py"))
     modules = {path.stem for path in sources}
-    names, attributes = _uses(
+    names, attributes, constructed = _uses(
         [path for path in sources if path.name != "__init__.py"], modules, dotted=False
     )
     tools = [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    more_names, more_attributes = _uses(tools, modules, dotted=True)
+    more_names, more_attributes, more_constructed = _uses(tools, modules, dotted=True)
     names |= more_names
     attributes |= more_attributes
+    constructed |= more_constructed
     unused = []
     for path in sources:
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -168,8 +189,8 @@ def test_every_function_has_a_caller_outside_the_tests():
                     f"{path.stem}.{node.name}.{method.name}"
                     for method in node.body
                     if isinstance(method, ast.FunctionDef)
-                    and not method.name.startswith("__")
-                    and method.name not in attributes
+                    and (node.name not in constructed if method.name == "__init__"
+                         else not method.name.startswith("__") and method.name not in attributes)
                 ]
     assert unused == []
 

@@ -18,6 +18,7 @@ from marked_bases import (
     MarkedSet,
     MonomialModule,
     NotABasis,
+    ParamPoly,
     ParametricCoefficients,
     basis_invariants,
     family_equations,
@@ -30,11 +31,13 @@ from marked_bases import (
     predicted_ranks,
     prolongation_rep,
     prolongations,
+    specialize,
     syzygy_marked_basis,
     truncate_basis,
     verify_complex,
 )
 from marked_bases.ring import InternalError
+from marked_bases.syzygy import FreeResolution
 from marked_bases.randgen import (
     random_marked_basis,
     random_quasi_stable_basis,
@@ -51,7 +54,9 @@ from conftest import (
     c3_basis,
     c4_basis,
 )
-from oracles import is_stable_scan, monomial_marked_set, saturate, triangular_representation
+from oracles import (
+    evaluate, is_stable_scan, monomial_marked_set, saturate, triangular_representation,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -98,7 +103,7 @@ class TestSyzygyMarkedBasis:
     def test_second_level_syzygy(self, twisted):
         syz1, _ = syzygy_marked_basis(twisted.marked)
         syz2, _ = syzygy_marked_basis(syz1)
-        assert len(syz2) == 1
+        assert len(syz2.elements) == 1
         el = syz2.ordered()[0]
         assert el.head == T((0, 0, 1), 3)
         lay = syz2.layout
@@ -115,7 +120,7 @@ class TestSyzygyMarkedBasis:
     def test_principal_ideal_has_no_syzygies(self):
         basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 4))]))
         syz, columns = syzygy_marked_basis(monomial_marked_set(basis))
-        assert len(syz) == 0 and columns == []
+        assert len(syz.elements) == 0 and columns == []
 
     def test_requires_a_basis(self, twisted):
         from marked_bases import MarkedElement
@@ -320,14 +325,14 @@ class TestSharedReductions:
 
     def test_non_groebner(self, reductions):
         res = free_resolution(build_non_groebner_example().marked)
-        assert len(reductions) == sum(len(lvl) for lvl in res.levels[1:])
+        assert len(reductions) == sum(len(lvl.elements) for lvl in res.levels[1:])
 
     def test_c4_sized_truncation(self, reductions):
         drawn = random_marked_basis(random.Random(1), c4_basis())
         fresh = MarkedSet(drawn.basis, drawn.ordered())
         reductions.clear()
         res = free_resolution(fresh)
-        ranks = [len(lvl) for lvl in res.levels]
+        ranks = [len(lvl.elements) for lvl in res.levels]
         assert ranks == [49, 177, 274, 222, 93, 16]
         assert len(reductions) == sum(ranks[1:]) == 782
 
@@ -412,7 +417,7 @@ class TestComposeOnce:
 
     def test_non_groebner(self, chain_checks):
         res = free_resolution(build_non_groebner_example().marked)
-        assert len(chain_checks) == sum(len(lvl) for lvl in res.levels[1:]) > 0
+        assert len(chain_checks) == sum(len(lvl.elements) for lvl in res.levels[1:]) > 0
         assert chain_checks == [col for mat in res.matrices for col in mat]
 
     def test_c4_sized_truncation(self, chain_checks):
@@ -562,9 +567,6 @@ class TestMinimize:
             seen[stable] += 1
 
     def test_parametric_coefficients_refused(self):
-        from marked_bases import generic_marked_set
-        from marked_bases.syzygy import FreeResolution
-
         basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 1))]))
         generic = generic_marked_set(basis)
         res = FreeResolution(
@@ -576,6 +578,43 @@ class TestMinimize:
         )
         with pytest.raises(ParametricCoefficients):
             minimize_resolution(res)
+
+
+def _evaluated(res: FreeResolution, point) -> FreeResolution:
+    """The resolution with every entry evaluated at the point and the
+    entries that vanish there dropped."""
+    def column(col):
+        out = {}
+        for row, entry in col.items():
+            values = {e: evaluate(c, point) if isinstance(c, ParamPoly) else c
+                      for e, c in entry.items()}
+            values = {e: v for e, v in values.items() if v}
+            if values:
+                out[row] = values
+        return out
+
+    return FreeResolution(res.layout, [column(col) for col in res.bodies], res.degrees,
+                          [[column(col) for col in mat] for mat in res.matrices])
+
+
+class TestParametricResolution:
+    """`free_resolution` over K[C], the one path of the package that does
+    ParamPoly arithmetic (`-coeff` in `syzygy_marked_basis`, `c * b` in
+    `_evaluate_column`): the generic set of (x2, x1^2) has four parameters
+    and no family equation, so it is a marked basis for every value."""
+
+    def test_resolution_specializes_at_every_point(self):
+        basis = pommaret_completion(MonomialModule(LAY3, [T((0, 0, 1)), T((0, 2, 0))]))
+        generic = generic_marked_set(basis)
+        assert generic.nparams == 4 and family_equations(generic).generators == ()
+        res = free_resolution(generic.marked)
+        assert res.rank_pairs() == predicted_ranks(basis)
+        with pytest.raises(ParametricCoefficients):
+            minimize_resolution(res)
+        rng = random.Random(29)
+        for _ in range(3):
+            point = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(4)}
+            assert free_resolution(specialize(generic, point).marked) == _evaluated(res, point)
 
 
 def _doubled_pivot(find):
