@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -423,7 +424,12 @@ def _emit(args, code: int, text: str, payload: dict) -> int:
         rendered = dumps_indented(payload)
     else:
         rendered = text
-    print(rendered)
+    try:
+        print(rendered, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe.  As the Python docs advise for
+        # SIGPIPE, stdout goes to devnull, so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered + "\n")

@@ -17,9 +17,12 @@ need their remainders, the syzygies their summands.  `prolongations` walks
 them in one fixed order (element order, then variable index) and
 `prolongation_rep` reduces each of them once per marked set and memoises
 the representation on the set, so every consumer of the same set shares
-one reduction per prolongation.
+one reduction per prolongation.  It builds x_j*f straight from the packed
+body of f, each term plus one shift, and the summands of the reduction
+stay packed until a consumer reads them (`Representation.summands`).
 
-Inside `reduce_full` a term is one int, packed by the basis's
+Inside the reduction kernel (`_reduce`, which `reduce_full` and
+`prolongation_rep` both call) a term is one int, packed by the basis's
 `ring.TermPacking` (packed monomials after Bachmann and Schönemann, ISSAC
 1998; a heap of packed keys after Monagan and Pearce, J. Symb. Comput.
 2011): rank - comp in the lowest field, then one field per variable with
@@ -33,8 +36,9 @@ terms of one reduction share deg(h), and a target of higher degree first
 widens the basis's packing, clearing the cone memo keyed by the old one
 (`PommaretBasis.packing`): no field overflows.  Each marked set packs its
 bodies once (`MarkedSet.packed_bodies`); all sets over one basis share its
-packing and cone memo.  Module elements and representations stay keyed by
-module terms.
+packing and cone memo.  Module elements and representations are keyed by
+module terms; a representation keeps the packing its summands were packed
+by, so a later widening does not change how they are unpacked.
 
 Over Q the work element and the summands hold inline ints and Fractions,
 and a step computes s - coeff * c.  Over K[C] (ParamPoly head coefficients,
@@ -65,7 +69,6 @@ from .ring import (
     param_add_product,
     rational,
     sparse_terms,
-    var_exp,
 )
 
 
@@ -196,18 +199,36 @@ class MarkedSet:
         return self._sparse[1]
 
 
-@dataclass(frozen=True)
 class Representation:
     """Result of a full reduction: h = sum(c * x^mult * element(head)) + remainder.
 
     Each multiplier is multiplicative for its head, (multiplier, head) pairs
-    are distinct, and summands are listed with multipliers lex-descending
-    (per head the descent is strict).  The remainder is supported outside
-    the monomial module.
+    are distinct, and `summands` lists (c, mult, head) with multipliers
+    lex-descending (per head the descent is strict), then in element order.
+    The remainder is supported outside the monomial module.  The summands
+    are given as that tuple or, by the kernel, as a callable that builds it
+    from the packed summands; it is called on the first read and dropped,
+    so the summands that no consumer reads (the basis test and the family
+    equations read only the remainder) are never unpacked.
     """
 
-    summands: tuple[tuple[Coeff, Exponent, ModuleTerm], ...]
-    remainder: ModuleElement
+    __slots__ = ("_summands", "remainder")
+
+    def __init__(self, summands, remainder: ModuleElement):
+        self._summands = summands
+        self.remainder = remainder
+
+    @property
+    def summands(self) -> tuple[tuple[Coeff, Exponent, ModuleTerm], ...]:
+        summands = self._summands
+        if type(summands) is not tuple:
+            summands = self._summands = summands()
+        return summands
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return self.summands == other.summands and self.remainder == other.remainder
 
 
 def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
@@ -215,40 +236,45 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
 
     The reducer for a term of U is forced (the unique element whose head
     cone contains it, scaled by the multiplicative multiplier), so only the
-    order of attack is a choice, and it cannot change the outcome.  The
-    engine always attacks the lex-greatest term of U left in the work
+    order of attack is a choice, and it cannot change the outcome.  h is
+    packed by the basis's packing for deg(h) and reduced by `_reduce`, the
+    kernel `prolongation_rep` shares.
+    """
+    if h.layout != marked.layout:
+        raise ValueError("element layout differs from the marked set layout")
+    pack = marked.basis.packing(h.degree or 0).pack
+    return _reduce({pack(t): c for t, c in h.terms.items()}, h.degree, marked)
+
+
+def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation:
+    """The reduction kernel.  `work` is the element to reduce, {packed term:
+    stored coefficient} under the basis's packing for `degree` (None for
+    zero); the kernel consumes it.
+
+    The engine always attacks the lex-greatest term of U left in the work
     element (lower component first on equal exponents): every term of U is
     pushed on a heap when it enters the work element, and a popped term
     that has since cancelled is skipped.  Each cone lookup happens once per
-    created term, where the lex-descent certificate needs it anyway.
-
-    The work element, the heap and the summands are keyed by terms packed
-    by the basis's packing for deg(h) (see the module docstring); the
-    representation is unpacked at the end, the remainder in the order its
-    terms entered the work element.
+    created term, where the lex-descent certificate needs it anyway.  The
+    remainder is unpacked at the end, in the order its terms entered the
+    work element; the summands are unpacked only when they are read.
     """
     basis = marked.basis
-    if h.layout != basis.layout:
-        raise ValueError("element layout differs from the marked set layout")
-    packing = basis.packing(h.degree or 0)
+    packing = basis.packing(degree or 0)
     bodies = marked.packed_bodies(packing)
     nparams = marked.nparams
-    pack = packing.pack
     cone = basis.cone_divisor
-    work: dict[int, Coeff] = {}
     divisor_of: dict[int, int] = {}  # each term of U pushed -> its packed head
     heap = []
-    for t, c in h.terms.items():
-        p = pack(t)
-        work[p] = c
+    for p in work:
         head = cone(p)
         if head is not None:
             divisor_of[p] = head
             heap.append(-p)
     heapify(heap)
     if nparams is not None:
-        # h's coefficient dicts are shared with h: a step copies one before
-        # it writes to it, and the representation shares the rest.
+        # The coefficient dicts are shared with their owner: a step copies
+        # one before it writes to it, and the representation shares the rest.
         bodies = marked.sparse_bodies(packing)
         work = {p: sparse_terms(c) for p, c in work.items()}
         shared = set(map(id, work.values()))
@@ -295,21 +321,27 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
                 param_add_product(s, coeff, c, -1)
             if not s:
                 del work[shifted]
-    # Summands lex-descending in the multiplier, then in element order.
-    position = marked.position
+    wrap = rational if nparams is None else partial(ParamPoly, nparams)
+    unpack = packing.unpack
+    remainder = ModuleElement._trusted(
+        basis.layout, {unpack(p): wrap(c) for p, c in work.items()}, degree if work else None
+    )
+    lazy = partial(_unpack_summands, summands, divisor_of, bodies, marked.position, packing, wrap)
+    return Representation(lazy if summands else (), remainder)
+
+
+def _unpack_summands(summands, divisor_of, bodies, position, packing, wrap) -> tuple:
+    """The kernel's summands {packed target: coefficient} as
+    `Representation.summands` lists them: lex-descending in the
+    multiplier, then in element order."""
     keyed = []
     for target, c in summands.items():
-        mult = target - divisor_of[target]
-        head = bodies[divisor_of[target]][0]
-        keyed.append((-mult, position[head], mult, head, c))
+        divisor = divisor_of[target]
+        head = bodies[divisor][0]
+        keyed.append((divisor - target, position[head], target - divisor, head, c))
     keyed.sort(key=itemgetter(0, 1))
-    unpack_exp, unpack = packing.unpack_exp, packing.unpack
-    wrap = rational if nparams is None else partial(ParamPoly, nparams)
-    flat = tuple((wrap(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed)
-    remainder = ModuleElement._trusted(
-        basis.layout, {unpack(p): wrap(c) for p, c in work.items()}, h.degree if work else None
-    )
-    return Representation(flat, remainder)
+    unpack_exp = packing.unpack_exp
+    return tuple([(wrap(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed])
 
 
 @dataclass(frozen=True)
@@ -341,14 +373,23 @@ def prolongation_rep(marked: MarkedSet, el: MarkedElement, j: int) -> Representa
     """Representation of x_j * el, reduced on first request and then memoised.
 
     `el` must be an element of `marked` and `j` a non-multiplicative
-    variable of its head.  The reduction is `reduce_full`, so the
-    lex-descent certificate is checked on every step of the one reduction.
+    variable of its head.  The work element is the packed head and tail
+    terms of `el` (`MarkedSet.packed_bodies`) plus the packed x_j, so no
+    module element is built and no term packed but the head.  The reduction
+    is the kernel of `reduce_full`, so the lex-descent certificate is
+    checked on every step of the one reduction.
     """
     key = (el.head, j)
     rep = marked._prolongations.get(key)
     if rep is None:
-        prolonged = el.body.mul_term(var_exp(marked.layout.nvars, j))
-        rep = marked._prolongations[key] = reduce_full(prolonged, marked)
+        degree = el.body.degree + 1
+        packing = marked.basis.packing(degree)
+        shift = 1 << packing.shifts[j]
+        p = packing.pack(el.head)
+        _, terms, coeffs = marked.packed_bodies(packing)[p]
+        work = {p + shift: el.body.terms[el.head]}
+        work.update(zip([t + shift for t in terms], coeffs))
+        rep = marked._prolongations[key] = _reduce(work, degree, marked)
     return rep
 
 

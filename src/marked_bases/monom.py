@@ -325,7 +325,8 @@ def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
     The index packs its terms for some degree.  The set is filed at the
     first lookup, packed for twice the largest degree of a prolongation of
     the input, and re-filed, packed for twice the degree, whenever a term's
-    prolongations outgrow the packing.
+    prolongations outgrow the packing.  A basis that passes `TERM_LIMIT`
+    terms is refused (`TooLarge`) as soon as it does.
     """
     basis = set(exps)
     n = nvars - 1
@@ -356,6 +357,9 @@ def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
         degree, e = heappop(queue)
         if not covered(e, degree):
             basis.add(e)
+            if len(basis) > TERM_LIMIT:
+                raise TooLarge(f"the Pommaret completion has more than the {TERM_LIMIT} "
+                               "terms this program builds")
             index.add(index.packing.pack_exp(e))
             enqueue(e)
     return basis
@@ -493,9 +497,9 @@ def basis_invariants(basis: PommaretBasis) -> InvariantReport:
     )
 
 
-# The most terms a truncation or the split of one degree builds: `mbases
-# truncate` prints 99,677 terms in about 1.5 s of CPU time on a 2-CPU x86-64
-# virtual machine.
+# The most terms a completion, a truncation or the split of one degree
+# builds: `mbases truncate` prints 99,677 terms in about 1.5 s of CPU time
+# on a 2-CPU x86-64 virtual machine.
 TERM_LIMIT = 100_000
 
 

@@ -128,10 +128,6 @@ class ModuleTerm(NamedTuple):
         return f"e{self.comp}" if base == "1" else f"{base}*e{self.comp}"
 
 
-def term_mul(t: ModuleTerm, e: Exponent) -> ModuleTerm:
-    return ModuleTerm(exp_add(t.exp, e), t.comp)
-
-
 class TermPacking:
     """Module terms of degree <= `degree` packed into one int each.
 
@@ -426,17 +422,6 @@ class ModuleElement:
             return NotImplemented
         return self.layout == other.layout and self.terms == other.terms
 
-    def mul_term(self, e: Exponent) -> "ModuleElement":
-        """x^e times the element.  The shifted terms of a checked element
-        are valid and share one degree, so they are not checked again."""
-        if len(e) != self.layout.nvars:
-            raise ValueError(f"exponent length {len(e)} != {self.layout.nvars}")
-        return ModuleElement._trusted(
-            self.layout,
-            {term_mul(t, e): c for t, c in self.terms.items()},
-            None if self.degree is None else self.degree + exp_deg(e),
-        )
-
     def __repr__(self):
         return f"ModuleElement({self.terms!r})"
 
@@ -468,7 +453,8 @@ def poly_add_product(target: Poly, p: Poly, q: Poly, sign: int) -> None:
 def param_add_product(target: ParamTerms, p: ParamTerms, q: ParamTerms, sign: int) -> None:
     """`poly_add_product` on the sparse terms of ParamPolys, without
     `rational`, as in all ParamPoly arithmetic; the one loop that adds or
-    multiplies them (ParamPoly `+` and `*`, the K[C] steps of `reduce_full`)."""
+    multiplies them (ParamPoly `+` and `*`, the K[C] steps of the
+    reduction kernel `marked._reduce`)."""
     for m1, c1 in p.items():
         if sign < 0:
             c1 = -c1

@@ -67,7 +67,6 @@ from marked_bases.ring import (
     poly_add_product,
     poly_constant,
     rational,
-    term_mul,
     var_exp,
 )
 from marked_bases.syzygy import Column, FreeResolution, _column
@@ -423,7 +422,7 @@ def multiplicative_products(marked, s: int):
         top = layout.n if m is None else m
         for delta in terms_of_degree(top + 1, free):
             full = delta + (0,) * (layout.nvars - len(delta))
-            out.append(el.body.mul_term(full))
+            out.append(mul_term(el.body, full))
     return out
 
 
@@ -436,7 +435,7 @@ def all_products(marked, s: int):
         if free < 0:
             continue
         for delta in terms_of_degree(layout.nvars, free):
-            out.append(el.body.mul_term(delta))
+            out.append(mul_term(el.body, delta))
     return out
 
 
@@ -448,6 +447,25 @@ def all_module_terms(layout: FreeModuleLayout, s: int):
             continue
         out.extend(ModuleTerm(e, k) for e in terms_of_degree(layout.nvars, d))
     return out
+
+
+# ---------- shifted elements ----------
+
+
+def term_mul(t: ModuleTerm, e) -> ModuleTerm:
+    return ModuleTerm(exp_add(t.exp, e), t.comp)
+
+
+def mul_term(f: ModuleElement, e) -> ModuleElement:
+    """x^e times the element f, term by term, as module terms: the
+    reference for the kernel's packed shift of a prolongation."""
+    if len(e) != f.layout.nvars:
+        raise ValueError(f"exponent length {len(e)} != {f.layout.nvars}")
+    return ModuleElement._trusted(
+        f.layout,
+        {term_mul(t, e): c for t, c in f.terms.items()},
+        None if f.degree is None else f.degree + exp_deg(e),
+    )
 
 
 # ---------- dense parameter polynomials ----------

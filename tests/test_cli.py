@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +46,9 @@ from conftest import (
 )
 from oracles import param_poly, parse_resolution
 from samplers import random_homogeneous_element
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def serialized(res) -> str:
@@ -611,6 +617,43 @@ class TestExitCodes:
         # Degree 445 gives 99,677 terms, within the limit; 446 gives 100,124.
         code, out = run(capsys, "truncate", str(path), "--degree", "446")
         assert code == 2 and "at degree 446 has 100124 terms" in out.err
+
+    def test_completion_past_the_size_limit_is_input_error(self, capsys, tmp_path):
+        """The completion of this ideal has billions of terms; it is refused
+        as soon as its basis passes the limit instead of running without
+        end."""
+        path = tmp_path / "far.mb"
+        path.write_text("ring 4\nideal J = x3^2000, x2^2000, x1^2000\n")
+        start = time.process_time()
+        code, out = run(capsys, "pommaret", str(path))
+        assert time.process_time() - start < 5.0
+        assert code == 2
+        assert out.out == ""
+        assert out.err == (
+            "input error: the Pommaret completion has more than the 100000 terms "
+            "this program builds\n"
+        )
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        """A reader that closes the pipe after a few bytes of an output well
+        over the 64 KiB a pipe holds: the command keeps its own exit code
+        and writes nothing to stderr, neither a traceback nor an
+        `Exception ignored` line."""
+        path = tmp_path / "mid.mb"
+        path.write_text("ring 4\nideal J = x3^60, x2^60, x1^60\n")
+        argv = [sys.executable, "-m", "marked_bases.cli", "pommaret", str(path), "--json"]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        whole = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert whole.returncode == 0 and whole.stderr == b""
+        assert len(whole.stdout) > 4 * 65536 // 3
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head == whole.stdout[:50]
+        assert err == b""
 
     @pytest.mark.parametrize("argv", [["family"], ["specialize", "--set", "C0=1"]],
                              ids=["family", "specialize"])

@@ -11,19 +11,26 @@ from marked_bases import (
     MarkedElement,
     MarkedSet,
     ModuleElement,
+    MonomialModule,
     NotABasis,
     ParamPoly,
     PommaretBasis,
+    Representation,
     TailTermInU,
     generic_marked_set,
     is_marked_basis,
     nonmultiplicative_variables,
+    pommaret_completion,
+    prolongation_rep,
+    prolongations,
     reduce_full,
+    truncate_basis,
 )
-from marked_bases.ring import var_exp
+from marked_bases.ring import FreeModuleLayout, var_exp
 from marked_bases.randgen import random_marked_basis, random_marked_set, random_quasi_stable_basis
-from conftest import E, LAY3, T, build_twisted_example
+from conftest import E, LAY3, T, build_twisted_example, survey_bases
 from test_coefficients import assert_rule
+from test_family import FAMILY_CORPUS
 from samplers import random_homogeneous_element, random_quasi_stable_module
 from oracles import (
     all_module_terms,
@@ -34,6 +41,7 @@ from oracles import (
     lex_greatest,
     lex_key,
     monomial_marked_set,
+    mul_term,
     multiplicative_products,
     param_variable,
     reduce_in_order,
@@ -76,7 +84,7 @@ class TestNewMarkedSet:
 class TestReduceFull:
     def test_prolongation_with_two_summands(self, twisted):
         g4 = twisted.marked.elements[T((1, 1, 0))]
-        rep = reduce_full(g4.body.mul_term((0, 0, 1)), twisted.marked)
+        rep = reduce_full(mul_term(g4.body, (0, 0, 1)), twisted.marked)
         assert rep.remainder.is_zero()
         assert set(rep.summands) == {
             (Fraction(1), (1, 0, 0), T((0, 1, 1))),
@@ -130,7 +138,8 @@ class TestIsMarkedBasis:
         assert not remainder.is_zero()
         # the certificate is reproducible
         el = marked.elements[head]
-        again = reduce_full(el.body.mul_term(tuple(1 if i == var else 0 for i in range(3))), marked)
+        shift = tuple(1 if i == var else 0 for i in range(3))
+        again = reduce_full(mul_term(el.body, shift), marked)
         assert again.remainder == remainder
 
     def test_up_to_degree_is_inconclusive_below_bound(self, twisted):
@@ -145,7 +154,7 @@ class TestContains:
     def test_prolongation_is_inside(self, twisted):
         is_marked_basis(twisted.marked)
         g4 = twisted.marked.elements[T((1, 1, 0))]
-        assert contains(twisted.marked, g4.body.mul_term((0, 0, 1)))
+        assert contains(twisted.marked, mul_term(g4.body, (0, 0, 1)))
 
     def test_head_term_alone_is_not(self, twisted):
         is_marked_basis(twisted.marked)
@@ -276,7 +285,7 @@ def _first_failing_prolongation(marked):
     nvars = marked.layout.nvars
     for el in marked.ordered():
         for j in nonmultiplicative_variables(el.head, marked.layout.n):
-            rep = reduce_full(el.body.mul_term(var_exp(nvars, j)), marked)
+            rep = reduce_full(mul_term(el.body, var_exp(nvars, j)), marked)
             if not rep.remainder.is_zero():
                 return el.head, j, rep.remainder
     return None
@@ -325,7 +334,7 @@ def over_parameters(rng, h: ModuleElement, generic, degree: int) -> ModuleElemen
     el = rng.choice(fitting)
     shift = (degree - layout.term_degree(el.head),) + (0,) * layout.n
     total = dict(h_params.terms)
-    for t, c in el.body.mul_term(shift).terms.items():
+    for t, c in mul_term(el.body, shift).terms.items():
         total[t] = total.get(t, 0) + c
     return ModuleElement(layout, total)
 
@@ -417,3 +426,60 @@ class TestPackedKernel:
         assert basis.packing(0) is not packing
         assert basis.packing(0).degree >= big.degree
         assert first._packed[0] is second._packed[0] is basis.packing(0)
+
+
+class TestTwoEntryPoints:
+    """`prolongation_rep` shifts the packed body of an element and hands its
+    summands over packed, to be unpacked on the first read; `reduce_full`
+    packs the element that `oracles.mul_term` shifts term by term.  Both
+    must give the same representation: the summands and the remainder's
+    terms in the same order, with coefficients of the same types (int,
+    Fraction, ParamPoly)."""
+
+    @staticmethod
+    def agree(marked, widen: bool) -> int:
+        """Compares the two on every prolongation of a fresh copy of
+        `marked`, whose memo is empty; with `widen`, the basis's packing is
+        widened after every prolongation is reduced and before any summand
+        is read.  Returns the number of prolongations."""
+        fresh = MarkedSet(marked.basis, marked.ordered())
+        nvars = fresh.layout.nvars
+        jobs = list(prolongations(fresh))
+        reps = [prolongation_rep(fresh, el, j) for el, j in jobs]
+        if widen:
+            old = fresh.basis.packing(0)
+            assert fresh.basis.packing(2 * old.degree + 2).mask > old.mask
+        for (el, j), rep in zip(jobs, reps):
+            ref = reduce_full(mul_term(el.body, var_exp(nvars, j)), fresh)
+            eager = Representation(ref.summands, ref.remainder)
+            assert rep == eager
+            summands = rep.summands
+            assert rep.summands is summands
+            assert [(type(c), c, m, h) for c, m, h in summands] == [
+                (type(c), c, m, h) for c, m, h in ref.summands
+            ]
+            assert [(t, type(c), c) for t, c in rep.remainder.terms.items()] == [
+                (t, type(c), c) for t, c in ref.remainder.terms.items()
+            ]
+            assert rep.remainder.degree == ref.remainder.degree
+        return len(jobs)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_random_sets_of_the_survey_cases(self, seed):
+        rng = random.Random(seed)
+        bases = survey_bases(seed, 60)
+        assert any(basis.layout.rank == 2 for basis in bases)
+        walked = sum(
+            self.agree(random_marked_basis(rng, basis), widen=i % 2 == 1)
+            for i, basis in enumerate(bases)
+        )
+        assert walked > 0
+
+    @pytest.mark.parametrize("name", ["C1", "C5"])
+    def test_generic_sets_over_parameters(self, name):
+        n, weights, gens, degree = FAMILY_CORPUS[name]
+        module = MonomialModule(FreeModuleLayout(n, weights), [T(e, k) for e, k in gens])
+        generic = generic_marked_set(truncate_basis(pommaret_completion(module), degree))
+        assert generic.nparams
+        assert self.agree(generic.marked, widen=False) > 0
+        assert self.agree(generic.marked, widen=True) > 0

@@ -146,6 +146,18 @@ class TestCompletion:
             basis = random_quasi_stable_basis(rng, 3, max_deg=3)
             assert is_pommaret_basis(basis.terms, basis.layout)
 
+    def test_completion_size_limit_counts_the_terms_exactly(self, monkeypatch):
+        """The completion is refused as soon as its basis passes
+        `TERM_LIMIT`: a limit equal to the size of the completed basis lets
+        it through, and one term less refuses it."""
+        gens = {(0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5)}
+        size = len(_complete_component(set(gens), 4))
+        monkeypatch.setattr(monom_module, "TERM_LIMIT", size)
+        assert len(_complete_component(set(gens), 4)) == size
+        monkeypatch.setattr(monom_module, "TERM_LIMIT", size - 1)
+        with pytest.raises(monom_module.TooLarge, match=f"more than the {size - 1} terms"):
+            _complete_component(set(gens), 4)
+
 
 class TestStabilityClass:
     def test_not_quasi_stable(self):

@@ -26,9 +26,10 @@ def test_no_assert_statements():
 
 
 def test_one_reduction_loop():
-    """`marked.reduce_full` reduces over Q and over K[C] in one loop, whose
-    lex-descent certificate is the only place `InternalNonTermination` is
-    raised: a second copy of the kernel fails here."""
+    """`marked._reduce`, the kernel of `reduce_full` and `prolongation_rep`,
+    reduces over Q and over K[C] in one loop, whose lex-descent certificate
+    is the only place `InternalNonTermination` is raised: a second copy of
+    the kernel fails here."""
     tree = ast.parse((PACKAGE / "marked.py").read_text())
     raises = [
         node.lineno
@@ -264,4 +265,20 @@ def test_ab_ops_loads_two_trees_side_by_side():
     )
     assert lines[-2].startswith("change faster in ") and lines[-2].endswith(" of 2 rounds")
     assert lines[-1] == "outputs byte-identical: yes"
+    assert sorted(p for p in (ROOT / "bench").rglob("*")) == before
+
+
+def test_peak_rss_runs_one_pass_in_a_fresh_process():
+    """`scripts/peak_rss.py` on this tree's `src/`: one pass of a workload in
+    a fresh worker process prints one figure in MB, and nothing is written
+    under `bench/`."""
+    before = sorted(p for p in (ROOT / "bench").rglob("*"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), str(ROOT / "src"),
+         "--workload", "survey", "--seed", "3"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"\d+\.\d\d\n", done.stdout)
+    assert 1.0 < float(done.stdout) < 4096.0
     assert sorted(p for p in (ROOT / "bench").rglob("*")) == before

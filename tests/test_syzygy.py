@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import random
 import subprocess
@@ -20,6 +19,7 @@ from marked_bases import (
     NotABasis,
     ParamPoly,
     ParametricCoefficients,
+    Representation,
     basis_invariants,
     family_equations,
     free_resolution,
@@ -156,7 +156,7 @@ class TestSyzygyMarkedBasis:
                     mult = (mult[0] + 1, *mult[1:])
                 forged.append((el.head, j))
                 summands = (*rep.summands[:i], (coeff, mult, head), *rep.summands[i + 1:])
-                return dataclasses.replace(rep, summands=summands)
+                return Representation(summands, rep.remainder)
             return rep
 
         monkeypatch.setattr(syzygy_module, "prolongation_rep", forging)
@@ -307,14 +307,15 @@ class TestSharedReductions:
 
     @pytest.fixture
     def reductions(self, monkeypatch):
-        """Records (element, marked set) for every reduce_full call, under
-        any name a module bound it to."""
+        """Records (degree, marked set) for every call of the reduction
+        kernel `marked._reduce`, which `reduce_full` and `prolongation_rep`
+        both call, under any name a module bound it to."""
         calls = []
-        original = marked_module.reduce_full
+        original = marked_module._reduce
 
-        def counting(h, marked):
-            calls.append((h, marked))
-            return original(h, marked)
+        def counting(work, degree, marked):
+            calls.append((degree, marked))
+            return original(work, degree, marked)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("marked_bases"):
@@ -346,7 +347,7 @@ class TestSharedReductions:
         }
         assert max(degree.values()) > cap
         assert is_marked_basis(marked, up_to_degree=cap).inconclusive_beyond == cap
-        assert all(h.degree <= cap for h, _ in reductions)
+        assert all(degree <= cap for degree, _ in reductions)
         assert len(reductions) == sum(d <= cap for d in degree.values())
 
     @pytest.fixture
