@@ -419,28 +419,46 @@ HANDLERS = {
 
 
 def _emit(args, code: int, text: str, payload: dict) -> int:
+    """Print the report and write it to ``--output``, opened first: a path
+    that cannot be written is an input error (exit 2) and no report."""
     if args.json:
         payload = {"ok": code == 0, **payload}
         rendered = dumps_indented(payload)
     else:
         rendered = text
     try:
+        out = open(args.output, "w", encoding="utf-8") if args.output else None
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    try:
         print(rendered, flush=True)
     except BrokenPipeError:
         # The reader closed the pipe.  As the Python docs advise for
         # SIGPIPE, stdout goes to devnull, so the flush at exit is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+    if out is not None:
+        with out:
+            out.write(rendered + "\n")
     return code
+
+
+def _decoded(data: bytes) -> str:
+    """`data` as UTF-8 text; the first byte that is not UTF-8 is refused at
+    its line and column, which the valid text before it gives."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()  # "?" for the byte
+        raise InputFormatError(f"line {len(lines)}, column {len(lines[-1])}: byte "
+                               f"0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = parse_document(fh.read())
+        with open(args.file, "rb") as fh:
+            doc = parse_document(_decoded(fh.read()))
         code, text, payload = HANDLERS[args.command](doc, args)
     except (*INPUT_ERRORS, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

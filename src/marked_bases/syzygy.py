@@ -24,14 +24,14 @@ marked set (`prolongation_rep`), so the basis test and the syzygy step
 share one reduction per prolongation, and each syzygy is written once, as
 its column and its element's terms side by side.
 
-The chain property (consecutive maps compose to zero) is checked where a
-differential is written, not on the finished resolution: the syzygy step
-evaluates each column it stores against the packed bodies of the level
-below (`_evaluate_column`), and minimization re-checks only the pairs of
-consecutive maps its eliminations changed (`_compose_column`).
-`verify_complex` checks a whole resolution on request.  These self-checks
-and the minimization invariants touch non-zero entries only and raise
-`InternalError`, so they also run under ``python -O``.
+The chain property (consecutive maps compose to zero) is checked by one
+composer, `_evaluate_column`, where a differential is written: the syzygy
+step evaluates each column it stores against the packed bodies of the
+level below.  `verify_complex` checks a whole resolution with the same
+composer, on each lower map's columns packed first; minimization calls it
+once, when it cancelled a pivot.  These self-checks and the minimization
+invariants touch non-zero entries only and raise `InternalError`, so they
+also run under ``python -O``.
 
 The packed bodies are the ones the reduction kernel reads
 (`MarkedSet.packed_bodies`): one int per term, rank - comp in the lowest
@@ -41,10 +41,9 @@ largest head degree (the width rule of `marked`).  The image of a column
 has the degree of a prolongation, so it fits, and an entry c*x^e of row k
 adds the packed x^e to each term of the k-th body: one int addition.
 
-The eliminations of minimization and `_compose_column` share one step,
-`_add_scaled_column`, which does all of their coefficient arithmetic
-through `ring.poly_add_product`; only the division by a pivot is apart
-(`_over`).
+The eliminations of minimization share one step, `_add_scaled_column`,
+which does all of their coefficient arithmetic through
+`ring.poly_add_product`; only the division by a pivot is apart (`_over`).
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ from .ring import (
     ModuleTerm,
     ParamPoly,
     Poly,
+    TermPacking,
     poly_add_product,
     poly_constant,
     rational,
@@ -131,12 +131,15 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
     ]
     syz_elements = []
     columns: list[Column] = []
+    # One tuple per multiplier of the level, which all its columns share.
+    units = [var_exp(nvars, j) for j in range(nvars)]
+    exps = dict(zip(units, units))
     for el, j in prolongations(marked):
         rep = prolongation_rep(marked, el, j)
         if not rep.remainder.is_zero():
             raise InternalError("prolongation of a certified basis does not vanish")
         k = position[el.head]
-        x_j = var_exp(nvars, j)
+        x_j = units[j]
         head = ModuleTerm(x_j, k + 1)
         terms: dict[ModuleTerm, Coeff] = {head: one}
         column: Column = {k: {x_j: one}}
@@ -146,6 +149,7 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
             # each multiplier is multiplicative for its own head.
             r = position[tau]
             c = -coeff
+            mult = exps.setdefault(mult, mult)
             terms[ModuleTerm(mult, r + 1)] = c
             column.setdefault(r, {})[mult] = c
         if _evaluate_column(rows, column, packing.pack_exp):
@@ -197,17 +201,17 @@ class FreeResolution:
     keyed by the level-i rows it touches, with no empty entry.  bodies is
     the level-0 map in the same layout: column c is the image of the c-th
     level-0 generator in the ambient free module, row k-1 holding its e_k
-    component.  ``levels`` holds the marked sets of the iterated syzygy
-    construction and is dropped by minimization; equality ignores it, so
-    two resolutions are equal when their layouts, degrees, generator images
-    and differential columns are.
+    component.  ``heads`` holds each level's generator heads in element
+    order, which `textio.resolution_to_dict` prints, and minimization drops
+    it; equality ignores it, so two resolutions are equal when their
+    layouts, degrees, generator images and differential columns are.
     """
 
     layout: FreeModuleLayout
     bodies: list[Column]
     degrees: list[list[int]]
     matrices: list[list[Column]]
-    levels: list[MarkedSet] | None = field(default=None, compare=False)
+    heads: list[list[ModuleTerm]] | None = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
@@ -238,57 +242,48 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     Each differential is the list of columns `syzygy_marked_basis` returns,
     and that step has composed every one of them with the map below it, so
     the chain property is checked once per column, as the column is built;
-    the finished resolution is not composed again.
+    the finished resolution is not composed again.  Only each level's heads
+    and degrees are kept, so a level's marked set and its prolongation memo
+    are freed once the next level exists.
     """
     _require_basis(marked)
-    levels = [marked]
     bodies = [_column(el.body) for el in marked.ordered()]
-    matrices: list[list[Column]] = []
+    heads, degrees, matrices = [], [], []
     current = marked
-    while any(prolongations(current)):
+    while True:
+        heads.append([el.head for el in current.ordered()])
+        degrees.append(list(map(current.layout.term_degree, heads[-1])))
+        if not any(prolongations(current)):
+            break
         current, columns = syzygy_marked_basis(current)
         matrices.append(columns)
-        levels.append(current)
 
-    degrees = [
-        [lvl.layout.term_degree(el.head) for el in lvl.ordered()] for lvl in levels
-    ]
-    res = FreeResolution(
-        layout=marked.layout,
-        bodies=bodies,
-        degrees=degrees,
-        matrices=matrices,
-        levels=levels,
-    )
+    res = FreeResolution(marked.layout, bodies, degrees, matrices, heads)
     if res.length != marked.layout.n - basis_invariants(marked.basis).D:
         raise InternalError("resolution length differs from n - D")
     return res
 
 
-def _compose_column(lower: list[Column], column: Column) -> Column:
-    """One column of lower * column, from the non-zero entries only.  The
-    result is empty exactly when the column composes to zero."""
-    acc: Column = {}
-    for k, q in column.items():
-        _add_scaled_column(acc, lower[k], q, 1)
-    return acc
-
-
-def _pairs_vanish(res: FreeResolution, pairs) -> bool:
-    """Whether matrices[k] composes to zero with the map below it, for every
-    k in `pairs`; below matrices[0] is the level-0 map, the bodies."""
-    for k in pairs:
+def verify_complex(res: FreeResolution) -> bool:
+    """The chain property: consecutive differentials compose to zero,
+    including the level-0 map given by the generator bodies.  Each column of
+    matrices[k] goes through `_evaluate_column` against the map below it,
+    packed under the weights of its rows and wide enough for level k+1's
+    largest degree, which every composed term has."""
+    for k, mat in enumerate(res.matrices):
         lower = res.matrices[k - 1] if k else res.bodies
-        if any(_compose_column(lower, column) for column in res.matrices[k]):
+        weights = tuple(res.degrees[k - 1]) if k else res.layout.weights
+        layout = FreeModuleLayout(res.layout.n, weights)
+        packing = TermPacking(layout, max(res.degrees[k + 1], default=0))
+        pack_exp, rank = packing.pack_exp, packing.rank
+        rows = [
+            ([pack_exp(e) + rank - 1 - r for r, entry in col.items() for e in entry],
+             [c for entry in col.values() for c in entry.values()])
+            for col in lower
+        ]
+        if any(_evaluate_column(rows, column, pack_exp) for column in mat):
             return False
     return True
-
-
-def verify_complex(res: FreeResolution) -> bool:
-    """Exactness of the chain property: consecutive differentials compose to
-    zero, including the level-0 map given by the generator bodies.  The
-    cost follows the non-zero entries."""
-    return _pairs_vanish(res, range(len(res.matrices)))
 
 
 def _has_parametric(res: FreeResolution) -> bool:
@@ -352,13 +347,11 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     smallest row, then smallest column).  Every operation walks the stored
     non-zero entries only.  The input is left untouched.
 
-    The invariants of every elimination are checked as it runs.  The maps an
-    elimination writes to are recorded (a pivot in matrices[i] changes
-    matrices[i-1], or the bodies when i = 0, matrices[i] and matrices[i+1]),
-    and at the end the chain property is checked again on exactly the pairs
-    of consecutive maps that contain a changed one.  The other pairs are
-    those of the input, which `free_resolution` checked column by column,
-    so a resolution with no cancelled pivot is not composed at all.
+    The invariants of every elimination are checked as it runs, and when a
+    pivot was cancelled the result is checked once more by `verify_complex`.
+    A resolution with no cancelled pivot is not composed at all: its maps
+    are those of the input, which `free_resolution` checked column by
+    column.
 
     The first pivot is looked for before anything is copied: a resolution
     with no constant entry is already minimal, and the result then shares
@@ -376,12 +369,8 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
     ]
     degrees = [list(d) for d in res.degrees]
 
-    # Maps an elimination wrote to: the bodies are map 0 and matrices[k] is
-    # map k + 1, so matrices[k] pairs with map k below it.
-    changed: set[int] = set()
     while found is not None:
         i, r, c, pivot = found
-        changed.update((i, i + 1, i + 2))
         mat = matrices[i]
         if degrees[i][r] != degrees[i + 1][c]:
             raise InternalError("constant entry links unequal degrees")
@@ -431,15 +420,8 @@ def minimize_resolution(res: FreeResolution) -> FreeResolution:
                 raise InternalError("an empty level kept a column")
         found = _find_pivot(matrices, degrees)
 
-    out = FreeResolution(
-        layout=res.layout,
-        bodies=bodies,
-        degrees=degrees,
-        matrices=matrices,
-        levels=None,
-    )
-    touched = [k for k in range(len(matrices)) if k in changed or k + 1 in changed]
-    if not _pairs_vanish(out, touched):
+    out = FreeResolution(res.layout, bodies, degrees, matrices)
+    if not verify_complex(out):
         raise InternalError("minimized resolution failed the complex check")
     return out
 

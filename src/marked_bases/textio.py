@@ -426,14 +426,10 @@ def resolution_to_dict(res: FreeResolution) -> dict:
             "ranks": {str(j): c for j, c in table[i].items()},
             "degrees": list(degs),
         }
-        generators = (
-            [
-                _column_text(col, rank, el.head, base=base)
-                for col, el in zip(columns, res.levels[i].ordered())
-            ]
-            if res.levels
-            else None
-        )
+        generators = None if res.heads is None else [
+            _column_text(col, rank, head, base=base)
+            for col, head in zip(columns, res.heads[i])
+        ]
         if i == 0:
             images = [_column_text(col, rank, base=base) for col in columns]
             entry["generators"] = images if generators is None else generators

@@ -6,7 +6,8 @@ slices.  These are the second routes for the dual-route checks: slices for
 Hilbert functions and disjoint covers, generator manipulation for colon
 ideals and satiety, slice stability for regularity, and rank computations
 for the direct-sum decomposition.  Minimization of a resolution has a dense
-reference too, eliminating on full grids of entries, marked reduction has
+reference too, eliminating on full grids of entries, the chain check of a
+resolution one that composes tuple-keyed polynomials, marked reduction has
 a reference that attacks the reducible terms in any given order, and a
 specialized set one that evaluates the generic set's coefficients.  The
 sparse `linalg.rref` has the dense `dense_rref` as its reference, and the
@@ -33,6 +34,7 @@ from marked_bases.marked import (
     NotABasis,
     Representation,
     prolongation_rep,
+    prolongations,
     reduce_full,
 )
 from marked_bases.monom import (
@@ -69,7 +71,7 @@ from marked_bases.ring import (
     rational,
     var_exp,
 )
-from marked_bases.syzygy import Column, FreeResolution, _column
+from marked_bases.syzygy import Column, FreeResolution, _column, syzygy_marked_basis
 from marked_bases.textio import parse_polynomial
 
 
@@ -721,6 +723,32 @@ def dense_minimize_resolution(res: FreeResolution):
     return FreeResolution(res.layout, bodies, degrees, columns), pivots
 
 
+def naive_complex_vanishes(res: FreeResolution) -> bool:
+    """The reference for `syzygy.verify_complex`: every column of every
+    differential composed with the map below it (the bodies below
+    matrices[0]) entry by entry, on tuple-keyed polynomials with the naive
+    products and sums above and no packing."""
+    for k, mat in enumerate(res.matrices):
+        lower = res.matrices[k - 1] if k else res.bodies
+        for column in mat:
+            image: dict[int, dict] = {}
+            for k2, entry in column.items():
+                for r, p in lower[k2].items():
+                    naive_add_scaled(image.setdefault(r, {}), naive_mul(entry, p), 1)
+            if any(image.values()):
+                return False
+    return True
+
+
+def syzygy_levels(marked: MarkedSet) -> list[MarkedSet]:
+    """The marked sets of the iterated syzygy construction, level 0 first,
+    as `free_resolution` builds them one after the other and lets go."""
+    levels = [marked]
+    while any(prolongations(levels[-1])):
+        levels.append(syzygy_marked_basis(levels[-1])[0])
+    return levels
+
+
 # ---------- marked reduction in a chosen order ----------
 
 
@@ -843,9 +871,7 @@ def parse_resolution(text: str) -> FreeResolution:
                 if elem.terms:
                     columns[c][r] = {t.exp: coeff for t, coeff in elem.terms.items()}
         matrices.append(columns)
-    return FreeResolution(
-        layout=layout, bodies=bodies, degrees=degrees, matrices=matrices, levels=None
-    )
+    return FreeResolution(layout=layout, bodies=bodies, degrees=degrees, matrices=matrices)
 
 
 # ---------- triangular representations and tail structure ----------

@@ -702,6 +702,49 @@ class TestExitCodes:
         code, out = run(capsys, "pommaret", str(tmp_path / "absent.mb"))
         assert code == 2
 
+    @pytest.mark.parametrize("data, where, byte, reason", [
+        (b"ring 3\nideal J = x2\xff\n", "line 2, column 13", 0xFF, "invalid start byte"),
+        # Columns count characters, so the two bytes of an e-acute are one.
+        (b"ring 3\n# \xc3\xa9\xc3\nideal J = x2\n", "line 2, column 4", 0xC3,
+         "invalid continuation byte"),
+        (b"\x80ring 3\n", "line 1, column 1", 0x80, "invalid start byte"),
+    ])
+    def test_document_that_is_not_utf8_is_input_error(self, capsys, tmp_path, data,
+                                                      where, byte, reason):
+        path = tmp_path / "bad.mb"
+        path.write_bytes(data)
+        code, out = run(capsys, "pommaret", str(path))
+        assert code == 2
+        assert (out.out, out.err) == (
+            "", f"input error: {where}: byte 0x{byte:02x} is not UTF-8 ({reason})\n"
+        )
+
+    @pytest.mark.parametrize("output", ["absent/dir/out.txt", "."])
+    @pytest.mark.parametrize("command, doc, forged, code", [
+        ("pommaret", "ring 3\nideal J = x2\n", False, 0),
+        ("pommaret", "ring 2\nideal J = x0*x1\n", False, 1),
+        ("resolve", TWISTED_DOC, True, 3),
+    ])
+    def test_unwritable_output_is_input_error(self, capsys, monkeypatch, tmp_path, output,
+                                              command, doc, forged, code):
+        """An ``--output`` path in a missing directory, or a directory, is
+        opened before anything is printed, on every exit path: one input
+        error that names the path, exit 2, and no report."""
+        if forged:  # a chain check that never vanishes: exit 3
+            monkeypatch.setattr(
+                syzygy_module, "_evaluate_column", lambda rows, column, pack_exp: {0: 1}
+            )
+        path = tmp_path / "doc.mb"
+        path.write_text(doc)
+        assert run(capsys, command, str(path))[0] == code
+        target = str(tmp_path / output)
+        for fmt in ([], ["--json"]):
+            got, out = run(capsys, command, str(path), *fmt, "--output", target)
+            assert got == 2
+            assert out.out == ""
+            assert out.err.startswith("input error: ") and out.err.count("\n") == 1
+            assert repr(target) in out.err
+
     def test_missing_object(self, capsys, tmp_path):
         path = tmp_path / "empty.mb"
         path.write_text("ring 3\nideal J = x2\n")

@@ -36,7 +36,9 @@ from marked_bases.randgen import random_marked_basis
 from marked_bases.ring import poly_add_product, rational
 from marked_bases.textio import parse_document, parse_polynomial, resolution_to_dict
 from conftest import LAY3, NON_GROEBNER_DOC, TWISTED_DOC, T, survey_bases
-from oracles import dense_minimize_resolution, evaluate, param_variable, vanishes_at
+from oracles import (
+    dense_minimize_resolution, evaluate, param_variable, syzygy_levels, vanishes_at,
+)
 
 # The paper examples with non-integral tails: reductions over Fractions.
 HALVES_DOCS = [
@@ -86,7 +88,9 @@ def walk_marked(marked: MarkedSet, where):
         walk_element(rep.remainder, f"{where} remainder")
 
 
-def walk_resolution(res, where):
+def walk_resolution(res, where, marked=None):
+    """Every stored entry of `res`; with the level-0 set `marked`, also
+    every marked set of the construction that built `res`."""
     maps = [("body", res.bodies)] + [("differential", mat) for mat in res.matrices]
     for what, mat in maps:
         for col in mat:
@@ -94,7 +98,7 @@ def walk_resolution(res, where):
                 assert entry, f"empty {what} entry stored at {where}"
                 for c in entry.values():
                     assert_rule(c, f"{where} {what}")
-    for level in res.levels or []:
+    for level in syzygy_levels(marked) if marked is not None else []:
         walk_marked(level, f"{where} level")
 
 
@@ -176,7 +180,7 @@ class TestPipelines:
         marked = marked_from_doc(text)
         walk_marked(marked, "marked set")
         full = free_resolution(marked)
-        walk_resolution(full, "free_resolution")
+        walk_resolution(full, "free_resolution", marked)
         walk_resolution(minimize_resolution(full), "minimize_resolution")
 
     def test_parser_totals(self):
@@ -192,7 +196,7 @@ class TestPipelines:
             marked = random_marked_basis(rng, basis)
             walk_marked(marked, "random_marked_basis")
             full = free_resolution(marked)
-            walk_resolution(full, "free_resolution")
+            walk_resolution(full, "free_resolution", marked)
             minimal = minimize_resolution(full)
             walk_resolution(minimal, "minimize_resolution")
             fractional_entries += sum(

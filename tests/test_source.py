@@ -57,6 +57,30 @@ def test_one_cone_query():
     assert not methods("marked.py", "MarkedSet") & {"coefficient_sample", "one_like"}
 
 
+def test_one_chain_composer():
+    """`syzygy._evaluate_column` is the one composer of a column with the map
+    below it: the syzygy step's chain check and `verify_complex` call it,
+    minimization checks through `verify_complex`, and the elimination step
+    `_add_scaled_column` serves minimization only.  A second composer, such
+    as a tuple-keyed one built on the elimination step, fails here."""
+    tree = ast.parse((PACKAGE / "syzygy.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def callers(name):
+        return {
+            caller
+            for caller, node in functions.items()
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == name
+        }
+
+    assert callers("_evaluate_column") == {"syzygy_marked_basis", "verify_complex"}
+    assert callers("verify_complex") == {"minimize_resolution"}
+    assert callers("_add_scaled_column") == {"minimize_resolution"}
+    assert [name for name in functions if "compose" in name or "vanish" in name] == []
+
+
 def test_one_polynomial_reader():
     """`textio._parse_terms` reads every polynomial in one pass of one
     compiled token regex, whose last alternative takes any unexpected

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import gc
 import os
 import random
 import subprocess
@@ -53,9 +55,11 @@ from conftest import (
     c2_basis,
     c3_basis,
     c4_basis,
+    survey_bases,
 )
 from oracles import (
-    evaluate, is_stable_scan, monomial_marked_set, saturate, triangular_representation,
+    evaluate, is_stable_scan, monomial_marked_set, naive_complex_vanishes, saturate,
+    syzygy_levels, triangular_representation,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -183,7 +187,9 @@ class TestFreeResolution:
 
     def test_one_cone_index_per_level(self, monkeypatch):
         """Each level's basis files its cones once: level 0 on its first
-        lookup, each syzygy level in the structural test that certifies it."""
+        lookup, each syzygy level in the structural test that certifies it.
+        The resolution keeps no level, so the same construction is run again
+        by `syzygy_levels` to see which index each level holds."""
         built = []
 
         class Counting(monom_module.ConeIndex):
@@ -195,8 +201,27 @@ class TestFreeResolution:
 
         monkeypatch.setattr(monom_module, "ConeIndex", Counting)
         res = free_resolution(build_twisted_example().marked)
-        assert len(res.levels) == 3
-        assert built == [level.basis._cones for level in res.levels]
+        assert len(built) == len(res.degrees) == 3
+        built.clear()
+        levels = syzygy_levels(build_twisted_example().marked)
+        assert len(levels) == 3
+        assert built == [level.basis._cones for level in levels]
+
+    def test_keeps_no_level_set(self):
+        """A resolution holds each level's heads, not its marked set: once
+        `free_resolution` returns, the only marked set it made or was given
+        that is still alive is its input."""
+        drawn = random_marked_basis(random.Random(1), c4_basis())
+        before = [o for o in gc.get_objects() if isinstance(o, MarkedSet)]
+        known = {id(o) for o in before}
+        marked = MarkedSet(drawn.basis, drawn.ordered())
+        res = free_resolution(marked)
+        gc.collect()
+        alive = [
+            o for o in gc.get_objects() if isinstance(o, MarkedSet) and id(o) not in known
+        ]
+        assert [o is marked for o in alive] == [True]
+        assert len(res.heads) == len(res.degrees) == 6
 
     def test_non_groebner_ranks(self, non_groebner):
         res = free_resolution(non_groebner.marked)
@@ -221,8 +246,10 @@ class TestFreeResolution:
         # Each syzygy column carries its non-multiplicative variable in the
         # row of its own element, and degrees grow by one per level.
         res = free_resolution(twisted.marked)
-        for i in range(1, len(res.levels)):
-            lower, upper = res.levels[i - 1], res.levels[i]
+        levels = syzygy_levels(twisted.marked)
+        assert res.heads == [[el.head for el in level.ordered()] for level in levels]
+        for i in range(1, len(levels)):
+            lower, upper = levels[i - 1], levels[i]
             mat = res.matrices[i - 1]
             for c, el in enumerate(upper.ordered()):
                 row = el.head.comp - 1
@@ -326,14 +353,14 @@ class TestSharedReductions:
 
     def test_non_groebner(self, reductions):
         res = free_resolution(build_non_groebner_example().marked)
-        assert len(reductions) == sum(len(lvl.elements) for lvl in res.levels[1:])
+        assert len(reductions) == sum(len(degs) for degs in res.degrees[1:])
 
     def test_c4_sized_truncation(self, reductions):
         drawn = random_marked_basis(random.Random(1), c4_basis())
         fresh = MarkedSet(drawn.basis, drawn.ordered())
         reductions.clear()
         res = free_resolution(fresh)
-        ranks = [len(lvl.elements) for lvl in res.levels]
+        ranks = [len(degs) for degs in res.degrees]
         assert ranks == [49, 177, 274, 222, 93, 16]
         assert len(reductions) == sum(ranks[1:]) == 782
 
@@ -386,46 +413,33 @@ class TestSharedReductions:
 
 class TestComposeOnce:
     """Each column is composed with the map below it once, by the syzygy
-    step that builds it (the chain check `_evaluate_column`); minimization
-    composes again (`_compose_column`) only the pairs of maps its
-    eliminations changed."""
+    step that builds it; minimization composes again, every pair of maps
+    once through `verify_complex`, only when it cancelled a pivot.  Both
+    compose through the one composer `_evaluate_column`."""
 
     @pytest.fixture
     def compositions(self, monkeypatch):
-        """Records the column of every `_compose_column` call."""
+        """Records the column of every `_evaluate_column` call."""
         calls = []
-        original = syzygy_module._compose_column
-
-        def counting(lower, column):
-            calls.append(column)
-            return original(lower, column)
-
-        monkeypatch.setattr(syzygy_module, "_compose_column", counting)
-        return calls
-
-    @pytest.fixture
-    def chain_checks(self, monkeypatch, compositions):
-        """`compositions`, with the column of every `_evaluate_column` call
-        recorded too, so a second composition of a checked column counts."""
         original = syzygy_module._evaluate_column
 
         def counting(rows, column, pack_exp):
-            compositions.append(column)
+            calls.append(column)
             return original(rows, column, pack_exp)
 
         monkeypatch.setattr(syzygy_module, "_evaluate_column", counting)
-        return compositions
+        return calls
 
-    def test_non_groebner(self, chain_checks):
+    def test_non_groebner(self, compositions):
         res = free_resolution(build_non_groebner_example().marked)
-        assert len(chain_checks) == sum(len(lvl.elements) for lvl in res.levels[1:]) > 0
-        assert chain_checks == [col for mat in res.matrices for col in mat]
+        assert len(compositions) == sum(len(degs) for degs in res.degrees[1:]) > 0
+        assert compositions == [col for mat in res.matrices for col in mat]
 
-    def test_c4_sized_truncation(self, chain_checks):
+    def test_c4_sized_truncation(self, compositions):
         drawn = random_marked_basis(random.Random(1), c4_basis())
-        chain_checks.clear()
+        compositions.clear()
         res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
-        assert len(chain_checks) == sum(len(degs) for degs in res.degrees[1:]) == 782
+        assert len(compositions) == sum(len(degs) for degs in res.degrees[1:]) == 782
 
     def test_c4_sized_truncation_builds_each_column_once(self, monkeypatch):
         """Each column is built once: the bodies by `free_resolution`, from
@@ -443,10 +457,11 @@ class TestComposeOnce:
             return original(elem)
 
         monkeypatch.setattr(syzygy_module, "_column", counting)
-        res = free_resolution(MarkedSet(drawn.basis, drawn.ordered()))
+        marked = MarkedSet(drawn.basis, drawn.ordered())
+        res = free_resolution(marked)
         assert len(calls) == len(res.bodies) == 49
         assert sum(len(degs) for degs in res.degrees[1:]) == 782
-        for level, columns in zip(res.levels[1:], res.matrices):
+        for level, columns in zip(syzygy_levels(marked)[1:], res.matrices, strict=True):
             assert columns == [original(el.body) for el in level.ordered()]
 
     @pytest.mark.parametrize("shape", [c2_basis, c3_basis, c4_basis])
@@ -457,12 +472,13 @@ class TestComposeOnce:
         assert minimal.degrees == res.degrees  # no pivot was cancelled
         assert compositions == []
 
-    def test_minimize_composes_the_changed_pairs(self, compositions, twisted):
+    def test_minimize_composes_every_pair_once_after_a_pivot(self, compositions, twisted):
         res = free_resolution(twisted.marked)
         compositions.clear()
         minimal = minimize_resolution(res)
-        # TWISTED has two differentials; any pivot changes a map of both pairs.
-        assert len(compositions) == sum(len(mat) for mat in minimal.matrices) > 0
+        assert minimal.degrees != res.degrees  # a pivot was cancelled
+        assert compositions == [col for mat in minimal.matrices for col in mat]
+        assert compositions
 
 
 class TestVerifyComplex:
@@ -501,6 +517,29 @@ class TestVerifyComplex:
         res = free_resolution(monomial_marked_set(basis))
         assert verify_complex(res)
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_agrees_with_the_naive_composition(self, seed):
+        """`verify_complex` packs the map below and composes with the
+        syzygy step's composer; `oracles.naive_complex_vanishes` composes
+        tuple-keyed polynomials with no packing.  They agree on the full and
+        the minimal resolutions of a survey slice, and on each of these with
+        the first stored entry of one map (the bodies or a differential)
+        sign-flipped, for every map."""
+        rng = random.Random(seed)
+        verdicts = []
+        for basis in survey_bases(seed, 30):
+            full = free_resolution(random_marked_basis(rng, basis))
+            for res in (full, minimize_resolution(full)):
+                assert verify_complex(res) and naive_complex_vanishes(res)
+                for i, mat in enumerate([res.bodies, *res.matrices]):
+                    c, r = min((c, r) for c, col in enumerate(mat) for r in col)
+                    broken = copy.deepcopy(res)
+                    col = (broken.matrices[i - 1] if i else broken.bodies)[c]
+                    col[r] = {e: -v for e, v in col[r].items()}
+                    verdicts.append(verify_complex(broken))
+                    assert verdicts[-1] == naive_complex_vanishes(broken)
+        assert False in verdicts and len(verdicts) > 100
+
 
 class TestMinimize:
     def test_twisted_minimal_ranks(self, twisted):
@@ -525,7 +564,7 @@ class TestMinimize:
     @pytest.mark.parametrize("shape", [c2_basis, c4_basis])
     def test_no_pivot_shares_the_maps(self, shape, monkeypatch):
         """With no constant entry nothing is copied: the result shares the
-        input's maps, which stay as they were, and drops the levels.  No two
+        input's maps, which stay as they were, and drops the heads.  No two
         consecutive levels share a degree, so no strand can hold a constant
         entry and no entry is scanned for one."""
         res = free_resolution(random_marked_basis(random.Random(1), shape()))
@@ -541,7 +580,7 @@ class TestMinimize:
         assert minimal.bodies is res.bodies
         assert minimal.degrees is res.degrees
         assert minimal.matrices is res.matrices
-        assert minimal.levels is None and res.levels is not None
+        assert minimal.heads is None and res.heads is not None
         assert (res.bodies, res.degrees, res.matrices) == before
 
     def test_minimal_exactly_when_stable(self):
@@ -575,7 +614,6 @@ class TestMinimize:
             bodies=[syzygy_module._column(el.body) for el in generic.marked.ordered()],
             degrees=[[1]],
             matrices=[],
-            levels=None,
         )
         with pytest.raises(ParametricCoefficients):
             minimize_resolution(res)
@@ -669,10 +707,65 @@ def _flip_once(drop_row):
     return broken
 
 
+def _unequal_degrees(res: FreeResolution) -> FreeResolution:
+    """A corrupted copy: the column of the first pivot is one degree up."""
+    i, _, c, _ = syzygy_module._find_pivot(res.matrices, res.degrees)
+    broken = copy.deepcopy(res)
+    broken.degrees[i + 1][c] += 1
+    return broken
+
+
+def _dependent_row(res: FreeResolution) -> FreeResolution:
+    """A corrupted copy: in the map above the first pivot, the first column
+    that touches the pivot column's row has that entry sign-flipped, so the
+    column elimination doubles the entry instead of clearing it."""
+    i, _, c, _ = syzygy_module._find_pivot(res.matrices, res.degrees)
+    broken = copy.deepcopy(res)
+    col = next(col for col in broken.matrices[i + 1] if c in col)
+    col[c] = {e: -v for e, v in col[c].items()}
+    return broken
+
+
+def _extra_top_column(res: FreeResolution) -> FreeResolution:
+    """A corrupted copy: the top map has one column more than its level has
+    generators, so it keeps a column when that level empties."""
+    broken = copy.deepcopy(res)
+    broken.matrices[-1].append({})
+    return broken
+
+
+def _shifted_d(basis_invariants):
+    """A corrupted invariant readout: D one too large."""
+    return lambda basis: dataclasses.replace(
+        basis_invariants(basis), D=basis_invariants(basis).D + 1
+    )
+
+
 class TestSelfChecksRaise:
-    """The minimization invariants and its final complex check raise
-    `InternalError`, so `python -O` keeps them (scripts/tier1.sh runs this
-    file under -O as well)."""
+    """The minimization invariants, its final complex check and the length
+    check of `free_resolution` raise `InternalError`, so `python -O` keeps
+    them (scripts/tier1.sh runs this file under -O as well)."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_unequal_degrees, "constant entry links unequal degrees"),
+        (_dependent_row, "dependent row survived"),
+        (_extra_top_column, "an empty level kept a column"),
+    ])
+    def test_corrupted_input_is_caught(self, twisted, corrupt, message):
+        # TWISTED cancels a pivot in each of its two differentials, so the
+        # map above a pivot and the emptied top level both occur.
+        full = free_resolution(twisted.marked)
+        broken = corrupt(full)
+        with pytest.raises(InternalError, match=message):
+            minimize_resolution(broken)
+        assert minimize_resolution(full).rank_table() == {0: {2: 3}, 1: {3: 2}}
+
+    def test_wrong_length_is_caught(self, monkeypatch, twisted):
+        monkeypatch.setattr(
+            syzygy_module, "basis_invariants", _shifted_d(syzygy_module.basis_invariants)
+        )
+        with pytest.raises(InternalError, match="resolution length differs from n - D"):
+            free_resolution(twisted.marked)
 
     def test_corrupted_elimination_fails_the_final_check(self, monkeypatch, non_groebner):
         # One pivot is cancelled, so no later elimination sees the flipped
@@ -776,6 +869,40 @@ class TestSelfChecksRaise:
         assert run.stdout == (
             "raised: dependent column survived\n"
             "raised: minimized resolution failed the complex check\n"
+        )
+
+    def test_corrupted_input_checks_survive_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_twisted_example\n"
+            "from test_syzygy import (\n"
+            "    _dependent_row, _extra_top_column, _shifted_d, _unequal_degrees,\n"
+            ")\n"
+            "from marked_bases import syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "full = syzygy.free_resolution(build_twisted_example().marked)\n"
+            "for corrupt in (_unequal_degrees, _dependent_row, _extra_top_column):\n"
+            "    try:\n"
+            "        syzygy.minimize_resolution(corrupt(full))\n"
+            "    except InternalError as exc:\n"
+            "        print('raised:', exc)\n"
+            "syzygy.basis_invariants = _shifted_d(syzygy.basis_invariants)\n"
+            "try:\n"
+            "    syzygy.free_resolution(build_twisted_example().marked)\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "raised: constant entry links unequal degrees\n"
+            "raised: dependent row survived\n"
+            "raised: an empty level kept a column\n"
+            "raised: resolution length differs from n - D\n"
         )
 
 
