@@ -353,7 +353,7 @@ _PIECE_COMMA = re.compile(r",(?![^{}]*\})")
 def _parse_assignment(raw: str) -> dict[str, Rational]:
     """``name=value`` pieces, split at the commas outside braces (a name
     C_{h,t} holds one); each value becomes a rational once, an integer
-    literal straight an int."""
+    literal straight an int.  A name given twice is refused."""
     pieces = _PIECE_COMMA.split(raw)
     if not pieces[-1].strip():
         pieces.pop()
@@ -363,6 +363,8 @@ def _parse_assignment(raw: str) -> dict[str, Rational]:
         name, value = name.strip(), value.strip()
         if not eq or not name or not value:
             raise InputFormatError(f"bad assignment {item!r}; expected name=value")
+        if name in out:
+            raise InputFormatError(f"parameter {name!r} is assigned twice")
         try:
             out[name] = int(value)
         except ValueError:

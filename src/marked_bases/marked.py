@@ -30,15 +30,14 @@ x_n most significant.  So int order is lex order, the lower component the
 larger int on equal exponents, and the heap pops the largest int; a shift
 is one int addition, the multiplier of a target is target - head, and the
 lex-descent certificate is new_mult < mult.  Width rule: each variable
-field holds degree - min(weights) for the largest degree the basis was
-asked for, at least max_degree() + 1, so every prolongation fits.  The
-terms of one reduction share deg(h), and a target of higher degree first
-widens the basis's packing, clearing the cone memo keyed by the old one
-(`PommaretBasis.packing`): no field overflows.  Each marked set packs its
-bodies once (`MarkedSet.packed_bodies`); all sets over one basis share its
-packing and cone memo.  Module elements and representations are keyed by
-module terms; a representation keeps the packing its summands were packed
-by, so a later widening does not change how they are unpacked.
+field holds degree - min(weights) for max_degree() + 1, so every
+prolongation fits, and the basis's packing is fixed when the basis is
+built (`PommaretBasis.packing`).  The terms of one reduction share deg(h);
+`reduce_full` reduces a target of higher degree over a copy of the set
+whose basis is packed for it, so no field overflows.  Each marked set packs
+its bodies once, when it is built (`MarkedSet.packed_bodies`); all sets
+over one basis share its packing and cone memo.  Module elements and
+representations are keyed by module terms.
 
 Over Q the work element and the summands hold inline ints and Fractions,
 and a step computes s - coeff * c.  Over K[C] (ParamPoly head coefficients,
@@ -56,7 +55,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .monom import PommaretBasis, nonmultiplicative_variables
+from .monom import PommaretBasis, _packed_for, nonmultiplicative_variables
 from .ring import (
     Coeff,
     Exponent,
@@ -65,7 +64,6 @@ from .ring import (
     ModuleElement,
     ModuleTerm,
     ParamPoly,
-    TermPacking,
     param_add_product,
     rational,
     sparse_terms,
@@ -115,14 +113,17 @@ class MarkedSet:
     syzygies and printed matrices); ``position`` maps each head to its
     0-based place in it.  The marked-basis verdict is cached once
     established, and so is the representation of every prolongation reduced
-    through `prolongation_rep`, and so are the packed bodies the kernel
-    reads (`packed_bodies`, `sparse_bodies`); instances are immutable so
-    these caches are sound.
+    through `prolongation_rep`; instances are immutable so these caches are
+    sound.
+
+    ``packed_bodies`` is what the kernel reads, packed once, here, by the
+    basis's packing: {packed head: (head, packed tail terms, their
+    coefficients)} in element order, each tail in body order.
     """
 
     __slots__ = (
-        "basis", "elements", "position", "nparams",
-        "_certified", "_prolongations", "_packed", "_sparse",
+        "basis", "elements", "position", "nparams", "packed_bodies",
+        "_certified", "_prolongations", "_sparse",
     )
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
@@ -151,16 +152,20 @@ class MarkedSet:
         self.nparams = sample.nparams if isinstance(sample, ParamPoly) else None
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
-        self._packed: tuple[TermPacking, dict] | None = None
-        self._sparse: tuple[dict, dict] | None = None
+        self._sparse: dict | None = None
         # The tails are checked as the kernel will read them, packed, and
         # through the cone memo: the tails of many elements share terms.
         # Every term has the degree of a head, which the packing holds.
-        packing = basis.packing(0)
-        for _, terms, _ in self.packed_bodies(packing).values():
-            for t in terms:
-                if basis.cone_divisor(t) is not None:
-                    raise TailTermInU(packing.unpack(t))
+        packing = basis.packing
+        pack = packing.pack
+        self.packed_bodies = {}
+        for head, el in by_head.items():
+            terms = tuple([pack(t) for t in el.body.terms if t != head])
+            for p in terms:
+                if basis.cone_divisor(p) is not None:
+                    raise TailTermInU(packing.unpack(p))
+            coeffs = tuple([c for t, c in el.body.terms.items() if t != head])
+            self.packed_bodies[pack(head)] = (head, terms, coeffs)
 
     @property
     def layout(self):
@@ -169,34 +174,14 @@ class MarkedSet:
     def ordered(self) -> list[MarkedElement]:
         return list(self.elements.values())
 
-    def packed_bodies(self, packing: TermPacking) -> dict:
-        """{packed head: (head, packed tail terms, their coefficients)} in
-        element order, each tail in body order; built with the set, for its
-        tail check, and again only when the basis's packing changes."""
-        packed = self._packed
-        if packed is None or packed[0] is not packing:
-            pack = packing.pack
-            bodies = {}
-            for head, el in self.elements.items():
-                terms = el.body.terms
-                bodies[pack(head)] = (
-                    head,
-                    tuple([pack(t) for t in terms if t != head]),
-                    tuple([c for t, c in terms.items() if t != head]),
-                )
-            packed = self._packed = (packing, bodies)
-        return packed[1]
-
-    def sparse_bodies(self, packing: TermPacking) -> dict:
+    def sparse_bodies(self) -> dict:
         """`packed_bodies` with every coefficient as `ring.sparse_terms`, as
-        the K[C] steps of `reduce_full` read them; built on the first such
-        reduction per packing, so a set that is only specialized never is."""
-        bodies = self.packed_bodies(packing)
-        if self._sparse is None or self._sparse[0] is not bodies:
-            sparse = {p: (head, terms, tuple(map(sparse_terms, coeffs)))
-                      for p, (head, terms, coeffs) in bodies.items()}
-            self._sparse = (bodies, sparse)
-        return self._sparse[1]
+        the K[C] steps of the kernel read them; built on the first such
+        reduction, so a set that is only specialized never is."""
+        if self._sparse is None:
+            self._sparse = {p: (head, terms, tuple(map(sparse_terms, coeffs)))
+                            for p, (head, terms, coeffs) in self.packed_bodies.items()}
+        return self._sparse
 
 
 class Representation:
@@ -209,7 +194,9 @@ class Representation:
     are given as that tuple or, by the kernel, as a callable that builds it
     from the packed summands; it is called on the first read and dropped,
     so the summands that no consumer reads (the basis test and the family
-    equations read only the remainder) are never unpacked.
+    equations read only the remainder) are never unpacked.  They were
+    packed by the packing of a basis, which never changes, so a late read
+    unpacks them as an early one would.
     """
 
     __slots__ = ("_summands", "remainder")
@@ -237,19 +224,24 @@ def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
     The reducer for a term of U is forced (the unique element whose head
     cone contains it, scaled by the multiplicative multiplier), so only the
     order of attack is a choice, and it cannot change the outcome.  h is
-    packed by the basis's packing for deg(h) and reduced by `_reduce`, the
-    kernel `prolongation_rep` shares.
+    packed by the basis's packing and reduced by `_reduce`, the kernel
+    `prolongation_rep` shares.  When deg(h) is above the packing, h is
+    reduced over a copy of the set on a copy of the basis packed for deg(h)
+    (`monom._packed_for`).
     """
     if h.layout != marked.layout:
         raise ValueError("element layout differs from the marked set layout")
-    pack = marked.basis.packing(h.degree or 0).pack
+    basis = _packed_for(marked.basis, h.degree or 0)
+    if basis is not marked.basis:
+        marked = MarkedSet(basis, marked.ordered())
+    pack = basis.packing.pack
     return _reduce({pack(t): c for t, c in h.terms.items()}, h.degree, marked)
 
 
 def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation:
     """The reduction kernel.  `work` is the element to reduce, {packed term:
-    stored coefficient} under the basis's packing for `degree` (None for
-    zero); the kernel consumes it.
+    stored coefficient} under the basis's packing, of degree `degree` (None
+    for zero); the kernel consumes it.
 
     The engine always attacks the lex-greatest term of U left in the work
     element (lower component first on equal exponents): every term of U is
@@ -260,8 +252,8 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
     work element; the summands are unpacked only when they are read.
     """
     basis = marked.basis
-    packing = basis.packing(degree or 0)
-    bodies = marked.packed_bodies(packing)
+    packing = basis.packing
+    bodies = marked.packed_bodies
     nparams = marked.nparams
     cone = basis.cone_divisor
     divisor_of: dict[int, int] = {}  # each term of U pushed -> its packed head
@@ -273,11 +265,9 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
             heap.append(-p)
     heapify(heap)
     if nparams is not None:
-        # The coefficient dicts are shared with their owner: a step copies
-        # one before it writes to it, and the representation shares the rest.
-        bodies = marked.sparse_bodies(packing)
-        work = {p: sparse_terms(c) for p, c in work.items()}
-        shared = set(map(id, work.values()))
+        # The kernel owns its coefficient dicts, and writes to them in place.
+        bodies = marked.sparse_bodies()
+        work = {p: dict(sparse_terms(c)) for p, c in work.items()}
     summands: dict[int, Coeff] = {}  # packed target -> coefficient
     while heap:
         target = -heappop(heap)
@@ -291,7 +281,6 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
             if nparams is None:
                 prev = summands[target] = prev + coeff
             else:
-                prev = summands[target] = dict(prev)
                 param_add_product(prev, coeff, {(): 1}, 1)
             if not prev:
                 del summands[target]
@@ -316,8 +305,6 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
             else:
                 if s is None:
                     s = work[shifted] = {}
-                elif id(s) in shared:
-                    s = work[shifted] = dict(s)
                 param_add_product(s, coeff, c, -1)
             if not s:
                 del work[shifted]
@@ -382,14 +369,13 @@ def prolongation_rep(marked: MarkedSet, el: MarkedElement, j: int) -> Representa
     key = (el.head, j)
     rep = marked._prolongations.get(key)
     if rep is None:
-        degree = el.body.degree + 1
-        packing = marked.basis.packing(degree)
+        packing = marked.basis.packing
         shift = 1 << packing.shifts[j]
         p = packing.pack(el.head)
-        _, terms, coeffs = marked.packed_bodies(packing)[p]
+        _, terms, coeffs = marked.packed_bodies[p]
         work = {p + shift: el.body.terms[el.head]}
         work.update(zip([t + shift for t in terms], coeffs))
-        rep = marked._prolongations[key] = _reduce(work, degree, marked)
+        rep = marked._prolongations[key] = _reduce(work, el.body.degree + 1, marked)
     return rep
 
 

@@ -23,10 +23,12 @@ CASC 2001; Seiler, *Involution*, 2010).  A vertex whose cone contains a
 term is then found with at most n + 1 dict probes, one per candidate class.
 The terms are packed into ints (`ring.TermPacking`), so a key is the packed
 vertex with the fields of x0..x_m cleared, read off a packed term with one
-mask.  There is one index per basis: the structural test `certified_basis`
-builds it and hands it to the basis it certifies, and
-`PommaretBasis.cone_divisor`, `complement_terms` and the reduction kernel
-all read it.  The completion keeps an index of its own growing term set.
+mask.  There is one index per basis, packed once, one degree above the
+largest term: the structural test `certified_basis` builds it and hands it
+to the basis it certifies, and `PommaretBasis.cone_divisor`,
+`complement_terms` and the reduction kernel all read it.  A term of higher
+degree is looked up in a copy of the basis packed for it (`_packed_for`).
+The completion files one index of its own growing term set.
 """
 
 from __future__ import annotations
@@ -220,14 +222,14 @@ class PommaretBasis:
 
     ``certified`` is set by the structural test `certified_basis`, which
     the completion also goes through.  Cone lookups go through one
-    `ConeIndex` of the terms, packed by the basis's `packing`: the one the
-    structural test built, or one built on the first lookup.  Lookups take
-    and give packed terms, and `cone_divisor` memoises them in
-    ``_cone_cache``, keyed by the packed term (sound: the value is
-    immutable, and the memo is cleared when the packing is replaced).
-    Every marked set over the basis shares the packing and the memo.
-    The split of a degree into the terms inside and outside the module
-    (`complement_terms`) is memoised in ``_slices``, keyed by the degree.
+    `ConeIndex` of the terms, packed by the basis's `packing`, which never
+    changes: the index the structural test built, or, for a basis built
+    directly, one built on first use.  Lookups take and give packed terms,
+    and `cone_divisor` memoises them in ``_cone_cache``, keyed by the
+    packed term, which is never cleared.  Every marked set over the basis
+    shares the packing and the memo.  The split of a degree into the terms
+    inside and outside the module (`complement_terms`) is memoised in
+    ``_slices``, keyed by the degree.
     """
 
     layout: FreeModuleLayout
@@ -249,26 +251,33 @@ class PommaretBasis:
 
     def cone_divisor(self, p: int):
         """The packed basis term whose cone contains the term p, packed by
-        the current `packing`, or None outside U; memoised."""
+        `packing`, or None outside U; memoised."""
         hit = self._cone_cache.get(p, False)
         if hit is not False:
             return hit
         found = self._cone_cache[p] = self._cones.find(p)
         return found
 
-    def packing(self, degree: int) -> TermPacking:
-        """The packing of terms over this basis, wide enough for terms of
-        the given degree and at least of every prolongation, one degree
-        above the largest term.  A larger degree than the current one holds
-        replaces it by a wider one, with its `ConeIndex`, and clears the
-        cone memo, whose keys the old one packed."""
-        cones = self._cones
-        if cones is None or degree > cones.packing.degree:
-            packing = TermPacking(self.layout, max(degree, self.max_degree() + 1))
-            cones = ConeIndex(packing, map(packing.pack, self.terms))
-            object.__setattr__(self, "_cones", cones)
-            self._cone_cache.clear()
-        return cones.packing
+    @property
+    def packing(self) -> TermPacking:
+        """The packing of terms over this basis, for every degree up to one
+        above the largest term, so every prolongation fits."""
+        if self._cones is None:
+            packing = TermPacking(self.layout, self.max_degree() + 1)
+            object.__setattr__(self, "_cones", ConeIndex(packing, map(packing.pack, self.terms)))
+        return self._cones.packing
+
+
+def _packed_for(basis: PommaretBasis, degree: int) -> PommaretBasis:
+    """The basis when its packing holds terms of the given degree, else a
+    copy packed for it, with an index and cone memo of its own; only
+    `marked.reduce_full` and `_terms_by_cone` meet such a degree."""
+    if degree <= basis.packing.degree:
+        return basis
+    packing = TermPacking(basis.layout, degree)
+    wide = PommaretBasis(basis.layout, basis.terms, basis.certified)
+    object.__setattr__(wide, "_cones", ConeIndex(packing, map(packing.pack, basis.terms)))
+    return wide
 
 
 def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
@@ -283,8 +292,7 @@ def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
     cone, so the cones are then disjoint, and these local conditions
     certify the global disjoint cover.  Both are read from a `ConeIndex` of
     the terms, packed one degree above the largest term, which holds every
-    prolongation; the basis returned keeps it, since it is the index its
-    `packing` would build first.
+    prolongation; the basis returned keeps it, and its packing, for good.
     """
     terms = frozenset(terms)
     ordered = sorted(terms, key=layout.term_degree)
@@ -322,45 +330,44 @@ def _complete_component(exps: set[Exponent], nvars: int) -> set[Exponent]:
     prolongation covered when it is produced, or when it is popped, stays
     covered and is dropped; the first uncovered one popped is the least
     uncovered prolongation of the current set, and joins it and the index.
-    The index packs its terms for some degree.  The set is filed at the
-    first lookup, packed for twice the largest degree of a prolongation of
-    the input, and re-filed, packed for twice the degree, whenever a term's
-    prolongations outgrow the packing.  A basis that passes `TERM_LIMIT`
-    terms is refused (`TooLarge`) as soon as it does.
+    The index is filed once, packed for deg lcm(input) + 1: every term the
+    completion adds lies in the Pommaret basis of the ideal J, whose
+    degree is reg(J) <= deg lcm(input) (the Taylor resolution bounds it),
+    so every prolongation fits, and one that does not is a bug
+    (`InternalError`).  A basis that passes `TERM_LIMIT` terms is refused
+    (`TooLarge`) as soon as it does.
     """
     basis = set(exps)
     n = nvars - 1
-    layout = FreeModuleLayout(n)
-    top = max(map(exp_deg, basis), default=0) + 1
-    index: ConeIndex | None = None
+    packing = TermPacking(FreeModuleLayout(n), sum(map(max, zip(*basis))) + 1)
+    pack = packing.pack_exp
+    index = ConeIndex(packing, map(pack, basis))
     queue: list[tuple[int, Exponent]] = []
     queued: set[Exponent] = set()
 
-    def covered(e: Exponent, degree: int) -> bool:
-        nonlocal index
-        if index is None or degree > index.packing.degree:
-            packing = TermPacking(layout, 2 * max(degree, top))
-            index = ConeIndex(packing, map(packing.pack_exp, basis))
-        return index.find(index.packing.pack_exp(e)) is not None
-
     def enqueue(e: Exponent) -> None:
         degree = exp_deg(e) + 1
-        for j in range(pommaret_class(e, n) + 1, n + 1):
+        variables = range(pommaret_class(e, n) + 1, n + 1)
+        if variables and degree > packing.degree:
+            raise InternalError(f"a prolongation of degree {degree} outgrows the "
+                                f"completion's bound deg lcm + 1 = {packing.degree}")
+        for j in variables:
             prol = exp_add(e, var_exp(nvars, j))
-            if prol not in queued and not covered(prol, degree):
+            if prol not in queued and index.find(pack(prol)) is None:
                 queued.add(prol)
                 heappush(queue, (degree, prol))
 
     for e in exps:
         enqueue(e)
     while queue:
-        degree, e = heappop(queue)
-        if not covered(e, degree):
+        _, e = heappop(queue)
+        p = pack(e)
+        if index.find(p) is None:
             basis.add(e)
             if len(basis) > TERM_LIMIT:
                 raise TooLarge(f"the Pommaret completion has more than the {TERM_LIMIT} "
                                "terms this program builds")
-            index.add(index.packing.pack_exp(e))
+            index.add(p)
             enqueue(e)
     return basis
 
@@ -568,12 +575,12 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
     """The degree-s terms of the free module inside U and outside it, each
     in listing order, split in one pass and memoised on the basis.  The
     cones of a certified basis cover U exactly, so a term lies in U when
-    some cone holds it; the terms are looked up packed by the basis's
-    packing for degree s.  All terms have degree s, so listing order is the
-    order of the (exponent, component) pairs themselves.  The memo's lists
-    are never handed out: callers get copies, which they may keep.  More
-    than `TERM_LIMIT` terms of degree s are refused (`TooLarge`) before any
-    is built."""
+    some cone holds it, looked up in the basis or, for s above its packing,
+    in a copy packed for s (`_packed_for`).  All terms have degree s, so
+    listing order is the order of the (exponent, component) pairs
+    themselves.  The memo's lists are never handed out: callers get copies,
+    which they may keep.  More than `TERM_LIMIT` terms of degree s are
+    refused (`TooLarge`) before any is built."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
     split = basis._slices.get(s)
@@ -583,8 +590,8 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
         if size > TERM_LIMIT:
             raise TooLarge(f"degree {s} has {size} terms, "
                            f"more than the {TERM_LIMIT} this program builds")
-        pack = basis.packing(s).pack
-        find = basis._cones.find
+        packed = _packed_for(basis, s)
+        pack, find = packed.packing.pack, packed._cones.find
         inside: list[ModuleTerm] = []
         outside: list[ModuleTerm] = []
         for k in range(1, layout.rank + 1):

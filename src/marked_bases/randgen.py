@@ -192,7 +192,7 @@ def _extract_marked_basis(basis: PommaretBasis, images: list[Poly]) -> MarkedSet
     the lex-greatest head of degree s get no row.  Images that are not unit
     triangular leave a pivot off U_s and raise `InternalError`."""
     layout = basis.layout
-    packing = basis.packing(0)
+    packing = basis.packing
     pack, unpack, shifts = packing.pack, packing.unpack, packing.shifts
     comp_mask, low, width = packing.comp_mask, shifts[0], packing.mask.bit_length()
     variables = [{packing.pack_exp(e): c for e, c in p.items()} for p in images]

@@ -137,7 +137,7 @@ class TermPacking:
     packs with a zero component field, so a shift is one int addition.
     Each variable field is just wide enough for degree - min(weights), the
     largest exponent such a term can have; a term of higher degree could
-    carry into the next field, so it is never packed (`PommaretBasis.packing`).
+    carry into the next field, so it is never packed (`monom._packed_for`).
     """
 
     __slots__ = ("degree", "rank", "shifts", "mask", "comp_mask")

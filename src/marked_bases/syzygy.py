@@ -123,11 +123,11 @@ def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
     position = marked.position
     one = 1 if marked.nparams is None else ParamPoly.const(marked.nparams, 1)
     # Every composed term has the degree of a prolongation, which the
-    # packing the reductions used already holds.
-    packing = marked.basis.packing(max(weights, default=0) + 1)
+    # basis's packing holds.
+    packing = marked.basis.packing
     rows = [
         ((head, *terms), (1, *coeffs))
-        for head, (_, terms, coeffs) in marked.packed_bodies(packing).items()
+        for head, (_, terms, coeffs) in marked.packed_bodies.items()
     ]
     syz_elements = []
     columns: list[Column] = []

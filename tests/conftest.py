@@ -22,6 +22,7 @@ from marked_bases import (
     pommaret_completion,
     truncate_basis,
 )
+from marked_bases.monom import _packed_for
 from marked_bases.randgen import random_quasi_stable_exponents
 
 LAY3 = FreeModuleLayout(2)  # x0, x1, x2
@@ -37,9 +38,12 @@ def E(layout, terms):
 
 def cone_divisor_of(basis, t):
     """The basis term whose cone holds the module term t, or None: t is
-    packed for its degree (`PommaretBasis.packing`) and looked up through
-    `PommaretBasis.cone_divisor`, the kernel's one cone lookup."""
-    packing = basis.packing(basis.layout.term_degree(t))
+    packed by the basis's packing (`PommaretBasis.packing`), or, above it,
+    by that of a copy packed for its degree (`monom._packed_for`), and
+    looked up through `PommaretBasis.cone_divisor`, the kernel's one cone
+    lookup."""
+    basis = _packed_for(basis, basis.layout.term_degree(t))
+    packing = basis.packing
     found = basis.cone_divisor(packing.pack(t))
     return None if found is None else packing.unpack(found)
 

@@ -181,8 +181,10 @@ SET_TABLE = [
                  "C_{0,0}, C_{0,1}, C_{0,2}, C_{1,1}, C_{1,2}, C_{2,0}, C_{2,1}\n",
                  id="missing, in index order"),
     pytest.param(_set_point(), 0, SET_ZERO, id="zero"),
-    pytest.param("C_{1,1}=7," + _set_point(), 0, SET_ZERO, id="repeated, last 0"),
-    pytest.param(_set_point() + ",C_{1,1}=7", 1, SET_C11_IS_7, id="repeated, last 7"),
+    pytest.param("C_{1,1}=7," + _set_point(), 2,
+                 "input error: parameter 'C_{1,1}' is assigned twice\n", id="repeated, last 0"),
+    pytest.param(_set_point() + ",C_{1,1}=7", 2,
+                 "input error: parameter 'C_{1,1}' is assigned twice\n", id="repeated, last 7"),
     pytest.param(_set_point(C11=7), 1, SET_C11_IS_7, id="C_{1,1}=7"),
     *(
         pytest.param(_set_point(C00=spelling), 0,
@@ -568,6 +570,14 @@ class TestOtherCommands:
 
 
 class TestExitCodes:
+    def test_parameter_assigned_twice_is_input_error(self, capsys, tmp_path):
+        """A name given twice is refused, with one line naming it."""
+        path = tmp_path / "twice.mb"
+        path.write_text("ring 2\nideal J = x1^2, x1*x0\nmarked G = [x1^2] + x0^2, [x1*x0]\n")
+        code, out = run(capsys, "specialize", str(path), "--set", "C_{0,0}=1,C_{1,0}=1,C_{0,0}=4")
+        assert code == 2
+        assert (out.out, out.err) == ("", "input error: parameter 'C_{0,0}' is assigned twice\n")
+
     def test_unknown_variable_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.mb"
         path.write_text("ring 3\nideal J = x1*x9\n")

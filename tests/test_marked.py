@@ -17,6 +17,7 @@ from marked_bases import (
     PommaretBasis,
     Representation,
     TailTermInU,
+    complement_terms,
     generic_marked_set,
     is_marked_basis,
     nonmultiplicative_variables,
@@ -190,7 +191,9 @@ class TestConfluence:
         """The heap attacks the terms a rescan for the lex-greatest term of U
         would.  Any order gives the same representation, so the steps are
         counted too: the kernel looks up one cone per term of h and one per
-        term each step creates, and no other."""
+        term each step creates, and no other.  A target above the basis's
+        packing is reduced over a copy of the set, whose tail check looks
+        up each tail term once more."""
         lookups = []
         original = PommaretBasis.cone_divisor
 
@@ -217,6 +220,8 @@ class TestConfluence:
                     len(marked.elements[cone_divisor_scan(basis.terms, t)].body.terms) - 1
                     for t in targets
                 )
+                if h.degree > basis.packing.degree:
+                    created += sum(len(el.body.terms) - 1 for el in marked.ordered())
                 lookups.clear()
                 assert reduce_full(h, marked) == expected
                 assert len(lookups) == len(h.terms) + created
@@ -355,8 +360,8 @@ class TestPackedKernel:
         marked = random_marked_set(rng, basis)
         generic = generic_marked_set(basis)
         top = basis.max_degree()
-        # The high-degree target widens the basis's packing between the
-        # others, which then reuse the wider one.
+        # The high-degree target, between the others, is reduced over a
+        # copy of the set whose basis is packed for its degree.
         degrees = [rng.randint(1, top + 2) for _ in range(3)]
         degrees.insert(rng.randint(0, 3), top + rng.randint(10, 16))
         for d in degrees:
@@ -364,8 +369,8 @@ class TestPackedKernel:
             cases = [(h, marked)]
             # Parameter coefficients grow fast with the degree and with the
             # number of parameters, so the generic set reduces targets up to
-            # the degree of a prolongation only, some after the widening, and
-            # only with at most 100 parameters (most of these bases).
+            # the degree of a prolongation only, and only with at most 100
+            # parameters (most of these bases).
             if d <= top + 1 and generic.nparams <= 100:
                 cases.append((over_parameters(rng, h, generic, d), generic.marked))
             for target, over in cases:
@@ -393,39 +398,45 @@ class TestPackedKernel:
             elements = generic.marked.ordered()
         marked = MarkedSet(twisted.basis, elements)
         head = T((1, 1, 0))
-        # Forged past the tail check: the packed bodies are dropped, so the
-        # kernel packs them again from the forged element.
+        # Forged past the tail check: the element and its packed body, which
+        # the kernel reads, are replaced.
         marked.elements[head] = MarkedElement(
             ModuleElement(LAY3, {head: one, T((0, 2, 0)): tail}), head
         )
-        marked._packed = None
+        pack = twisted.basis.packing.pack
+        marked.packed_bodies[pack(head)] = (head, (pack(T((0, 2, 0))),), (tail,))
         with pytest.raises(InternalNonTermination):
             reduce_full(ModuleElement(LAY3, {T((2, 1, 0)): one}), marked)
         assert (marked._sparse is not None) == (domain == "K[C]")
 
-    def test_marked_sets_share_one_memo_across_a_widening(self, twisted, rng):
+    def test_packing_and_memo_outlive_a_high_target(self, twisted, rng):
         """Two marked sets over one basis share its packing and its cone
-        memo, keyed by packed ints; a target above the packing's degree
-        replaces both, and every later reduction agrees with the oracle."""
+        memo, keyed by packed ints.  A target of degree max_degree() + 10,
+        reduced and split with `complement_terms`, replaces neither and
+        drops no memo entry, and every reduction agrees with the oracle."""
         basis = twisted.basis
         first = MarkedSet(basis, twisted.marked.ordered())
         second = random_marked_set(rng, basis)
         small = random_homogeneous_element(rng, LAY3, 4)
         reduce_full(small, first)
         reduce_full(small, second)
-        packing = basis.packing(0)
-        assert first._packed[0] is second._packed[0] is packing
-        assert basis._cone_cache and all(type(k) is int for k in basis._cone_cache)
-        big = E(LAY3, {T((2, 1, 2 * packing.mask)): 1, T((0, 3, 2 * packing.mask)): -1})
+        packing = basis.packing
+        keys = set(basis._cone_cache)
+        assert keys and all(type(k) is int for k in keys)
+        degree = basis.max_degree() + 10
+        assert degree > packing.degree
+        assert complement_terms(basis, degree) == sorted(
+            t for t in all_module_terms(LAY3, degree) if cone_divisor_scan(basis.terms, t) is None
+        )
+        big = random_homogeneous_element(rng, LAY3, degree)
         for marked in (first, second, first):
             for h in (big, small):
                 got = reduce_full(h, marked)
                 expected = reduce_in_order(h, marked, lex_greatest)
                 assert got == expected
                 assert list(got.remainder.terms) == list(expected.remainder.terms)
-        assert basis.packing(0) is not packing
-        assert basis.packing(0).degree >= big.degree
-        assert first._packed[0] is second._packed[0] is basis.packing(0)
+        assert basis.packing is packing
+        assert keys <= set(basis._cone_cache)
 
 
 class TestTwoEntryPoints:
@@ -437,18 +448,14 @@ class TestTwoEntryPoints:
     Fraction, ParamPoly)."""
 
     @staticmethod
-    def agree(marked, widen: bool) -> int:
+    def agree(marked) -> int:
         """Compares the two on every prolongation of a fresh copy of
-        `marked`, whose memo is empty; with `widen`, the basis's packing is
-        widened after every prolongation is reduced and before any summand
-        is read.  Returns the number of prolongations."""
+        `marked`, whose memo is empty; every prolongation is reduced before
+        any summand is read.  Returns the number of prolongations."""
         fresh = MarkedSet(marked.basis, marked.ordered())
         nvars = fresh.layout.nvars
         jobs = list(prolongations(fresh))
         reps = [prolongation_rep(fresh, el, j) for el, j in jobs]
-        if widen:
-            old = fresh.basis.packing(0)
-            assert fresh.basis.packing(2 * old.degree + 2).mask > old.mask
         for (el, j), rep in zip(jobs, reps):
             ref = reduce_full(mul_term(el.body, var_exp(nvars, j)), fresh)
             eager = Representation(ref.summands, ref.remainder)
@@ -469,10 +476,7 @@ class TestTwoEntryPoints:
         rng = random.Random(seed)
         bases = survey_bases(seed, 60)
         assert any(basis.layout.rank == 2 for basis in bases)
-        walked = sum(
-            self.agree(random_marked_basis(rng, basis), widen=i % 2 == 1)
-            for i, basis in enumerate(bases)
-        )
+        walked = sum(self.agree(random_marked_basis(rng, basis)) for basis in bases)
         assert walked > 0
 
     @pytest.mark.parametrize("name", ["C1", "C5"])
@@ -481,5 +485,4 @@ class TestTwoEntryPoints:
         module = MonomialModule(FreeModuleLayout(n, weights), [T(e, k) for e, k in gens])
         generic = generic_marked_set(truncate_basis(pommaret_completion(module), degree))
         assert generic.nparams
-        assert self.agree(generic.marked, widen=False) > 0
-        assert self.agree(generic.marked, widen=True) > 0
+        assert self.agree(generic.marked) > 0

@@ -509,8 +509,8 @@ class TestConeIndex:
     @given(term_sets())
     def test_structural_test_matches_scan(self, case):
         """`certified_basis` returns None exactly when the scan rejects the
-        terms, and otherwise a basis that keeps the index of the test as the
-        one its packing picks first."""
+        terms, and otherwise a basis that keeps the index of the test, and
+        its packing, one degree above the largest term."""
         layout, terms = case
         verdict = is_pommaret_basis_scan(terms, layout)
         assert is_pommaret_basis(terms, layout) == verdict
@@ -519,7 +519,8 @@ class TestConeIndex:
         if basis is not None:
             assert basis.certified and basis.terms == terms
             cones = basis._cones
-            assert basis.packing(0).degree == basis.max_degree() + 1
+            assert basis.packing is cones.packing
+            assert basis.packing.degree == basis.max_degree() + 1
             assert basis._cones is cones
 
     def test_term_in_a_lower_degree_cone_is_rejected(self):
@@ -572,10 +573,9 @@ class TestConeIndex:
             gens = random_quasi_stable_exponents(random.Random(seed), nvars, 3)
         assert _complete_component(set(gens), nvars) == complete_component_scan(gens, nvars)
 
-    def test_completion_outgrows_its_first_packing(self, monkeypatch):
-        """(x1^5, x2^5, x3^5) completes up to degree 13, beyond the packing
-        the completion's index starts with (for twice the degree of the
-        first prolongations), so the index is re-filed on the way."""
+    def test_completion_files_one_index(self, monkeypatch):
+        """(x1^5, x2^5, x3^5) completes up to degree 13, and the completion
+        files its one index up front, packed for deg lcm + 1 = 16."""
         built = []
 
         class Counting(ConeIndex):
@@ -588,9 +588,29 @@ class TestConeIndex:
         monkeypatch.setattr(monom_module, "ConeIndex", Counting)
         gens = {(0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5)}
         completed = _complete_component(set(gens), 4)
-        assert max(map(sum, completed)) == 13 > built[0]
-        assert len(built) > 1
+        assert max(map(sum, completed)) == 13
+        assert built == [16]
         assert completed == complete_component_scan(gens, 4)
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_completion_refuses_a_prolongation_beyond_its_bound(self, monkeypatch, slack):
+        """With its packing forced to the degree 14 of the largest
+        prolongation of (x1^5, x2^5, x3^5) the completion still ends; one
+        degree less, and the prolongation that outgrows it is refused."""
+        gens = {(0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5)}
+
+        class Forced(TermPacking):
+            __slots__ = ()
+
+            def __init__(self, layout, degree):
+                super().__init__(layout, 14 + slack)
+
+        monkeypatch.setattr(monom_module, "TermPacking", Forced)
+        if slack:
+            with pytest.raises(InternalError, match="prolongation of degree 14 outgrows"):
+                _complete_component(set(gens), 4)
+        else:
+            assert _complete_component(set(gens), 4) == complete_component_scan(gens, 4)
 
     def test_completion_of_random_quasi_stable_ideals(self, rng):
         grew = 0

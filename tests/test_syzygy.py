@@ -38,7 +38,7 @@ from marked_bases import (
     truncate_basis,
     verify_complex,
 )
-from marked_bases.ring import InternalError
+from marked_bases.ring import InternalError, ModuleElement
 from marked_bases.syzygy import FreeResolution
 from marked_bases.randgen import (
     random_marked_basis,
@@ -671,10 +671,7 @@ def _spoil_level0(add_scaled_column, which):
     is the row elimination into the map below the pivot, which empties the
     image of the eliminated generator; after it, that image gets the source
     column back (``which="target"``) or the source, the image of a surviving
-    generator, has the sign of its first entry flipped (``"source"``).
-    `_compose_column` accumulates through `_add_scaled_column` too, but
-    minimization composes only after its eliminations, so no composition
-    that cancels to zero comes first."""
+    generator, has the sign of its first entry flipped (``"source"``)."""
     done = []
 
     def broken(target, source, factor, sign):
@@ -741,10 +738,102 @@ def _shifted_d(basis_invariants):
     )
 
 
+def _nonzero(marked) -> ModuleElement:
+    """A non-zero element over the layout of `marked`: its first head."""
+    return ModuleElement(marked.layout, {next(iter(marked.elements)): 1})
+
+
+def _spoil_memo(marked):
+    """Corrupts a certified set in place: the memoised representation of
+    its last prolongation gets a non-zero remainder."""
+    if not is_marked_basis(marked).is_basis:
+        raise ValueError("needs a marked basis")
+    key, rep = list(marked._prolongations.items())[-1]
+    marked._prolongations[key] = Representation(rep.summands, _nonzero(marked))
+    return marked
+
+
+def _drop_one(prolongations):
+    """A corrupted prolongation walk: the first element with two
+    prolongations loses its last one, by x_n.  Its other syzygy head x_j*e_k
+    (j < n) then has the prolongation x_n*x_j*e_k, which only the cone of
+    the dropped head x_n*e_k holds."""
+
+    def broken(marked):
+        jobs = list(prolongations(marked))
+        i = next(i for i in range(1, len(jobs)) if jobs[i][0] is jobs[i - 1][0])
+        return jobs[:i] + jobs[i + 1:]
+
+    return broken
+
+
+def _leaky_reduce(reduce, spared):
+    """A corrupted kernel: every reduction over a set other than `spared`
+    leaves a non-zero remainder."""
+
+    def broken(work, degree, marked):
+        rep = reduce(work, degree, marked)
+        return rep if marked is spared else Representation(rep.summands, _nonzero(marked))
+
+    return broken
+
+
 class TestSelfChecksRaise:
-    """The minimization invariants, its final complex check and the length
-    check of `free_resolution` raise `InternalError`, so `python -O` keeps
-    them (scripts/tier1.sh runs this file under -O as well)."""
+    """The checks of the syzygy step, the minimization invariants, its
+    final complex check and the length check of `free_resolution` raise
+    `InternalError`, so `python -O` keeps them (scripts/tier1.sh runs this
+    file under -O as well)."""
+
+    def test_nonvanishing_prolongation_is_caught(self, twisted):
+        with pytest.raises(InternalError,
+                           match="prolongation of a certified basis does not vanish"):
+            syzygy_marked_basis(_spoil_memo(twisted.marked))
+
+    def test_missing_syzygy_head_is_caught(self, monkeypatch, twisted):
+        monkeypatch.setattr(syzygy_module, "prolongations", _drop_one(prolongations))
+        with pytest.raises(InternalError, match="syzygy heads do not form a Pommaret basis"):
+            syzygy_marked_basis(twisted.marked)
+
+    def test_syzygy_set_failing_its_recheck_is_caught(self, monkeypatch, twisted):
+        marked = twisted.marked
+        assert is_marked_basis(marked).is_basis
+        monkeypatch.setattr(marked_module, "_reduce", _leaky_reduce(marked_module._reduce, marked))
+        with pytest.raises(InternalError, match="syzygy set failed the marked-basis re-check"):
+            syzygy_marked_basis(marked)
+
+    def test_syzygy_step_checks_survive_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_twisted_example\n"
+            "from test_syzygy import _drop_one, _leaky_reduce, _spoil_memo\n"
+            "from marked_bases import marked, syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "def attempt(marked_set):\n"
+            "    try:\n"
+            "        syzygy.syzygy_marked_basis(marked_set)\n"
+            "    except InternalError as exc:\n"
+            "        print('raised:', exc)\n"
+            "attempt(_spoil_memo(build_twisted_example().marked))\n"
+            "real = syzygy.prolongations\n"
+            "syzygy.prolongations = _drop_one(real)\n"
+            "attempt(build_twisted_example().marked)\n"
+            "syzygy.prolongations = real\n"
+            "spared = build_twisted_example().marked\n"
+            "syzygy.is_marked_basis(spared)\n"
+            "marked._reduce = _leaky_reduce(marked._reduce, spared)\n"
+            "attempt(spared)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "raised: prolongation of a certified basis does not vanish\n"
+            "raised: syzygy heads do not form a Pommaret basis\n"
+            "raised: syzygy set failed the marked-basis re-check\n"
+        )
 
     @pytest.mark.parametrize("corrupt, message", [
         (_unequal_degrees, "constant entry links unequal degrees"),
