@@ -51,6 +51,8 @@ from time import process_time
 
 sys.dont_write_bytecode = True
 
+from peak_rss import bench_run  # noqa: E402  (after the bytecode switch)
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "marked_bases"
 
@@ -95,19 +97,6 @@ def find_ops(workloads, workload: str, names: list[str], seed: int, workdir: Pat
         raise SystemExit(f"no op {missing[0]!r} in workload {workload!r} "
                          f"(ops: {', '.join(ops)})")
     return [ops[name] for name in names]
-
-
-def bench_figures():
-    """`figures` of `bench/run.py`: the benchmark's wall time, p50 and tail
-    of one latency per op."""
-    sys.path.insert(0, str(ROOT / "bench"))  # run.py imports bench/tracing.py
-    try:
-        spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
-        run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-    finally:
-        sys.path.remove(str(ROOT / "bench"))
-    return run.figures
 
 
 def timed(ops):
@@ -175,7 +164,7 @@ def main(argv=None) -> int:
     print(f"change median {statistics.median(times[1]) * 1e3:.1f} ms")
     print(ratio_line(times))
     if len(ops[0]) > 1:
-        figures = bench_figures()
+        figures = bench_run().figures
         p50, tail = zip(*(
             (f["op_p50_ms"], f["op_tail_ms"])
             for f in (figures([statistics.median(t) for t in side]) for side in per_op)

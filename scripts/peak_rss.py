@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_run():
-    """`bench/run.py`, for its `Worker` and `SETUP_REPEATS`."""
+    """`bench/run.py` as a module: this script reads its `Worker` and
+    `SETUP_REPEATS`, and `ab_ops.py` its `figures`."""
     sys.path.insert(0, str(ROOT / "bench"))  # run.py imports bench/tracing.py
     try:
         spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")

@@ -24,7 +24,6 @@ that head; this naming is part of the output contract.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
@@ -66,11 +65,10 @@ class GenericMarkedSet:
 def tail_parameters(basis: PommaretBasis) -> tuple[list[tuple], list[str]]:
     """The (head, tail term) pairs and names C_{h,t} of the parameters,
     head-major in the listing order of heads and of each degree's complement
-    terms, which are enumerated once."""
-    tails_of = functools.cache(functools.partial(complement_terms, basis))
+    terms, which the basis enumerates once per degree (`complement_terms`)."""
     pairs, names = [], []
     for h_idx, head in enumerate(basis.sorted_terms()):
-        for t_idx, tail in enumerate(tails_of(basis.layout.term_degree(head))):
+        for t_idx, tail in enumerate(complement_terms(basis, basis.layout.term_degree(head))):
             pairs.append((head, tail))
             names.append(f"C_{{{h_idx},{t_idx}}}")
     return pairs, names

@@ -118,12 +118,14 @@ class MarkedSet:
 
     ``packed_bodies`` is what the kernel reads, packed once, here, by the
     basis's packing: {packed head: (head, packed tail terms, their
-    coefficients)} in element order, each tail in body order.
+    coefficients)} in element order, each tail in body order; over K[C]
+    ``sparse_bodies`` holds them with coefficients as `ring.sparse_terms`,
+    as the kernel's K[C] steps read them (None over Q).
     """
 
     __slots__ = (
-        "basis", "elements", "position", "nparams", "packed_bodies",
-        "_certified", "_prolongations", "_sparse",
+        "basis", "elements", "position", "nparams", "packed_bodies", "sparse_bodies",
+        "_certified", "_prolongations",
     )
 
     def __init__(self, basis: PommaretBasis, elements: Iterable[MarkedElement]):
@@ -152,20 +154,23 @@ class MarkedSet:
         self.nparams = sample.nparams if isinstance(sample, ParamPoly) else None
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
-        self._sparse: dict | None = None
         # The tails are checked as the kernel will read them, packed, and
         # through the cone memo: the tails of many elements share terms.
         # Every term has the degree of a head, which the packing holds.
         packing = basis.packing
         pack = packing.pack
         self.packed_bodies = {}
+        self.sparse_bodies = None if self.nparams is None else {}
         for head, el in by_head.items():
             terms = tuple([pack(t) for t in el.body.terms if t != head])
             for p in terms:
                 if basis.cone_divisor(p) is not None:
                     raise TailTermInU(packing.unpack(p))
             coeffs = tuple([c for t, c in el.body.terms.items() if t != head])
-            self.packed_bodies[pack(head)] = (head, terms, coeffs)
+            key = pack(head)
+            self.packed_bodies[key] = (head, terms, coeffs)
+            if self.sparse_bodies is not None:
+                self.sparse_bodies[key] = (head, terms, tuple(map(sparse_terms, coeffs)))
 
     @property
     def layout(self):
@@ -173,15 +178,6 @@ class MarkedSet:
 
     def ordered(self) -> list[MarkedElement]:
         return list(self.elements.values())
-
-    def sparse_bodies(self) -> dict:
-        """`packed_bodies` with every coefficient as `ring.sparse_terms`, as
-        the K[C] steps of the kernel read them; built on the first such
-        reduction, so a set that is only specialized never is."""
-        if self._sparse is None:
-            self._sparse = {p: (head, terms, tuple(map(sparse_terms, coeffs)))
-                            for p, (head, terms, coeffs) in self.packed_bodies.items()}
-        return self._sparse
 
 
 class Representation:
@@ -266,7 +262,7 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
     heapify(heap)
     if nparams is not None:
         # The kernel owns its coefficient dicts, and writes to them in place.
-        bodies = marked.sparse_bodies()
+        bodies = marked.sparse_bodies
         work = {p: dict(sparse_terms(c)) for p, c in work.items()}
     summands: dict[int, Coeff] = {}  # packed target -> coefficient
     while heap:

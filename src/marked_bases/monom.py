@@ -23,9 +23,8 @@ CASC 2001; Seiler, *Involution*, 2010).  A vertex whose cone contains a
 term is then found with at most n + 1 dict probes, one per candidate class.
 The terms are packed into ints (`ring.TermPacking`), so a key is the packed
 vertex with the fields of x0..x_m cleared, read off a packed term with one
-mask.  There is one index per basis, packed once, one degree above the
-largest term: the structural test `certified_basis` builds it and hands it
-to the basis it certifies, and `PommaretBasis.cone_divisor`,
+mask.  There is one index per basis, packed one degree above the largest
+term and built with the basis (`PommaretBasis`); `cone_divisor`,
 `complement_terms` and the reduction kernel all read it.  A term of higher
 degree is looked up in a copy of the basis packed for it (`_packed_for`).
 The completion files one index of its own growing term set.
@@ -85,12 +84,10 @@ def pommaret_class(e: Exponent, n: int) -> int:
     return n if m is None else m
 
 
-def nonmultiplicative_variables(t, n: int) -> tuple[int, ...]:
+def nonmultiplicative_variables(t: ModuleTerm, n: int) -> range:
     """Indices of the variables above min(t), which are not
-    Pommaret-multiplicative for t: x0, ..., min(t) are.  Accepts a
-    ModuleTerm or a bare exponent tuple; the constant exponent has none."""
-    exp = t.exp if isinstance(t, ModuleTerm) else t
-    return tuple(range(pommaret_class(exp, n) + 1, n + 1))
+    Pommaret-multiplicative for t (x0, ..., min(t) are); none for 1."""
+    return range(pommaret_class(t.exp, n) + 1, n + 1)
 
 
 class ConeIndex:
@@ -216,32 +213,37 @@ class MonomialModule:
         return f"MonomialModule({sorted(self.generators)})"
 
 
+# A memo of results on a frozen dataclass: no constructor field, not compared.
+_MEMO = dict(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+
+
 @dataclass(frozen=True)
 class PommaretBasis:
     """Finite term set with the disjoint-cone certificate.
 
     ``certified`` is set by the structural test `certified_basis`, which
     the completion also goes through.  Cone lookups go through one
-    `ConeIndex` of the terms, packed by the basis's `packing`, which never
-    changes: the index the structural test built, or, for a basis built
-    directly, one built on first use.  Lookups take and give packed terms,
-    and `cone_divisor` memoises them in ``_cone_cache``, keyed by the
-    packed term, which is never cleared.  Every marked set over the basis
-    shares the packing and the memo.  The split of a degree into the terms
-    inside and outside the module (`complement_terms`) is memoised in
-    ``_slices``, keyed by the degree.
+    `ConeIndex` of the terms, packed by the basis's `packing`: the index the
+    structural test built, or one `__post_init__` files one degree above
+    the largest term.  Lookups take and give packed terms, and
+    `cone_divisor` memoises them in ``_cone_cache``, keyed by the packed
+    term; every marked set over the basis shares the packing and the memo.
+    The split of each degree into the terms inside and outside the module
+    (`complement_terms`) is memoised in ``_slices``.  These memos are all
+    that is written once the basis is built.
     """
 
     layout: FreeModuleLayout
     terms: frozenset[ModuleTerm]
     certified: bool = False
-    _cone_cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
-    _cones: ConeIndex | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    _slices: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
+    _cones: ConeIndex | None = field(default=None, repr=False, compare=False, hash=False)
+    _cone_cache: dict = field(**_MEMO)
+    _slices: dict = field(**_MEMO)
+
+    def __post_init__(self):
+        if self._cones is None:
+            packing = TermPacking(self.layout, self.max_degree() + 1)
+            object.__setattr__(self, "_cones", ConeIndex(packing, map(packing.pack, self.terms)))
 
     def sorted_terms(self) -> list[ModuleTerm]:
         return sorted(self.terms, key=lambda t: listing_key(self.layout, t))
@@ -260,24 +262,19 @@ class PommaretBasis:
 
     @property
     def packing(self) -> TermPacking:
-        """The packing of terms over this basis, for every degree up to one
-        above the largest term, so every prolongation fits."""
-        if self._cones is None:
-            packing = TermPacking(self.layout, self.max_degree() + 1)
-            object.__setattr__(self, "_cones", ConeIndex(packing, map(packing.pack, self.terms)))
+        """The packing of the index, wide enough for every prolongation."""
         return self._cones.packing
 
 
 def _packed_for(basis: PommaretBasis, degree: int) -> PommaretBasis:
     """The basis when its packing holds terms of the given degree, else a
-    copy packed for it, with an index and cone memo of its own; only
-    `marked.reduce_full` and `_terms_by_cone` meet such a degree."""
+    copy built with an index packed for it, and a cone memo of its own;
+    only `marked.reduce_full` and `_terms_by_cone` meet such a degree."""
     if degree <= basis.packing.degree:
         return basis
     packing = TermPacking(basis.layout, degree)
-    wide = PommaretBasis(basis.layout, basis.terms, basis.certified)
-    object.__setattr__(wide, "_cones", ConeIndex(packing, map(packing.pack, basis.terms)))
-    return wide
+    return PommaretBasis(basis.layout, basis.terms, basis.certified,
+                         ConeIndex(packing, map(packing.pack, basis.terms)))
 
 
 def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
@@ -292,7 +289,7 @@ def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
     cone, so the cones are then disjoint, and these local conditions
     certify the global disjoint cover.  Both are read from a `ConeIndex` of
     the terms, packed one degree above the largest term, which holds every
-    prolongation; the basis returned keeps it, and its packing, for good.
+    prolongation; the basis is built with that index, and its packing.
     """
     terms = frozenset(terms)
     ordered = sorted(terms, key=layout.term_degree)
@@ -308,9 +305,7 @@ def certified_basis(terms, layout: FreeModuleLayout) -> PommaretBasis | None:
         for j in nonmultiplicative_variables(t, layout.n):
             if index.find(p + (1 << shifts[j])) is None:
                 return None
-    basis = PommaretBasis(layout, terms, certified=True)
-    object.__setattr__(basis, "_cones", index)
-    return basis
+    return PommaretBasis(layout, terms, True, index)
 
 
 def is_pommaret_basis(terms, layout: FreeModuleLayout) -> bool:
@@ -571,16 +566,15 @@ def complement_rank(basis: PommaretBasis, s: int) -> int:
     return ambient_rank(basis.layout, s) - hilbert_function(basis, s)
 
 
-def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list[ModuleTerm]]:
+def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[tuple[ModuleTerm, ...], ...]:
     """The degree-s terms of the free module inside U and outside it, each
-    in listing order, split in one pass and memoised on the basis.  The
-    cones of a certified basis cover U exactly, so a term lies in U when
-    some cone holds it, looked up in the basis or, for s above its packing,
-    in a copy packed for s (`_packed_for`).  All terms have degree s, so
-    listing order is the order of the (exponent, component) pairs
-    themselves.  The memo's lists are never handed out: callers get copies,
-    which they may keep.  More than `TERM_LIMIT` terms of degree s are
-    refused (`TooLarge`) before any is built."""
+    a tuple in listing order, split in one pass and memoised on the basis;
+    callers share the memo's tuples.  The cones of a certified basis cover
+    U exactly, so a term lies in U when some cone holds it, looked up in the
+    basis or, for s above its packing, in a copy packed for s
+    (`_packed_for`).  All terms have degree s, so listing order is the
+    order of the (exponent, component) pairs themselves.  More than
+    `TERM_LIMIT` terms of degree s are refused (`TooLarge`) first."""
     if not basis.certified:
         raise ValueError("requires a certified basis")
     split = basis._slices.get(s)
@@ -601,17 +595,15 @@ def _terms_by_cone(basis: PommaretBasis, s: int) -> tuple[list[ModuleTerm], list
             for e in terms_of_degree(layout.nvars, d):
                 t = ModuleTerm(e, k)
                 (outside if find(pack(t)) is None else inside).append(t)
-        inside.sort()
-        outside.sort()
-        split = basis._slices[s] = (inside, outside)
+        split = basis._slices[s] = (tuple(sorted(inside)), tuple(sorted(outside)))
     return split
 
 
-def complement_terms(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
+def complement_terms(basis: PommaretBasis, s: int) -> tuple[ModuleTerm, ...]:
     """The degree-s terms of the free module outside U, in listing order."""
-    return list(_terms_by_cone(basis, s)[1])
+    return _terms_by_cone(basis, s)[1]
 
 
-def module_terms_of_degree(basis: PommaretBasis, s: int) -> list[ModuleTerm]:
+def module_terms_of_degree(basis: PommaretBasis, s: int) -> tuple[ModuleTerm, ...]:
     """The degree-s terms of U itself, in listing order."""
-    return list(_terms_by_cone(basis, s)[0])
+    return _terms_by_cone(basis, s)[0]

@@ -144,15 +144,11 @@ def random_quasi_stable_basis(rng: random.Random, n: int, max_deg: int = 4,
 def random_marked_set(rng: random.Random, basis: PommaretBasis) -> MarkedSet:
     """Random tails over the complement; rarely a basis."""
     layout = basis.layout
-    complements: dict[int, list[ModuleTerm]] = {}
     elements = []
     for head in basis.sorted_terms():
         s = layout.term_degree(head)
-        tails = complements.get(s)
-        if tails is None:
-            tails = complements[s] = complement_terms(basis, s)
         terms = {head: 1}
-        for tail in tails:
+        for tail in complement_terms(basis, s):
             if rng.random() < 0.6:
                 c = rng.randint(-3, 3)
                 if c:

@@ -236,8 +236,8 @@ class FreeResolution:
 
 def free_resolution(marked: MarkedSet) -> FreeResolution:
     """Iterate the syzygy construction until a level has no prolongation
-    left; the length comes out as n - D with D the least minimal-variable
-    index among the level-0 heads, which is checked.
+    left; the length n - D (D the least class of a level-0 head) and the
+    level ranks of `predicted_ranks` are checked.
 
     Each differential is the list of columns `syzygy_marked_basis` returns,
     and that step has composed every one of them with the map below it, so
@@ -261,6 +261,8 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     res = FreeResolution(marked.layout, bodies, degrees, matrices, heads)
     if res.length != marked.layout.n - basis_invariants(marked.basis).D:
         raise InternalError("resolution length differs from n - D")
+    if res.rank_pairs() != predicted_ranks(marked.basis):
+        raise InternalError("resolution ranks differ from the ranks the heads predict")
     return res
 
 

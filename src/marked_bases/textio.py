@@ -281,7 +281,6 @@ def format_poly(p: Poly) -> str:
 
 @dataclass
 class RawMarkedSet:
-    name: str
     elements: list[tuple[ModuleElement, ModuleTerm]]
 
 
@@ -399,7 +398,7 @@ def parse_document(text: str) -> InputDocument:
                     raise InputFormatError(f"line {lineno}: ideal generators must be monic")
                 items.append(t)
             if marked:
-                doc_marked[name] = RawMarkedSet(name, items)
+                doc_marked[name] = RawMarkedSet(items)
             else:
                 doc_ideals[name] = MonomialModule(layout, items)
         else:

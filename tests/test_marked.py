@@ -27,7 +27,7 @@ from marked_bases import (
     reduce_full,
     truncate_basis,
 )
-from marked_bases.ring import FreeModuleLayout, var_exp
+from marked_bases.ring import FreeModuleLayout, sparse_terms, var_exp
 from marked_bases.randgen import random_marked_basis, random_marked_set, random_quasi_stable_basis
 from conftest import E, LAY3, T, build_twisted_example, survey_bases
 from test_coefficients import assert_rule
@@ -398,16 +398,18 @@ class TestPackedKernel:
             elements = generic.marked.ordered()
         marked = MarkedSet(twisted.basis, elements)
         head = T((1, 1, 0))
-        # Forged past the tail check: the element and its packed body, which
-        # the kernel reads, are replaced.
+        # Forged past the tail check: the element and the bodies the kernel
+        # reads, packed and, over K[C], sparse, are replaced.
         marked.elements[head] = MarkedElement(
             ModuleElement(LAY3, {head: one, T((0, 2, 0)): tail}), head
         )
         pack = twisted.basis.packing.pack
         marked.packed_bodies[pack(head)] = (head, (pack(T((0, 2, 0))),), (tail,))
-        with pytest.raises(InternalNonTermination):
+        assert (marked.sparse_bodies is not None) == (domain == "K[C]")
+        if domain == "K[C]":
+            marked.sparse_bodies[pack(head)] = (head, (pack(T((0, 2, 0))),), (sparse_terms(tail),))
+        with pytest.raises(InternalNonTermination, match="created multiplier"):
             reduce_full(ModuleElement(LAY3, {T((2, 1, 0)): one}), marked)
-        assert (marked._sparse is not None) == (domain == "K[C]")
 
     def test_packing_and_memo_outlive_a_high_target(self, twisted, rng):
         """Two marked sets over one basis share its packing and its cone
@@ -425,9 +427,9 @@ class TestPackedKernel:
         assert keys and all(type(k) is int for k in keys)
         degree = basis.max_degree() + 10
         assert degree > packing.degree
-        assert complement_terms(basis, degree) == sorted(
+        assert complement_terms(basis, degree) == tuple(sorted(
             t for t in all_module_terms(LAY3, degree) if cone_divisor_scan(basis.terms, t) is None
-        )
+        ))
         big = random_homogeneous_element(rng, LAY3, degree)
         for marked in (first, second, first):
             for h in (big, small):

@@ -375,7 +375,7 @@ def test_unit_ideal_is_its_own_basis():
     basis = pommaret_completion(MonomialModule(LAY2, [T((0, 0))]))
     assert basis.terms == frozenset({T((0, 0))})
     assert hilbert_function(basis, 3) == 4  # the whole degree-3 slice
-    assert complement_terms(basis, 3) == []
+    assert complement_terms(basis, 3) == ()
 
 
 def test_disjoint_cover_on_random_inputs(rng):
@@ -395,7 +395,7 @@ def test_disjoint_cover_on_random_inputs(rng):
 
 def test_degree_split_once_per_basis_in_listing_order(monkeypatch, rng):
     """Each degree is enumerated once per basis, for both of its lists, which
-    come in listing order; a caller may change the lists it gets."""
+    are tuples in listing order; every call hands out the same tuple."""
     real = monom_module.terms_of_degree
     degrees = []
 
@@ -411,17 +411,15 @@ def test_degree_split_once_per_basis_in_listing_order(monkeypatch, rng):
             degrees.clear()
             inside = module_terms_of_degree(basis, s)
             outside = complement_terms(basis, s)
-            assert inside == sorted(inside, key=key)
-            assert outside == sorted(outside, key=key)
+            assert type(inside) is tuple and type(outside) is tuple
+            assert list(inside) == sorted(inside, key=key)
+            assert list(outside) == sorted(outside, key=key)
             assert set(inside) | set(outside) == set(all_module_terms(layout, s))
             enumerated = len(degrees)
             assert enumerated <= layout.rank
-            outside.append("kept by the caller")
-            inside.clear()
-            assert complement_terms(basis, s) == outside[:-1]
-            assert module_terms_of_degree(basis, s) == sorted(
-                module_slice(basis.terms, layout, s), key=key
-            )
+            assert complement_terms(basis, s) is outside
+            assert module_terms_of_degree(basis, s) is inside
+            assert list(inside) == sorted(module_slice(basis.terms, layout, s), key=key)
             assert len(degrees) == enumerated
 
 
@@ -607,7 +605,7 @@ class TestConeIndex:
 
         monkeypatch.setattr(monom_module, "TermPacking", Forced)
         if slack:
-            with pytest.raises(InternalError, match="prolongation of degree 14 outgrows"):
+            with pytest.raises(InternalError, match="a prolongation of degree 14 outgrows"):
                 _complete_component(set(gens), 4)
         else:
             assert _complete_component(set(gens), 4) == complete_component_scan(gens, 4)
@@ -729,7 +727,7 @@ class TestSelfChecksRaise:
             return list(real(nvars, d))[:-1]
 
         monkeypatch.setattr(monom_module, "terms_of_degree", short)
-        with pytest.raises(InternalError, match="lost the cone cover"):
+        with pytest.raises(InternalError, match="truncation lost the cone cover"):
             truncate_basis(twisted.basis, 4)
 
     def test_cli_reports_the_failed_check(self, monkeypatch, capsys, tmp_path):

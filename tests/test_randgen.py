@@ -77,15 +77,17 @@ class TestRefusals:
     def test_swapped_variables_are_refused(self, monkeypatch):
         basis = self.basis()
         assert dense_extract_marked_basis(basis, self.SWAPPED) is None
-        with pytest.raises(InternalError, match="not unit triangular in degree 1"):
+        refusal = "the coordinate change is not unit triangular in degree 1"
+        with pytest.raises(InternalError, match=refusal):
             _extract_marked_basis(basis, self.SWAPPED)
         monkeypatch.setattr(randgen, "unipotent_images", lambda rng, nvars: self.SWAPPED)
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match=refusal):
             random_marked_basis(random.Random(1), basis)
 
     def test_a_failed_basis_test_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(randgen, "is_marked_basis", lambda marked: BasisCheck(False))
-        with pytest.raises(InternalError, match="fails its test"):
+        refusal = "a marked basis drawn by a unipotent coordinate change fails its test"
+        with pytest.raises(InternalError, match=refusal):
             random_marked_basis(random.Random(1), self.basis())
 
 

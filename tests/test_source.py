@@ -26,6 +26,33 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_every_self_check_is_named_by_a_test():
+    """Every self-check of the package, a `raise InternalError(...)` or
+    `raise InternalNonTermination(...)`, is named by some test file: the
+    text of its message before the first placeholder or parenthesis occurs
+    in a file under `tests/` other than this one.  A new check that no test
+    names fails here (ROADMAP item 15)."""
+    names = {"InternalError", "InternalNonTermination"}
+    messages = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id in names):
+                [message] = node.exc.args
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                text = ""
+                for part in parts:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    text += part.value
+                messages[f"{path.name}:{node.lineno}"] = text.split("(")[0].strip()
+    assert len(messages) >= 18 and all(messages.values())
+    tests = "".join(
+        path.read_text() for path in sorted(ROOT.glob("tests/*.py")) if path.name != "test_source.py"
+    )
+    assert {site: text for site, text in messages.items() if text not in tests} == {}
+
+
 def test_one_reduction_loop():
     """`marked._reduce`, the kernel of `reduce_full` and `prolongation_rep`,
     reduces over Q and over K[C] in one loop, whose lex-descent certificate

@@ -767,6 +767,19 @@ def _drop_one(prolongations):
     return broken
 
 
+def _skip_second(prolongations, level0):
+    """A corrupted walk: over `level0` only, the second prolongation is
+    skipped.  On TWISTED that is x2*[x2*x1], whose syzygy head x2*e3 has no
+    prolongation of its own, so the syzygy step passes every check and the
+    length stays n - D, while level 1 has one generator of degree 3 too few."""
+
+    def broken(marked):
+        jobs = list(prolongations(marked))
+        return jobs[:1] + jobs[2:] if marked is level0 else jobs
+
+    return broken
+
+
 def _leaky_reduce(reduce, spared):
     """A corrupted kernel: every reduction over a set other than `spared`
     leaves a non-zero remainder."""
@@ -855,6 +868,36 @@ class TestSelfChecksRaise:
         )
         with pytest.raises(InternalError, match="resolution length differs from n - D"):
             free_resolution(twisted.marked)
+
+    def test_wrong_ranks_are_caught(self, monkeypatch, twisted):
+        marked = twisted.marked
+        monkeypatch.setattr(syzygy_module, "prolongations", _skip_second(prolongations, marked))
+        # The corrupted step passes its own checks, one syzygy short.
+        assert len(syzygy_marked_basis(marked)[0].elements) == 4
+        with pytest.raises(InternalError, match="resolution ranks differ from the ranks"):
+            free_resolution(marked)
+
+    def test_rank_check_survives_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_twisted_example\n"
+            "from test_syzygy import _skip_second\n"
+            "from marked_bases import syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "marked = build_twisted_example().marked\n"
+            "syzygy.prolongations = _skip_second(syzygy.prolongations, marked)\n"
+            "try:\n"
+            "    syzygy.free_resolution(marked)\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "raised: resolution ranks differ from the ranks the heads predict\n"
 
     def test_corrupted_elimination_fails_the_final_check(self, monkeypatch, non_groebner):
         # One pivot is cancelled, so no later elimination sees the flipped
