@@ -115,8 +115,8 @@ def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
     marked = generic.marked
     seen: set[ParamPoly] = set()
     out: list[ParamPoly] = []
-    for el, j in prolongations(marked):
-        for _, coeff in prolongation_rep(marked, el, j).remainder.sorted_terms():
+    for head, j in prolongations(marked):
+        for _, coeff in prolongation_rep(marked, head, j).remainder.sorted_terms():
             if coeff not in seen:
                 seen.add(coeff)
                 out.append(coeff)

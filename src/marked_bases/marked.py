@@ -19,7 +19,7 @@ them in one fixed order (element order, then variable index) and
 the representation on the set, so every consumer of the same set shares
 one reduction per prolongation.  It builds x_j*f straight from the packed
 body of f, each term plus one shift, and the summands of the reduction
-stay packed until a consumer reads them (`Representation.summands`).
+stay packed: the syzygy step reads them so (`Representation.packed`).
 
 Inside the reduction kernel (`_reduce`, which `reduce_full` and
 `prolongation_rep` both call) a term is one int, packed by the basis's
@@ -32,12 +32,14 @@ is one int addition, the multiplier of a target is target - head, and the
 lex-descent certificate is new_mult < mult.  Width rule: each variable
 field holds degree - min(weights) for max_degree() + 1, so every
 prolongation fits, and the basis's packing is fixed when the basis is
-built (`PommaretBasis.packing`).  The terms of one reduction share deg(h);
+built (`PommaretBasis.packing`; a syzygy level's is its resolution's, see
+`syzygy`).  The terms of one reduction share deg(h);
 `reduce_full` reduces a target of higher degree over a copy of the set
 whose basis is packed for it, so no field overflows.  Each marked set packs
-its bodies once, when it is built (`MarkedSet.packed_bodies`); all sets
-over one basis share its packing and cone memo.  Module elements and
-representations are keyed by module terms.
+its bodies once, when it is built (`MarkedSet.packed_bodies`), or is given
+them packed (a syzygy level); all sets over one basis share its packing
+and cone memo.  Module elements and representations are keyed by module
+terms.
 
 Over Q the work element and the summands hold inline ints and Fractions,
 and a step computes s - coeff * c.  Over K[C] (ParamPoly head coefficients,
@@ -110,21 +112,25 @@ class MarkedSet:
     """One marked element per Pommaret-basis term, tails outside the module.
 
     Element order is the construction order (it fixes the numbering used by
-    syzygies and printed matrices); ``position`` maps each head to its
-    0-based place in it.  The marked-basis verdict is cached once
+    syzygies and printed matrices); ``position`` maps each packed head to
+    its 0-based place in it.  The marked-basis verdict is cached once
     established, and so is the representation of every prolongation reduced
     through `prolongation_rep`; instances are immutable so these caches are
     sound.
 
-    ``packed_bodies`` is what the kernel reads, packed once, here, by the
-    basis's packing: {packed head: (head, packed tail terms, their
-    coefficients)} in element order, each tail in body order; over K[C]
-    ``sparse_bodies`` holds them with coefficients as `ring.sparse_terms`,
-    as the kernel's K[C] steps read them (None over Q).
+    ``packed_bodies`` is what the kernel reads, packed by the basis's
+    packing: {packed head: (head, packed tail terms, their coefficients)}
+    in element order, each tail in body order; over K[C] ``sparse_bodies``
+    holds them with coefficients as `ring.sparse_terms`, as the kernel's
+    K[C] steps read them (None over Q).  The constructor packs them from
+    the elements and checks the tails through the cone memo.  A syzygy
+    level is built by `_from_packed` instead, from bodies its step wrote
+    packed and checked; its ``elements`` are unpacked on the first read,
+    so a level that only resolution reads is never unpacked.
     """
 
     __slots__ = (
-        "basis", "elements", "position", "nparams", "packed_bodies", "sparse_bodies",
+        "basis", "_elements", "position", "nparams", "packed_bodies", "sparse_bodies",
         "_certified", "_prolongations",
     )
 
@@ -146,35 +152,61 @@ class MarkedSet:
                 f"(missing [{', '.join(map(str, sorted(missing)))}], "
                 f"extra [{', '.join(map(str, sorted(extra)))}])"
             )
-        self.basis = basis
-        self.elements = by_head
-        self.position = {head: i for i, head in enumerate(by_head)}
         # None over Q, else the number of parameters of the head coefficients.
         sample = next((el.body.terms[el.head] for el in by_head.values()), 1)
-        self.nparams = sample.nparams if isinstance(sample, ParamPoly) else None
-        self._certified: Optional[bool] = None
-        self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
+        nparams = sample.nparams if isinstance(sample, ParamPoly) else None
         # The tails are checked as the kernel will read them, packed, and
         # through the cone memo: the tails of many elements share terms.
         # Every term has the degree of a head, which the packing holds.
         packing = basis.packing
         pack = packing.pack
-        self.packed_bodies = {}
-        self.sparse_bodies = None if self.nparams is None else {}
+        bodies = {}
         for head, el in by_head.items():
             terms = tuple([pack(t) for t in el.body.terms if t != head])
             for p in terms:
                 if basis.cone_divisor(p) is not None:
                     raise TailTermInU(packing.unpack(p))
             coeffs = tuple([c for t, c in el.body.terms.items() if t != head])
-            key = pack(head)
-            self.packed_bodies[key] = (head, terms, coeffs)
-            if self.sparse_bodies is not None:
-                self.sparse_bodies[key] = (head, terms, tuple(map(sparse_terms, coeffs)))
+            bodies[pack(head)] = (head, terms, coeffs)
+        self._set(basis, bodies, nparams, by_head)
+
+    @classmethod
+    def _from_packed(cls, basis: PommaretBasis, bodies: dict, nparams) -> "MarkedSet":
+        """The set over `basis` with the given `packed_bodies`, which must
+        hold valid marked elements; nothing is checked or unpacked."""
+        self = object.__new__(cls)
+        self._set(basis, bodies, nparams, None)
+        return self
+
+    def _set(self, basis, bodies, nparams, elements) -> None:
+        self.basis = basis
+        self.packed_bodies = bodies
+        self.nparams = nparams
+        self._elements = elements
+        self.position = {p: i for i, p in enumerate(bodies)}
+        self.sparse_bodies = None if nparams is None else {
+            p: (head, terms, tuple(map(sparse_terms, coeffs)))
+            for p, (head, terms, coeffs) in bodies.items()
+        }
+        self._certified: Optional[bool] = None
+        self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
 
     @property
     def layout(self):
         return self.basis.layout
+
+    @property
+    def elements(self) -> dict[ModuleTerm, MarkedElement]:
+        """head -> element, in element order."""
+        if self._elements is None:
+            layout, unpack = self.layout, self.basis.packing.unpack
+            one = 1 if self.nparams is None else ParamPoly.const(self.nparams, 1)
+            self._elements = {}
+            for head, terms, coeffs in self.packed_bodies.values():
+                body = {head: one, **{unpack(t): c for t, c in zip(terms, coeffs)}}
+                body = ModuleElement._trusted(layout, body, layout.term_degree(head))
+                self._elements[head] = MarkedElement(body, head)
+        return self._elements
 
     def ordered(self) -> list[MarkedElement]:
         return list(self.elements.values())
@@ -186,26 +218,38 @@ class Representation:
     Each multiplier is multiplicative for its head, (multiplier, head) pairs
     are distinct, and `summands` lists (c, mult, head) with multipliers
     lex-descending (per head the descent is strict), then in element order.
-    The remainder is supported outside the monomial module.  The summands
-    are given as that tuple or, by the kernel, as a callable that builds it
-    from the packed summands; it is called on the first read and dropped,
-    so the summands that no consumer reads (the basis test and the family
-    equations read only the remainder) are never unpacked.  They were
-    packed by the packing of a basis, which never changes, so a late read
-    unpacks them as an early one would.
+    The remainder is supported outside the monomial module.
+
+    The kernel hands the summands over packed: ``packed`` lists them, in
+    the same order, as (packed multiplier, packed head, c) under the
+    packing of the set's basis, which never changes.  Both forms are given
+    as a tuple or as a callable that builds it on the first read: `packed`
+    from the kernel's own summands, `summands` from `packed`.  So the
+    summands that no consumer reads (the basis test and the family
+    equations read only the remainder) are never sorted, and the syzygy
+    step, which reads `packed`, never unpacks them.  A representation
+    built from a summands tuple alone has no packed form (None).
     """
 
-    __slots__ = ("_summands", "remainder")
+    __slots__ = ("_summands", "_packed", "remainder")
 
-    def __init__(self, summands, remainder: ModuleElement):
+    def __init__(self, summands, remainder: ModuleElement, packed=None):
         self._summands = summands
+        self._packed = packed
         self.remainder = remainder
+
+    @property
+    def packed(self) -> tuple[tuple[int, int, Coeff], ...] | None:
+        packed = self._packed
+        if packed is not None and type(packed) is not tuple:
+            packed = self._packed = packed()
+        return packed
 
     @property
     def summands(self) -> tuple[tuple[Coeff, Exponent, ModuleTerm], ...]:
         summands = self._summands
         if type(summands) is not tuple:
-            summands = self._summands = summands()
+            summands = self._summands = summands(self.packed)
         return summands
 
     def __eq__(self, other) -> bool:
@@ -309,22 +353,27 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
     remainder = ModuleElement._trusted(
         basis.layout, {unpack(p): wrap(c) for p, c in work.items()}, degree if work else None
     )
-    lazy = partial(_unpack_summands, summands, divisor_of, bodies, marked.position, packing, wrap)
-    return Representation(lazy if summands else (), remainder)
+    if not summands:
+        return Representation((), remainder, ())
+    packed = partial(_sort_summands, summands, divisor_of, marked.position, wrap)
+    return Representation(partial(_unpack_summands, bodies, packing.unpack_exp), remainder, packed)
 
 
-def _unpack_summands(summands, divisor_of, bodies, position, packing, wrap) -> tuple:
+def _sort_summands(summands, divisor_of, position, wrap) -> tuple:
     """The kernel's summands {packed target: coefficient} as
-    `Representation.summands` lists them: lex-descending in the
-    multiplier, then in element order."""
+    `Representation.packed` lists them: lex-descending in the multiplier,
+    then in element order."""
     keyed = []
     for target, c in summands.items():
         divisor = divisor_of[target]
-        head = bodies[divisor][0]
-        keyed.append((divisor - target, position[head], target - divisor, head, c))
+        keyed.append((divisor - target, position[divisor], divisor, c))
     keyed.sort(key=itemgetter(0, 1))
-    unpack_exp = packing.unpack_exp
-    return tuple([(wrap(c), unpack_exp(mult), head) for _, _, mult, head, c in keyed])
+    return tuple([(-neg, divisor, wrap(c)) for neg, _, divisor, c in keyed])
+
+
+def _unpack_summands(bodies, unpack_exp, packed) -> tuple:
+    """`Representation.packed` as `Representation.summands` lists it."""
+    return tuple([(c, unpack_exp(mult), bodies[divisor][0]) for mult, divisor, c in packed])
 
 
 @dataclass(frozen=True)
@@ -342,36 +391,38 @@ class BasisCheck:
     inconclusive_beyond: int | None = None
 
 
-def prolongations(marked: MarkedSet) -> Iterator[tuple[MarkedElement, int]]:
-    """Every non-multiplicative prolongation (el, j), meaning x_j * el, in
-    element order, then variable index.  Reduces nothing: representations
-    come from `prolongation_rep`."""
+def prolongations(marked: MarkedSet) -> Iterator[tuple[ModuleTerm, int]]:
+    """Every non-multiplicative prolongation (head, j), meaning x_j times
+    the element of that head, in element order, then variable index.
+    Reduces nothing: representations come from `prolongation_rep`."""
     n = marked.layout.n
-    for el in marked.elements.values():
-        for j in nonmultiplicative_variables(el.head, n):
-            yield el, j
+    for head, _, _ in marked.packed_bodies.values():
+        for j in nonmultiplicative_variables(head, n):
+            yield head, j
 
 
-def prolongation_rep(marked: MarkedSet, el: MarkedElement, j: int) -> Representation:
-    """Representation of x_j * el, reduced on first request and then memoised.
+def prolongation_rep(marked: MarkedSet, head: ModuleTerm, j: int) -> Representation:
+    """Representation of x_j times the element of `head`, reduced on first
+    request and then memoised.
 
-    `el` must be an element of `marked` and `j` a non-multiplicative
-    variable of its head.  The work element is the packed head and tail
-    terms of `el` (`MarkedSet.packed_bodies`) plus the packed x_j, so no
-    module element is built and no term packed but the head.  The reduction
-    is the kernel of `reduce_full`, so the lex-descent certificate is
-    checked on every step of the one reduction.
+    `head` must be a head of `marked` and `j` a non-multiplicative variable
+    of it.  The work element is the packed head, of coefficient one, and
+    tail terms of the element (`MarkedSet.packed_bodies`) plus the packed
+    x_j, so no module element is built and no term packed but the head.
+    The reduction is the kernel of `reduce_full`, so the lex-descent
+    certificate is checked on every step of the one reduction.
     """
-    key = (el.head, j)
+    key = (head, j)
     rep = marked._prolongations.get(key)
     if rep is None:
         packing = marked.basis.packing
         shift = 1 << packing.shifts[j]
-        p = packing.pack(el.head)
+        p = packing.pack(head)
         _, terms, coeffs = marked.packed_bodies[p]
-        work = {p + shift: el.body.terms[el.head]}
+        work = {p + shift: 1}
         work.update(zip([t + shift for t in terms], coeffs))
-        rep = marked._prolongations[key] = _reduce(work, el.body.degree + 1, marked)
+        degree = marked.basis.layout.term_degree(head) + 1
+        rep = marked._prolongations[key] = _reduce(work, degree, marked)
     return rep
 
 
@@ -390,15 +441,15 @@ def is_marked_basis(marked: MarkedSet, up_to_degree: int | None = None) -> Basis
     if marked._certified is not None and conclusive:
         return BasisCheck(marked._certified)
 
-    for el, j in prolongations(marked):
-        degree = basis.layout.term_degree(el.head) + 1
+    for head, j in prolongations(marked):
+        degree = basis.layout.term_degree(head) + 1
         if up_to_degree is not None and degree > up_to_degree:
             continue
-        remainder = prolongation_rep(marked, el, j).remainder
+        remainder = prolongation_rep(marked, head, j).remainder
         if not remainder.is_zero():
             if conclusive:
                 marked._certified = False
-            return BasisCheck(False, certificate=(el.head, j, remainder))
+            return BasisCheck(False, certificate=(head, j, remainder))
     if conclusive:
         marked._certified = True
         return BasisCheck(True)

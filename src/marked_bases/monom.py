@@ -27,7 +27,9 @@ mask.  There is one index per basis, packed one degree above the largest
 term and built with the basis (`PommaretBasis`); `cone_divisor`,
 `complement_terms` and the reduction kernel all read it.  A term of higher
 degree is looked up in a copy of the basis packed for it (`_packed_for`).
-The completion files one index of its own growing term set.
+The completion files one index of its own growing term set.  The basis of
+a syzygy level has none: its cones have a known shape, which `ShapeCones`
+reads off the packed term.
 """
 
 from __future__ import annotations
@@ -143,6 +145,34 @@ class ConeIndex:
                         if x >= low:
                             return vertex
         return None
+
+
+class ShapeCones:
+    """The cones of a syzygy level's basis {x_j e_k : j > c_k}, found by
+    their shape (Seiler, *Involution*, 2010): x^mu e_k lies in U exactly
+    when top(mu), the largest index of a variable dividing x^mu, exceeds
+    c_k, and then in the cone of x_top e_k.  So `find` compares the packed
+    term with the least one that has a variable above c_k (its component
+    field holds rank - k), and reads top off a term of U as the highest set
+    bit of its exponent fields; like `ConeIndex.find` it takes and gives
+    packed terms."""
+
+    __slots__ = ("packing", "find")
+
+    def __init__(self, packing: TermPacking, classes):
+        self.packing = packing
+        comp_mask, shift = packing.comp_mask, packing.shifts[0]
+        width = packing.mask.bit_length()
+        units = [1 << s for s in packing.shifts]
+        least = [1 << (shift + width * (c + 1)) for c in reversed(classes)]
+
+        def find(p: int):
+            field = p & comp_mask
+            if p < least[field]:
+                return None
+            return field + units[((p >> shift).bit_length() - 1) // width]
+
+        self.find = find
 
 
 def terms_of_degree(nvars: int, d: int):
@@ -264,6 +294,16 @@ class PommaretBasis:
     def packing(self) -> TermPacking:
         """The packing of the index, wide enough for every prolongation."""
         return self._cones.packing
+
+
+class ShapeBasis(PommaretBasis):
+    """The basis of a syzygy level, built on its `ShapeCones` and certified
+    by its shape (`syzygy.syzygy_marked_basis`); its cone lookups are that
+    rule itself, with no memo."""
+
+    @property
+    def cone_divisor(self):
+        return self._cones.find
 
 
 def _packed_for(basis: PommaretBasis, degree: int) -> PommaretBasis:

@@ -138,14 +138,17 @@ class TermPacking:
     Each variable field is just wide enough for degree - min(weights), the
     largest exponent such a term can have; a term of higher degree could
     carry into the next field, so it is never packed (`monom._packed_for`).
+    The component field is just wide enough for the rank, unless
+    `comp_width` widens it: packings of modules of different ranks then
+    share their shifts, as the syzygy levels of a resolution do.
     """
 
     __slots__ = ("degree", "rank", "shifts", "mask", "comp_mask")
 
-    def __init__(self, layout: FreeModuleLayout, degree: int):
+    def __init__(self, layout: FreeModuleLayout, degree: int, comp_width: int = 0):
         self.degree = degree
         self.rank = rank = len(layout.weights)
-        comp_width = (rank - 1).bit_length()
+        comp_width = max(comp_width, (rank - 1).bit_length())
         width = max(1, (degree - min(layout.weights)).bit_length())
         self.shifts = tuple(range(comp_width, comp_width + width * (layout.n + 1), width))
         self.mask = (1 << width) - 1
@@ -190,7 +193,7 @@ class FreeModuleLayout:
         return self.weights[comp - 1]
 
     def term_degree(self, t: ModuleTerm) -> int:
-        return exp_deg(t.exp) + self.weights[t.comp - 1]
+        return sum(t.exp) + self.weights[t.comp - 1]
 
     def check_term(self, t: ModuleTerm):
         if len(t.exp) != self.nvars:

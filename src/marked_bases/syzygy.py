@@ -22,7 +22,7 @@ e_k.
 The syzygies are read off the memoised prolongation representations of the
 marked set (`prolongation_rep`), so the basis test and the syzygy step
 share one reduction per prolongation, and each syzygy is written once, as
-its column and its element's terms side by side.
+its column and its packed body side by side.
 
 The chain property (consecutive maps compose to zero) is checked by one
 composer, `_evaluate_column`, where a differential is written: the syzygy
@@ -35,11 +35,22 @@ also run under ``python -O``.
 
 The packed bodies are the ones the reduction kernel reads
 (`MarkedSet.packed_bodies`): one int per term, rank - comp in the lowest
-field, then one field per variable with x_n most significant, each field
-wide enough for degree - min(weights) at every degree up to one above the
-largest head degree (the width rule of `marked`).  The image of a column
-has the degree of a prolongation, so it fits, and an entry c*x^e of row k
-adds the packed x^e to each term of the k-th body: one int addition.
+field, then one field per variable with x_n most significant.  Level 0
+keeps the packing of its basis (the width rule of `marked`).  The levels
+>= 1 share the shifts of one packing, sized from `predicted_ranks` before
+any level is built: its component field holds the largest rank of any
+level, and each variable field the largest exponent of any level's terms
+and prolongations.  So the packed multiplier of a level-i summand plus the
+component field of its row is its level-(i+1) term, and a syzygy level is
+built packed with no term unpacked but its column entries, once per
+distinct multiplier (a level-0 multiplier is also packed again, once).
+Its heads are x_j*e_k for j above the class c_k of the k-th head one level
+down (Albert, Fetzer, Sáenz-de-Cabezón and Seiler, "On the free
+resolution induced by a Pommaret basis", J. Symb. Comput. 68, 2015), so
+its cones are looked up by that shape (`monom.ShapeCones`).  The image of
+a column has the degree of a prolongation of its level, so it fits, and an
+entry c*x^e of row k adds the packed x^e to each term of the k-th body:
+one int addition.
 
 The eliminations of minimization share one step, `_add_scaled_column`,
 which does all of their coefficient arithmetic through
@@ -53,14 +64,13 @@ from fractions import Fraction
 from math import comb
 
 from .marked import (
-    MarkedElement,
     MarkedSet,
     NotABasis,
     is_marked_basis,
     prolongation_rep,
     prolongations,
 )
-from .monom import PommaretBasis, basis_invariants, certified_basis, pommaret_class
+from .monom import PommaretBasis, ShapeBasis, ShapeCones, basis_invariants, pommaret_class
 from .ring import (
     Coeff,
     FreeModuleLayout,
@@ -99,73 +109,110 @@ def _column(elem: ModuleElement) -> Column:
     return col
 
 
-def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
+def syzygy_marked_basis(marked: MarkedSet, ranks=None) -> tuple[MarkedSet, list[Column]]:
     """Marked basis of the syzygy module of a certified marked basis, with
     the syzygies as columns over the generators of `marked`.
 
     One syzygy per prolongation, in the order of `prolongations`, read off
-    the memoised reduction of that prolongation; one pass over its summands
-    writes the column and the element's terms, which are not checked one by
-    one.  Every column is composed with the level below and must give zero:
-    this chain check (`_evaluate_column`, on the packed bodies of `marked`)
-    also refuses a wrong multiplier or row.  The returned columns come in
-    the element order of the returned set, which passes the marked-element
-    and tail checks and is re-certified; the re-certification reduces every
-    prolongation of the new set, which fills the memo the next level's
-    syzygy step reads.
+    the packed summands of its memoised reduction (`Representation.packed`)
+    in one pass that writes its column and its packed body, under the
+    packing the syzygy levels share (see the module docstring).  A level-0
+    `marked` sizes that packing from `ranks`, its `predicted_ranks`
+    (computed here when not given); a syzygy level has it already.
+
+    The checks: the new level must fit the packing, before any of its terms
+    is packed; each tail term must lie outside the syzygy module (its
+    multiplier's top variable at most the class of its row's head); every
+    column is composed with the level below and must give zero (the chain
+    check, `_evaluate_column` on the packed bodies of `marked`, which also
+    refuses a wrong multiplier or row, and a multiplicative x_j); the
+    heads must have the shape of their Pommaret basis, each x_j*e_k with j
+    above the class of the k-th head of `marked` once, so they must be
+    distinct and that many; and the new set is re-certified, which reduces
+    every prolongation of it and so fills the memo the next step reads.
+    The returned columns come in the element order of the returned set.
     """
     _require_basis(marked)
-    elems = marked.ordered()
-    nvars = marked.layout.nvars
-    weights = tuple(marked.layout.term_degree(el.head) for el in elems)
-    syz_layout = FreeModuleLayout(marked.layout.n, weights)
+    layout, below = marked.layout, marked.basis.packing
+    n = layout.n
+    heads = [head for head, _, _ in marked.packed_bodies.values()]
+    weights = tuple(map(layout.term_degree, heads))
+    classes = [pommaret_class(head.exp, n) for head in heads]
+    syz_layout = FreeModuleLayout(n, weights)
+    syzygy_level = isinstance(marked.basis, ShapeBasis)
+    if syzygy_level:
+        capacity, comp_width = below.mask, below.comp_mask.bit_length()
+    else:
+        capacity, comp_width = _resolution_shape(ranks or predicted_ranks(marked.basis))
+    packing = TermPacking(syz_layout, capacity + min(weights), comp_width)
+    # The largest degree of a prolongation of the new level.
+    largest = max((w + 2 for w, c in zip(weights, classes) if c < n), default=0)
+    if (len(heads) - 1).bit_length() > comp_width or largest > packing.degree:
+        raise InternalError("a syzygy level outgrows the resolution packing")
 
-    position = marked.position
+    rank, shifts, width = len(heads), packing.shifts, packing.mask.bit_length()
     one = 1 if marked.nparams is None else ParamPoly.const(marked.nparams, 1)
-    # Every composed term has the degree of a prolongation, which the
-    # basis's packing holds.
-    packing = marked.basis.packing
-    rows = [
-        ((head, *terms), (1, *coeffs))
-        for head, (_, terms, coeffs) in marked.packed_bodies.items()
-    ]
-    syz_elements = []
-    columns: list[Column] = []
-    # One tuple per multiplier of the level, which all its columns share.
-    units = [var_exp(nvars, j) for j in range(nvars)]
+    rows = [((p, *terms), (1, *coeffs)) for p, (_, terms, coeffs) in marked.packed_bodies.items()]
+    position, index = marked.position, {head: k for k, head in enumerate(heads)}
+    # One tuple per multiplier of the level, which all its columns share;
+    # per packed multiplier, that tuple, its packed form in the syzygy
+    # module and its top variable.  shift_of is what the chain check adds.
+    units = [var_exp(n + 1, j) for j in range(n + 1)]
     exps = dict(zip(units, units))
-    for el, j in prolongations(marked):
-        rep = prolongation_rep(marked, el, j)
-        if not rep.remainder.is_zero():
+    shift_of = dict(zip(units, (1 << s for s in below.shifts)))
+    mults: dict[int, tuple] = {}
+    bodies: dict[int, tuple] = {}
+    columns: list[Column] = []
+    for head, j in prolongations(marked):
+        rep = prolongation_rep(marked, head, j)
+        if rep.remainder.terms:
             raise InternalError("prolongation of a certified basis does not vanish")
-        k = position[el.head]
-        x_j = units[j]
-        head = ModuleTerm(x_j, k + 1)
-        terms: dict[ModuleTerm, Coeff] = {head: one}
-        column: Column = {k: {x_j: one}}
-        for coeff, mult, tau in rep.summands:
-            # The (multiplier, head) pairs are distinct, and none lands on
-            # the syzygy head: x_j is non-multiplicative for el.head, while
-            # each multiplier is multiplicative for its own head.
-            r = position[tau]
+        k = index[head]
+        column: Column = {k: {units[j]: one}}
+        terms, coeffs = [], []
+        for mult, divisor, coeff in rep.packed:
+            entry = mults.get(mult)
+            if entry is None:
+                e = below.unpack_exp(mult)
+                e = exps.setdefault(e, e)
+                shift_of[e] = mult
+                q = mult if syzygy_level else packing.pack_exp(e)
+                entry = mults[mult] = (e, q, ((q >> shifts[0]).bit_length() - 1) // width)
+            e, q, top = entry
+            r = position[divisor]
+            if top > classes[r]:
+                raise InternalError("syzygy tail term lies in the syzygy module")
             c = -coeff
-            mult = exps.setdefault(mult, mult)
-            terms[ModuleTerm(mult, r + 1)] = c
-            column.setdefault(r, {})[mult] = c
-        if _evaluate_column(rows, column, packing.pack_exp):
+            column.setdefault(r, {})[e] = c
+            terms.append(q + rank - 1 - r)
+            coeffs.append(c)
+        if _evaluate_column(rows, column, shift_of.__getitem__):
             raise InternalError("produced element is not a syzygy")
-        body = ModuleElement._trusted(syz_layout, terms, weights[k] + 1)
-        syz_elements.append(MarkedElement(body, head))
+        bodies[(1 << shifts[j]) + rank - 1 - k] = (
+            ModuleTerm(units[j], k + 1), tuple(terms), tuple(coeffs))
         columns.append(column)
 
-    syz_terms = frozenset(el.head for el in syz_elements)
-    syz_basis = certified_basis(syz_terms, syz_layout)
-    if syz_basis is None:
+    if not len(bodies) == len(columns) == sum(n - c for c in classes):
         raise InternalError("syzygy heads do not form a Pommaret basis")
-    syz_set = MarkedSet(syz_basis, syz_elements)
-    if syz_elements and not is_marked_basis(syz_set).is_basis:
+    syz_heads = frozenset(syz_head for syz_head, _, _ in bodies.values())
+    syz_basis = ShapeBasis(syz_layout, syz_heads, True, ShapeCones(packing, classes))
+    syz_set = MarkedSet._from_packed(syz_basis, bodies, marked.nparams)
+    if bodies and not is_marked_basis(syz_set).is_basis:
         raise InternalError("syzygy set failed the marked-basis re-check")
     return syz_set, columns
+
+
+def _resolution_shape(ranks: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """The variable field capacity and the component field width the syzygy
+    levels share, from the level ranks of `predicted_ranks`: a level-i set
+    has exponents up to max(deg level i) + 1 - min(deg level i-1) in its
+    terms and prolongations, and rank |level i-1|."""
+    degrees: dict[int, list[int]] = {}
+    for (i, j), count in ranks.items():
+        degrees.setdefault(i, []).extend([j] * count)
+    bound = max([max(d) + 1 - min(degrees[i - 1]) for i, d in degrees.items() if i], default=1)
+    rank = max(map(len, degrees.values()), default=1)
+    return (1 << max(1, bound.bit_length())) - 1, (rank - 1).bit_length()
 
 
 def _evaluate_column(rows: list[tuple[tuple, tuple]], column: Column, pack_exp) -> dict:
@@ -242,26 +289,28 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     Each differential is the list of columns `syzygy_marked_basis` returns,
     and that step has composed every one of them with the map below it, so
     the chain property is checked once per column, as the column is built;
-    the finished resolution is not composed again.  Only each level's heads
-    and degrees are kept, so a level's marked set and its prolongation memo
-    are freed once the next level exists.
+    the finished resolution is not composed again.  The predicted ranks are
+    computed once: they size the packing of the syzygy levels and are the
+    rank check.  Only each level's heads and degrees are kept, so a level's
+    marked set and its prolongation memo are freed once the next exists.
     """
     _require_basis(marked)
+    ranks = predicted_ranks(marked.basis)
     bodies = [_column(el.body) for el in marked.ordered()]
     heads, degrees, matrices = [], [], []
     current = marked
     while True:
-        heads.append([el.head for el in current.ordered()])
+        heads.append([head for head, _, _ in current.packed_bodies.values()])
         degrees.append(list(map(current.layout.term_degree, heads[-1])))
         if not any(prolongations(current)):
             break
-        current, columns = syzygy_marked_basis(current)
+        current, columns = syzygy_marked_basis(current, ranks)
         matrices.append(columns)
 
     res = FreeResolution(marked.layout, bodies, degrees, matrices, heads)
     if res.length != marked.layout.n - basis_invariants(marked.basis).D:
         raise InternalError("resolution length differs from n - D")
-    if res.rank_pairs() != predicted_ranks(marked.basis):
+    if res.rank_pairs() != ranks:
         raise InternalError("resolution ranks differ from the ranks the heads predict")
     return res
 

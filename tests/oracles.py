@@ -996,7 +996,7 @@ def triangular_representation(
 
     # min(head) < x_i makes x_i non-multiplicative: x_i * F_head is a
     # prolongation, and its reduction is the memoised one.
-    rep = prolongation_rep(generic.marked, generic.marked.elements[head], i)
+    rep = prolongation_rep(generic.marked, head, i)
     for _, mult, tau in rep.summands:
         if exp_deg(mult) != 1:
             raise StructureViolated(f"multiplier x^{mult} is not a single variable")

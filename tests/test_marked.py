@@ -457,9 +457,9 @@ class TestTwoEntryPoints:
         fresh = MarkedSet(marked.basis, marked.ordered())
         nvars = fresh.layout.nvars
         jobs = list(prolongations(fresh))
-        reps = [prolongation_rep(fresh, el, j) for el, j in jobs]
-        for (el, j), rep in zip(jobs, reps):
-            ref = reduce_full(mul_term(el.body, var_exp(nvars, j)), fresh)
+        reps = [prolongation_rep(fresh, head, j) for head, j in jobs]
+        for (head, j), rep in zip(jobs, reps):
+            ref = reduce_full(mul_term(fresh.elements[head].body, var_exp(nvars, j)), fresh)
             eager = Representation(ref.summands, ref.remainder)
             assert rep == eager
             summands = rep.summands

@@ -38,7 +38,8 @@ from marked_bases import (
     truncate_basis,
     verify_complex,
 )
-from marked_bases.ring import InternalError, ModuleElement
+from marked_bases.monom import PommaretBasis, pommaret_class
+from marked_bases.ring import InternalError, ModuleElement, TermPacking
 from marked_bases.syzygy import FreeResolution
 from marked_bases.randgen import (
     random_marked_basis,
@@ -58,7 +59,7 @@ from conftest import (
     survey_bases,
 )
 from oracles import (
-    evaluate, is_stable_scan, monomial_marked_set, naive_complex_vanishes, saturate,
+    all_module_terms, evaluate, is_stable_scan, monomial_marked_set, naive_complex_vanishes, saturate,
     syzygy_levels, triangular_representation,
 )
 
@@ -140,27 +141,36 @@ class TestSyzygyMarkedBasis:
     @pytest.mark.parametrize("forgery", ["multiplier degree", "row"])
     def test_forged_summand_is_refused(self, twisted, monkeypatch, forgery):
         """A syzygy is built without checking its terms one by one, so a
-        representation with one forged summand must still be refused: a
-        multiplier of the wrong degree (times an extra x0, which keeps it
-        multiplicative), or the right multiplier filed under another
-        element of the same degree.  Either column fails the chain check."""
+        representation with one forged summand in its packed form, the
+        form the step reads, must still be refused: a multiplier of the
+        wrong degree (times an extra x0, which keeps it multiplicative), or
+        the right multiplier filed under another element of the same
+        degree, for which it is multiplicative too.  Either column fails
+        the chain check."""
         original = syzygy_module.prolongation_rep
         forged = []
 
-        def forging(marked, el, j):
-            rep = original(marked, el, j)
+        def forging(marked, head, j):
+            rep = original(marked, head, j)
+            packing, n = marked.basis.packing, marked.layout.n
             degree = marked.layout.term_degree
-            for i, (coeff, mult, head) in enumerate(rep.summands):
+            for i, (mult, divisor, coeff) in enumerate(rep.packed):
                 if forgery == "row":
-                    others = [h for h in marked.elements if h != head and degree(h) == degree(head)]
+                    tau = marked.packed_bodies[divisor][0]
+                    top = max((v for v, x in enumerate(packing.unpack_exp(mult)) if x), default=-1)
+                    others = [
+                        p for p, (h, _, _) in marked.packed_bodies.items()
+                        if h != tau and degree(h) == degree(tau)
+                        and pommaret_class(h.exp, n) >= top
+                    ]
                     if not others:
                         continue
-                    head = others[0]
+                    divisor = others[0]
                 else:
-                    mult = (mult[0] + 1, *mult[1:])
-                forged.append((el.head, j))
-                summands = (*rep.summands[:i], (coeff, mult, head), *rep.summands[i + 1:])
-                return Representation(summands, rep.remainder)
+                    mult += 1 << packing.shifts[0]
+                forged.append((head, j))
+                packed = (*rep.packed[:i], (mult, divisor, coeff), *rep.packed[i + 1:])
+                return Representation(rep.summands, rep.remainder, packed)
             return rep
 
         monkeypatch.setattr(syzygy_module, "prolongation_rep", forging)
@@ -185,27 +195,70 @@ class TestFreeResolution:
         assert res.matrices[1] == as_columns(delta2)
         assert verify_complex(res)
 
-    def test_one_cone_index_per_level(self, monkeypatch):
-        """Each level's basis files its cones once: level 0 on its first
-        lookup, each syzygy level in the structural test that certifies it.
-        The resolution keeps no level, so the same construction is run again
-        by `syzygy_levels` to see which index each level holds."""
-        built = []
+    @pytest.mark.parametrize("build", [
+        lambda: random_marked_basis(random.Random(1), c4_basis()),
+        lambda: build_twisted_example().marked,
+    ])
+    def test_syzygy_levels_are_built_packed(self, monkeypatch, build):
+        """Levels >= 1 are built straight from the packed reductions below
+        them: while `free_resolution` runs, no structural test
+        (`certified_basis`) and no cone index are built, and each syzygy
+        step unpacks each distinct multiplier of its level at most once."""
+        drawn = build()
+        marked = MarkedSet(drawn.basis, drawn.ordered())
+        calls = {"certified_basis": 0, "ConeIndex": 0, "unpack_exp": 0}
 
-        class Counting(monom_module.ConeIndex):
-            __slots__ = ()
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-            def __init__(self, packing, vertices=()):
-                super().__init__(packing, vertices)
-                built.append(self)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("marked_bases") and hasattr(module, "certified_basis"):
+                monkeypatch.setattr(module, "certified_basis",
+                                    counting("certified_basis", module.certified_basis))
+        monkeypatch.setattr(monom_module.ConeIndex, "__init__",
+                            counting("ConeIndex", monom_module.ConeIndex.__init__))
+        monkeypatch.setattr(TermPacking, "unpack_exp",
+                            counting("unpack_exp", TermPacking.unpack_exp))
+        step, unpacked = syzygy_module.syzygy_marked_basis, []
 
-        monkeypatch.setattr(monom_module, "ConeIndex", Counting)
-        res = free_resolution(build_twisted_example().marked)
-        assert len(built) == len(res.degrees) == 3
-        built.clear()
-        levels = syzygy_levels(build_twisted_example().marked)
-        assert len(levels) == 3
-        assert built == [level.basis._cones for level in levels]
+        def counted_step(*args):
+            before = calls["unpack_exp"]
+            out = step(*args)
+            unpacked.append(calls["unpack_exp"] - before)
+            return out
+
+        monkeypatch.setattr(syzygy_module, "syzygy_marked_basis", counted_step)
+        res = free_resolution(marked)
+        assert calls["certified_basis"] == calls["ConeIndex"] == 0
+        distinct = [len({e for col in mat for entry in col.values() for e in entry})
+                    for mat in res.matrices]
+        assert len(unpacked) == len(distinct) == res.length > 0
+        assert all(0 < u <= d for u, d in zip(unpacked, distinct))
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_shape_lookups_agree_with_a_cone_index(self, seed):
+        """At every syzygy level of random marked bases over the survey
+        shapes, the shape rule finds the vertex a `ConeIndex` of the level's
+        heads finds, for every term of every degree up to one above the
+        largest head; and the level's elements, unpacked, pass the checks
+        of `MarkedSet.__init__` over that index and pack to its bodies."""
+        rng = random.Random(seed)
+        checked = 0
+        for basis in survey_bases(seed, 12):
+            for level in syzygy_levels(random_marked_basis(rng, basis))[1:]:
+                shape, packing = level.basis, level.basis.packing
+                index = monom_module.ConeIndex(packing, map(packing.pack, shape.terms))
+                for s in range(min(shape.layout.weights), shape.max_degree() + 2):
+                    for t in all_module_terms(shape.layout, s):
+                        p = packing.pack(t)
+                        assert shape.cone_divisor(p) == index.find(p)
+                        checked += 1
+                plain = PommaretBasis(shape.layout, shape.terms, True, index)
+                assert MarkedSet(plain, level.ordered()).packed_bodies == level.packed_bodies
+        assert checked > 0
 
     def test_keeps_no_level_set(self):
         """A resolution holds each level's heads, not its marked set: once
@@ -369,8 +422,8 @@ class TestSharedReductions:
         marked = build().marked
         cap = marked.basis.max_degree()
         degree = {
-            (el.head, j): marked.layout.term_degree(el.head) + 1
-            for el, j in prolongations(marked)
+            (head, j): marked.layout.term_degree(head) + 1
+            for head, j in prolongations(marked)
         }
         assert max(degree.values()) > cap
         assert is_marked_basis(marked, up_to_degree=cap).inconclusive_beyond == cap
@@ -401,11 +454,11 @@ class TestSharedReductions:
         family_equations(generic)
         reductions.clear()
         checked = 0
-        for el, i in prolongations(generic.marked):
+        for head, i in prolongations(generic.marked):
             report = triangular_representation(
-                generic, el.head, i, base=base, truncation_degree=m
+                generic, head, i, base=base, truncation_degree=m
             )
-            assert report.representation is prolongation_rep(generic.marked, el, i)
+            assert report.representation is prolongation_rep(generic.marked, head, i)
             checked += 1
         assert checked > 0
         assert reductions == []
@@ -656,6 +709,26 @@ class TestParametricResolution:
             assert free_resolution(specialize(generic, point).marked) == _evaluated(res, point)
 
 
+    def test_rank_two_resolution_specializes_at_every_point(self):
+        """The generic set of (x2, x1^2, x0^2) in each of two components of
+        weight 0 has 16 parameters and no family equation.  Its resolution
+        has three levels, so the kernel reduces a syzygy level built packed
+        over K[C], from its sparse bodies."""
+        gens = [T(e, k) for k in (1, 2) for e in ((0, 0, 1), (0, 2, 0), (2, 0, 0))]
+        basis = pommaret_completion(MonomialModule(FreeModuleLayout(2, (0, 0)), gens))
+        generic = generic_marked_set(basis)
+        assert generic.nparams == 16 and family_equations(generic).generators == ()
+        level1, _ = syzygy_marked_basis(generic.marked)
+        assert level1.sparse_bodies is not None and any(prolongations(level1))
+        res = free_resolution(generic.marked)
+        assert res.rank_table() == {0: {1: 2, 2: 4, 3: 2}, 1: {3: 6, 4: 4}, 2: {4: 2, 5: 2}}
+        assert any(isinstance(c, ParamPoly) and not c.is_constant()
+                   for col in res.matrices[1] for entry in col.values() for c in entry.values())
+        rng = random.Random(31)
+        for _ in range(3):
+            point = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(16)}
+            assert free_resolution(specialize(generic, point).marked) == _evaluated(res, point)
+
 def _doubled_pivot(find):
     """A corrupted pivot search: the right entry, at twice its value."""
 
@@ -749,7 +822,7 @@ def _spoil_memo(marked):
     if not is_marked_basis(marked).is_basis:
         raise ValueError("needs a marked basis")
     key, rep = list(marked._prolongations.items())[-1]
-    marked._prolongations[key] = Representation(rep.summands, _nonzero(marked))
+    marked._prolongations[key] = Representation(rep.summands, _nonzero(marked), rep.packed)
     return marked
 
 
@@ -767,15 +840,72 @@ def _drop_one(prolongations):
     return broken
 
 
+def _repeat_one(prolongations):
+    """A corrupted prolongation walk: the first element with two
+    prolongations has its first one walked again in place of its second."""
+
+    def broken(marked):
+        jobs = list(prolongations(marked))
+        i = next(i for i in range(1, len(jobs)) if jobs[i][0] is jobs[i - 1][0])
+        return jobs[:i] + [jobs[i - 1]] + jobs[i + 1:]
+
+    return broken
+
+
 def _skip_second(prolongations, level0):
     """A corrupted walk: over `level0` only, the second prolongation is
     skipped.  On TWISTED that is x2*[x2*x1], whose syzygy head x2*e3 has no
-    prolongation of its own, so the syzygy step passes every check and the
-    length stays n - D, while level 1 has one generator of degree 3 too few."""
+    prolongation of its own, so the heads that are left still form a
+    Pommaret basis, and the length stays n - D."""
 
     def broken(marked):
         jobs = list(prolongations(marked))
         return jobs[:1] + jobs[2:] if marked is level0 else jobs
+
+    return broken
+
+
+def _lifted_tail(prolongation_rep):
+    """A corrupted reduction, in the packed form the syzygy step reads: the
+    first summand whose head has a class c < n gets its multiplier times
+    x_(c+1), so that the syzygy term it gives lies in the syzygy module."""
+
+    def broken(marked, head, j):
+        rep = prolongation_rep(marked, head, j)
+        packing, n = marked.basis.packing, marked.layout.n
+        packed = list(rep.packed)
+        for i, (mult, divisor, coeff) in enumerate(packed):
+            c = pommaret_class(marked.packed_bodies[divisor][0].exp, n)
+            if c < n:
+                packed[i] = (mult + (1 << packing.shifts[c + 1]), divisor, coeff)
+                return Representation(rep.summands, rep.remainder, tuple(packed))
+        return rep
+
+    return broken
+
+
+def _flattened(predicted_ranks):
+    """A corrupted rank prediction: every level's generators at degree 0,
+    which sizes the resolution packing for exponents up to 1 only."""
+
+    def broken(basis):
+        out: dict = {}
+        for (i, _), count in predicted_ranks(basis).items():
+            out[(i, 0)] = out.get((i, 0), 0) + count
+        return out
+
+    return broken
+
+
+def _miscounted(predicted_ranks):
+    """A corrupted rank prediction: one level-1 generator more than the
+    heads give, in the lowest degree of level 1."""
+
+    def broken(basis):
+        out = dict(predicted_ranks(basis))
+        key = min(k for k in out if k[0] == 1)
+        out[key] += 1
+        return out
 
     return broken
 
@@ -786,7 +916,9 @@ def _leaky_reduce(reduce, spared):
 
     def broken(work, degree, marked):
         rep = reduce(work, degree, marked)
-        return rep if marked is spared else Representation(rep.summands, _nonzero(marked))
+        if marked is spared:
+            return rep
+        return Representation(rep.summands, _nonzero(marked), rep.packed)
 
     return broken
 
@@ -869,26 +1001,87 @@ class TestSelfChecksRaise:
         with pytest.raises(InternalError, match="resolution length differs from n - D"):
             free_resolution(twisted.marked)
 
-    def test_wrong_ranks_are_caught(self, monkeypatch, twisted):
+    def test_repeated_syzygy_head_is_caught(self, monkeypatch, twisted):
+        monkeypatch.setattr(syzygy_module, "prolongations", _repeat_one(prolongations))
+        with pytest.raises(InternalError, match="syzygy heads do not form a Pommaret basis"):
+            syzygy_marked_basis(twisted.marked)
+
+    def test_skipped_prolongation_is_caught(self, monkeypatch, twisted):
+        # The heads left when x2*[x2*x1] is skipped still form a Pommaret
+        # basis, which the structural test accepted; they lack the shape.
         marked = twisted.marked
         monkeypatch.setattr(syzygy_module, "prolongations", _skip_second(prolongations, marked))
-        # The corrupted step passes its own checks, one syzygy short.
-        assert len(syzygy_marked_basis(marked)[0].elements) == 4
+        with pytest.raises(InternalError, match="syzygy heads do not form a Pommaret basis"):
+            syzygy_marked_basis(marked)
+
+    def test_syzygy_tail_term_in_the_module_is_caught(self, monkeypatch, twisted):
+        monkeypatch.setattr(syzygy_module, "prolongation_rep",
+                            _lifted_tail(syzygy_module.prolongation_rep))
+        with pytest.raises(InternalError, match="syzygy tail term lies in the syzygy module"):
+            syzygy_marked_basis(twisted.marked)
+
+    def test_level_outgrowing_the_packing_is_caught(self, monkeypatch, twisted):
+        monkeypatch.setattr(syzygy_module, "predicted_ranks",
+                            _flattened(syzygy_module.predicted_ranks))
+        with pytest.raises(InternalError, match="a syzygy level outgrows the resolution packing"):
+            free_resolution(twisted.marked)
+        with pytest.raises(InternalError, match="a syzygy level outgrows the resolution packing"):
+            syzygy_marked_basis(build_twisted_example().marked)
+
+    def test_packed_level_checks_survive_python_O(self):
+        script = (
+            f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import build_twisted_example\n"
+            "from test_syzygy import _flattened, _lifted_tail, _skip_second\n"
+            "from marked_bases import syzygy\n"
+            "from marked_bases.ring import InternalError\n"
+            "assert False, 'asserts run'\n"
+            "def attempt(marked_set):\n"
+            "    try:\n"
+            "        syzygy.syzygy_marked_basis(marked_set)\n"
+            "    except InternalError as exc:\n"
+            "        print('raised:', exc)\n"
+            "marked = build_twisted_example().marked\n"
+            "real = syzygy.prolongations\n"
+            "syzygy.prolongations = _skip_second(real, marked)\n"
+            "attempt(marked)\n"
+            "syzygy.prolongations = real\n"
+            "real = syzygy.prolongation_rep\n"
+            "syzygy.prolongation_rep = _lifted_tail(real)\n"
+            "attempt(build_twisted_example().marked)\n"
+            "syzygy.prolongation_rep = real\n"
+            "syzygy.predicted_ranks = _flattened(syzygy.predicted_ranks)\n"
+            "attempt(build_twisted_example().marked)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (
+            "raised: syzygy heads do not form a Pommaret basis\n"
+            "raised: syzygy tail term lies in the syzygy module\n"
+            "raised: a syzygy level outgrows the resolution packing\n"
+        )
+
+    def test_wrong_ranks_are_caught(self, monkeypatch, twisted):
+        # A prediction one generator off: every step passes its checks.
+        monkeypatch.setattr(syzygy_module, "predicted_ranks",
+                            _miscounted(syzygy_module.predicted_ranks))
         with pytest.raises(InternalError, match="resolution ranks differ from the ranks"):
-            free_resolution(marked)
+            free_resolution(twisted.marked)
 
     def test_rank_check_survives_python_O(self):
         script = (
             f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from conftest import build_twisted_example\n"
-            "from test_syzygy import _skip_second\n"
+            "from test_syzygy import _miscounted\n"
             "from marked_bases import syzygy\n"
             "from marked_bases.ring import InternalError\n"
             "assert False, 'asserts run'\n"
-            "marked = build_twisted_example().marked\n"
-            "syzygy.prolongations = _skip_second(syzygy.prolongations, marked)\n"
+            "syzygy.predicted_ranks = _miscounted(syzygy.predicted_ranks)\n"
             "try:\n"
-            "    syzygy.free_resolution(marked)\n"
+            "    syzygy.free_resolution(build_twisted_example().marked)\n"
             "except InternalError as exc:\n"
             "    print('raised:', exc)\n"
         )
