@@ -32,8 +32,7 @@ is one int addition, the multiplier of a target is target - head, and the
 lex-descent certificate is new_mult < mult.  Width rule: each variable
 field holds degree - min(weights) for max_degree() + 1, so every
 prolongation fits, and the basis's packing is fixed when the basis is
-built (`PommaretBasis.packing`; a syzygy level's is its resolution's, see
-`syzygy`).  The terms of one reduction share deg(h);
+built (`PommaretBasis.packing`).  The terms of one reduction share deg(h);
 `reduce_full` reduces a target of higher degree over a copy of the set
 whose basis is packed for it, so no field overflows.  Each marked set packs
 its bodies once, when it is built (`MarkedSet.packed_bodies`), or is given
@@ -222,13 +221,14 @@ class Representation:
 
     The kernel hands the summands over packed: ``packed`` lists them, in
     the same order, as (packed multiplier, packed head, c) under the
-    packing of the set's basis, which never changes.  Both forms are given
-    as a tuple or as a callable that builds it on the first read: `packed`
-    from the kernel's own summands, `summands` from `packed`.  So the
-    summands that no consumer reads (the basis test and the family
-    equations read only the remainder) are never sorted, and the syzygy
-    step, which reads `packed`, never unpacks them.  A representation
-    built from a summands tuple alone has no packed form (None).
+    packing of the set's basis, which never changes.  `packed` is given as
+    a tuple or as a callable that builds it from the kernel's own summands
+    on the first read, and `summands` as a tuple or as that packing, which
+    unpacks `packed` on the first read.  So the summands that no consumer
+    reads (the basis test and the family equations read only the
+    remainder) are never sorted, and the syzygy step, which reads
+    `packed`, never unpacks them.  A representation built from a summands
+    tuple alone has no packed form (None).
     """
 
     __slots__ = ("_summands", "_packed", "remainder")
@@ -249,7 +249,9 @@ class Representation:
     def summands(self) -> tuple[tuple[Coeff, Exponent, ModuleTerm], ...]:
         summands = self._summands
         if type(summands) is not tuple:
-            summands = self._summands = summands(self.packed)
+            unpack_exp, unpack = summands.unpack_exp, summands.unpack
+            summands = self._summands = tuple(
+                [(c, unpack_exp(mult), unpack(divisor)) for mult, divisor, c in self.packed])
         return summands
 
     def __eq__(self, other) -> bool:
@@ -356,7 +358,7 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
     if not summands:
         return Representation((), remainder, ())
     packed = partial(_sort_summands, summands, divisor_of, marked.position, wrap)
-    return Representation(partial(_unpack_summands, bodies, packing.unpack_exp), remainder, packed)
+    return Representation(packing, remainder, packed)
 
 
 def _sort_summands(summands, divisor_of, position, wrap) -> tuple:
@@ -369,11 +371,6 @@ def _sort_summands(summands, divisor_of, position, wrap) -> tuple:
         keyed.append((divisor - target, position[divisor], divisor, c))
     keyed.sort(key=itemgetter(0, 1))
     return tuple([(-neg, divisor, wrap(c)) for neg, _, divisor, c in keyed])
-
-
-def _unpack_summands(bodies, unpack_exp, packed) -> tuple:
-    """`Representation.packed` as `Representation.summands` lists it."""
-    return tuple([(c, unpack_exp(mult), bodies[divisor][0]) for mult, divisor, c in packed])
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ term and built with the basis (`PommaretBasis`); `cone_divisor`,
 `complement_terms` and the reduction kernel all read it.  A term of higher
 degree is looked up in a copy of the basis packed for it (`_packed_for`).
 The completion files one index of its own growing term set.  The basis of
-a syzygy level has none: its cones have a known shape, which `ShapeCones`
-reads off the packed term.
+a syzygy level is built on a `ShapeCones` in place of an index: its cones
+have a known shape, which is read off the packed term.
 """
 
 from __future__ import annotations
@@ -255,9 +255,10 @@ class PommaretBasis:
     the completion also goes through.  Cone lookups go through one
     `ConeIndex` of the terms, packed by the basis's `packing`: the index the
     structural test built, or one `__post_init__` files one degree above
-    the largest term.  Lookups take and give packed terms, and
-    `cone_divisor` memoises them in ``_cone_cache``, keyed by the packed
-    term; every marked set over the basis shares the packing and the memo.
+    the largest term; a syzygy level gives its `ShapeCones` instead.
+    Lookups take and give packed terms, and `cone_divisor` memoises them
+    in ``_cone_cache``, keyed by the packed term; every marked set over the
+    basis shares the packing and the memo.
     The split of each degree into the terms inside and outside the module
     (`complement_terms`) is memoised in ``_slices``.  These memos are all
     that is written once the basis is built.
@@ -266,7 +267,8 @@ class PommaretBasis:
     layout: FreeModuleLayout
     terms: frozenset[ModuleTerm]
     certified: bool = False
-    _cones: ConeIndex | None = field(default=None, repr=False, compare=False, hash=False)
+    _cones: ConeIndex | ShapeCones | None = field(
+        default=None, repr=False, compare=False, hash=False)
     _cone_cache: dict = field(**_MEMO)
     _slices: dict = field(**_MEMO)
 
@@ -294,16 +296,6 @@ class PommaretBasis:
     def packing(self) -> TermPacking:
         """The packing of the index, wide enough for every prolongation."""
         return self._cones.packing
-
-
-class ShapeBasis(PommaretBasis):
-    """The basis of a syzygy level, built on its `ShapeCones` and certified
-    by its shape (`syzygy.syzygy_marked_basis`); its cone lookups are that
-    rule itself, with no memo."""
-
-    @property
-    def cone_divisor(self):
-        return self._cones.find
 
 
 def _packed_for(basis: PommaretBasis, degree: int) -> PommaretBasis:

@@ -138,17 +138,14 @@ class TermPacking:
     Each variable field is just wide enough for degree - min(weights), the
     largest exponent such a term can have; a term of higher degree could
     carry into the next field, so it is never packed (`monom._packed_for`).
-    The component field is just wide enough for the rank, unless
-    `comp_width` widens it: packings of modules of different ranks then
-    share their shifts, as the syzygy levels of a resolution do.
     """
 
     __slots__ = ("degree", "rank", "shifts", "mask", "comp_mask")
 
-    def __init__(self, layout: FreeModuleLayout, degree: int, comp_width: int = 0):
+    def __init__(self, layout: FreeModuleLayout, degree: int):
         self.degree = degree
         self.rank = rank = len(layout.weights)
-        comp_width = max(comp_width, (rank - 1).bit_length())
+        comp_width = (rank - 1).bit_length()
         width = max(1, (degree - min(layout.weights)).bit_length())
         self.shifts = tuple(range(comp_width, comp_width + width * (layout.n + 1), width))
         self.mask = (1 << width) - 1

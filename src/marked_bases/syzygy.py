@@ -36,21 +36,18 @@ also run under ``python -O``.
 The packed bodies are the ones the reduction kernel reads
 (`MarkedSet.packed_bodies`): one int per term, rank - comp in the lowest
 field, then one field per variable with x_n most significant.  Level 0
-keeps the packing of its basis (the width rule of `marked`).  The levels
->= 1 share the shifts of one packing, sized from `predicted_ranks` before
-any level is built: its component field holds the largest rank of any
-level, and each variable field the largest exponent of any level's terms
-and prolongations.  So the packed multiplier of a level-i summand plus the
-component field of its row is its level-(i+1) term, and a syzygy level is
-built packed with no term unpacked but its column entries, once per
-distinct multiplier (a level-0 multiplier is also packed again, once).
-Its heads are x_j*e_k for j above the class c_k of the k-th head one level
-down (Albert, Fetzer, Sáenz-de-Cabezón and Seiler, "On the free
+keeps the packing of its basis, and each syzygy level is packed by the
+same width rule, one degree above its heads.  The summands of a
+reduction come packed (`Representation.packed`), so a syzygy level is
+built packed with no term of it unpacked but its column entries, and
+each distinct multiplier of a level is unpacked and packed again once.
+Its heads are x_j*e_k for j above the class c_k of the k-th head one
+level down (Albert, Fetzer, Sáenz-de-Cabezón and Seiler, "On the free
 resolution induced by a Pommaret basis", J. Symb. Comput. 68, 2015), so
-its cones are looked up by that shape (`monom.ShapeCones`).  The image of
-a column has the degree of a prolongation of its level, so it fits, and an
-entry c*x^e of row k adds the packed x^e to each term of the k-th body:
-one int addition.
+its cones are looked up by that shape (`monom.ShapeCones`).  The image
+of a column has the degree of a prolongation of its level, so it fits,
+and an entry c*x^e of row k adds the packed x^e to each term of the k-th
+body: one int addition.
 
 The eliminations of minimization share one step, `_add_scaled_column`,
 which does all of their coefficient arithmetic through
@@ -70,7 +67,7 @@ from .marked import (
     prolongation_rep,
     prolongations,
 )
-from .monom import PommaretBasis, ShapeBasis, ShapeCones, basis_invariants, pommaret_class
+from .monom import PommaretBasis, ShapeCones, basis_invariants, pommaret_class
 from .ring import (
     Coeff,
     FreeModuleLayout,
@@ -109,19 +106,16 @@ def _column(elem: ModuleElement) -> Column:
     return col
 
 
-def syzygy_marked_basis(marked: MarkedSet, ranks=None) -> tuple[MarkedSet, list[Column]]:
+def syzygy_marked_basis(marked: MarkedSet) -> tuple[MarkedSet, list[Column]]:
     """Marked basis of the syzygy module of a certified marked basis, with
     the syzygies as columns over the generators of `marked`.
 
     One syzygy per prolongation, in the order of `prolongations`, read off
     the packed summands of its memoised reduction (`Representation.packed`)
     in one pass that writes its column and its packed body, under the
-    packing the syzygy levels share (see the module docstring).  A level-0
-    `marked` sizes that packing from `ranks`, its `predicted_ranks`
-    (computed here when not given); a syzygy level has it already.
+    packing of the syzygy level (see the module docstring).
 
-    The checks: the new level must fit the packing, before any of its terms
-    is packed; each tail term must lie outside the syzygy module (its
+    The checks: each tail term must lie outside the syzygy module (its
     multiplier's top variable at most the class of its row's head); every
     column is composed with the level below and must give zero (the chain
     check, `_evaluate_column` on the packed bodies of `marked`, which also
@@ -139,17 +133,8 @@ def syzygy_marked_basis(marked: MarkedSet, ranks=None) -> tuple[MarkedSet, list[
     weights = tuple(map(layout.term_degree, heads))
     classes = [pommaret_class(head.exp, n) for head in heads]
     syz_layout = FreeModuleLayout(n, weights)
-    syzygy_level = isinstance(marked.basis, ShapeBasis)
-    if syzygy_level:
-        capacity, comp_width = below.mask, below.comp_mask.bit_length()
-    else:
-        capacity, comp_width = _resolution_shape(ranks or predicted_ranks(marked.basis))
-    packing = TermPacking(syz_layout, capacity + min(weights), comp_width)
-    # The largest degree of a prolongation of the new level.
-    largest = max((w + 2 for w, c in zip(weights, classes) if c < n), default=0)
-    if (len(heads) - 1).bit_length() > comp_width or largest > packing.degree:
-        raise InternalError("a syzygy level outgrows the resolution packing")
-
+    # One degree above the heads x_j*e_k, so every prolongation fits.
+    packing = TermPacking(syz_layout, max(weights) + 2)
     rank, shifts, width = len(heads), packing.shifts, packing.mask.bit_length()
     one = 1 if marked.nparams is None else ParamPoly.const(marked.nparams, 1)
     rows = [((p, *terms), (1, *coeffs)) for p, (_, terms, coeffs) in marked.packed_bodies.items()]
@@ -176,7 +161,7 @@ def syzygy_marked_basis(marked: MarkedSet, ranks=None) -> tuple[MarkedSet, list[
                 e = below.unpack_exp(mult)
                 e = exps.setdefault(e, e)
                 shift_of[e] = mult
-                q = mult if syzygy_level else packing.pack_exp(e)
+                q = packing.pack_exp(e)
                 entry = mults[mult] = (e, q, ((q >> shifts[0]).bit_length() - 1) // width)
             e, q, top = entry
             r = position[divisor]
@@ -195,24 +180,11 @@ def syzygy_marked_basis(marked: MarkedSet, ranks=None) -> tuple[MarkedSet, list[
     if not len(bodies) == len(columns) == sum(n - c for c in classes):
         raise InternalError("syzygy heads do not form a Pommaret basis")
     syz_heads = frozenset(syz_head for syz_head, _, _ in bodies.values())
-    syz_basis = ShapeBasis(syz_layout, syz_heads, True, ShapeCones(packing, classes))
+    syz_basis = PommaretBasis(syz_layout, syz_heads, True, ShapeCones(packing, classes))
     syz_set = MarkedSet._from_packed(syz_basis, bodies, marked.nparams)
     if bodies and not is_marked_basis(syz_set).is_basis:
         raise InternalError("syzygy set failed the marked-basis re-check")
     return syz_set, columns
-
-
-def _resolution_shape(ranks: dict[tuple[int, int], int]) -> tuple[int, int]:
-    """The variable field capacity and the component field width the syzygy
-    levels share, from the level ranks of `predicted_ranks`: a level-i set
-    has exponents up to max(deg level i) + 1 - min(deg level i-1) in its
-    terms and prolongations, and rank |level i-1|."""
-    degrees: dict[int, list[int]] = {}
-    for (i, j), count in ranks.items():
-        degrees.setdefault(i, []).extend([j] * count)
-    bound = max([max(d) + 1 - min(degrees[i - 1]) for i, d in degrees.items() if i], default=1)
-    rank = max(map(len, degrees.values()), default=1)
-    return (1 << max(1, bound.bit_length())) - 1, (rank - 1).bit_length()
 
 
 def _evaluate_column(rows: list[tuple[tuple, tuple]], column: Column, pack_exp) -> dict:
@@ -289,13 +261,11 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
     Each differential is the list of columns `syzygy_marked_basis` returns,
     and that step has composed every one of them with the map below it, so
     the chain property is checked once per column, as the column is built;
-    the finished resolution is not composed again.  The predicted ranks are
-    computed once: they size the packing of the syzygy levels and are the
-    rank check.  Only each level's heads and degrees are kept, so a level's
-    marked set and its prolongation memo are freed once the next exists.
+    the finished resolution is not composed again.  Only each level's heads
+    and degrees are kept, so a level's marked set and its prolongation memo
+    are freed once the next level exists.
     """
     _require_basis(marked)
-    ranks = predicted_ranks(marked.basis)
     bodies = [_column(el.body) for el in marked.ordered()]
     heads, degrees, matrices = [], [], []
     current = marked
@@ -304,13 +274,13 @@ def free_resolution(marked: MarkedSet) -> FreeResolution:
         degrees.append(list(map(current.layout.term_degree, heads[-1])))
         if not any(prolongations(current)):
             break
-        current, columns = syzygy_marked_basis(current, ranks)
+        current, columns = syzygy_marked_basis(current)
         matrices.append(columns)
 
     res = FreeResolution(marked.layout, bodies, degrees, matrices, heads)
     if res.length != marked.layout.n - basis_invariants(marked.basis).D:
         raise InternalError("resolution length differs from n - D")
-    if res.rank_pairs() != ranks:
+    if res.rank_pairs() != predicted_ranks(marked.basis):
         raise InternalError("resolution ranks differ from the ranks the heads predict")
     return res
 

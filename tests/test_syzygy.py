@@ -884,19 +884,6 @@ def _lifted_tail(prolongation_rep):
     return broken
 
 
-def _flattened(predicted_ranks):
-    """A corrupted rank prediction: every level's generators at degree 0,
-    which sizes the resolution packing for exponents up to 1 only."""
-
-    def broken(basis):
-        out: dict = {}
-        for (i, _), count in predicted_ranks(basis).items():
-            out[(i, 0)] = out.get((i, 0), 0) + count
-        return out
-
-    return broken
-
-
 def _miscounted(predicted_ranks):
     """A corrupted rank prediction: one level-1 generator more than the
     heads give, in the lowest degree of level 1."""
@@ -1020,19 +1007,11 @@ class TestSelfChecksRaise:
         with pytest.raises(InternalError, match="syzygy tail term lies in the syzygy module"):
             syzygy_marked_basis(twisted.marked)
 
-    def test_level_outgrowing_the_packing_is_caught(self, monkeypatch, twisted):
-        monkeypatch.setattr(syzygy_module, "predicted_ranks",
-                            _flattened(syzygy_module.predicted_ranks))
-        with pytest.raises(InternalError, match="a syzygy level outgrows the resolution packing"):
-            free_resolution(twisted.marked)
-        with pytest.raises(InternalError, match="a syzygy level outgrows the resolution packing"):
-            syzygy_marked_basis(build_twisted_example().marked)
-
     def test_packed_level_checks_survive_python_O(self):
         script = (
             f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from conftest import build_twisted_example\n"
-            "from test_syzygy import _flattened, _lifted_tail, _skip_second\n"
+            "from test_syzygy import _lifted_tail, _skip_second\n"
             "from marked_bases import syzygy\n"
             "from marked_bases.ring import InternalError\n"
             "assert False, 'asserts run'\n"
@@ -1050,8 +1029,6 @@ class TestSelfChecksRaise:
             "syzygy.prolongation_rep = _lifted_tail(real)\n"
             "attempt(build_twisted_example().marked)\n"
             "syzygy.prolongation_rep = real\n"
-            "syzygy.predicted_ranks = _flattened(syzygy.predicted_ranks)\n"
-            "attempt(build_twisted_example().marked)\n"
         )
         run = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True,
@@ -1061,7 +1038,6 @@ class TestSelfChecksRaise:
         assert run.stdout == (
             "raised: syzygy heads do not form a Pommaret basis\n"
             "raised: syzygy tail term lies in the syzygy module\n"
-            "raised: a syzygy level outgrows the resolution packing\n"
         )
 
     def test_wrong_ranks_are_caught(self, monkeypatch, twisted):
