@@ -290,16 +290,24 @@ def cmd_resolve(doc, args):
         text = "marked basis: no (cannot resolve)\n" + line
         return 1, text, {"marked_basis": False, "certificate": cert}
     res = free_resolution(marked)
-    payload = {
-        "ranks": _ranks_json(res.rank_table()),
-        "resolution": resolution_to_dict(res),
-    }
+    full = resolution_to_dict(res)
+    payload = {"ranks": _ranks_json(res.rank_table()), "resolution": full}
     text = [f"length {res.length}", _chain_text(res)]
     if args.minimize:
         minimal = minimize_resolution(res)
+        if minimal.matrices is res.matrices:
+            # No pivot was cancelled, so minimization returned the input's
+            # maps: the minimal's dict is the full one's without the marked
+            # forms (level 0 lists its images), and shares its grids.
+            minimal_dict = dict(full, levels=[
+                dict(level, generators=level["differential"][0] if i == 0 else [])
+                for i, level in enumerate(full["levels"])
+            ])
+        else:
+            minimal_dict = resolution_to_dict(minimal)
         payload["minimal"] = {
             "ranks": _ranks_json(minimal.rank_table()),
-            "resolution": resolution_to_dict(minimal),
+            "resolution": minimal_dict,
         }
         text.append("minimal: " + _chain_text(minimal))
     return 0, "\n".join(text), payload

@@ -34,7 +34,9 @@ entry the sparse columns of `FreeResolution.matrices` do not store.  Each
 cells share its text; it formats each distinct monomial once too.
 Every JSON document is written by `dumps_indented`, which gives the text
 of ``json.dumps(obj, indent=2)`` in one pass and encodes each row of
-strings once.
+strings once.  A grid (any list it walks item by item) met twice in one
+document is written once; the second time, at the same depth or deeper,
+its text is re-indented.
 """
 
 from __future__ import annotations
@@ -465,13 +467,17 @@ def dumps_indented(obj) -> str:
     None, and raises `TypeError` on anything else.
     """
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, {})
     return "".join(out)
 
 
-def _write_json(obj, newline: str, out: list[str]) -> None:
+def _write_json(obj, newline: str, out: list[str], lists: dict) -> None:
     """Append the pieces of `obj` to `out`; `newline` is the line break plus
-    the indentation of the line `obj` starts on."""
+    the indentation of the line `obj` starts on.  `lists` maps the id of each
+    list written item by item so far (a grid, say) to its slice of `out` and
+    its `newline`.  A list met again at that depth or deeper is not walked
+    again: that text is joined and indented further, exactly, since every
+    newline in it is structural (JSON escapes those in strings)."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -501,12 +507,19 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
                     items = ("," + inner).join(map(encode_basestring_ascii, obj))
                 out.append("[" + inner + items + newline + "]")
                 return
+        seen = lists.get(id(obj))
+        if seen is not None and newline.startswith(seen[2]):
+            start, end, first = seen
+            out.append("".join(out[start:end]).replace("\n", "\n" + newline[len(first):]))
+            return
+        start = len(out)
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, lists)
             sep = "," + inner
         out.append(newline + "]")
+        lists[id(obj)] = (start, len(out), newline)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -517,7 +530,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, lists)
             sep = "," + inner
         out.append(newline + "}")
     else:

@@ -42,7 +42,8 @@ from marked_bases.textio import (
 )
 from marked_bases.randgen import random_marked_basis
 from conftest import (
-    E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, TWISTED_MINIMAL_DOC, c4_basis, survey_bases,
+    E, LAY3, NON_GROEBNER_DOC, T, TWISTED_DOC, TWISTED_MINIMAL_DOC, c3_basis, c4_basis,
+    survey_bases,
 )
 from oracles import param_poly, parse_resolution
 from samplers import random_homogeneous_element
@@ -55,6 +56,16 @@ def serialized(res) -> str:
     """The JSON text of a resolution: its `resolution_to_dict`, written by
     `dumps_indented` as every JSON document of the CLI is."""
     return dumps_indented(resolution_to_dict(res))
+
+
+def marked_document(marked) -> str:
+    """A document whose marked set G is `marked`."""
+    layout = marked.layout
+    text = f"ring {layout.nvars}\n"
+    if layout.rank > 1:
+        text += f"module {layout.rank} " + " ".join(map(str, layout.weights)) + "\n"
+    elements = ", ".join(format_marked_element(el.body, el.head) for el in marked.ordered())
+    return text + f"marked G = {elements}\n"
 
 
 def parse_marked(text: str):
@@ -377,6 +388,47 @@ class TestResolveCommand:
             "1": {"4": 6},
             "2": {"5": 2},
         }
+
+    @pytest.mark.parametrize("case", ["C3", "survey 9", "survey 24", "twisted"])
+    def test_minimal_json_matches_its_own_serialization(
+        self, capsys, tmp_path, monkeypatch, twisted, case
+    ):
+        """Without a cancelled pivot the minimal's JSON is built from the full
+        one's dict, and it must read as the minimal resolution's own; with
+        one (TWISTED) the minimal is serialized afresh."""
+        if case == "twisted":
+            marked = twisted.marked
+        elif case == "C3":
+            marked = random_marked_basis(random.Random(1), c3_basis())
+        else:
+            marked = survey_marked_bases()[int(case.split()[1])]
+        full = free_resolution(marked)
+        minimal = minimize_resolution(full)
+        cancels = case == "twisted"
+        assert (minimal.matrices is full.matrices) is not cancels
+        path = tmp_path / "case.mb"
+        path.write_text(marked_document(marked))
+        calls = []
+        original = cli_module.resolution_to_dict
+        monkeypatch.setattr(cli_module, "resolution_to_dict",
+                            lambda res: calls.append(res) or original(res))
+        code, out = run(capsys, "resolve", str(path), "--minimize", "--json")
+        assert code == 0
+        assert len(calls) == 1 + cancels
+        payload = json.loads(out.out)
+        assert payload["minimal"]["resolution"] == json.loads(serialized(minimal))
+        assert payload["resolution"] == json.loads(serialized(full))
+
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_minimization_without_pivots_returns_the_input_maps(self, k):
+        """The identity the JSON of `resolve --minimize` relies on to share
+        the full resolution's grids."""
+        full = free_resolution(survey_marked_bases()[k])
+        minimal = minimize_resolution(full)
+        assert minimal.matrices is full.matrices
+        assert minimal.bodies is full.bodies
+        assert minimal.degrees is full.degrees
+        assert minimal.heads is None
 
     def test_round_trip(self, twisted):
         res = free_resolution(twisted.marked)
@@ -871,12 +923,17 @@ GOLDEN_SURVEY_SHA256 = {
 GOLDEN_C4_RESOLVE_SHA256 = "30d70b0947cb3470d71e3a547b692a283d094208cc25c2da04b0942adbee171f"
 
 
+def survey_marked_bases():
+    """The marked bases of the 30 fixed survey-style cases."""
+    rng = random.Random(3)
+    return [random_marked_basis(rng, basis) for basis in survey_bases(3, 30)]
+
+
 def survey_resolutions():
     """(full, minimal) resolutions of the 30 fixed survey-style cases."""
-    rng = random.Random(3)
     out = []
-    for basis in survey_bases(3, 30):
-        full = free_resolution(random_marked_basis(rng, basis))
+    for marked in survey_marked_bases():
+        full = free_resolution(marked)
         out.append((full, minimize_resolution(full)))
     return out
 
@@ -1175,6 +1232,31 @@ class TestJsonWriter:
         # A row is written with one join unless encoding it whole shows an
         # escape; each of the first six has exactly one item that needs one.
         assert dumps_indented([row, {"row": row}]) == json.dumps([row, {"row": row}], indent=2)
+
+    # A grid of strings that need escapes, written twice: deeper first,
+    # shallower first, at one depth, and inside a list that repeats too.
+    GRID = [["x1", "a\nb", '"q"', "back\\slash", "\xe9\u2028\U0001f600"], ["0", "\n"], []]
+    LEVELS = [{"degrees": [1, 2], "generators": []}]
+
+    @pytest.mark.parametrize("value", [
+        [{"a": {"b": [GRID]}}, GRID],
+        [GRID, {"a": {"b": [GRID]}}],
+        {"a": GRID, "b": GRID},
+        [[GRID, GRID], {"c": [[GRID, GRID]]}, GRID],
+        [{"levels": LEVELS}, {"m": {"levels": LEVELS}}],
+    ])
+    def test_a_list_met_again_is_reindented(self, value):
+        assert dumps_indented(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(JSON_VALUES, max_size=4), st.integers(0, 3))
+    def test_repeated_lists_match_json_dumps(self, row, depth):
+        grid = [row, row]
+        deep = grid
+        for _ in range(depth):
+            deep = {"k": [deep]}
+        for value in ([deep, grid], [grid, deep], {"a": grid, "b": [deep, [grid]]}):
+            assert dumps_indented(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [
         1.5, (1, 2), {1, 2}, Fraction(1, 2), b"x", {1: "a"}, {"a": [None, (1,)]},

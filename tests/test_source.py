@@ -334,3 +334,32 @@ def test_peak_rss_runs_one_pass_in_a_fresh_process():
     assert re.fullmatch(r"\d+\.\d\d\n", done.stdout)
     assert 1.0 < float(done.stdout) < 4096.0
     assert sorted(p for p in (ROOT / "bench").rglob("*")) == before
+
+
+def test_peak_rss_pairs_two_trees():
+    """`scripts/peak_rss.py` given two trees runs one pair of fresh passes per
+    seed, the tree that goes first alternating, and prints each pair with
+    its delta, then the median delta; nothing is written under `bench/`."""
+    before = sorted(p for p in (ROOT / "bench").rglob("*"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), str(ROOT / "src"),
+         str(ROOT / "src"), "--workload", "resolve", "--seeds", "3", "4"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3
+    deltas = []
+    for line, seed, first in zip(lines, (3, 4), ("parent", "change")):
+        pair = re.fullmatch(
+            rf"seed {seed}: parent (\d+\.\d\d) MB, change (\d+\.\d\d) MB, "
+            rf"delta ([+-]\d+\.\d\d) MB \({first} first\)",
+            line,
+        )
+        parent, change, delta = map(float, pair.groups())
+        assert abs(change - parent - delta) < 0.016  # each figure is rounded
+        deltas.append(delta)
+    median = re.fullmatch(r"median delta ([+-]\d+\.\d\d) MB; change lower in [012] of 2 pairs",
+                          lines[2])
+    assert abs(float(median.group(1)) - sum(deltas) / 2) < 0.016
+    assert sorted(p for p in (ROOT / "bench").rglob("*")) == before
