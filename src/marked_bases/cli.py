@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="input document")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--output", metavar="FILE", help="also write the report here")
@@ -87,21 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--marked", metavar="NAME", help="which marked set to use")
         return p
 
-    add("pommaret", "Pommaret completion and invariant readout")
-    add("classify", "stability classification")
-    p = add("truncate", "Pommaret basis of the degree->=m truncation")
+    add("pommaret", cmd_pommaret, "Pommaret completion and invariant readout")
+    add("classify", cmd_classify, "stability classification")
+    p = add("truncate", cmd_truncate, "Pommaret basis of the degree->=m truncation")
     p.add_argument("--degree", type=int, required=True)
-    p = add("hilbert", "Hilbert function of the monomial module")
+    p = add("hilbert", cmd_hilbert, "Hilbert function of the monomial module")
     p.add_argument("--degree", type=int, required=True)
-    p = add("check", "marked-basis test")
+    p = add("check", cmd_check, "marked-basis test")
     p.add_argument("--up-to-degree", type=int, dest="up_to_degree")
-    p = add("reduce", "full reduction of a target element")
+    p = add("reduce", cmd_reduce, "full reduction of a target element")
     p.add_argument("--target", required=True)
-    p = add("resolve", "syzygy free resolution")
+    p = add("resolve", cmd_resolve, "syzygy free resolution")
     p.add_argument("--minimize", action="store_true")
-    add("bounds", "Betti/regularity/projective-dimension bounds")
-    add("family", "equations of the marked family")
-    p = add("specialize", "specialize the generic marked set")
+    add("bounds", cmd_bounds, "Betti/regularity/projective-dimension bounds")
+    add("family", cmd_family, "equations of the marked family")
+    p = add("specialize", cmd_specialize, "specialize the generic marked set")
     p.add_argument("--set", dest="assignment", required=True,
                    metavar="C_{0,0}=1,...")
     return parser
@@ -157,7 +158,8 @@ def _ranks_json(table: dict[int, dict[int, int]]):
 def _chain_text(res) -> str:
     def module_text(counts):
         return " (+) ".join(
-            f"S(-{j})" + (f"^{c}" if c > 1 else "") for j, c in sorted(counts.items())
+            (f"S({-j})" if j else "S") + (f"^{c}" if c > 1 else "")
+            for j, c in sorted(counts.items())
         ) or "0"
 
     table = res.rank_table()
@@ -337,7 +339,7 @@ def cmd_family(doc, args):
     basis = _basis(doc, args)
     generic = generic_marked_set(basis)
     fam = family_equations(generic)
-    eq_strings = [format_param_poly(g, fam.param_names) for g in fam.generators]
+    eq_strings = [format_param_poly(g, generic.param_names) for g in fam.generators]
     lines = [f"parameters ({generic.nparams}): " + ", ".join(generic.param_names)]
     lines.append("generic elements:")
     for el in generic.marked.ordered():
@@ -414,20 +416,6 @@ def cmd_specialize(doc, args):
     return 1, "\n".join(lines), payload
 
 
-HANDLERS = {
-    "pommaret": cmd_pommaret,
-    "classify": cmd_classify,
-    "truncate": cmd_truncate,
-    "hilbert": cmd_hilbert,
-    "check": cmd_check,
-    "reduce": cmd_reduce,
-    "resolve": cmd_resolve,
-    "bounds": cmd_bounds,
-    "family": cmd_family,
-    "specialize": cmd_specialize,
-}
-
-
 def _emit(args, code: int, text: str, payload: dict) -> int:
     """Print the report and write it to ``--output``, opened first: a path
     that cannot be written is an input error (exit 2) and no report."""
@@ -469,7 +457,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "rb") as fh:
             doc = parse_document(_decoded(fh.read()))
-        code, text, payload = HANDLERS[args.command](doc, args)
+        code, text, payload = args.handler(doc, args)
     except (*INPUT_ERRORS, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ from .ring import (
 class GenericMarkedSet:
     """Marked set whose tail coefficients are independent parameters."""
 
-    basis: PommaretBasis
     marked: MarkedSet
     param_names: tuple[str, ...]
     param_pairs: tuple[tuple[ModuleTerm, ModuleTerm], ...]  # (head, tail term)
@@ -98,7 +97,7 @@ def generic_marked_set(basis: PommaretBasis) -> GenericMarkedSet:
     n = len(pairs)
     tails = zip(pairs, [ParamPoly(n, {((k, 1),): -1}) for k in range(n)])
     marked = _marked_set(basis, ParamPoly.const(n, 1), tails)
-    return GenericMarkedSet(basis, marked, tuple(names), tuple(pairs))
+    return GenericMarkedSet(marked, tuple(names), tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,6 @@ class FamilyIdeal:
     """Parameter polynomials cutting out the marked family."""
 
     generators: tuple[ParamPoly, ...]
-    param_names: tuple[str, ...]
 
 
 def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
@@ -120,7 +118,7 @@ def family_equations(generic: GenericMarkedSet) -> FamilyIdeal:
             if coeff not in seen:
                 seen.add(coeff)
                 out.append(coeff)
-    return FamilyIdeal(tuple(out), generic.param_names)
+    return FamilyIdeal(tuple(out))
 
 
 def specialized_set(basis: PommaretBasis, pairs, names, assignment: Mapping):
@@ -162,6 +160,6 @@ def specialize(generic: GenericMarkedSet, assignment: Mapping) -> Specialization
     building the equations.
     """
     marked, values = specialized_set(
-        generic.basis, generic.param_pairs, generic.param_names, assignment
+        generic.marked.basis, generic.param_pairs, generic.param_names, assignment
     )
     return Specialization(marked, dict(enumerate(values)))

@@ -44,8 +44,8 @@ Over Q the work element and the summands hold inline ints and Fractions,
 and a step computes s - coeff * c.  Over K[C] (ParamPoly head coefficients,
 as in a generic set; decided once, when the set is built) they hold
 sparse-terms dicts, a step multiply-subtracts coeff * c into the target's
-dict in place (`ring.param_add_product` on `MarkedSet.sparse_bodies`), and
-each dict is wrapped as a ParamPoly once, for the representation.
+dict in place (`ring.param_add_product`, reading c's `ring.sparse_terms`),
+and each dict is wrapped as a ParamPoly once, for the representation.
 """
 
 from __future__ import annotations
@@ -117,19 +117,18 @@ class MarkedSet:
     through `prolongation_rep`; instances are immutable so these caches are
     sound.
 
-    ``packed_bodies`` is what the kernel reads, packed by the basis's
-    packing: {packed head: (head, packed tail terms, their coefficients)}
-    in element order, each tail in body order; over K[C] ``sparse_bodies``
-    holds them with coefficients as `ring.sparse_terms`, as the kernel's
-    K[C] steps read them (None over Q).  The constructor packs them from
-    the elements and checks the tails through the cone memo.  A syzygy
-    level is built by `_from_packed` instead, from bodies its step wrote
-    packed and checked; its ``elements`` are unpacked on the first read,
-    so a level that only resolution reads is never unpacked.
+    ``packed_bodies``, the one body store, is what the kernel reads, packed
+    by the basis's packing: {packed head: (head, packed tail terms, their
+    coefficients)} in element order, each tail in body order, over K[C]
+    too.  The constructor packs them from the elements and checks the tails
+    through the cone memo.  A syzygy level is built by `_from_packed`
+    instead, from bodies its step wrote packed and checked; its
+    ``elements`` are unpacked on the first read, so a level that only
+    resolution reads is never unpacked.
     """
 
     __slots__ = (
-        "basis", "_elements", "position", "nparams", "packed_bodies", "sparse_bodies",
+        "basis", "_elements", "position", "nparams", "packed_bodies",
         "_certified", "_prolongations",
     )
 
@@ -183,10 +182,6 @@ class MarkedSet:
         self.nparams = nparams
         self._elements = elements
         self.position = {p: i for i, p in enumerate(bodies)}
-        self.sparse_bodies = None if nparams is None else {
-            p: (head, terms, tuple(map(sparse_terms, coeffs)))
-            for p, (head, terms, coeffs) in bodies.items()
-        }
         self._certified: Optional[bool] = None
         self._prolongations: dict[tuple[ModuleTerm, int], Representation] = {}
 
@@ -219,45 +214,40 @@ class Representation:
     lex-descending (per head the descent is strict), then in element order.
     The remainder is supported outside the monomial module.
 
-    The kernel hands the summands over packed: ``packed`` lists them, in
-    the same order, as (packed multiplier, packed head, c) under the
-    packing of the set's basis, which never changes.  `packed` is given as
-    a tuple or as a callable that builds it from the kernel's own summands
-    on the first read, and `summands` as a tuple or as that packing, which
-    unpacks `packed` on the first read.  So the summands that no consumer
+    The summands are held in the one form the kernel hands over, packed:
+    ``packed`` lists them, in the same order, as (packed multiplier, packed
+    head, c) under ``packing``, the packing of the set's basis, which never
+    changes.  `packed` is given as a tuple or as a callable that builds it
+    from the kernel's own summands on the first read; `summands` unpacks it
+    by ``packing`` on the first read.  So the summands that no consumer
     reads (the basis test and the family equations read only the
     remainder) are never sorted, and the syzygy step, which reads
-    `packed`, never unpacks them.  A representation built from a summands
-    tuple alone has no packed form (None).
+    `packed`, never unpacks them.
     """
 
-    __slots__ = ("_summands", "_packed", "remainder")
+    __slots__ = ("packing", "remainder", "_packed", "_summands")
 
-    def __init__(self, summands, remainder: ModuleElement, packed=None):
-        self._summands = summands
-        self._packed = packed
+    def __init__(self, packing, remainder: ModuleElement, packed):
+        self.packing = packing
         self.remainder = remainder
+        self._packed = packed
+        self._summands = None
 
     @property
-    def packed(self) -> tuple[tuple[int, int, Coeff], ...] | None:
+    def packed(self) -> tuple[tuple[int, int, Coeff], ...]:
         packed = self._packed
-        if packed is not None and type(packed) is not tuple:
+        if type(packed) is not tuple:
             packed = self._packed = packed()
         return packed
 
     @property
     def summands(self) -> tuple[tuple[Coeff, Exponent, ModuleTerm], ...]:
         summands = self._summands
-        if type(summands) is not tuple:
-            unpack_exp, unpack = summands.unpack_exp, summands.unpack
+        if summands is None:
+            unpack_exp, unpack = self.packing.unpack_exp, self.packing.unpack
             summands = self._summands = tuple(
                 [(c, unpack_exp(mult), unpack(divisor)) for mult, divisor, c in self.packed])
         return summands
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Representation):
-            return NotImplemented
-        return self.summands == other.summands and self.remainder == other.remainder
 
 
 def reduce_full(h: ModuleElement, marked: MarkedSet) -> Representation:
@@ -308,7 +298,6 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
     heapify(heap)
     if nparams is not None:
         # The kernel owns its coefficient dicts, and writes to them in place.
-        bodies = marked.sparse_bodies
         work = {p: dict(sparse_terms(c)) for p, c in work.items()}
     summands: dict[int, Coeff] = {}  # packed target -> coefficient
     while heap:
@@ -347,7 +336,7 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
             else:
                 if s is None:
                     s = work[shifted] = {}
-                param_add_product(s, coeff, c, -1)
+                param_add_product(s, coeff, sparse_terms(c), -1)
             if not s:
                 del work[shifted]
     wrap = rational if nparams is None else partial(ParamPoly, nparams)
@@ -355,9 +344,9 @@ def _reduce(work: dict, degree: int | None, marked: MarkedSet) -> Representation
     remainder = ModuleElement._trusted(
         basis.layout, {unpack(p): wrap(c) for p, c in work.items()}, degree if work else None
     )
-    if not summands:
-        return Representation((), remainder, ())
-    packed = partial(_sort_summands, summands, divisor_of, marked.position, wrap)
+    packed = ()
+    if summands:
+        packed = partial(_sort_summands, summands, divisor_of, marked.position, wrap)
     return Representation(packing, remainder, packed)
 
 

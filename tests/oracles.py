@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from marked_bases.marked import (
     MarkedElement,
@@ -784,7 +784,22 @@ def evaluate_representation(rep: Representation, marked) -> ModuleElement:
     return ModuleElement(rep.remainder.layout, total)
 
 
-def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
+class Reduction(NamedTuple):
+    """What `reduce_in_order` returns: the summands and the remainder, as a
+    `marked.Representation` gives them when read."""
+
+    summands: tuple
+    remainder: ModuleElement
+
+
+def assert_same_representation(got, expected) -> None:
+    """Two representations (a `marked.Representation` or a `Reduction`)
+    have the same summands, in the same order, and the same remainder."""
+    assert got.summands == expected.summands
+    assert got.remainder == expected.remainder
+
+
+def reduce_in_order(h: ModuleElement, marked, chooser) -> Reduction:
     """Marked reduction of h that scans the work element for its terms of U
     at every step and attacks `chooser(candidates)`.  The reducer of each
     term is forced, so every chooser must reach the kernel's remainder, and
@@ -831,7 +846,7 @@ def reduce_in_order(h: ModuleElement, marked, chooser) -> Representation:
         ((rational(c), mult, head) for (mult, head), c in summands.items()),
         key=lambda item: (tuple(-x for x in lex_key(item[1])), order[item[2]]),
     )
-    return Representation(tuple(flat), ModuleElement(basis.layout, work))
+    return Reduction(tuple(flat), ModuleElement(basis.layout, work))
 
 
 def specialize_by_evaluation(generic, assignment):
@@ -848,8 +863,8 @@ def specialize_by_evaluation(generic, assignment):
         terms = {}
         for t, coeff in el.body.terms.items():
             terms[t] = evaluate(coeff, values) if isinstance(coeff, ParamPoly) else coeff
-        elements.append(MarkedElement(ModuleElement(generic.basis.layout, terms), el.head))
-    return MarkedSet(generic.basis, elements), values
+        elements.append(MarkedElement(ModuleElement(generic.marked.basis.layout, terms), el.head))
+    return MarkedSet(generic.marked.basis, elements), values
 
 
 def parse_resolution(text: str) -> FreeResolution:
@@ -968,7 +983,7 @@ def triangular_representation(
     with j < i, multiplicative for its own head; a violation raises
     StructureViolated and indicates a bug, never bad input.
     """
-    layout = generic.basis.layout
+    layout = generic.marked.basis.layout
     if layout.rank != 1 or base.layout != layout:
         raise HypothesisViolated("triangular representations live over a single ideal")
     if not base.certified:
@@ -977,7 +992,7 @@ def triangular_representation(
         raise HypothesisViolated("base ideal is not saturated")
     if not 1 <= i <= layout.n:
         raise HypothesisViolated(f"variable index {i} out of range 1..{layout.n}")
-    if generic.basis.terms != truncate_basis(base, truncation_degree).terms:
+    if generic.marked.basis.terms != truncate_basis(base, truncation_degree).terms:
         raise HypothesisViolated(
             "generic set does not live over the stated truncation"
         )
@@ -986,7 +1001,7 @@ def triangular_representation(
         raise HypothesisViolated(
             f"truncation degree {truncation_degree} below max rho = {rho_bound}"
         )
-    if head not in generic.basis.terms:
+    if head not in generic.marked.basis.terms:
         raise HypothesisViolated(f"{head} is not a head of the generic set")
     mi = min_index(head.exp)
     if mi is None or mi > i - 1:

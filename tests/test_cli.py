@@ -458,6 +458,20 @@ class TestResolveCommand:
         saved = json.loads(target.read_text())
         assert saved["ranks"]["0"] == {"2": 3, "3": 2}
 
+    @pytest.mark.parametrize("doc, chain", [
+        ("ring 2\nmodule 2 0 -1\nmarked G = [x1*e1], [e2]\n", "0 -> S(1) (+) S(-1) -> M -> 0"),
+        ("ring 2\nmodule 2 0 0\nmarked G = [e1], [x1*e2]\n", "0 -> S (+) S(-1) -> M -> 0"),
+        ("ring 3\nmarked G = [1]\n", "0 -> S -> M -> 0"),
+    ], ids=["degrees 1 and -1", "degrees 0 and 1", "the ring"])
+    def test_chain_of_generators_of_degree_at_most_zero(self, capsys, tmp_path, doc, chain):
+        """A generator of degree j is the free module S(-j): S itself for
+        j = 0, and S(1), not S(--1), for j = -1."""
+        path = tmp_path / "low.mb"
+        path.write_text(doc)
+        code, out = run(capsys, "resolve", str(path), "--minimize")
+        assert code == 0
+        assert out.out.splitlines() == ["length 0", chain, "minimal: " + chain]
+
 
 class TestOtherCommands:
     def test_pommaret(self, capsys, twisted_file):

@@ -207,7 +207,7 @@ class TestTriangularRepresentation:
         base = pommaret_completion(MonomialModule(LAY3, [T((0, 1, 0)), T((0, 0, 1))]))
         m = 2
         generic = generic_marked_set(truncate_basis(base, m))
-        for head in generic.basis.sorted_terms():
+        for head in generic.marked.basis.sorted_terms():
             if min_index(head.exp) == 0:
                 report = triangular_representation(
                     generic, head, 1, base=base, truncation_degree=m
@@ -223,7 +223,7 @@ class TestTriangularRepresentation:
         m = inv.regularity
         generic = generic_marked_set(truncate_basis(base, m))
         checked = 0
-        for head in generic.basis.sorted_terms():
+        for head in generic.marked.basis.sorted_terms():
             hmin = min_index(head.exp)
             hmin = 2 if hmin is None else hmin
             for i in range(hmin + 1, 3):
@@ -248,7 +248,7 @@ class TestTriangularRepresentation:
         m = 3
         generic = generic_marked_set(truncate_basis(twisted.basis, m))
         head = next(
-            t for t in generic.basis.sorted_terms() if min_index(t.exp) == 0
+            t for t in generic.marked.basis.sorted_terms() if min_index(t.exp) == 0
         )
         with pytest.raises(HypothesisViolated):
             triangular_representation(

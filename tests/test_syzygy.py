@@ -170,7 +170,7 @@ class TestSyzygyMarkedBasis:
                     mult += 1 << packing.shifts[0]
                 forged.append((head, j))
                 packed = (*rep.packed[:i], (mult, divisor, coeff), *rep.packed[i + 1:])
-                return Representation(rep.summands, rep.remainder, packed)
+                return Representation(rep.packing, rep.remainder, packed)
             return rep
 
         monkeypatch.setattr(syzygy_module, "prolongation_rep", forging)
@@ -713,13 +713,13 @@ class TestParametricResolution:
         """The generic set of (x2, x1^2, x0^2) in each of two components of
         weight 0 has 16 parameters and no family equation.  Its resolution
         has three levels, so the kernel reduces a syzygy level built packed
-        over K[C], from its sparse bodies."""
+        over K[C], from its packed bodies."""
         gens = [T(e, k) for k in (1, 2) for e in ((0, 0, 1), (0, 2, 0), (2, 0, 0))]
         basis = pommaret_completion(MonomialModule(FreeModuleLayout(2, (0, 0)), gens))
         generic = generic_marked_set(basis)
         assert generic.nparams == 16 and family_equations(generic).generators == ()
         level1, _ = syzygy_marked_basis(generic.marked)
-        assert level1.sparse_bodies is not None and any(prolongations(level1))
+        assert level1.nparams is not None and any(prolongations(level1))
         res = free_resolution(generic.marked)
         assert res.rank_table() == {0: {1: 2, 2: 4, 3: 2}, 1: {3: 6, 4: 4}, 2: {4: 2, 5: 2}}
         assert any(isinstance(c, ParamPoly) and not c.is_constant()
@@ -822,7 +822,7 @@ def _spoil_memo(marked):
     if not is_marked_basis(marked).is_basis:
         raise ValueError("needs a marked basis")
     key, rep = list(marked._prolongations.items())[-1]
-    marked._prolongations[key] = Representation(rep.summands, _nonzero(marked), rep.packed)
+    marked._prolongations[key] = Representation(rep.packing, _nonzero(marked), rep.packed)
     return marked
 
 
@@ -878,7 +878,7 @@ def _lifted_tail(prolongation_rep):
             c = pommaret_class(marked.packed_bodies[divisor][0].exp, n)
             if c < n:
                 packed[i] = (mult + (1 << packing.shifts[c + 1]), divisor, coeff)
-                return Representation(rep.summands, rep.remainder, tuple(packed))
+                return Representation(rep.packing, rep.remainder, tuple(packed))
         return rep
 
     return broken
@@ -905,7 +905,7 @@ def _leaky_reduce(reduce, spared):
         rep = reduce(work, degree, marked)
         if marked is spared:
             return rep
-        return Representation(rep.summands, _nonzero(marked), rep.packed)
+        return Representation(rep.packing, _nonzero(marked), rep.packed)
 
     return broken
 
